@@ -69,15 +69,6 @@ class PinballLoss:
 Loss = SquaredLoss | PinballLoss
 
 
-def loss_gradients(loss: Loss, y, pred) -> tuple[np.ndarray, np.ndarray]:
-    """(gradient, hessian) of the loss at pred, elementwise."""
-    y = np.asarray(y, dtype=float)
-    pred = np.asarray(pred, dtype=float)
-    if y.shape != pred.shape:
-        raise BoostingError("y and pred must have the same length")
-    return loss.gradients(y, pred)
-
-
 # ---------------------------------------------------------------------------
 # Trees
 # ---------------------------------------------------------------------------

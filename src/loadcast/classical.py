@@ -29,25 +29,6 @@ class NearUnitRootWarning(UserWarning):
 
 
 # ---------------------------------------------------------------------------
-# Seasonal naive
-# ---------------------------------------------------------------------------
-
-
-def seasonal_naive_forecast(history, period: int = 24, horizon: int = 1) -> np.ndarray:
-    """forecast[t] = value one period earlier, recursing into its own output
-    beyond the first period."""
-    history = np.asarray(history, dtype=float)
-    if len(history) < period:
-        raise ClassicalModelError(f"history of length {len(history)} < period {period}")
-    out = np.empty(horizon)
-    combined = history[-period:].tolist()
-    for t in range(horizon):
-        out[t] = combined[t]
-        combined.append(out[t])
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Differencing
 # ---------------------------------------------------------------------------
 

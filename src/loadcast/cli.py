@@ -1,8 +1,9 @@
 """Command-line surface: ingest, impute-eval, train, evaluate, report.
 
 Exit codes: 0 success, 1 validation error (bad config, unreadable input),
-2 runtime failure. The LOADCAST_OUTPUT_DIR environment variable overrides
-the configured output directory.
+2 runtime failure, including a `train` in which no model trained. The
+LOADCAST_OUTPUT_DIR environment variable overrides the configured output
+directory.
 """
 
 from __future__ import annotations
@@ -77,6 +78,9 @@ def main(argv: list[str] | None = None) -> int:
             for name, entry in manifest["models"].items():
                 print(f"{name:16s} {entry['status']}"
                       + (f" ({entry['error']})" if entry["status"] != "ok" else ""))
+            if all(manifest["models"][name]["status"] != "ok" for name in models or cfg.roster):
+                logger.error("train: no model trained")
+                return 2
         elif args.command == "evaluate":
             report = pipeline.cmd_evaluate(cfg)
             print(report_to_text(report), end="")

@@ -10,13 +10,11 @@ import hashlib
 import json
 import os
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
 OUTPUT_DIR_ENV = "LOADCAST_OUTPUT_DIR"
-
-KNOWN_MODELS = ("seasonal_naive", "sarimax", "gbdt", "gbdt_quantile", "lstm")
 
 DEFAULT_MODEL_PARAMS: dict[str, dict[str, Any]] = {
     "seasonal_naive": {"period": 24},
@@ -52,6 +50,8 @@ DEFAULT_MODEL_PARAMS: dict[str, dict[str, Any]] = {
     },
 }
 
+KNOWN_MODELS = tuple(DEFAULT_MODEL_PARAMS)
+
 
 class ConfigError(ValueError):
     """Raised when a pipeline config fails validation."""
@@ -78,7 +78,6 @@ class PipelineConfig:
     window_channels: tuple[str, ...] | None = None  # None = all channels
     split_fraction: float = 0.8
     validation_fraction: float = 0.1  # tail of the train split, for early stopping
-    quantiles: tuple[float, ...] = (0.05, 0.50, 0.95)
     roster: tuple[str, ...] = ("seasonal_naive", "sarimax", "gbdt", "lstm")
     model_params: dict[str, dict[str, Any]] = field(default_factory=dict)
     external_predictions: dict[str, str] = field(default_factory=dict)
@@ -89,11 +88,6 @@ class PipelineConfig:
             raise ConfigError("split_fraction must be in (0, 1)")
         if not 0 < self.validation_fraction < 1:
             raise ConfigError("validation_fraction must be in (0, 1)")
-        if list(self.quantiles) != sorted(set(self.quantiles)):
-            raise ConfigError("quantiles must be strictly increasing")
-        if tuple(self.quantiles) != (0.05, 0.50, 0.95):
-            # the report and distribution formats fix the q05/q50/q95 tracks
-            raise ConfigError("quantiles must be the three levels 0.05, 0.50, 0.95")
         for name in self.roster:
             if name not in KNOWN_MODELS:
                 raise ConfigError(f"unknown model {name!r}; known: {KNOWN_MODELS}")
@@ -116,26 +110,7 @@ class PipelineConfig:
         return Path(os.environ.get(OUTPUT_DIR_ENV) or self.output_dir)
 
     def to_canonical_json(self) -> str:
-        doc = {
-            "input_path": self.input_path,
-            "output_dir": self.output_dir,
-            "columns": self.columns,
-            "structural_gap_threshold": self.structural_gap_threshold,
-            "knn_k": self.knn_k,
-            "knn_max_gap": self.knn_max_gap,
-            "trial_min_window_hours": self.trial_min_window_hours,
-            "calendar_features": list(self.calendar_features),
-            "lags": list(self.lags),
-            "window_channels": list(self.window_channels) if self.window_channels else None,
-            "split_fraction": self.split_fraction,
-            "validation_fraction": self.validation_fraction,
-            "quantiles": list(self.quantiles),
-            "roster": list(self.roster),
-            "model_params": self.model_params,
-            "external_predictions": self.external_predictions,
-            "seed": self.seed,
-        }
-        return json.dumps(doc, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.to_canonical_json().encode("utf-8")).hexdigest()
@@ -159,13 +134,7 @@ def config_from_dict(doc: dict[str, Any], base_dir: Path | None = None) -> Pipel
     missing = {"input_path", "output_dir"} - set(doc)
     if missing:
         raise ConfigError(f"config missing required keys: {sorted(missing)}")
-    known = {
-        "input_path", "output_dir", "columns", "structural_gap_threshold",
-        "knn_k", "knn_max_gap", "trial_min_window_hours", "calendar_features",
-        "lags", "window_channels", "split_fraction", "validation_fraction",
-        "quantiles", "roster", "model_params", "external_predictions", "seed",
-    }
-    unknown = set(doc) - known
+    unknown = set(doc) - {f.name for f in fields(PipelineConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
@@ -175,20 +144,11 @@ def config_from_dict(doc: dict[str, Any], base_dir: Path | None = None) -> Pipel
             path = base_dir / path
         return str(path)
 
-    kwargs: dict[str, Any] = {
-        "input_path": resolve(doc["input_path"]),
-        "output_dir": resolve(doc["output_dir"]),
-    }
-    for key in ("columns", "model_params", "external_predictions", "seed",
-                "structural_gap_threshold", "knn_k", "knn_max_gap",
-                "trial_min_window_hours", "split_fraction", "validation_fraction"):
-        if key in doc:
-            kwargs[key] = doc[key]
-    for key in ("calendar_features", "lags", "quantiles", "roster"):
-        if key in doc:
+    kwargs = dict(doc, input_path=resolve(doc["input_path"]),
+                  output_dir=resolve(doc["output_dir"]))
+    for key in ("calendar_features", "lags", "window_channels", "roster"):
+        if doc.get(key) is not None:
             kwargs[key] = tuple(doc[key])
-    if doc.get("window_channels") is not None:
-        kwargs["window_channels"] = tuple(doc["window_channels"])
     try:
         return PipelineConfig(**kwargs)
     except TypeError as exc:

@@ -9,7 +9,6 @@ columns, each group alphabetical.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from datetime import datetime
 
@@ -186,16 +185,3 @@ def windowize(matrix: FeatureMatrix, window: int = 48, horizon: int = 1) -> Wind
         matrix.timestamps[i + window + horizon - 1] for i in range(n_samples)
     )
     return WindowTensor(data, targets, window, horizon, matrix.feature_order, final_target_ts)
-
-
-def matrix_to_csv(matrix: FeatureMatrix, path) -> None:
-    """Export as CSV: timestamp, feature columns, target."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", *matrix.feature_order, "target"])
-        for i, ts in enumerate(matrix.timestamps):
-            writer.writerow(
-                [ts.isoformat()]
-                + [repr(float(v)) for v in matrix.features[i]]
-                + [repr(float(matrix.target[i]))]
-            )

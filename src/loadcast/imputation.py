@@ -38,9 +38,6 @@ class SeasonalProfile:
     counts: np.ndarray
     channel_names: tuple[str, ...]
 
-    def cell(self, dow: int, hour: int, channel: int = 0) -> tuple[float, int]:
-        return float(self.means[dow, hour, channel]), int(self.counts[dow, hour, channel])
-
 
 @dataclass(frozen=True)
 class MethodResult:
@@ -247,7 +244,8 @@ def _seasonal_method(series: HourlySeries, rng: tuple[int, int]) -> HourlySeries
     return seasonal_impute(series, rng, profile)
 
 
-# method registry used by run_imputation_trial and the pipeline
+# methods the masked-holdout trial compares; the pipeline's own gap filling
+# calls linear_impute and seasonal_impute directly
 IMPUTER_METHODS = {
     "linear": _linear_method,
     "seasonal": _seasonal_method,

@@ -2,6 +2,11 @@
 series, run the imputer-selection trial, train the model roster on the
 chronological split and emit the evaluation report plus plot-data CSVs.
 
+Every model is one entry of ``MODELS``: a ``fit`` that writes artifacts
+under ``models/`` and a ``predict`` that reads them back into a
+``Forecast`` on the test split. Train, evaluate and the scoring of
+external predictions all go through that one table and one ``_score``.
+
 Leakage rules: the imputation trial window and all structural-gap profiles
 come from the train segment only, scalers fit on the train segment only,
 and every model's early-stopping validation set is the chronological tail
@@ -11,22 +16,24 @@ artifacts byte-identical.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import hashlib
 import json
 import logging
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import boosted, classical, imputation, metrics, neural
 from .config import PipelineConfig
 from .features import (
-    FeatureError,
     FeatureMatrix,
-    WindowTensor,
     assemble_matrix,
     calendar_features,
     windowize,
@@ -37,6 +44,7 @@ from .series import (
     GapReport,
     HourlySeries,
     ScalerParams,
+    chronological_split,
     detect_gaps,
     ingest_csv,
     minmax_fit,
@@ -71,6 +79,19 @@ class PipelineError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def _replace_on_success(path: Path):
+    """Write through a temp file beside ``path`` that replaces it only once
+    the block completes, so a failed or killed write leaves the old file."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _manifest_path(cfg: PipelineConfig) -> Path:
     return cfg.resolved_output_dir() / MANIFEST_FILE
 
@@ -90,7 +111,7 @@ def save_manifest(cfg: PipelineConfig, manifest: dict) -> None:
             if not (out_dir / p).exists():
                 raise PipelineError(f"manifest references missing file {p}")
     manifest["manifest_hash"] = manifest_hash(manifest)
-    with open(_manifest_path(cfg), "w", encoding="utf-8") as fh:
+    with _replace_on_success(_manifest_path(cfg)) as fh:
         json.dump(manifest, fh, sort_keys=True, indent=1)
 
 
@@ -102,6 +123,13 @@ def manifest_hash(manifest: dict) -> str:
 
 def _stamp(manifest: dict, command: str) -> None:
     manifest.setdefault("timestamps", {})[command] = datetime.now(timezone.utc).isoformat()
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _file_sha256(path: Path) -> str:
@@ -129,32 +157,35 @@ def _schema_from_config(cfg: PipelineConfig) -> ColumnSchema:
 
 
 def cmd_ingest(cfg: PipelineConfig) -> tuple[HourlySeries, GapReport]:
-    """Parse, resample and cache the input; idempotent on identical input."""
+    """Parse, resample and cache the input. The cache is reused, never
+    rewritten, while the input file and the column schema are unchanged;
+    the gap report always follows the current threshold."""
     out_dir = cfg.resolved_output_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
     fingerprint = _file_sha256(Path(cfg.input_path))
+    schema = _schema_from_config(cfg)
+    columns = {"timestamp": schema.timestamp, "aggregate": schema.aggregate,
+               "appliances": list(schema.appliances)}
     manifest = load_manifest(cfg)
 
     cache_path = out_dir / CACHE_FILE
-    if manifest.get("data_fingerprint") == fingerprint and cache_path.exists():
+    if (manifest.get("data_fingerprint") == fingerprint
+            and manifest.get("columns") == columns and cache_path.exists()):
         logger.info("ingest: cache up to date (fingerprint %s), not rewriting", fingerprint[:12])
         hourly = series_from_csv(cache_path)
-        return hourly, detect_gaps(hourly, cfg.structural_gap_threshold)
+    else:
+        hourly = resample_hourly(ingest_csv(cfg.input_path, schema))
+        series_to_csv(hourly, cache_path)
+        manifest["config_hash"] = cfg.config_hash()
+        manifest["data_fingerprint"] = fingerprint
+        manifest["columns"] = columns
+        manifest["n_hours"] = len(hourly)
+        manifest["channels"] = list(hourly.channel_names)
 
-    raw = ingest_csv(cfg.input_path, _schema_from_config(cfg))
-    hourly = resample_hourly(raw)
     gaps = detect_gaps(hourly, cfg.structural_gap_threshold)
-    series_to_csv(hourly, cache_path)
-    with open(out_dir / GAPS_FILE, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["start_index", "start_hour", "length_hours"])
-        for start, length in gaps.gaps:
-            writer.writerow([start, (hourly.start + start * HOUR).isoformat(), length])
-
-    manifest["config_hash"] = cfg.config_hash()
-    manifest["data_fingerprint"] = fingerprint
-    manifest["n_hours"] = len(hourly)
-    manifest["channels"] = list(hourly.channel_names)
+    _write_csv(out_dir / GAPS_FILE, ["start_index", "start_hour", "length_hours"], (
+        [start, (hourly.start + start * HOUR).isoformat(), length] for start, length in gaps.gaps
+    ))
     manifest["gaps"] = [[s, l] for s, l in gaps.gaps]
     _stamp(manifest, "ingest")
     save_manifest(cfg, manifest)
@@ -175,12 +206,11 @@ def _load_cache(cfg: PipelineConfig) -> HourlySeries:
 # ---------------------------------------------------------------------------
 
 
-def _trial_window(cfg: PipelineConfig, series: HourlySeries) -> tuple[int, int]:
+def _trial_window(cfg: PipelineConfig, train: HourlySeries) -> tuple[int, int]:
     """First fully observed window of >= 3 months inside the train segment,
     falling back to the longest one if it still meets the configured
     minimum."""
-    split_idx = int(np.floor(cfg.split_fraction * len(series)))
-    present = ~np.isnan(series.channel(0)[:split_idx])
+    present = ~np.isnan(train.channel(0))
     runs = missing_runs(present)  # the run finder is generic: runs of True
     full_months = [r for r in runs if r[1] >= 2160]
     if full_months:
@@ -201,30 +231,26 @@ def cmd_impute_eval(cfg: PipelineConfig) -> tuple[imputation.ImputationTrial, st
     The trial sees the train segment only, so the selection can never
     depend on test-split values."""
     out_dir = cfg.resolved_output_dir()
-    hourly = _load_cache(cfg)
-    split_idx = int(np.floor(cfg.split_fraction * len(hourly)))
-    train_segment = hourly.slice_hours(0, split_idx)
-    w_start, w_stop = _trial_window(cfg, hourly)
+    train_segment, _ = chronological_split(_load_cache(cfg), cfg.split_fraction)
+    w_start, w_stop = _trial_window(cfg, train_segment)
     length = w_stop - w_start
     mask = (w_start + length // 3, w_start + 2 * length // 3)
     trial = imputation.run_imputation_trial(train_segment, mask, methods=("linear", "seasonal"))
     chosen = imputation.choose_imputer(trial)
 
-    with open(out_dir / TRIAL_FILE, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "rmse", "mae", "emd"])
-        for name in sorted(trial.method_results):
-            r = trial.method_results[name]
-            writer.writerow([name, repr(r.rmse), repr(r.mae), repr(r.distribution_distance)])
+    results = trial.method_results
+    _write_csv(out_dir / TRIAL_FILE, ["method", "rmse", "mae", "emd"], (
+        [name, repr(r.rmse), repr(r.mae), repr(r.distribution_distance)]
+        for name, r in sorted(results.items())
+    ))
     edges = trial.bin_edges
     for name, counts in [("truth", trial.truth_histogram)] + [
-        (m, trial.method_results[m].histogram) for m in sorted(trial.method_results)
+        (m, results[m].histogram) for m in sorted(results)
     ]:
-        with open(out_dir / f"hist_{name}.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["bin_left", "bin_right", "count"])
-            for i, c in enumerate(counts):
-                writer.writerow([repr(float(edges[i])), repr(float(edges[i + 1])), int(c)])
+        _write_csv(out_dir / f"hist_{name}.csv", ["bin_left", "bin_right", "count"], (
+            [repr(float(edges[i])), repr(float(edges[i + 1])), int(c)]
+            for i, c in enumerate(counts)
+        ))
 
     manifest = load_manifest(cfg)
     manifest["chosen_imputer"] = chosen
@@ -232,7 +258,7 @@ def cmd_impute_eval(cfg: PipelineConfig) -> tuple[imputation.ImputationTrial, st
         "masked_range": list(trial.masked_range),
         "results": {
             name: {"rmse": r.rmse, "mae": r.mae, "emd": r.distribution_distance}
-            for name, r in trial.method_results.items()
+            for name, r in results.items()
         },
     }
     _stamp(manifest, "impute-eval")
@@ -252,7 +278,6 @@ class PreparedData:
     split_idx: int
     scaler: ScalerParams          # fitted on the train segment
     tabular: FeatureMatrix        # watts, calendar + lags
-    windows: WindowTensor | None  # scaled channels + normalised calendar + lags
     target_name: str
 
     @property
@@ -278,14 +303,12 @@ def _fill_remaining_gaps(
     return series
 
 
-def _impute_split(cfg: PipelineConfig, hourly: HourlySeries, chosen: str) -> HourlySeries:
+def _impute_split(
+    cfg: PipelineConfig, train: HourlySeries, test: HourlySeries, chosen: str
+) -> HourlySeries:
     """Impute train and test segments without letting test values reach the
     train side: small gaps by kNN within each segment, longer runs by the
     chosen imputer with profiles built from the train segment only."""
-    split_idx = int(np.floor(cfg.split_fraction * len(hourly)))
-    train = hourly.slice_hours(0, split_idx)
-    test = hourly.slice_hours(split_idx, len(hourly))
-
     train = imputation.knn_impute(train, cfg.knn_k, cfg.knn_max_gap)
     if np.isnan(train.values).any():
         profile = imputation.build_seasonal_profile(train)
@@ -297,56 +320,43 @@ def _impute_split(cfg: PipelineConfig, hourly: HourlySeries, chosen: str) -> Hou
     if np.isnan(test.values).any():
         test = _fill_remaining_gaps(test, chosen, train_profile)
 
-    values = np.vstack([train.values, test.values])
-    return hourly.with_values(values)
+    return HourlySeries(train.start, np.vstack([train.values, test.values]), train.channel_names)
 
 
-def prepare_data(
-    cfg: PipelineConfig, hourly: HourlySeries, chosen: str, need_windows: bool | None = None
-) -> PreparedData:
-    full = _impute_split(cfg, hourly, chosen)
-    split_idx = int(np.floor(cfg.split_fraction * len(full)))
-    scaler = minmax_fit(full, (0, split_idx))
-    target_name = full.channel_names[0]
-
+def prepare_data(cfg: PipelineConfig, hourly: HourlySeries, chosen: str) -> PreparedData:
+    train, test = chronological_split(hourly, cfg.split_fraction)
+    full = _impute_split(cfg, train, test, chosen)
+    split_idx = len(train)
     tabular = assemble_matrix(
         full, calendar=cfg.calendar_features, lags=cfg.lags, target_channel=0
     )
-
-    windows = None
-    if need_windows is None:
-        need_windows = "lstm" in cfg.roster
-    if need_windows:
-        window_channels = (
-            cfg.window_channels if cfg.window_channels is not None else full.channel_names
-        )
-        scaled = minmax_transform(full, scaler)
-        window_matrix = assemble_matrix(
-            scaled,
-            calendar=cfg.calendar_features,
-            lags=cfg.lags,
-            channels=tuple(window_channels),
-            target_channel=0,
-        )
-        feats = window_matrix.features.copy()
-        for j, name in enumerate(window_matrix.feature_order):
-            if name in _CALENDAR_RANGES:
-                lo, hi = _CALENDAR_RANGES[name]
-                feats[:, j] = (feats[:, j] - lo) / (hi - lo)
-        window_matrix = FeatureMatrix(
-            window_matrix.timestamps, feats, window_matrix.feature_order, window_matrix.target
-        )
-        try:
-            windows = windowize(
-                window_matrix, window=int(cfg.params_for("lstm")["window"]), horizon=1
-            )
-        except FeatureError as exc:
-            # the sequence model alone becomes unavailable; everything else runs
-            logger.warning("window tensor unavailable: %s", exc)
-    return PreparedData(full, split_idx, scaler, tabular, windows, target_name)
+    return PreparedData(
+        full, split_idx, minmax_fit(full, (0, split_idx)), tabular, full.channel_names[0]
+    )
 
 
-def _chosen_imputer(cfg: PipelineConfig, manifest: dict) -> str:
+def _split_rows(cfg: PipelineConfig, data: PreparedData, timestamps, take):
+    """(fit, validation, test) parts of time-ordered rows: rows before the
+    split time are the train part, its chronological tail the validation
+    set. ``take(start, stop)`` cuts one part."""
+    n_train = bisect.bisect_left(timestamps, data.split_time)
+    n_fit = int(np.floor(n_train * (1.0 - cfg.validation_fraction)))
+    if n_fit == 0 or n_fit == n_train:
+        raise PipelineError("validation_fraction leaves an empty fit or validation set")
+    return take(0, n_fit), take(n_fit, n_train), take(n_train, len(timestamps))
+
+
+def _tabular_split(cfg: PipelineConfig, data: PreparedData):
+    return _split_rows(cfg, data, data.tabular.timestamps, data.tabular.rows)
+
+
+def _test_hours(data: PreparedData) -> tuple[list[datetime], np.ndarray]:
+    """Timestamps and actual watts of every test-split hour."""
+    timestamps = [data.full.start + i * HOUR for i in range(data.split_idx, len(data.full))]
+    return timestamps, data.full.channel(0)[data.split_idx :]
+
+
+def _chosen_imputer(manifest: dict) -> str:
     chosen = manifest.get("chosen_imputer")
     if not chosen:
         raise PipelineError("no imputer chosen; run `impute-eval` first")
@@ -354,22 +364,48 @@ def _chosen_imputer(cfg: PipelineConfig, manifest: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# train
+# model registry
 # ---------------------------------------------------------------------------
 
 
-def _train_seasonal_naive(cfg: PipelineConfig, data: PreparedData, out: Path) -> list[str]:
+@dataclass(frozen=True)
+class Forecast:
+    """One model's test-split forecast: actuals and point track in watts,
+    plus the quantile tracks of a probabilistic model."""
+
+    timestamps: Sequence[datetime]
+    actual: np.ndarray
+    point: np.ndarray
+    dist: metrics.ForecastDistribution | None = None
+
+
+def _fit_seasonal_naive(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> list[str]:
     period = int(cfg.params_for("seasonal_naive")["period"])
     if data.split_idx < period:
         raise PipelineError(f"train split shorter than the naive period {period}")
     tail = data.full.channel(0)[data.split_idx - period : data.split_idx]
     doc = {"period": period, "history_tail": tail.tolist()}
-    path = out / "seasonal_naive.json"
+    path = models_dir / "seasonal_naive.json"
     path.write_text(json.dumps(doc, sort_keys=True, indent=1), encoding="utf-8")
     return [path.name]
 
 
-def _train_sarimax(cfg: PipelineConfig, data: PreparedData, out: Path) -> list[str]:
+def _predict_seasonal_naive(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> Forecast:
+    doc = json.loads((models_dir / "seasonal_naive.json").read_text(encoding="utf-8"))
+    period = int(doc["period"])
+    timestamps, actual = _test_hours(data)
+    history = np.asarray(doc["history_tail"], dtype=float)
+    # rolling one-step forecast: the value one period earlier, actuals included
+    combined = np.concatenate([history, actual])
+    return Forecast(timestamps, actual, combined[len(history) - period : len(combined) - period])
+
+
+def _calendar_exog(series: HourlySeries, lo: int, hi: int, names: tuple[str, ...]) -> np.ndarray:
+    cal = calendar_features([series.start + i * HOUR for i in range(lo, hi)])
+    return np.column_stack([cal[name] for name in names])
+
+
+def _fit_sarimax(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> list[str]:
     params = cfg.params_for("sarimax")
     p, d, q = params["order"]
     P, D, Q, s = params["seasonal_order"]
@@ -382,92 +418,99 @@ def _train_sarimax(cfg: PipelineConfig, data: PreparedData, out: Path) -> list[s
     model = classical.sarimax_fit(
         endog, exog, order, exog_names=exog_names, max_iter=int(params["max_iter"])
     )
-    path = out / "sarimax.json"
+    path = models_dir / "sarimax.json"
     path.write_text(classical.sarimax_to_json(model), encoding="utf-8")
     return [path.name]
 
 
-def _calendar_exog(series: HourlySeries, lo: int, hi: int, names: tuple[str, ...]) -> np.ndarray:
-    cal = calendar_features([series.start + i * HOUR for i in range(lo, hi)])
-    return np.column_stack([cal[name] for name in names])
+def _predict_sarimax(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> Forecast:
+    model = classical.sarimax_from_json((models_dir / "sarimax.json").read_text(encoding="utf-8"))
+    timestamps, actual = _test_hours(data)
+    exog = _calendar_exog(data.full, data.split_idx, len(data.full), model.exog_names)
+    point = classical.sarimax_forecast(model, len(actual), exog if len(model.beta) else None)
+    return Forecast(timestamps, actual, point)
 
 
-def _tabular_split(cfg: PipelineConfig, data: PreparedData):
-    """Train-matrix rows before the split time, with the tail as validation."""
-    split_time = data.split_time
-    n_train = sum(1 for ts in data.tabular.timestamps if ts < split_time)
-    n_fit = int(np.floor(n_train * (1.0 - cfg.validation_fraction)))
-    if n_fit == 0 or n_fit == n_train:
-        raise PipelineError("validation_fraction leaves an empty fit or validation set")
-    fit = data.tabular.rows(0, n_fit)
-    val = data.tabular.rows(n_fit, n_train)
-    test = data.tabular.rows(n_train, len(data.tabular))
-    return fit, val, test
-
-
-def _gbdt_params(cfg: PipelineConfig, name: str) -> boosted.GbdtParams:
+def _fit_boosted(cfg: PipelineConfig, data: PreparedData, name: str, loss) -> boosted.GbdtModel:
+    fit, val, _ = _tabular_split(cfg, data)
     p = cfg.params_for(name)
-    return boosted.GbdtParams(
+    params = boosted.GbdtParams(
         n_estimators=int(p["n_estimators"]),
         learning_rate=float(p["learning_rate"]),
         max_depth=int(p["max_depth"]),
         min_samples_leaf=int(p["min_samples_leaf"]),
         early_stopping_rounds=int(p["early_stopping_rounds"]),
     )
-
-
-def _train_gbdt(cfg: PipelineConfig, data: PreparedData, out: Path) -> list[str]:
-    fit, val, _ = _tabular_split(cfg, data)
-    model = boosted.gbdt_fit(
+    return boosted.gbdt_fit(
         fit.features, fit.target, val.features, val.target,
-        params=_gbdt_params(cfg, "gbdt"),
-        loss=boosted.SquaredLoss(),
-        feature_order=fit.feature_order,
+        params=params, loss=loss, feature_order=fit.feature_order,
     )
-    path = out / "gbdt.json"
+
+
+def _fit_gbdt(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> list[str]:
+    model = _fit_boosted(cfg, data, "gbdt", boosted.SquaredLoss())
+    path = models_dir / "gbdt.json"
     path.write_text(boosted.gbdt_to_json(model), encoding="utf-8")
     return [path.name]
 
 
-def _train_gbdt_quantile(cfg: PipelineConfig, data: PreparedData, out: Path) -> list[str]:
-    fit, val, _ = _tabular_split(cfg, data)
-    docs = {}
-    for tau in cfg.quantiles:
-        model = boosted.gbdt_fit(
-            fit.features, fit.target, val.features, val.target,
-            params=_gbdt_params(cfg, "gbdt_quantile"),
-            loss=boosted.PinballLoss(tau=tau),
-            feature_order=fit.feature_order,
-        )
-        docs[repr(tau)] = json.loads(boosted.gbdt_to_json(model))
-    path = out / "gbdt_quantile.json"
+def _predict_gbdt(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> Forecast:
+    model = boosted.gbdt_from_json((models_dir / "gbdt.json").read_text(encoding="utf-8"))
+    _, _, test = _tabular_split(cfg, data)
+    return Forecast(test.timestamps, test.target, boosted.gbdt_predict(model, test))
+
+
+def _fit_gbdt_quantile(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> list[str]:
+    docs = {
+        repr(tau): json.loads(boosted.gbdt_to_json(
+            _fit_boosted(cfg, data, "gbdt_quantile", boosted.PinballLoss(tau=tau))
+        ))
+        for tau in metrics.QUANTILE_LEVELS
+    }
+    path = models_dir / "gbdt_quantile.json"
     path.write_text(json.dumps(docs, sort_keys=True, indent=1), encoding="utf-8")
     return [path.name]
 
 
+def _predict_gbdt_quantile(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> Forecast:
+    docs = json.loads((models_dir / "gbdt_quantile.json").read_text(encoding="utf-8"))
+    models = {float(tau): boosted.gbdt_from_json(json.dumps(doc)) for tau, doc in docs.items()}
+    _, _, test = _tabular_split(cfg, data)
+    dist = boosted.gbdt_predict_quantiles(models, test)
+    return Forecast(test.timestamps, test.target, dist.q50, dist)
+
+
 def _window_split(cfg: PipelineConfig, data: PreparedData):
-    if data.windows is None:
-        raise PipelineError("window tensor unavailable; series too short or lstm not prepared")
-    split_time = data.split_time
-    n_train = sum(1 for ts in data.windows.target_timestamps if ts < split_time)
-    n_fit = int(np.floor(n_train * (1.0 - cfg.validation_fraction)))
-    if n_fit == 0 or n_fit == n_train:
-        raise PipelineError("validation_fraction leaves an empty fit or validation set")
-    return (
-        data.windows.samples(0, n_fit),
-        data.windows.samples(n_fit, n_train),
-        data.windows.samples(n_train, data.windows.n_samples),
+    """Fit / validation / test windows over the train-scaled channels, the
+    normalised calendar columns and the lags."""
+    scaled = minmax_transform(data.full, data.scaler)
+    window_channels = (
+        cfg.window_channels if cfg.window_channels is not None else data.full.channel_names
     )
+    matrix = assemble_matrix(
+        scaled,
+        calendar=cfg.calendar_features,
+        lags=cfg.lags,
+        channels=tuple(window_channels),
+        target_channel=0,
+    )
+    feats = matrix.features.copy()
+    for j, name in enumerate(matrix.feature_order):
+        if name in _CALENDAR_RANGES:
+            lo, hi = _CALENDAR_RANGES[name]
+            feats[:, j] = (feats[:, j] - lo) / (hi - lo)
+    matrix = FeatureMatrix(matrix.timestamps, feats, matrix.feature_order, matrix.target)
+    windows = windowize(matrix, window=int(cfg.params_for("lstm")["window"]), horizon=1)
+    return _split_rows(cfg, data, windows.target_timestamps, windows.samples)
 
 
-def _train_lstm(cfg: PipelineConfig, data: PreparedData, out: Path) -> list[str]:
+def _fit_lstm(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> list[str]:
     params = cfg.params_for("lstm")
     fit, val, _ = _window_split(cfg, data)
     model = neural.init_model(
         n_features=fit.data.shape[2],
         hidden=tuple(params["hidden"]),
         dropout_rate=float(params["dropout"]),
-        quantiles=cfg.quantiles,
         seed=cfg.model_seed("lstm"),
     )
     model, history = neural.train(
@@ -480,18 +523,39 @@ def _train_lstm(cfg: PipelineConfig, data: PreparedData, out: Path) -> list[str]
             seed=cfg.model_seed("lstm"),
         ),
     )
-    neural.save_checkpoint(model, str(out / "lstm"), scaler=data.scaler)
-    neural.history_to_csv(history, out / "lstm_history.csv")
+    neural.save_checkpoint(model, str(models_dir / "lstm"), scaler=data.scaler)
+    neural.history_to_csv(history, models_dir / "lstm_history.csv")
     return ["lstm.json", "lstm.bin", "lstm_history.csv"]
 
 
-_TRAINERS = {
-    "seasonal_naive": _train_seasonal_naive,
-    "sarimax": _train_sarimax,
-    "gbdt": _train_gbdt,
-    "gbdt_quantile": _train_gbdt_quantile,
-    "lstm": _train_lstm,
+def _predict_lstm(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> Forecast:
+    model, scaler = neural.load_checkpoint(str(models_dir / "lstm"))
+    _, _, test = _window_split(cfg, data)
+    dist = neural.predict_quantiles(model, test, scaler=scaler, target_channel=data.target_name)
+    # window targets are scaled; bring them back to watts
+    ch = data.scaler.channel_names.index(data.target_name)
+    actual = unscale_array(test.targets[:, 0], data.scaler.mins[ch], data.scaler.maxs[ch])
+    return Forecast(dist.timestamps, actual, dist.q50, dist)
+
+
+class ModelSpec(NamedTuple):
+    # fit writes the artifacts under models_dir and returns their file names
+    fit: Callable[[PipelineConfig, PreparedData, Path], list[str]]
+    predict: Callable[[PipelineConfig, PreparedData, Path], Forecast]
+
+
+MODELS: dict[str, ModelSpec] = {
+    "seasonal_naive": ModelSpec(_fit_seasonal_naive, _predict_seasonal_naive),
+    "sarimax": ModelSpec(_fit_sarimax, _predict_sarimax),
+    "gbdt": ModelSpec(_fit_gbdt, _predict_gbdt),
+    "gbdt_quantile": ModelSpec(_fit_gbdt_quantile, _predict_gbdt_quantile),
+    "lstm": ModelSpec(_fit_lstm, _predict_lstm),
 }
+
+
+# ---------------------------------------------------------------------------
+# train
+# ---------------------------------------------------------------------------
 
 
 def cmd_train(cfg: PipelineConfig, models: tuple[str, ...] | None = None) -> dict:
@@ -499,8 +563,7 @@ def cmd_train(cfg: PipelineConfig, models: tuple[str, ...] | None = None) -> dic
     out_dir = cfg.resolved_output_dir()
     hourly = _load_cache(cfg)
     manifest = load_manifest(cfg)
-    chosen = _chosen_imputer(cfg, manifest)
-    data = prepare_data(cfg, hourly, chosen)
+    data = prepare_data(cfg, hourly, _chosen_imputer(manifest))
 
     roster = models if models is not None else cfg.roster
     for name in roster:
@@ -512,7 +575,7 @@ def cmd_train(cfg: PipelineConfig, models: tuple[str, ...] | None = None) -> dic
     entries = manifest.setdefault("models", {})
     for name in roster:
         try:
-            artifacts = _TRAINERS[name](cfg, data, models_dir)
+            artifacts = MODELS[name].fit(cfg, data, models_dir)
             hashes = {a: _file_sha256(models_dir / a) for a in artifacts}
             entries[name] = {
                 "status": "ok",
@@ -536,93 +599,74 @@ def cmd_train(cfg: PipelineConfig, models: tuple[str, ...] | None = None) -> dic
 # ---------------------------------------------------------------------------
 
 
-def _predict_seasonal_naive(cfg, data, path) -> np.ndarray:
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    period = int(doc["period"])
-    actual = data.full.channel(0)
-    history = np.asarray(doc["history_tail"], dtype=float)
-    # rolling one-step forecast: the value one period earlier, actuals included
-    combined = np.concatenate([history, actual[data.split_idx :]])
-    return combined[len(history) - period : len(combined) - period]
+def _write_plot_csv(path: Path, forecast: Forecast) -> None:
+    dist = forecast.dist
+    _write_csv(path, ["timestamp", "actual", "point_or_q50", "q05", "q95"], ([
+        ts.isoformat(),
+        repr(float(forecast.actual[i])),
+        repr(float(forecast.point[i])),
+        "" if dist is None else repr(float(dist.q05[i])),
+        "" if dist is None else repr(float(dist.q95[i])),
+    ] for i, ts in enumerate(forecast.timestamps)))
 
 
-def _predict_sarimax(cfg, data, path) -> np.ndarray:
-    model = classical.sarimax_from_json(path.read_text(encoding="utf-8"))
-    steps = len(data.full) - data.split_idx
-    exog = _calendar_exog(data.full, data.split_idx, len(data.full), model.exog_names)
-    return classical.sarimax_forecast(model, steps, exog if len(model.beta) else None)
+def _score(name: str, forecast: Forecast) -> metrics.ReportRow:
+    y, point, dist = forecast.actual, forecast.point, forecast.dist
+    return metrics.ReportRow(
+        name,
+        metrics.rmse(y, point),
+        metrics.mae(y, point),
+        picp=None if dist is None else metrics.picp(y, dist),
+        aqs=None if dist is None else metrics.average_quantile_score(y, dist),
+    )
 
 
-def _test_matrix(cfg: PipelineConfig, data: PreparedData) -> FeatureMatrix:
-    split_time = data.split_time
-    n_train = sum(1 for ts in data.tabular.timestamps if ts < split_time)
-    return data.tabular.rows(n_train, len(data.tabular))
+def _external_forecast(data: PreparedData, path: str) -> Forecast:
+    """Read an externally produced plot-format CSV on our test actuals.
 
-
-def _predict_gbdt(cfg, data, path) -> np.ndarray:
-    model = boosted.gbdt_from_json(path.read_text(encoding="utf-8"))
-    return boosted.gbdt_predict(model, _test_matrix(cfg, data))
-
-
-def _predict_gbdt_quantile(cfg, data, path) -> metrics.ForecastDistribution:
-    docs = json.loads(path.read_text(encoding="utf-8"))
-    models = {float(tau): boosted.gbdt_from_json(json.dumps(doc)) for tau, doc in docs.items()}
-    return boosted.gbdt_predict_quantiles(models, _test_matrix(cfg, data))
-
-
-def _predict_lstm(cfg, data, path_prefix) -> metrics.ForecastDistribution:
-    model, scaler = neural.load_checkpoint(str(path_prefix))
-    _, _, test = _window_split(cfg, data)
-    return neural.predict_quantiles(model, test, scaler=scaler, target_channel=data.target_name)
-
-
-def _write_plot_csv(path: Path, timestamps, actual, point, q05=None, q95=None) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "actual", "point_or_q50", "q05", "q95"])
-        for i, ts in enumerate(timestamps):
-            writer.writerow([
-                ts.isoformat(),
-                repr(float(actual[i])),
-                repr(float(point[i])),
-                "" if q05 is None else repr(float(q05[i])),
-                "" if q95 is None else repr(float(q95[i])),
-            ])
-
-
-def _score_external(cfg: PipelineConfig, data: PreparedData, name: str, path: str):
-    """Score an externally produced plot-format CSV against our test actuals."""
-    test_ts = {data.full.start + i * HOUR: i for i in range(data.split_idx, len(data.full))}
-    actual = data.full.channel(0)
-    ys, points, q05s, q95s = [], [], [], []
+    Rows off the test split are ignored. The q05/q95 cells must be filled
+    on every remaining row or on none; a mix raises MetricError."""
+    timestamps, actual = _test_hours(data)
+    index = {ts: i for i, ts in enumerate(timestamps)}
+    kept, ys, points, q05s, q95s = [], [], [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
+        for row in csv.DictReader(fh):
             ts = datetime.fromisoformat(row["timestamp"])
-            if ts not in test_ts:
+            if ts not in index:
                 continue
-            ys.append(actual[test_ts[ts]])
+            band = (row.get("q05") or "", row.get("q95") or "")
+            # every row must match the first one: both cells filled or both blank
+            if any(band) != all(band) or (kept and all(band) != bool(q05s)):
+                raise metrics.MetricError(
+                    f"external predictions {path}: q05/q95 cells at {row['timestamp']} "
+                    "differ from the rows before; fill both on every row or on none"
+                )
+            kept.append(ts)
+            ys.append(actual[index[ts]])
             points.append(float(row["point_or_q50"]))
-            if row.get("q05") and row.get("q95"):
-                q05s.append(float(row["q05"]))
-                q95s.append(float(row["q95"]))
-    if not ys:
+            if all(band):
+                q05s.append(float(band[0]))
+                q95s.append(float(band[1]))
+    if not kept:
         raise PipelineError(f"external predictions {path} share no test timestamps")
-    y = np.asarray(ys)
     point = np.asarray(points)
-    row = metrics.ReportRow(name, metrics.rmse(y, point), metrics.mae(y, point))
-    if len(q05s) == len(ys):
+    dist = None
+    if q05s:
         dist = metrics.ForecastDistribution(
-            tuple(range(len(ys))),
+            tuple(kept),
             np.minimum(np.asarray(q05s), point),
             point,
             np.maximum(np.asarray(q95s), point),
         )
-        row = metrics.ReportRow(
-            name, row.rmse, row.mae,
-            picp=metrics.picp(y, dist), aqs=metrics.average_quantile_score(y, dist),
-        )
-    return row
+    return Forecast(kept, np.asarray(ys), point, dist)
+
+
+def _write_report(out_dir: Path, report: metrics.EvalReport) -> str:
+    text = metrics.report_to_text(report)
+    for name, content in ((REPORT_CSV, metrics.report_to_csv(report)), (REPORT_TXT, text)):
+        with _replace_on_success(out_dir / name) as fh:
+            fh.write(content)
+    return text
 
 
 def cmd_evaluate(cfg: PipelineConfig) -> metrics.EvalReport:
@@ -635,61 +679,25 @@ def cmd_evaluate(cfg: PipelineConfig) -> metrics.EvalReport:
     if manifest.get("config_hash") != cfg.config_hash():
         raise PipelineError("artifact/config hash mismatch: config changed since training")
     hourly = _load_cache(cfg)
-    data = prepare_data(cfg, hourly, _chosen_imputer(cfg, manifest))
+    data = prepare_data(cfg, hourly, _chosen_imputer(manifest))
 
-    test_actual = data.full.channel(0)[data.split_idx :]
-    test_timestamps = [
-        data.full.start + i * HOUR for i in range(data.split_idx, len(data.full))
-    ]
     plots_dir = out_dir / "plots"
     plots_dir.mkdir(parents=True, exist_ok=True)
-
-    rows: list[metrics.ReportRow] = []
+    forecasts: list[tuple[str, Forecast]] = []
     for name in cfg.roster:
         entry = manifest["models"].get(name)
         if not entry or entry.get("status") != "ok":
             logger.warning("evaluate: skipping %s (not trained)", name)
             continue
-        artifact = out_dir / entry["artifacts"][0]
-        if name == "seasonal_naive":
-            pred = _predict_seasonal_naive(cfg, data, artifact)
-            rows.append(_point_row(name, test_actual, pred))
-            _write_plot_csv(plots_dir / f"{name}.csv", test_timestamps, test_actual, pred)
-        elif name == "sarimax":
-            pred = _predict_sarimax(cfg, data, artifact)
-            rows.append(_point_row(name, test_actual, pred))
-            _write_plot_csv(plots_dir / f"{name}.csv", test_timestamps, test_actual, pred)
-        elif name == "gbdt":
-            test_m = _test_matrix(cfg, data)
-            pred = _predict_gbdt(cfg, data, artifact)
-            rows.append(_point_row(name, test_m.target, pred))
-            _write_plot_csv(plots_dir / f"{name}.csv", test_m.timestamps, test_m.target, pred)
-        elif name == "gbdt_quantile":
-            test_m = _test_matrix(cfg, data)
-            dist = _predict_gbdt_quantile(cfg, data, artifact)
-            rows.append(_dist_row(name, test_m.target, dist))
-            _write_plot_csv(
-                plots_dir / f"{name}.csv", test_m.timestamps, test_m.target,
-                dist.q50, dist.q05, dist.q95,
-            )
-        elif name == "lstm":
-            _, _, test_w = _window_split(cfg, data)
-            dist = _predict_lstm(cfg, data, artifact.with_suffix(""))
-            y = test_w.targets[:, 0]
-            # window targets are scaled; bring them back to watts
-            ch = data.scaler.channel_names.index(data.target_name)
-            y = unscale_array(y, data.scaler.mins[ch], data.scaler.maxs[ch])
-            rows.append(_dist_row(name, y, dist))
-            _write_plot_csv(
-                plots_dir / f"{name}.csv", dist.timestamps, y, dist.q50, dist.q05, dist.q95
-            )
-
+        forecast = MODELS[name].predict(cfg, data, out_dir / "models")
+        _write_plot_csv(plots_dir / f"{name}.csv", forecast)
+        forecasts.append((name, forecast))
     for name in sorted(cfg.external_predictions):
-        rows.append(_score_external(cfg, data, name, cfg.external_predictions[name]))
+        forecasts.append((name, _external_forecast(data, cfg.external_predictions[name])))
 
+    rows = [_score(name, forecast) for name, forecast in forecasts]
     report = metrics.assemble_report(rows)
-    (out_dir / REPORT_CSV).write_text(metrics.report_to_csv(report), encoding="utf-8")
-    (out_dir / REPORT_TXT).write_text(metrics.report_to_text(report), encoding="utf-8")
+    _write_report(out_dir, report)
 
     manifest["metrics"] = {
         r.model: {"rmse": r.rmse, "mae": r.mae, "picp": r.picp, "aqs": r.aqs} for r in rows
@@ -698,20 +706,6 @@ def cmd_evaluate(cfg: PipelineConfig) -> metrics.EvalReport:
     save_manifest(cfg, manifest)
     logger.info("evaluate: %d model row(s) written", len(rows))
     return report
-
-
-def _point_row(name: str, y, pred) -> metrics.ReportRow:
-    return metrics.ReportRow(name, metrics.rmse(y, pred), metrics.mae(y, pred))
-
-
-def _dist_row(name: str, y, dist: metrics.ForecastDistribution) -> metrics.ReportRow:
-    return metrics.ReportRow(
-        name,
-        metrics.rmse(y, dist.q50),
-        metrics.mae(y, dist.q50),
-        picp=metrics.picp(y, dist),
-        aqs=metrics.average_quantile_score(y, dist),
-    )
 
 
 def cmd_report(cfg: PipelineConfig) -> str:
@@ -726,9 +720,4 @@ def cmd_report(cfg: PipelineConfig) -> str:
     ]
     order = {name: i for i, name in enumerate(cfg.roster)}
     rows.sort(key=lambda r: (order.get(r.model, len(order)), r.model))
-    report = metrics.assemble_report(rows)
-    text = metrics.report_to_text(report)
-    out_dir = cfg.resolved_output_dir()
-    (out_dir / REPORT_CSV).write_text(metrics.report_to_csv(report), encoding="utf-8")
-    (out_dir / REPORT_TXT).write_text(text, encoding="utf-8")
-    return text
+    return _write_report(cfg.resolved_output_dir(), metrics.assemble_report(rows))

@@ -346,12 +346,6 @@ def minmax_transform(series: HourlySeries, params: ScalerParams) -> HourlySeries
     return series.with_values(scale_array(series.values, params.mins, params.maxs))
 
 
-def minmax_inverse(series: HourlySeries, params: ScalerParams) -> HourlySeries:
-    if params.channel_names != series.channel_names:
-        raise SeriesError("scaler channels do not match series channels")
-    return series.with_values(unscale_array(series.values, params.mins, params.maxs))
-
-
 # ---------------------------------------------------------------------------
 # Splitting
 # ---------------------------------------------------------------------------

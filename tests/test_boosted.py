@@ -14,7 +14,6 @@ from loadcast.boosted import (
     gbdt_predict,
     gbdt_predict_quantiles,
     gbdt_to_json,
-    loss_gradients,
 )
 from loadcast.features import FeatureMatrix
 
@@ -39,17 +38,17 @@ def brute_force_best_gain(X, grad, hess, min_samples_leaf=1):
 
 class TestLossGradients:
     def test_squared(self):
-        g, h = loss_gradients(SquaredLoss(), np.array([3.0]), np.array([5.0]))
+        g, h = SquaredLoss().gradients(np.array([3.0]), np.array([5.0]))
         assert g[0] == 2.0 and h[0] == 1.0
 
     def test_pinball_under_prediction(self):
-        g, h = loss_gradients(PinballLoss(0.9), np.array([10.0]), np.array([8.0]))
+        g, h = PinballLoss(0.9).gradients(np.array([10.0]), np.array([8.0]))
         assert g[0] == pytest.approx(-0.9) and h[0] == 1.0
 
     def test_pinball_median_is_half_sign(self):
         y = np.array([1.0, 5.0, 5.0])
         pred = np.array([3.0, 3.0, 5.0])
-        g, _ = loss_gradients(PinballLoss(0.5), y, pred)
+        g, _ = PinballLoss(0.5).gradients(y, pred)
         expected = 0.5 * np.where(pred >= y, 1.0, -1.0)
         np.testing.assert_allclose(g, expected)
 

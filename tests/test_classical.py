@@ -13,7 +13,6 @@ from loadcast.classical import (
     sarimax_forecast,
     sarimax_from_json,
     sarimax_to_json,
-    seasonal_naive_forecast,
 )
 from loadcast.metrics import rmse
 from loadcast.synth import regime_switching_series
@@ -26,28 +25,6 @@ def simulate_ar1(phi, n, sigma=1.0, seed=0, intercept=0.0):
     for t in range(1, n):
         x[t] = intercept + phi * x[t - 1] + sigma * rng.standard_normal()
     return x
-
-
-class TestSeasonalNaive:
-    def test_periodic_fixed_point(self):
-        history = np.tile(np.arange(24.0), 10)
-        forecast = seasonal_naive_forecast(history, period=24, horizon=24)
-        assert rmse(np.arange(24.0), forecast) == 0.0
-
-    def test_second_day_repeats_first(self):
-        rng = np.random.default_rng(0)
-        history = rng.uniform(0, 100, 72)
-        forecast = seasonal_naive_forecast(history, period=24, horizon=48)
-        np.testing.assert_array_equal(forecast[24:], forecast[:24])
-
-    def test_one_step_is_last_period_value(self):
-        history = np.arange(100.0)
-        forecast = seasonal_naive_forecast(history, period=24, horizon=1)
-        assert forecast[0] == history[-24]
-
-    def test_short_history_errors(self):
-        with pytest.raises(ClassicalModelError):
-            seasonal_naive_forecast(np.ones(10), period=24, horizon=1)
 
 
 class TestDifference:

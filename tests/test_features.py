@@ -10,7 +10,6 @@ from loadcast.features import (
     assemble_matrix,
     calendar_features,
     lag_features,
-    matrix_to_csv,
     windowize,
 )
 
@@ -96,14 +95,6 @@ class TestAssemble:
     def test_empty_result_errors(self):
         with pytest.raises(FeatureError):
             assemble_matrix(make_series(np.full(200, np.nan)), lags=(1,))
-
-    def test_export_csv(self, tmp_path):
-        matrix = assemble_matrix(make_series(np.arange(30.0)), lags=(1,))
-        path = tmp_path / "matrix.csv"
-        matrix_to_csv(matrix, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "timestamp,dayofweek,hour,is_weekend,month,lag_1hr,target"
-        assert len(lines) == len(matrix) + 1
 
 
 class TestWindowize:

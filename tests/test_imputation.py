@@ -101,27 +101,26 @@ class TestSeasonalProfile:
         for i in mondays_9:
             values[i] = 500.0
         profile = build_seasonal_profile(make_series(values, start=monday_start))
-        mean, count = profile.cell(0, 9)
-        assert mean == 500.0
-        assert count == 3
+        assert profile.means[0, 9, 0] == 500.0
+        assert profile.counts[0, 9, 0] == 3
 
     def test_cell_without_observations(self, monday_start):
         profile = build_seasonal_profile(make_series(np.ones(24), start=monday_start))
-        mean, count = profile.cell(3, 0)  # a Thursday never seen
-        assert count == 0 and np.isnan(mean)
+        # a Thursday never seen
+        assert profile.counts[3, 0, 0] == 0 and np.isnan(profile.means[3, 0, 0])
 
     def test_two_observations_average(self, monday_start):
         values = np.full(14 * 24, np.nan)
         values[9] = 100.0
         values[7 * 24 + 9] = 300.0
         profile = build_seasonal_profile(make_series(values, start=monday_start))
-        assert profile.cell(0, 9)[0] == 200.0
+        assert profile.means[0, 9, 0] == 200.0
 
     def test_exclude_range(self, monday_start):
         values = np.full(14 * 24, 1.0)
         values[: 7 * 24] = 9.0
         profile = build_seasonal_profile(make_series(values, start=monday_start), exclude=(0, 7 * 24))
-        assert profile.cell(0, 0) == (1.0, 1)
+        assert (profile.means[0, 0, 0], profile.counts[0, 0, 0]) == (1.0, 1)
 
 
 class TestSeasonalImpute:

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 
 from loadcast import pipeline
 from loadcast.cli import main as cli_main
-from loadcast.config import ConfigError, config_from_dict, load_config
+from loadcast.config import KNOWN_MODELS, ConfigError, config_from_dict, load_config
+from loadcast.metrics import MetricError
 from loadcast.synth import bimodal_weekly_series, regime_switching_series, write_meter_csv
 
 N_HOURS = 24 * 7 * 26  # six months
@@ -49,10 +51,12 @@ def write_config(root: Path, doc: dict, name="config.json") -> Path:
 
 @pytest.fixture(scope="module")
 def full_run(tmp_path_factory):
-    """One complete ingest -> impute-eval -> train -> evaluate run."""
+    """One complete ingest -> impute-eval -> train -> evaluate run of every model."""
     root = tmp_path_factory.mktemp("e2e")
     build_input_csv(root / "meter.csv")
-    cfg_path = write_config(root, base_config(root))
+    doc = base_config(root, roster=list(KNOWN_MODELS))
+    doc["model_params"]["gbdt_quantile"] = {"n_estimators": 30, "max_depth": 3}
+    cfg_path = write_config(root, doc)
     cfg = load_config(cfg_path)
     pipeline.cmd_ingest(cfg)
     trial, chosen = pipeline.cmd_impute_eval(cfg)
@@ -99,6 +103,15 @@ class TestConfig:
         cfg = load_config(path)
         assert cfg.input_path == str(tmp_path / "meter.csv")
 
+    def test_quantiles_key_rejected(self):
+        # the levels are fixed at metrics.QUANTILE_LEVELS
+        with pytest.raises(ConfigError, match="quantiles"):
+            config_from_dict({"input_path": "a", "output_dir": "b",
+                              "quantiles": [0.05, 0.5, 0.95]})
+
+    def test_registry_covers_known_models(self):
+        assert set(pipeline.MODELS) == set(KNOWN_MODELS)
+
 
 class TestIngest:
     def test_refit_style_file_keeps_all_channels(self, full_run):
@@ -116,6 +129,29 @@ class TestIngest:
     def test_structural_gap_reported(self, full_run):
         manifest = pipeline.load_manifest(full_run["cfg"])
         assert [1200, 100] in manifest["gaps"]
+
+    def test_changed_columns_reingest(self, tmp_path):
+        build_input_csv(tmp_path / "meter.csv", seed=6)
+        cfg = config_from_dict(base_config(tmp_path))
+        hourly, _ = pipeline.cmd_ingest(cfg)
+        assert hourly.n_channels == 3
+        cfg = config_from_dict(base_config(tmp_path, columns={"appliances": ["Appliance1"]}))
+        pipeline.cmd_ingest(cfg)
+        cache = pipeline.series_from_csv(cfg.resolved_output_dir() / "hourly_cache.csv")
+        assert cache.channel_names == ("Aggregate", "Appliance1")
+
+    def test_gap_report_follows_threshold_on_cache_hit(self, tmp_path):
+        build_input_csv(tmp_path / "meter.csv", seed=7)
+        pipeline.cmd_ingest(config_from_dict(base_config(tmp_path)))
+        cfg = config_from_dict(base_config(tmp_path, structural_gap_threshold=200))
+        cache = cfg.resolved_output_dir() / "hourly_cache.csv"
+        before = cache.stat().st_mtime_ns
+        _, gaps = pipeline.cmd_ingest(cfg)
+        assert cache.stat().st_mtime_ns == before
+        assert gaps.gaps == ()
+        report = (cfg.resolved_output_dir() / "gap_report.csv").read_text().splitlines()
+        assert report == ["start_index,start_hour,length_hours"]
+        assert pipeline.load_manifest(cfg)["gaps"] == []
 
     def test_malformed_row_names_line_number(self, tmp_path):
         lines = ["Unix,Aggregate"] + [f"{t * 3600},100" for t in range(20)]
@@ -199,6 +235,27 @@ class TestTrainEvaluate:
             q05, q50, q95 = float(row["q05"]), float(row["point_or_q50"]), float(row["q95"])
             assert q05 <= q50 <= q95
 
+    def test_quantile_gbdt_scored_as_distribution(self, full_run):
+        out = full_run["cfg"].resolved_output_dir()
+        rows = {r["Model"]: r for r in csv.DictReader(open(out / "report.csv"))}
+        assert rows["gbdt_quantile"]["PICP"] != "N/A"
+        assert rows["gbdt_quantile"]["AQS"] != "N/A"
+        plot = list(csv.DictReader(open(out / "plots" / "gbdt_quantile.csv")))
+        assert plot
+        for row in plot:
+            q05, q50, q95 = float(row["q05"]), float(row["point_or_q50"]), float(row["q95"])
+            assert q05 <= q50 <= q95
+
+    def test_seasonal_naive_rolls_over_actuals(self, full_run):
+        out = full_run["cfg"].resolved_output_dir()
+        tail = json.loads((out / "models" / "seasonal_naive.json").read_text())["history_tail"]
+        rows = list(csv.DictReader(open(out / "plots" / "seasonal_naive.csv")))
+        actual = [float(r["actual"]) for r in rows]
+        point = [float(r["point_or_q50"]) for r in rows]
+        assert len(rows) > 48
+        assert point[:24] == tail
+        assert point[24:] == actual[:-24]
+
     def test_gbdt_beats_naive_and_sarimax_trails(self, full_run):
         rows = {r.model: r for r in full_run["report"].rows}
         assert rows["gbdt"].rmse < rows["seasonal_naive"].rmse < rows["sarimax"].rmse
@@ -268,6 +325,71 @@ class TestExternalPredictions:
         assert tft.picp == pytest.approx(lstm.picp, rel=1e-9)
 
 
+class TestExternalQuantileCells:
+    @pytest.fixture(scope="class")
+    def trained(self, full_run, tmp_path_factory):
+        """A trained seasonal-naive run whose config scores an external CSV."""
+        root = tmp_path_factory.mktemp("external")
+        src = full_run["cfg"].resolved_output_dir() / "plots" / "lstm.csv"
+        rows = list(csv.DictReader(open(src)))
+        ext_path = root / "tft.csv"
+        doc = base_config(root, input_path=str(full_run["root"] / "meter.csv"),
+                          roster=["seasonal_naive"], external_predictions={"TFT": str(ext_path)})
+        cfg_path = write_config(root, doc)
+        cfg = load_config(cfg_path)
+        pipeline.cmd_ingest(cfg)
+        pipeline.cmd_impute_eval(cfg)
+        pipeline.cmd_train(cfg)
+        return cfg_path, ext_path, rows
+
+    @staticmethod
+    def write_rows(path, rows):
+        with open(path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+
+    def test_one_blank_q95_exits_1(self, trained):
+        cfg_path, ext_path, rows = trained
+        rows = [dict(r) for r in rows]
+        rows[5]["q95"] = ""
+        self.write_rows(ext_path, rows)
+        assert cli_main(["evaluate", "--config", str(cfg_path)]) == 1
+
+    def test_mixed_rows_name_file_and_timestamp(self, trained):
+        cfg_path, ext_path, rows = trained
+        rows = [dict(r, q05="", q95="") if i < 3 else dict(r) for i, r in enumerate(rows)]
+        self.write_rows(ext_path, rows)
+        with pytest.raises(MetricError, match=re.escape(rows[3]["timestamp"])) as err:
+            pipeline.cmd_evaluate(load_config(cfg_path))
+        assert str(ext_path) in str(err.value)
+
+    def test_all_blank_scores_as_point(self, trained):
+        cfg_path, ext_path, rows = trained
+        self.write_rows(ext_path, [dict(r, q05="", q95="") for r in rows])
+        report = pipeline.cmd_evaluate(load_config(cfg_path))
+        tft = {r.model: r for r in report.rows}["TFT"]
+        assert tft.picp is None and tft.aqs is None and tft.rmse > 0
+
+
+class TestAtomicManifest:
+    def test_failed_write_keeps_previous_manifest(self, tmp_path, monkeypatch):
+        cfg = config_from_dict({"input_path": "a", "output_dir": str(tmp_path)})
+        pipeline.save_manifest(cfg, {"n_hours": 10})
+        before = pipeline.load_manifest(cfg)
+
+        def torn_dump(obj, fh, **kwargs):
+            fh.write(json.dumps(obj, **kwargs)[:15])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", torn_dump)
+        with pytest.raises(OSError, match="disk full"):
+            pipeline.save_manifest(cfg, {"n_hours": 20})
+        monkeypatch.undo()
+        assert pipeline.load_manifest(cfg) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
+
+
 class TestCli:
     def test_exit_codes(self, tmp_path):
         build_input_csv(tmp_path / "meter.csv", seed=4)
@@ -293,3 +415,14 @@ class TestCli:
         assert "seasonal_naive" in out
         manifest = pipeline.load_manifest(load_config(cfg_path))
         assert list(manifest["models"]) == ["seasonal_naive"]
+
+    def test_train_with_no_model_trained_exits_2(self, tmp_path):
+        build_input_csv(tmp_path / "meter.csv", seed=8)
+        doc = base_config(tmp_path, roster=["seasonal_naive"],
+                          model_params={"seasonal_naive": {"period": 10 * N_HOURS}})
+        cfg_path = write_config(tmp_path, doc)
+        assert cli_main(["ingest", "--config", str(cfg_path)]) == 0
+        assert cli_main(["impute-eval", "--config", str(cfg_path)]) == 0
+        assert cli_main(["train", "--config", str(cfg_path)]) == 2
+        manifest = pipeline.load_manifest(load_config(cfg_path))
+        assert manifest["models"]["seasonal_naive"]["status"] == "failed"

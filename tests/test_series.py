@@ -14,11 +14,11 @@ from loadcast.series import (
     detect_gaps,
     ingest_csv,
     minmax_fit,
-    minmax_inverse,
     minmax_transform,
     resample_hourly,
     series_from_csv,
     series_to_csv,
+    unscale_array,
 )
 
 from conftest import make_series
@@ -161,7 +161,8 @@ class TestMinMax:
         assert params.mins[0] == params.maxs[0] == 5.0
         scaled = minmax_transform(series, params)
         assert scaled.values[:, 0].tolist() == [0.0, 0.0, 0.0]
-        assert minmax_inverse(scaled, params).values[:, 0].tolist() == [5.0, 5.0, 5.0]
+        back = unscale_array(scaled.values, params.mins, params.maxs)
+        assert back[:, 0].tolist() == [5.0, 5.0, 5.0]
 
     def test_segment_only_no_leakage(self):
         series = make_series([1.0, 2.0, 3.0, 1000.0])
@@ -181,8 +182,8 @@ class TestMinMax:
     def test_round_trip_example(self):
         series = make_series([12.3, 999.9])
         params = minmax_fit(series, (0, 2))
-        back = minmax_inverse(minmax_transform(series, params), params)
-        np.testing.assert_allclose(back.values, series.values, rtol=1e-9)
+        back = unscale_array(minmax_transform(series, params).values, params.mins, params.maxs)
+        np.testing.assert_allclose(back, series.values, rtol=1e-9)
 
     @given(
         st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=40),
@@ -191,8 +192,8 @@ class TestMinMax:
     def test_round_trip_identity_property(self, values):
         series = make_series(values)
         params = minmax_fit(series, (0, len(values)))
-        back = minmax_inverse(minmax_transform(series, params), params)
-        np.testing.assert_allclose(back.values, series.values, rtol=1e-9, atol=1e-9)
+        back = unscale_array(minmax_transform(series, params).values, params.mins, params.maxs)
+        np.testing.assert_allclose(back, series.values, rtol=1e-9, atol=1e-9)
 
     def test_nan_preserved_through_transform(self):
         series = make_series([1.0, np.nan, 3.0])
