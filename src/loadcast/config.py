@@ -147,7 +147,11 @@ def config_from_dict(doc: dict[str, Any], base_dir: Path | None = None) -> Pipel
     kwargs = dict(doc, input_path=resolve(doc["input_path"]),
                   output_dir=resolve(doc["output_dir"]))
     for key in ("calendar_features", "lags", "window_channels", "roster"):
-        if doc.get(key) is not None:
+        if key == "window_channels" and doc.get(key) is None:
+            continue  # null means every channel
+        if key in doc:
+            if not isinstance(doc[key], (list, tuple)):
+                raise ConfigError(f"{key} must be a list, got {doc[key]!r}")
             kwargs[key] = tuple(doc[key])
     try:
         return PipelineConfig(**kwargs)

@@ -159,7 +159,8 @@ def _schema_from_config(cfg: PipelineConfig) -> ColumnSchema:
 def cmd_ingest(cfg: PipelineConfig) -> tuple[HourlySeries, GapReport]:
     """Parse, resample and cache the input. The cache is reused, never
     rewritten, while the input file and the column schema are unchanged;
-    the gap report always follows the current threshold."""
+    a rebuilt cache starts a fresh manifest, so `train` must run again.
+    The gap report always follows the current threshold."""
     out_dir = cfg.resolved_output_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
     fingerprint = _file_sha256(Path(cfg.input_path))
@@ -176,11 +177,10 @@ def cmd_ingest(cfg: PipelineConfig) -> tuple[HourlySeries, GapReport]:
     else:
         hourly = resample_hourly(ingest_csv(cfg.input_path, schema))
         series_to_csv(hourly, cache_path)
-        manifest["config_hash"] = cfg.config_hash()
-        manifest["data_fingerprint"] = fingerprint
-        manifest["columns"] = columns
-        manifest["n_hours"] = len(hourly)
-        manifest["channels"] = list(hourly.channel_names)
+        # Every other entry (imputer choice, models, config hash, metrics)
+        # was derived from the old cache, so none of it carries over.
+        manifest = {"data_fingerprint": fingerprint, "columns": columns,
+                    "n_hours": len(hourly), "channels": list(hourly.channel_names)}
 
     gaps = detect_gaps(hourly, cfg.structural_gap_threshold)
     _write_csv(out_dir / GAPS_FILE, ["start_index", "start_hour", "length_hours"], (

@@ -109,6 +109,15 @@ class TestConfig:
             config_from_dict({"input_path": "a", "output_dir": "b",
                               "quantiles": [0.05, 0.5, 0.95]})
 
+    @pytest.mark.parametrize("key", ["calendar_features", "lags", "roster"])
+    def test_null_list_rejected(self, key):
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict({"input_path": "a", "output_dir": "b", key: None})
+
+    def test_null_window_channels_means_all(self):
+        cfg = config_from_dict({"input_path": "a", "output_dir": "b", "window_channels": None})
+        assert cfg.window_channels is None
+
     def test_registry_covers_known_models(self):
         assert set(pipeline.MODELS) == set(KNOWN_MODELS)
 
@@ -139,6 +148,25 @@ class TestIngest:
         pipeline.cmd_ingest(cfg)
         cache = pipeline.series_from_csv(cfg.resolved_output_dir() / "hourly_cache.csv")
         assert cache.channel_names == ("Aggregate", "Appliance1")
+
+    @pytest.mark.parametrize("change", ["columns", "input"])
+    def test_rebuilt_cache_drops_trained_models(self, tmp_path, change):
+        build_input_csv(tmp_path / "meter.csv", seed=9)
+        doc = base_config(tmp_path, roster=["seasonal_naive"])
+        cfg = config_from_dict(doc)
+        pipeline.cmd_ingest(cfg)
+        pipeline.cmd_impute_eval(cfg)
+        pipeline.cmd_train(cfg)
+        if change == "columns":
+            doc["columns"] = dict(doc["columns"], aggregate="Appliance1")
+        else:
+            build_input_csv(tmp_path / "meter.csv", seed=10)
+        cfg = config_from_dict(doc)
+        pipeline.cmd_ingest(cfg)
+        manifest = pipeline.load_manifest(cfg)
+        assert not {"models", "chosen_imputer", "config_hash"} & set(manifest)
+        with pytest.raises(pipeline.PipelineError, match="run `train` first"):
+            pipeline.cmd_evaluate(cfg)
 
     def test_gap_report_follows_threshold_on_cache_hit(self, tmp_path):
         build_input_csv(tmp_path / "meter.csv", seed=7)
