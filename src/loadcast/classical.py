@@ -325,23 +325,16 @@ def sarimax_forecast(model: SarimaxModel, steps: int, exog_future: np.ndarray | 
         eps_hist.append(0.0)  # future shocks are zero
         z_pred[h] = acc + model.intercept + (zx_f[h] @ model.beta if n_exog else 0.0)
 
-    # invert differencing stage by stage; stages[0] is the raw series,
-    # each later stage one more difference, rebuilt from the stored tail
-    stage_lags = [1] * order.d + [order.s] * order.D
-    stages: list[list[float]] = [model.endog_tail.tolist()]
-    x = model.endog_tail
-    for lag in stage_lags:
+    # invert the differencing stage by stage, last first; each stage goes on
+    # from its last ``lag`` values in the stored raw tail
+    lags = (1,) * order.d + (order.s,) * order.D
+    stages, x = [], model.endog_tail
+    for lag in lags:
+        stages.append(x)
         x = x[lag:] - x[:-lag]
-        stages.append(x.tolist())
-    out = np.empty(steps)
-    for h in range(steps):
-        v = z_pred[h]
-        stages[-1].append(v)
-        for i in range(len(stage_lags) - 1, -1, -1):
-            v = v + stages[i][-stage_lags[i]]
-            stages[i].append(v)
-        out[h] = v
-    return out
+    for lag, stage in zip(reversed(lags), reversed(stages)):
+        z_pred = integrate(z_pred, DifferenceState((lag,), (tuple(stage[-lag:]),)))[lag:]
+    return z_pred
 
 
 # ---------------------------------------------------------------------------

@@ -16,41 +16,10 @@ from typing import Any
 
 OUTPUT_DIR_ENV = "LOADCAST_OUTPUT_DIR"
 
-DEFAULT_MODEL_PARAMS: dict[str, dict[str, Any]] = {
-    "seasonal_naive": {"period": 24},
-    "sarimax": {
-        "order": [1, 1, 1],
-        "seasonal_order": [1, 1, 0, 24],
-        "exog": ["hour", "dayofweek"],
-        "train_tail_days": 30,
-        "max_iter": 500,
-    },
-    "gbdt": {
-        "n_estimators": 1000,
-        "learning_rate": 0.05,
-        "max_depth": 6,
-        "min_samples_leaf": 1,
-        "early_stopping_rounds": 10,
-    },
-    "gbdt_quantile": {
-        "n_estimators": 1000,
-        "learning_rate": 0.05,
-        "max_depth": 6,
-        "min_samples_leaf": 1,
-        "early_stopping_rounds": 10,
-    },
-    "lstm": {
-        "hidden": [100, 50],
-        "dropout": 0.2,
-        "window": 48,
-        "batch_size": 64,
-        "learning_rate": 1e-3,
-        "max_epochs": 50,
-        "patience": 5,
-    },
-}
 
-KNOWN_MODELS = tuple(DEFAULT_MODEL_PARAMS)
+def _registry():
+    from . import pipeline  # holds MODELS; imported on use as it imports this module
+    return pipeline
 
 
 class ConfigError(ValueError):
@@ -78,7 +47,7 @@ class PipelineConfig:
     window_channels: tuple[str, ...] | None = None  # None = all channels
     split_fraction: float = 0.8
     validation_fraction: float = 0.1  # tail of the train split, for early stopping
-    roster: tuple[str, ...] = ("seasonal_naive", "sarimax", "gbdt", "lstm")
+    roster: tuple[str, ...] = field(default_factory=lambda: _registry().DEFAULT_ROSTER)
     model_params: dict[str, dict[str, Any]] = field(default_factory=dict)
     external_predictions: dict[str, str] = field(default_factory=dict)
     seed: int = 1234
@@ -88,20 +57,32 @@ class PipelineConfig:
             raise ConfigError("split_fraction must be in (0, 1)")
         if not 0 < self.validation_fraction < 1:
             raise ConfigError("validation_fraction must be in (0, 1)")
-        for name in self.roster:
-            if name not in KNOWN_MODELS:
-                raise ConfigError(f"unknown model {name!r}; known: {KNOWN_MODELS}")
+        known = tuple(_registry().MODELS)
+        for name in (*self.roster, *self.model_params):
+            if name not in known:
+                raise ConfigError(f"unknown model {name!r}; known: {known}")
         for name in self.model_params:
-            if name not in KNOWN_MODELS:
-                raise ConfigError(f"model_params for unknown model {name!r}")
-            unknown = set(self.model_params[name]) - set(DEFAULT_MODEL_PARAMS[name])
-            if unknown:
-                raise ConfigError(f"unknown hyperparameters for {name}: {sorted(unknown)}")
+            self.params_for(name)
 
     def params_for(self, model: str) -> dict[str, Any]:
-        merged = dict(DEFAULT_MODEL_PARAMS[model])
-        merged.update(self.model_params.get(model, {}))
-        return merged
+        """The model's default hyperparameters overridden by ``model_params``,
+        each value cast to the type of its default."""
+        params = dict(_registry().MODELS[model].defaults)
+        given = self.model_params.get(model, {})
+        unknown = set(given) - set(params)
+        if unknown:
+            raise ConfigError(f"unknown hyperparameters for {model}: {sorted(unknown)}")
+        for key, value in given.items():
+            kind = type(params[key])
+            try:
+                if kind is tuple and not isinstance(value, (list, tuple)):
+                    raise TypeError
+                params[key] = kind(value)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(
+                    f"{model}.{key} = {value!r} does not fit the type of its default {params[key]!r}"
+                ) from exc
+        return params
 
     def model_seed(self, model: str) -> int:
         return self.seed + zlib.crc32(model.encode("utf-8")) % 100_000

@@ -2,9 +2,9 @@
 dropout, a three-quantile dense head, pinball objective, Adam updates,
 backpropagation through time and patience-based early stopping.
 
-Gate internals are the standard sigmoid/tanh equations; the configured
-output activation (relu by default) applies to a block's hidden states as
-they are handed to the next stage, not inside the recurrence. All math is
+Gate internals are the standard sigmoid/tanh equations; relu applies to a
+block's hidden states as they are handed to the next stage, not inside the
+recurrence. All math is
 float64 so analytic gradients can be checked against central finite
 differences tightly.
 """
@@ -66,11 +66,9 @@ class LstmLayerParams:
 class QuantileLstmModel:
     layer1: LstmLayerParams
     layer2: LstmLayerParams
-    head_W: np.ndarray  # (hidden2, n_quantiles)
+    head_W: np.ndarray  # (hidden2, len(QUANTILE_LEVELS))
     head_b: np.ndarray
     dropout_rate: float = 0.2
-    quantiles: tuple[float, ...] = QUANTILE_LEVELS
-    output_activation: str = "relu"  # "relu" or "linear", applied between blocks
     seed: int = 0
 
     def parameters(self) -> dict[str, np.ndarray]:
@@ -103,25 +101,16 @@ def init_model(
     n_features: int,
     hidden: tuple[int, int] = (100, 50),
     dropout_rate: float = 0.2,
-    quantiles: tuple[float, ...] = QUANTILE_LEVELS,
-    output_activation: str = "relu",
     seed: int = 0,
 ) -> QuantileLstmModel:
     """Fresh model, weights uniform in +-1/sqrt(n_hidden), forget bias +1."""
-    if not all(0 < a < b < 1 for a, b in zip(quantiles, quantiles[1:])):
-        raise NeuralModelError("quantiles must be strictly increasing in (0, 1)")
-    if output_activation not in ("relu", "linear"):
-        raise NeuralModelError(f"unknown output activation {output_activation!r}")
     rng = np.random.default_rng(seed)
     layer1 = _init_layer(n_features, hidden[0], rng)
     layer2 = _init_layer(hidden[0], hidden[1], rng)
     scale = 1.0 / np.sqrt(hidden[1])
-    head_W = rng.uniform(-scale, scale, size=(hidden[1], len(quantiles)))
-    head_b = np.zeros(len(quantiles))
-    return QuantileLstmModel(
-        layer1, layer2, head_W, head_b, dropout_rate, tuple(quantiles),
-        output_activation, seed,
-    )
+    head_W = rng.uniform(-scale, scale, size=(hidden[1], len(QUANTILE_LEVELS)))
+    head_b = np.zeros(len(QUANTILE_LEVELS))
+    return QuantileLstmModel(layer1, layer2, head_W, head_b, dropout_rate, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +184,7 @@ def forward(
         keep = 1.0 - model.dropout_rate
 
     H1, caches1 = _layer_forward(model.layer1, windows)
-    A1 = np.maximum(H1, 0.0) if model.output_activation == "relu" else H1
+    A1 = np.maximum(H1, 0.0)
     if use_dropout:
         mask1 = (rng.random(A1.shape) < keep) / keep
     else:
@@ -204,7 +193,7 @@ def forward(
 
     H2, caches2 = _layer_forward(model.layer2, D1)
     h2_last = H2[:, -1, :]
-    A2 = np.maximum(h2_last, 0.0) if model.output_activation == "relu" else h2_last
+    A2 = np.maximum(h2_last, 0.0)
     if use_dropout:
         mask2 = (rng.random(A2.shape) < keep) / keep
     else:
@@ -275,7 +264,7 @@ def backward(
 ) -> dict[str, np.ndarray]:
     """Gradients of every parameter given d(loss)/d(head outputs).
 
-    Replays the dropout masks and activation gating recorded by the
+    Replays the dropout masks and relu gating recorded by the
     matching forward pass; relu takes subgradient 0 at exactly zero.
     """
     D2 = caches["D2"]
@@ -285,19 +274,13 @@ def backward(
     }
     dD2 = dq @ model.head_W.T
     dA2 = dD2 * caches["mask2"] if caches["mask2"] is not None else dD2
-    if model.output_activation == "relu":
-        dh2_last = dA2 * (caches["h2_last"] > 0)
-    else:
-        dh2_last = dA2
+    dh2_last = dA2 * (caches["h2_last"] > 0)
 
     dH2 = np.zeros_like(caches["H2"])
     dH2[:, -1, :] = dh2_last
     dD1, grads2 = _layer_backward(model.layer2, caches["caches2"], dH2)
     dA1 = dD1 * caches["mask1"] if caches["mask1"] is not None else dD1
-    if model.output_activation == "relu":
-        dH1 = dA1 * (caches["H1"] > 0)
-    else:
-        dH1 = dA1
+    dH1 = dA1 * (caches["H1"] > 0)
     _, grads1 = _layer_backward(model.layer1, caches["caches1"], dH1)
 
     for name, g in grads1.items():
@@ -312,15 +295,14 @@ def backward(
 # ---------------------------------------------------------------------------
 
 
-def quantile_loss_and_grad(
-    q: np.ndarray, y: np.ndarray, quantiles: tuple[float, ...] = QUANTILE_LEVELS
-) -> tuple[float, np.ndarray]:
-    """Mean pinball loss over samples and quantile heads, and its gradient
-    with respect to the head outputs."""
-    if q.shape != (len(y), len(quantiles)):
+def quantile_loss_and_grad(q: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean pinball loss over samples and the ``QUANTILE_LEVELS`` heads, and
+    its gradient with respect to the head outputs."""
+    if q.shape != (len(y), len(QUANTILE_LEVELS)):
         raise NeuralModelError(f"head outputs {q.shape} do not match {len(y)} targets")
-    losses = np.column_stack([pinball_loss(y, q[:, j], tau) for j, tau in enumerate(quantiles)])
-    dq = np.column_stack([pinball_grad(y, q[:, j], tau) for j, tau in enumerate(quantiles)])
+    levels = tuple(enumerate(QUANTILE_LEVELS))
+    losses = np.column_stack([pinball_loss(y, q[:, j], tau) for j, tau in levels])
+    dq = np.column_stack([pinball_grad(y, q[:, j], tau) for j, tau in levels])
     n = q.size
     return float(losses.sum() / n), dq / n
 
@@ -386,7 +368,7 @@ class TrainHistory:
 
 def _epoch_loss(model: QuantileLstmModel, tensors: WindowTensor) -> float:
     q, _ = forward(model, tensors.data, train_mode=False)
-    loss, _ = quantile_loss_and_grad(q, tensors.targets[:, 0], model.quantiles)
+    loss, _ = quantile_loss_and_grad(q, tensors.targets[:, 0])
     return loss
 
 
@@ -422,7 +404,7 @@ def train(
             idx = order[start : start + config.batch_size]
             seed = int(rng.integers(0, 2**31 - 1))
             q, caches = forward(model, tensors.data[idx], train_mode=True, dropout_seed=seed)
-            loss, dq = quantile_loss_and_grad(q, y_all[idx], model.quantiles)
+            loss, dq = quantile_loss_and_grad(q, y_all[idx])
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"non-finite training loss at epoch {epoch}")
             epoch_total += loss * len(idx)
@@ -488,8 +470,9 @@ def save_checkpoint(
         "n_features": model.n_features,
         "hidden": [model.layer1.n_hidden, model.layer2.n_hidden],
         "dropout_rate": model.dropout_rate,
-        "quantiles": list(model.quantiles),
-        "output_activation": model.output_activation,
+        # the head is fixed; load_checkpoint refuses any other
+        "quantiles": list(QUANTILE_LEVELS),
+        "output_activation": "relu",
         "seed": model.seed,
         "scaler": None
         if scaler is None
@@ -509,12 +492,13 @@ def save_checkpoint(
 def load_checkpoint(path_prefix: str) -> tuple[QuantileLstmModel, ScalerParams | None]:
     with open(f"{path_prefix}.json", encoding="utf-8") as fh:
         header = json.load(fh)
+    head = (header["quantiles"], header["output_activation"])
+    if head != (list(QUANTILE_LEVELS), "relu"):
+        raise NeuralModelError(f"unsupported checkpoint head (quantiles, activation) {head}")
     model = init_model(
         n_features=header["n_features"],
         hidden=tuple(header["hidden"]),
         dropout_rate=header["dropout_rate"],
-        quantiles=tuple(header["quantiles"]),
-        output_activation=header["output_activation"],
         seed=header["seed"],
     )
     flat = np.fromfile(f"{path_prefix}.bin", dtype="<f8")

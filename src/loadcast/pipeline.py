@@ -3,9 +3,10 @@ series, run the imputer-selection trial, train the model roster on the
 chronological split and emit the evaluation report plus plot-data CSVs.
 
 Every model is one entry of ``MODELS``: a ``fit`` that writes artifacts
-under ``models/`` and a ``predict`` that reads them back into a
-``Forecast`` on the test split. Train, evaluate and the scoring of
-external predictions all go through that one table and one ``_score``.
+under ``models/``, a ``predict`` that reads them back into a ``Forecast``
+on the test split, and its default hyperparameters. Train, evaluate and
+the scoring of external predictions all go through that one table and one
+``_score``.
 
 Leakage rules: the imputation trial window and all structural-gap profiles
 come from the train segment only, scalers fit on the train segment only,
@@ -23,10 +24,10 @@ import json
 import logging
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -380,7 +381,7 @@ class Forecast:
 
 
 def _fit_seasonal_naive(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> list[str]:
-    period = int(cfg.params_for("seasonal_naive")["period"])
+    period = cfg.params_for("seasonal_naive")["period"]
     if data.split_idx < period:
         raise PipelineError(f"train split shorter than the naive period {period}")
     tail = data.full.channel(0)[data.split_idx - period : data.split_idx]
@@ -410,13 +411,12 @@ def _fit_sarimax(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> l
     p, d, q = params["order"]
     P, D, Q, s = params["seasonal_order"]
     order = classical.SarimaxOrder(p, d, q, P, D, Q, s)
-    tail_hours = int(params["train_tail_days"]) * 24
+    tail_hours = params["train_tail_days"] * 24
     lo = max(data.split_idx - tail_hours, 0)
     endog = data.full.channel(0)[lo : data.split_idx]
-    exog_names = tuple(params["exog"])
-    exog = _calendar_exog(data.full, lo, data.split_idx, exog_names)
+    exog = _calendar_exog(data.full, lo, data.split_idx, params["exog"])
     model = classical.sarimax_fit(
-        endog, exog, order, exog_names=exog_names, max_iter=int(params["max_iter"])
+        endog, exog, order, exog_names=params["exog"], max_iter=params["max_iter"]
     )
     path = models_dir / "sarimax.json"
     path.write_text(classical.sarimax_to_json(model), encoding="utf-8")
@@ -433,17 +433,10 @@ def _predict_sarimax(cfg: PipelineConfig, data: PreparedData, models_dir: Path) 
 
 def _fit_boosted(cfg: PipelineConfig, data: PreparedData, name: str, loss) -> boosted.GbdtModel:
     fit, val, _ = _tabular_split(cfg, data)
-    p = cfg.params_for(name)
-    params = boosted.GbdtParams(
-        n_estimators=int(p["n_estimators"]),
-        learning_rate=float(p["learning_rate"]),
-        max_depth=int(p["max_depth"]),
-        min_samples_leaf=int(p["min_samples_leaf"]),
-        early_stopping_rounds=int(p["early_stopping_rounds"]),
-    )
     return boosted.gbdt_fit(
         fit.features, fit.target, val.features, val.target,
-        params=params, loss=loss, feature_order=fit.feature_order,
+        params=boosted.GbdtParams(**cfg.params_for(name)), loss=loss,
+        feature_order=fit.feature_order,
     )
 
 
@@ -500,7 +493,7 @@ def _window_split(cfg: PipelineConfig, data: PreparedData):
             lo, hi = _CALENDAR_RANGES[name]
             feats[:, j] = (feats[:, j] - lo) / (hi - lo)
     matrix = FeatureMatrix(matrix.timestamps, feats, matrix.feature_order, matrix.target)
-    windows = windowize(matrix, window=int(cfg.params_for("lstm")["window"]), horizon=1)
+    windows = windowize(matrix, window=cfg.params_for("lstm")["window"], horizon=1)
     return _split_rows(cfg, data, windows.target_timestamps, windows.samples)
 
 
@@ -509,17 +502,17 @@ def _fit_lstm(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> list
     fit, val, _ = _window_split(cfg, data)
     model = neural.init_model(
         n_features=fit.data.shape[2],
-        hidden=tuple(params["hidden"]),
-        dropout_rate=float(params["dropout"]),
+        hidden=params["hidden"],
+        dropout_rate=params["dropout"],
         seed=cfg.model_seed("lstm"),
     )
     model, history = neural.train(
         model, fit, val,
         neural.TrainConfig(
-            max_epochs=int(params["max_epochs"]),
-            patience=int(params["patience"]),
-            batch_size=int(params["batch_size"]),
-            learning_rate=float(params["learning_rate"]),
+            max_epochs=params["max_epochs"],
+            patience=params["patience"],
+            batch_size=params["batch_size"],
+            learning_rate=params["learning_rate"],
             seed=cfg.model_seed("lstm"),
         ),
     )
@@ -542,15 +535,23 @@ class ModelSpec(NamedTuple):
     # fit writes the artifacts under models_dir and returns their file names
     fit: Callable[[PipelineConfig, PreparedData, Path], list[str]]
     predict: Callable[[PipelineConfig, PreparedData, Path], Forecast]
+    defaults: dict[str, Any]  # every hyperparameter, typed by its default
 
 
 MODELS: dict[str, ModelSpec] = {
-    "seasonal_naive": ModelSpec(_fit_seasonal_naive, _predict_seasonal_naive),
-    "sarimax": ModelSpec(_fit_sarimax, _predict_sarimax),
-    "gbdt": ModelSpec(_fit_gbdt, _predict_gbdt),
-    "gbdt_quantile": ModelSpec(_fit_gbdt_quantile, _predict_gbdt_quantile),
-    "lstm": ModelSpec(_fit_lstm, _predict_lstm),
+    "seasonal_naive": ModelSpec(_fit_seasonal_naive, _predict_seasonal_naive, {"period": 24}),
+    "sarimax": ModelSpec(_fit_sarimax, _predict_sarimax, {
+        "order": (1, 1, 1), "seasonal_order": (1, 1, 0, 24), "exog": ("hour", "dayofweek"),
+        "train_tail_days": 30, "max_iter": 500}),
+    "gbdt": ModelSpec(_fit_gbdt, _predict_gbdt, asdict(boosted.GbdtParams())),
+    "gbdt_quantile": ModelSpec(_fit_gbdt_quantile, _predict_gbdt_quantile,
+                               asdict(boosted.GbdtParams())),
+    "lstm": ModelSpec(_fit_lstm, _predict_lstm, {
+        "hidden": (100, 50), "dropout": 0.2, "window": 48, "batch_size": 64,
+        "learning_rate": 1e-3, "max_epochs": 50, "patience": 5}),
 }
+
+DEFAULT_ROSTER = ("seasonal_naive", "sarimax", "gbdt", "lstm")
 
 
 # ---------------------------------------------------------------------------

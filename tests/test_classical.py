@@ -177,6 +177,18 @@ class TestSarimaxForecast:
         )
         np.testing.assert_array_equal(sarimax_forecast(model, 5), np.full(5, 42.0))
 
+    @pytest.mark.parametrize("steps, expected", [(0, []), (3, [6.0, 3.0, 7.0])])
+    def test_seasonal_and_first_difference_continue_raw_tail(self, steps, expected):
+        # zero coefficients: y[t] = y[t-1] + y[t-2] - y[t-3] from the raw tail
+        order = SarimaxOrder(p=0, d=1, q=0, P=0, D=1, Q=0, s=2)
+        model = SarimaxModel(
+            order=order, ar=np.empty(0), ma=np.empty(0), sar=np.empty(0), sma=np.empty(0),
+            beta=np.empty(0), intercept=0.0, sigma2=1.0, exog_names=(),
+            w_tail=np.array([0.0]), eps_tail=np.array([0.0]),
+            endog_tail=np.array([1.0, 5.0, 2.0]), exog_tail=np.empty((0, 0)),
+        )
+        np.testing.assert_array_equal(sarimax_forecast(model, steps), expected)
+
     def test_missing_exog_future_errors(self):
         order = SarimaxOrder(p=0, d=0, q=0, P=0, D=0, Q=0, s=1)
         model = SarimaxModel(

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -24,11 +26,8 @@ from loadcast.series import ScalerParams
 import loadcast.neural as neural_module
 
 
-def tiny_model(seed=0, dropout=0.0, activation="relu"):
-    return init_model(
-        n_features=3, hidden=(4, 3), dropout_rate=dropout,
-        output_activation=activation, seed=seed,
-    )
+def tiny_model(seed=0, dropout=0.0):
+    return init_model(n_features=3, hidden=(4, 3), dropout_rate=dropout, seed=seed)
 
 
 def zeroed_model(**kwargs):
@@ -52,13 +51,13 @@ def make_tensor(data, targets):
 
 def total_loss(model, windows, y, train_mode=False, seed=None):
     q, _ = forward(model, windows, train_mode=train_mode, dropout_seed=seed)
-    loss, _ = quantile_loss_and_grad(q, y, model.quantiles)
+    loss, _ = quantile_loss_and_grad(q, y)
     return loss
 
 
 def analytic_grads(model, windows, y, train_mode=False, seed=None):
     q, caches = forward(model, windows, train_mode=train_mode, dropout_seed=seed)
-    _, dq = quantile_loss_and_grad(q, y, model.quantiles)
+    _, dq = quantile_loss_and_grad(q, y)
     return backward(model, caches, dq)
 
 
@@ -196,7 +195,7 @@ class TestBackward:
         model = tiny_model(seed=13)
         windows = np.random.default_rng(13).uniform(size=(2, 5, 3))
         q, caches = forward(model, windows)
-        _, dq = quantile_loss_and_grad(q, np.array([3.0, 4.0]), model.quantiles)
+        _, dq = quantile_loss_and_grad(q, np.array([3.0, 4.0]))
         dq[:, 1] = 0.0  # exclude the median head from the loss
         grads = backward(model, caches, dq)
         assert (grads["head.W"][:, 1] == 0.0).all()
@@ -325,6 +324,18 @@ class TestCheckpoint:
         assert loaded_scaler.channel_names == ("a", "b")
         windows = np.random.default_rng(30).uniform(size=(2, 5, 3))
         np.testing.assert_array_equal(forward(clone, windows)[0], forward(model, windows)[0])
+
+
+    @pytest.mark.parametrize("key, value", [("quantiles", [0.1, 0.5, 0.9]),
+                                            ("output_activation", "linear")])
+    def test_other_head_rejected(self, tmp_path, key, value):
+        prefix = str(tmp_path / "ckpt")
+        save_checkpoint(tiny_model(seed=31), prefix)
+        header_path = tmp_path / "ckpt.json"
+        header = json.loads(header_path.read_text())
+        header_path.write_text(json.dumps(dict(header, **{key: value})))
+        with pytest.raises(NeuralModelError, match="checkpoint head"):
+            load_checkpoint(prefix)
 
 
 class TestPinballViaLoss:

@@ -8,7 +8,7 @@ import pytest
 
 from loadcast import pipeline
 from loadcast.cli import main as cli_main
-from loadcast.config import KNOWN_MODELS, ConfigError, config_from_dict, load_config
+from loadcast.config import ConfigError, config_from_dict, load_config
 from loadcast.metrics import MetricError
 from loadcast.synth import bimodal_weekly_series, regime_switching_series, write_meter_csv
 
@@ -54,7 +54,7 @@ def full_run(tmp_path_factory):
     """One complete ingest -> impute-eval -> train -> evaluate run of every model."""
     root = tmp_path_factory.mktemp("e2e")
     build_input_csv(root / "meter.csv")
-    doc = base_config(root, roster=list(KNOWN_MODELS))
+    doc = base_config(root, roster=list(pipeline.MODELS))
     doc["model_params"]["gbdt_quantile"] = {"n_estimators": 30, "max_depth": 3}
     cfg_path = write_config(root, doc)
     cfg = load_config(cfg_path)
@@ -118,8 +118,26 @@ class TestConfig:
         cfg = config_from_dict({"input_path": "a", "output_dir": "b", "window_channels": None})
         assert cfg.window_channels is None
 
-    def test_registry_covers_known_models(self):
-        assert set(pipeline.MODELS) == set(KNOWN_MODELS)
+
+    def test_hyperparameters_cast_to_default_type(self):
+        cfg = config_from_dict({"input_path": "a", "output_dir": "b", "model_params": {
+            "gbdt": {"n_estimators": 60.0, "learning_rate": 1},
+            "lstm": {"hidden": [8, 4]},
+        }})
+        gbdt = cfg.params_for("gbdt")
+        assert gbdt["n_estimators"] == 60 and type(gbdt["n_estimators"]) is int
+        assert gbdt["learning_rate"] == 1.0 and type(gbdt["learning_rate"]) is float
+        assert cfg.params_for("lstm")["hidden"] == (8, 4)
+
+    @pytest.mark.parametrize("params", [{"gbdt": {"n_estimators": "many"}},
+                                        {"lstm": {"hidden": "8,4"}},
+                                        {"sarimax": {"max_iter": None}}])
+    def test_uncastable_hyperparameter_fails_at_load(self, tmp_path, params):
+        path = write_config(tmp_path, {"input_path": "a", "output_dir": "b",
+                                       "model_params": params})
+        with pytest.raises(ConfigError, match=next(iter(params))):
+            load_config(path)
+        assert cli_main(["train", "--config", str(path)]) == 1
 
 
 class TestIngest:
