@@ -14,6 +14,8 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
+from .series import ColumnSchema
+
 OUTPUT_DIR_ENV = "LOADCAST_OUTPUT_DIR"
 
 
@@ -63,6 +65,7 @@ class PipelineConfig:
                 raise ConfigError(f"unknown model {name!r}; known: {known}")
         for name in self.model_params:
             self.params_for(name)
+        self.column_schema()
 
     def params_for(self, model: str) -> dict[str, Any]:
         """The model's default hyperparameters overridden by ``model_params``,
@@ -84,6 +87,19 @@ class PipelineConfig:
                 ) from exc
         return params
 
+    def column_schema(self) -> ColumnSchema:
+        """``ColumnSchema`` defaults overridden by ``columns``."""
+        names = dict(self.columns)
+        unknown = set(names) - {f.name for f in fields(ColumnSchema)}
+        if unknown:
+            raise ConfigError(f"unknown columns keys: {sorted(unknown)}")
+        if "appliances" in names:
+            apps = names["appliances"]
+            if not isinstance(apps, list) or not all(isinstance(a, str) for a in apps):
+                raise ConfigError(f"columns.appliances must be a list of names, got {apps!r}")
+            names["appliances"] = tuple(apps)
+        return ColumnSchema(**names)
+
     def model_seed(self, model: str) -> int:
         return self.seed + zlib.crc32(model.encode("utf-8")) % 100_000
 
@@ -91,7 +107,10 @@ class PipelineConfig:
         return Path(os.environ.get(OUTPUT_DIR_ENV) or self.output_dir)
 
     def to_canonical_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        # external predictions shape no artifact: adding one needs no retraining
+        doc = asdict(self)
+        del doc["external_predictions"]
+        return json.dumps(doc, sort_keys=True)
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.to_canonical_json().encode("utf-8")).hexdigest()

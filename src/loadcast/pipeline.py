@@ -41,7 +41,6 @@ from .features import (
 )
 from .series import (
     HOUR,
-    ColumnSchema,
     GapReport,
     HourlySeries,
     ScalerParams,
@@ -86,11 +85,16 @@ def _replace_on_success(path: Path):
     the block completes, so a failed or killed write leaves the old file."""
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _write_text(path: Path, text: str) -> None:
+    with _replace_on_success(path) as fh:
+        fh.write(text)
 
 
 def _manifest_path(cfg: PipelineConfig) -> Path:
@@ -127,7 +131,7 @@ def _stamp(manifest: dict, command: str) -> None:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _replace_on_success(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -146,17 +150,6 @@ def _file_sha256(path: Path) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _schema_from_config(cfg: PipelineConfig) -> ColumnSchema:
-    cols = cfg.columns
-    if not cols:
-        return ColumnSchema()
-    return ColumnSchema(
-        timestamp=cols.get("timestamp", "Unix"),
-        aggregate=cols.get("aggregate", "Aggregate"),
-        appliances=tuple(cols.get("appliances", [f"Appliance{i}" for i in range(1, 10)])),
-    )
-
-
 def cmd_ingest(cfg: PipelineConfig) -> tuple[HourlySeries, GapReport]:
     """Parse, resample and cache the input. The cache is reused, never
     rewritten, while the input file and the column schema are unchanged;
@@ -165,7 +158,7 @@ def cmd_ingest(cfg: PipelineConfig) -> tuple[HourlySeries, GapReport]:
     out_dir = cfg.resolved_output_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
     fingerprint = _file_sha256(Path(cfg.input_path))
-    schema = _schema_from_config(cfg)
+    schema = cfg.column_schema()
     columns = {"timestamp": schema.timestamp, "aggregate": schema.aggregate,
                "appliances": list(schema.appliances)}
     manifest = load_manifest(cfg)
@@ -386,9 +379,8 @@ def _fit_seasonal_naive(cfg: PipelineConfig, data: PreparedData, models_dir: Pat
         raise PipelineError(f"train split shorter than the naive period {period}")
     tail = data.full.channel(0)[data.split_idx - period : data.split_idx]
     doc = {"period": period, "history_tail": tail.tolist()}
-    path = models_dir / "seasonal_naive.json"
-    path.write_text(json.dumps(doc, sort_keys=True, indent=1), encoding="utf-8")
-    return [path.name]
+    _write_text(models_dir / "seasonal_naive.json", json.dumps(doc, sort_keys=True, indent=1))
+    return ["seasonal_naive.json"]
 
 
 def _predict_seasonal_naive(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> Forecast:
@@ -418,9 +410,8 @@ def _fit_sarimax(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> l
     model = classical.sarimax_fit(
         endog, exog, order, exog_names=params["exog"], max_iter=params["max_iter"]
     )
-    path = models_dir / "sarimax.json"
-    path.write_text(classical.sarimax_to_json(model), encoding="utf-8")
-    return [path.name]
+    _write_text(models_dir / "sarimax.json", classical.sarimax_to_json(model))
+    return ["sarimax.json"]
 
 
 def _predict_sarimax(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> Forecast:
@@ -442,9 +433,8 @@ def _fit_boosted(cfg: PipelineConfig, data: PreparedData, name: str, loss) -> bo
 
 def _fit_gbdt(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> list[str]:
     model = _fit_boosted(cfg, data, "gbdt", boosted.SquaredLoss())
-    path = models_dir / "gbdt.json"
-    path.write_text(boosted.gbdt_to_json(model), encoding="utf-8")
-    return [path.name]
+    _write_text(models_dir / "gbdt.json", boosted.gbdt_to_json(model))
+    return ["gbdt.json"]
 
 
 def _predict_gbdt(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> Forecast:
@@ -460,9 +450,8 @@ def _fit_gbdt_quantile(cfg: PipelineConfig, data: PreparedData, models_dir: Path
         ))
         for tau in metrics.QUANTILE_LEVELS
     }
-    path = models_dir / "gbdt_quantile.json"
-    path.write_text(json.dumps(docs, sort_keys=True, indent=1), encoding="utf-8")
-    return [path.name]
+    _write_text(models_dir / "gbdt_quantile.json", json.dumps(docs, sort_keys=True, indent=1))
+    return ["gbdt_quantile.json"]
 
 
 def _predict_gbdt_quantile(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> Forecast:
@@ -625,48 +614,49 @@ def _score(name: str, forecast: Forecast) -> metrics.ReportRow:
 def _external_forecast(data: PreparedData, path: str) -> Forecast:
     """Read an externally produced plot-format CSV on our test actuals.
 
-    Rows off the test split are ignored. The q05/q95 cells must be filled
-    on every remaining row or on none; a mix raises MetricError."""
+    Rows off the test split are ignored. Every test hour must appear
+    exactly once, and the q05/q95 cells must be filled on every row or on
+    none; anything else raises MetricError."""
     timestamps, actual = _test_hours(data)
     index = {ts: i for i, ts in enumerate(timestamps)}
-    kept, ys, points, q05s, q95s = [], [], [], [], []
+    seen = np.zeros(len(timestamps), dtype=int)
+    point, q05, q95 = (np.full(len(timestamps), np.nan) for _ in range(3))
+    banded = None
     with open(path, newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
-            ts = datetime.fromisoformat(row["timestamp"])
-            if ts not in index:
+            i = index.get(datetime.fromisoformat(row["timestamp"]))
+            if i is None:
                 continue
             band = (row.get("q05") or "", row.get("q95") or "")
             # every row must match the first one: both cells filled or both blank
-            if any(band) != all(band) or (kept and all(band) != bool(q05s)):
+            if any(band) != all(band) or banded not in (None, all(band)):
                 raise metrics.MetricError(
                     f"external predictions {path}: q05/q95 cells at {row['timestamp']} "
                     "differ from the rows before; fill both on every row or on none"
                 )
-            kept.append(ts)
-            ys.append(actual[index[ts]])
-            points.append(float(row["point_or_q50"]))
-            if all(band):
-                q05s.append(float(band[0]))
-                q95s.append(float(band[1]))
-    if not kept:
-        raise PipelineError(f"external predictions {path} share no test timestamps")
-    point = np.asarray(points)
-    dist = None
-    if q05s:
-        dist = metrics.ForecastDistribution(
-            tuple(kept),
-            np.minimum(np.asarray(q05s), point),
-            point,
-            np.maximum(np.asarray(q95s), point),
+            banded = all(band)
+            seen[i] += 1
+            point[i] = float(row["point_or_q50"])
+            if banded:
+                q05[i], q95[i] = float(band[0]), float(band[1])
+    bad = np.flatnonzero(seen != 1)
+    if len(bad):
+        raise metrics.MetricError(
+            f"external predictions {path}: {len(bad)} of {len(seen)} test hours missing or "
+            f"repeated, first at {timestamps[bad[0]].isoformat()}; give every test hour once"
         )
-    return Forecast(kept, np.asarray(ys), point, dist)
+    dist = None
+    if banded:
+        dist = metrics.ForecastDistribution(
+            tuple(timestamps), np.minimum(q05, point), point, np.maximum(q95, point)
+        )
+    return Forecast(timestamps, actual, point, dist)
 
 
 def _write_report(out_dir: Path, report: metrics.EvalReport) -> str:
     text = metrics.report_to_text(report)
-    for name, content in ((REPORT_CSV, metrics.report_to_csv(report)), (REPORT_TXT, text)):
-        with _replace_on_success(out_dir / name) as fh:
-            fh.write(content)
+    _write_text(out_dir / REPORT_CSV, metrics.report_to_csv(report))
+    _write_text(out_dir / REPORT_TXT, text)
     return text
 
 

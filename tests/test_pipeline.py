@@ -10,6 +10,7 @@ from loadcast import pipeline
 from loadcast.cli import main as cli_main
 from loadcast.config import ConfigError, config_from_dict, load_config
 from loadcast.metrics import MetricError
+from loadcast.series import ColumnSchema
 from loadcast.synth import bimodal_weekly_series, regime_switching_series, write_meter_csv
 
 N_HOURS = 24 * 7 * 26  # six months
@@ -118,6 +119,22 @@ class TestConfig:
         cfg = config_from_dict({"input_path": "a", "output_dir": "b", "window_channels": None})
         assert cfg.window_channels is None
 
+
+    @pytest.mark.parametrize("columns", [{"aggregat": "Appliance1"},
+                                         {"appliances": "Appliance1"},
+                                         {"appliances": ["Appliance1", 2]}])
+    def test_bad_columns_fail_at_load(self, tmp_path, columns):
+        path = write_config(tmp_path, {"input_path": "a", "output_dir": "b", "columns": columns})
+        with pytest.raises(ConfigError, match="columns"):
+            load_config(path)
+        assert cli_main(["ingest", "--config", str(path)]) == 1
+
+    def test_columns_override_schema_defaults(self):
+        cfg = config_from_dict({"input_path": "a", "output_dir": "b",
+                                "columns": {"aggregate": "Appliance1", "appliances": []}})
+        assert cfg.column_schema() == ColumnSchema("Unix", "Appliance1", ())
+        bare = config_from_dict({"input_path": "a", "output_dir": "b"})
+        assert bare.column_schema() == ColumnSchema()
 
     def test_hyperparameters_cast_to_default_type(self):
         cfg = config_from_dict({"input_path": "a", "output_dir": "b", "model_params": {
@@ -371,48 +388,100 @@ class TestExternalPredictions:
         assert tft.picp == pytest.approx(lstm.picp, rel=1e-9)
 
 
-class TestExternalQuantileCells:
-    @pytest.fixture(scope="class")
-    def trained(self, full_run, tmp_path_factory):
-        """A trained seasonal-naive run whose config scores an external CSV."""
-        root = tmp_path_factory.mktemp("external")
-        src = full_run["cfg"].resolved_output_dir() / "plots" / "lstm.csv"
-        rows = list(csv.DictReader(open(src)))
-        ext_path = root / "tft.csv"
-        doc = base_config(root, input_path=str(full_run["root"] / "meter.csv"),
-                          roster=["seasonal_naive"], external_predictions={"TFT": str(ext_path)})
-        cfg_path = write_config(root, doc)
+@pytest.fixture(scope="module")
+def trained(full_run, tmp_path_factory):
+    """A seasonal-naive run trained without external predictions, and a
+    config that adds one: the full run's LSTM plot rows, written by each
+    test to ``ext_path``."""
+    root = tmp_path_factory.mktemp("external")
+    src = full_run["cfg"].resolved_output_dir() / "plots" / "lstm.csv"
+    rows = list(csv.DictReader(open(src)))
+    ext_path = root / "tft.csv"
+    doc = base_config(root, input_path=str(full_run["root"] / "meter.csv"),
+                      roster=["seasonal_naive"])
+    cfg = load_config(write_config(root, doc, name="bare.json"))
+    pipeline.cmd_ingest(cfg)
+    pipeline.cmd_impute_eval(cfg)
+    pipeline.cmd_train(cfg)
+    cfg_path = write_config(root, dict(doc, external_predictions={"TFT": str(ext_path)}))
+    return cfg_path, ext_path, rows
+
+
+def write_rows(path, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+class TestExternalCoverage:
+    def test_added_file_scored_without_retraining(self, trained):
+        cfg_path, ext_path, rows = trained
+        write_rows(ext_path, rows)
+        assert cli_main(["evaluate", "--config", str(cfg_path)]) == 0
+        report = pipeline.load_manifest(load_config(cfg_path))["metrics"]
+        assert set(report) == {"seasonal_naive", "TFT"}
+
+    @pytest.mark.parametrize("change", ["drop", "repeat"])
+    def test_partial_or_repeated_hours_exit_1(self, trained, change):
+        cfg_path, ext_path, rows = trained
+        kept = rows[:5] + rows[6:] if change == "drop" else rows[:6] + rows[5:]
+        write_rows(ext_path, kept)
+        assert cli_main(["evaluate", "--config", str(cfg_path)]) == 1
+        with pytest.raises(MetricError, match=f"1 of {len(rows)} test hours.*"
+                           + re.escape(rows[5]["timestamp"])) as err:
+            pipeline.cmd_evaluate(load_config(cfg_path))
+        assert str(ext_path) in str(err.value)
+
+
+class TestAtomicCsv:
+    def test_failed_plot_write_keeps_previous_file(self, trained, monkeypatch):
+        cfg_path, ext_path, rows = trained
+        write_rows(ext_path, rows)
         cfg = load_config(cfg_path)
-        pipeline.cmd_ingest(cfg)
-        pipeline.cmd_impute_eval(cfg)
-        pipeline.cmd_train(cfg)
-        return cfg_path, ext_path, rows
+        pipeline.cmd_evaluate(cfg)
+        plots = cfg.resolved_output_dir() / "plots"
+        before = (plots / "seasonal_naive.csv").read_bytes()
+        real_writer = csv.writer
 
-    @staticmethod
-    def write_rows(path, rows):
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
+        class TornWriter:
+            def __init__(self, fh):
+                self.inner = real_writer(fh)
+                self.writerow = self.inner.writerow
 
+            def writerows(self, rows):
+                for i, row in enumerate(rows):
+                    if i == 10:
+                        raise OSError("disk full")
+                    self.inner.writerow(row)
+
+        monkeypatch.setattr(csv, "writer", TornWriter)
+        with pytest.raises(OSError, match="disk full"):
+            pipeline.cmd_evaluate(cfg)
+        monkeypatch.undo()
+        assert (plots / "seasonal_naive.csv").read_bytes() == before
+        assert not list(plots.glob("*.tmp"))
+
+
+class TestExternalQuantileCells:
     def test_one_blank_q95_exits_1(self, trained):
         cfg_path, ext_path, rows = trained
         rows = [dict(r) for r in rows]
         rows[5]["q95"] = ""
-        self.write_rows(ext_path, rows)
+        write_rows(ext_path, rows)
         assert cli_main(["evaluate", "--config", str(cfg_path)]) == 1
 
     def test_mixed_rows_name_file_and_timestamp(self, trained):
         cfg_path, ext_path, rows = trained
         rows = [dict(r, q05="", q95="") if i < 3 else dict(r) for i, r in enumerate(rows)]
-        self.write_rows(ext_path, rows)
+        write_rows(ext_path, rows)
         with pytest.raises(MetricError, match=re.escape(rows[3]["timestamp"])) as err:
             pipeline.cmd_evaluate(load_config(cfg_path))
         assert str(ext_path) in str(err.value)
 
     def test_all_blank_scores_as_point(self, trained):
         cfg_path, ext_path, rows = trained
-        self.write_rows(ext_path, [dict(r, q05="", q95="") for r in rows])
+        write_rows(ext_path, [dict(r, q05="", q95="") for r in rows])
         report = pipeline.cmd_evaluate(load_config(cfg_path))
         tft = {r.model: r for r in report.rows}["TFT"]
         assert tft.picp is None and tft.aqs is None and tft.rmse > 0
