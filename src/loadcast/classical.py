@@ -325,8 +325,9 @@ def sarimax_forecast(model: SarimaxModel, steps: int, exog_future: np.ndarray | 
         eps_hist.append(0.0)  # future shocks are zero
         z_pred[h] = acc + model.intercept + (zx_f[h] @ model.beta if n_exog else 0.0)
 
-    # invert the differencing stage by stage, last first; each stage goes on
-    # from its last ``lag`` values in the stored raw tail
+    # invert the differencing stage by stage, last first, each from its last
+    # ``lag`` raw-tail values: one integrate over the whole tail would re-add
+    # rounded differences of known values and move the forecast's last bits
     lags = (1,) * order.d + (order.s,) * order.D
     stages, x = [], model.endog_tail
     for lag in lags:

@@ -82,13 +82,14 @@ class PipelineConfig:
                     raise TypeError
                 params[key] = kind(value)
             except (TypeError, ValueError) as exc:
-                raise ConfigError(
-                    f"{model}.{key} = {value!r} does not fit the type of its default {params[key]!r}"
-                ) from exc
+                raise ConfigError(f"{model}.{key} = {value!r} does not fit the type "
+                                  f"of its default {params[key]!r}") from exc
         return params
 
     def column_schema(self) -> ColumnSchema:
         """``ColumnSchema`` defaults overridden by ``columns``."""
+        if not isinstance(self.columns, dict):
+            raise ConfigError(f"columns must be an object, got {self.columns!r}")
         names = dict(self.columns)
         unknown = set(names) - {f.name for f in fields(ColumnSchema)}
         if unknown:

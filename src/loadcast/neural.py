@@ -4,9 +4,8 @@ backpropagation through time and patience-based early stopping.
 
 Gate internals are the standard sigmoid/tanh equations; relu applies to a
 block's hidden states as they are handed to the next stage, not inside the
-recurrence. All math is
-float64 so analytic gradients can be checked against central finite
-differences tightly.
+recurrence. All math is float64 so analytic gradients can be checked
+against central finite differences tightly.
 """
 
 from __future__ import annotations

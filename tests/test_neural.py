@@ -325,7 +325,6 @@ class TestCheckpoint:
         windows = np.random.default_rng(30).uniform(size=(2, 5, 3))
         np.testing.assert_array_equal(forward(clone, windows)[0], forward(model, windows)[0])
 
-
     @pytest.mark.parametrize("key, value", [("quantiles", [0.1, 0.5, 0.9]),
                                             ("output_activation", "linear")])
     def test_other_head_rejected(self, tmp_path, key, value):

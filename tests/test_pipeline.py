@@ -119,10 +119,10 @@ class TestConfig:
         cfg = config_from_dict({"input_path": "a", "output_dir": "b", "window_channels": None})
         assert cfg.window_channels is None
 
-
     @pytest.mark.parametrize("columns", [{"aggregat": "Appliance1"},
                                          {"appliances": "Appliance1"},
-                                         {"appliances": ["Appliance1", 2]}])
+                                         {"appliances": ["Appliance1", 2]},
+                                         ["Aggregate"]])
     def test_bad_columns_fail_at_load(self, tmp_path, columns):
         path = write_config(tmp_path, {"input_path": "a", "output_dir": "b", "columns": columns})
         with pytest.raises(ConfigError, match="columns"):
