@@ -2,9 +2,14 @@
 
 One engine covers both point forecasting (squared loss) and quantile
 forecasting (pinball loss with a unit-hessian surrogate). Trees grow
-level-wise with exact greedy split search over sorted feature values;
-split gain is G_L^2/H_L + G_R^2/H_R - G^2/H and each leaf takes the
-Newton value -G/H. Everything is deterministic: ties break on the lowest
+level-wise with exact greedy split search (Chen & Guestrin 2016, §4.1):
+``gbdt_fit`` sorts each feature column once per fit (``presort``), and
+every node carries its rows in each feature's sorted order, handed down
+by stable partition when the node splits. No node sorts again. Ties keep
+ascending row order throughout, which is exactly the order a stable sort
+of the node's own values gives, so split choices match a per-node sort bit
+for bit. Split gain is G_L^2/H_L + G_R^2/H_R - G^2/H and each leaf takes
+the Newton value -G/H. Everything is deterministic: ties break on the lowest
 feature index, then the lowest threshold.
 """
 
@@ -12,6 +17,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,29 +108,38 @@ class RegressionTree:
         return int(np.count_nonzero(self.feature < 0))
 
 
+def presort(X: np.ndarray) -> np.ndarray:
+    """Row indices of each column of ``X`` in ascending order, ties by row
+    index: an int64 (n_features, n_rows) block that ``fit_tree`` reuses."""
+    return np.argsort(X.T, axis=1, kind="stable")
+
+
 def _best_split(X: np.ndarray, grad: np.ndarray, hess: np.ndarray, rows: np.ndarray,
-                min_samples_leaf: int) -> tuple[float, int, float] | None:
+                blocks: np.ndarray, min_samples_leaf: int) -> tuple[float, int, float] | None:
     """Exact greedy search over all (feature, midpoint threshold) candidates.
+
+    ``rows`` holds the node's rows ascending and ``blocks[f]`` the same rows
+    in ascending order of feature f, ties by row index. That is the order a
+    stable sort of the node's own values gives, so the prefix sums, gains
+    and chosen split match a per-node sort bit for bit without sorting.
 
     Returns (gain, feature, threshold) of the best strictly-positive-gain
     split, or None. Scanning features then thresholds in ascending order
     with strict improvement gives the deterministic tie-break.
     """
-    g = grad[rows]
-    h = hess[rows]
-    G, H = g.sum(), h.sum()
+    G, H = grad[rows].sum(), hess[rows].sum()
     parent = G * G / H
+    n = len(rows)
+    k = np.arange(1, n)
+    # boundary after sorted row k leaves k rows on the left
+    size_ok = (k >= min_samples_leaf) & (n - k >= min_samples_leaf)
     best: tuple[float, int, float] | None = None
-    for f in range(X.shape[1]):
-        x = X[rows, f]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        gl = np.cumsum(g[order])[:-1]
-        hl = np.cumsum(h[order])[:-1]
+    for f, order in enumerate(blocks):
+        xs = X[order, f]
+        gl = np.cumsum(grad[order])[:-1]
+        hl = np.cumsum(hess[order])[:-1]
         # candidate boundaries between distinct consecutive values
-        distinct = xs[:-1] != xs[1:]
-        k = np.arange(1, len(xs))
-        ok = distinct & (k >= min_samples_leaf) & (len(xs) - k >= min_samples_leaf)
+        ok = (xs[:-1] != xs[1:]) & size_ok
         if not ok.any():
             continue
         gr = G - gl
@@ -143,15 +158,20 @@ def fit_tree(
     hess: np.ndarray,
     max_depth: int = 6,
     min_samples_leaf: int = 1,
+    order: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> RegressionTree:
     """Grow one tree level-wise on (gradient, hessian) statistics.
 
-    A node with no positive-gain split, too few rows or at max depth
-    becomes a leaf valued -G/H.
+    ``order`` is ``presort(X)``, computed here when not given. A node with
+    no positive-gain split, too few rows or at max depth becomes a leaf
+    valued -G/H; ``out``, when given, receives each row's leaf value.
     """
     X = np.asarray(X, dtype=float)
     if len(X) < 2 * min_samples_leaf:
         raise BoostingError(f"{len(X)} rows < 2 x min_samples_leaf={min_samples_leaf}")
+    if order is None:
+        order = presort(X)
 
     feature: list[int] = []
     threshold: list[float] = []
@@ -167,19 +187,21 @@ def fit_tree(
         value.append(0.0)
         return len(feature) - 1
 
-    root = new_node()
-    level = [(root, np.arange(len(X)))]
+    go_left = np.empty(len(X), dtype=bool)  # read only at the split node's rows
+    level = deque([(new_node(), np.arange(len(X)), order)])
     depth = 0
     while level:
-        next_level: list[tuple[int, np.ndarray]] = []
-        for node, rows in level:
+        next_level: deque[tuple[int, np.ndarray, np.ndarray | None]] = deque()
+        while level:
+            # popped, so a parent's blocks are freed once partitioned
+            node, rows, blocks = level.popleft()
             split = None
             if depth < max_depth and len(rows) >= 2 * min_samples_leaf:
-                split = _best_split(X, grad, hess, rows, min_samples_leaf)
+                split = _best_split(X, grad, hess, rows, blocks, min_samples_leaf)
             if split is None:
-                G = grad[rows].sum()
-                H = hess[rows].sum()
-                value[node] = -G / H
+                value[node] = -grad[rows].sum() / hess[rows].sum()
+                if out is not None:
+                    out[rows] = value[node]
                 continue
             _, f, thr = split
             feature[node] = f
@@ -187,8 +209,16 @@ def fit_tree(
             mask = X[rows, f] <= thr
             lid, rid = new_node(), new_node()
             left[node], right[node] = lid, rid
-            next_level.append((lid, rows[mask]))
-            next_level.append((rid, rows[~mask]))
+            if depth + 1 < max_depth:
+                # stable partition keeps each child's blocks in sorted order
+                go_left[rows] = mask
+                side = go_left[blocks].ravel()
+                lblocks = blocks.compress(side).reshape(len(blocks), -1)
+                rblocks = blocks.compress(~side).reshape(len(blocks), -1)
+            else:
+                lblocks = rblocks = None
+            next_level.append((lid, rows[mask], lblocks))
+            next_level.append((rid, rows[~mask], rblocks))
         level = next_level
         depth += 1
 
@@ -265,12 +295,15 @@ def gbdt_fit(
     best_metric = history[0]
     best_iteration = 0
     trees: list[RegressionTree] = []
+    order = presort(X_train)  # X_train is fixed for every round
+    leaf = np.empty(len(y_train))
 
     for t in range(1, params.n_estimators + 1):
         grad, hess = loss.gradients(y_train, pred_train)
-        tree = fit_tree(X_train, grad, hess, params.max_depth, params.min_samples_leaf)
+        tree = fit_tree(X_train, grad, hess, params.max_depth, params.min_samples_leaf,
+                        order=order, out=leaf)
         trees.append(tree)
-        pred_train += params.learning_rate * tree.predict(X_train)
+        pred_train += params.learning_rate * leaf
         pred_val += params.learning_rate * tree.predict(X_val)
         metric = loss.metric(y_val, pred_val)
         history.append(metric)

@@ -108,9 +108,12 @@ class PipelineConfig:
         return Path(os.environ.get(OUTPUT_DIR_ENV) or self.output_dir)
 
     def to_canonical_json(self) -> str:
-        # external predictions shape no artifact: adding one needs no retraining
+        # external predictions shape no artifact: adding one needs no retraining.
+        # Hyperparameters enter as resolved, so 60 and 60.0 hash alike and a
+        # changed default changes the hash.
         doc = asdict(self)
         del doc["external_predictions"]
+        doc["model_params"] = {name: self.params_for(name) for name in self.roster}
         return json.dumps(doc, sort_keys=True)
 
     def config_hash(self) -> str:

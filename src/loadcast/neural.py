@@ -19,7 +19,7 @@ import numpy as np
 
 from .features import WindowTensor
 from .metrics import ForecastDistribution, QUANTILE_LEVELS, pinball_grad, pinball_loss
-from .series import ScalerParams, unscale_array
+from .series import ScalerParams, replace_on_success, unscale_array
 
 logger = logging.getLogger(__name__)
 
@@ -482,10 +482,12 @@ def save_checkpoint(
         },
         "param_order": [{"name": n, "shape": list(params[n].shape)} for n in names],
     }
-    with open(f"{path_prefix}.json", "w", encoding="utf-8") as fh:
-        json.dump(header, fh, sort_keys=True, indent=1)
     flat = np.concatenate([params[n].ravel() for n in names])
-    flat.astype("<f8").tofile(f"{path_prefix}.bin")
+    # neither file is replaced unless both are written
+    with replace_on_success(f"{path_prefix}.json") as head, \
+            replace_on_success(f"{path_prefix}.bin", "wb") as body:
+        json.dump(header, head, sort_keys=True, indent=1)
+        flat.astype("<f8").tofile(body)
 
 
 def load_checkpoint(path_prefix: str) -> tuple[QuantileLstmModel, ScalerParams | None]:
@@ -522,7 +524,7 @@ def load_checkpoint(path_prefix: str) -> tuple[QuantileLstmModel, ScalerParams |
 
 
 def history_to_csv(history: TrainHistory, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with replace_on_success(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "train_loss", "val_loss"])
         for i, (tr, vl) in enumerate(zip(history.train_loss, history.val_loss), start=1):

@@ -22,8 +22,6 @@ import csv
 import hashlib
 import json
 import logging
-import os
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -50,6 +48,7 @@ from .series import (
     minmax_fit,
     minmax_transform,
     missing_runs,
+    replace_on_success,
     resample_hourly,
     series_from_csv,
     series_to_csv,
@@ -79,21 +78,8 @@ class PipelineError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@contextmanager
-def _replace_on_success(path: Path):
-    """Write through a temp file beside ``path`` that replaces it only once
-    the block completes, so a failed or killed write leaves the old file."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def _write_text(path: Path, text: str) -> None:
-    with _replace_on_success(path) as fh:
+    with replace_on_success(path) as fh:
         fh.write(text)
 
 
@@ -116,7 +102,7 @@ def save_manifest(cfg: PipelineConfig, manifest: dict) -> None:
             if not (out_dir / p).exists():
                 raise PipelineError(f"manifest references missing file {p}")
     manifest["manifest_hash"] = manifest_hash(manifest)
-    with _replace_on_success(_manifest_path(cfg)) as fh:
+    with replace_on_success(_manifest_path(cfg)) as fh:
         json.dump(manifest, fh, sort_keys=True, indent=1)
 
 
@@ -131,7 +117,7 @@ def _stamp(manifest: dict, command: str) -> None:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    with _replace_on_success(path) as fh:
+    with replace_on_success(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)

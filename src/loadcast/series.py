@@ -12,8 +12,11 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 
@@ -29,6 +32,22 @@ class IngestError(ValueError):
 
 class SeriesError(ValueError):
     """Raised on invalid series operations (bad split, empty segment, ...)."""
+
+
+@contextmanager
+def replace_on_success(path, mode: str = "w"):
+    """Write through a temp file beside ``path`` that replaces it only once
+    the block completes, so a failed or killed write leaves the old file.
+    Text mode writes UTF-8 with newlines untranslated."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    text = {} if "b" in mode else {"newline": "", "encoding": "utf-8"}
+    try:
+        with open(tmp, mode, **text) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -373,7 +392,7 @@ def chronological_split(
 
 def series_to_csv(series: HourlySeries, path) -> None:
     """Persist as CSV: ISO-8601 hour column, one column per channel, empty = missing."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with replace_on_success(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["hour", *series.channel_names])
         ts = series.start

@@ -1,3 +1,4 @@
+import csv
 from datetime import datetime, timezone
 
 import numpy as np
@@ -22,3 +23,30 @@ def make_series(values, start=MONDAY, channel_names=None) -> HourlySeries:
 @pytest.fixture
 def monday_start():
     return MONDAY
+
+
+@pytest.fixture
+def tear_csv_writes(monkeypatch):
+    """``tear(n)`` makes every later ``csv.writer`` raise OSError("disk full")
+    once it has written ``n`` rows: a write that fails halfway."""
+    real_writer = csv.writer
+
+    def tear(n: int) -> None:
+        class TornWriter:
+            def __init__(self, fh, *args, **kwargs):
+                self.inner = real_writer(fh, *args, **kwargs)
+                self.left = n
+
+            def writerow(self, row):
+                if self.left == 0:
+                    raise OSError("disk full")
+                self.left -= 1
+                self.inner.writerow(row)
+
+            def writerows(self, rows):
+                for row in rows:
+                    self.writerow(row)
+
+        monkeypatch.setattr(csv, "writer", TornWriter)
+
+    return tear

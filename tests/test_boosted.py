@@ -1,9 +1,12 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from loadcast import boosted
 from loadcast.boosted import (
+    _MIN_GAIN,
     BoostingError,
     GbdtParams,
     PinballLoss,
@@ -34,6 +37,78 @@ def brute_force_best_gain(X, grad, hess, min_samples_leaf=1):
             gr, hr = G - gl, H - hl
             best = max(best, gl * gl / hl + gr * gr / hr - parent)
     return best
+
+
+def tie_heavy_dataset(n=480, seed=21):
+    """Calendar-like integer columns (2 to 24 distinct values) beside two
+    continuous ones, so most split candidates sit inside runs of ties."""
+    rng = np.random.default_rng(seed)
+    hour = rng.integers(0, 24, n)
+    dayofweek = rng.integers(0, 7, n)
+    month = rng.integers(1, 13, n)
+    weekend = (dayofweek >= 5).astype(int)
+    load = rng.gamma(2.0, 300.0, n)
+    lag = load + rng.normal(0.0, 50.0, n)
+    X = np.column_stack([hour, dayofweek, month, weekend, load, lag]).astype(float)
+    y = 400 * np.sin(2 * np.pi * hour / 24) + 150 * weekend + 0.5 * lag + rng.normal(0, 80, n)
+    return X, y
+
+
+def reference_tree(X, grad, hess, max_depth, min_samples_leaf):
+    """Tree growth with a stable argsort of every feature at every node:
+    the search that presorted blocks must reproduce exactly."""
+    def best_split(rows):
+        g, h = grad[rows], hess[rows]
+        G, H = g.sum(), h.sum()
+        parent = G * G / H
+        best = None
+        for f in range(X.shape[1]):
+            x = X[rows, f]
+            order = np.argsort(x, kind="stable")
+            xs = x[order]
+            gl = np.cumsum(g[order])[:-1]
+            hl = np.cumsum(h[order])[:-1]
+            k = np.arange(1, len(xs))
+            ok = (xs[:-1] != xs[1:]) & (k >= min_samples_leaf) & (len(xs) - k >= min_samples_leaf)
+            if not ok.any():
+                continue
+            gain = gl**2 / hl + (G - gl) ** 2 / (H - hl) - parent
+            gain[~ok] = -np.inf
+            j = int(np.argmax(gain))
+            if gain[j] > _MIN_GAIN * max(1.0, abs(parent)) and (best is None or gain[j] > best[0]):
+                best = (float(gain[j]), f, float((xs[j] + xs[j + 1]) / 2))
+        return best
+
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def new_node():
+        for arr, v in ((feature, -1), (threshold, 0.0), (left, -1), (right, -1), (value, 0.0)):
+            arr.append(v)
+        return len(feature) - 1
+
+    level = [(new_node(), np.arange(len(X)))]
+    for depth in range(max_depth + 1):
+        next_level = []
+        for node, rows in level:
+            split = None
+            if depth < max_depth and len(rows) >= 2 * min_samples_leaf:
+                split = best_split(rows)
+            if split is None:
+                value[node] = -grad[rows].sum() / hess[rows].sum()
+                continue
+            _, feature[node], threshold[node] = split
+            mask = X[rows, feature[node]] <= threshold[node]
+            left[node], right[node] = new_node(), new_node()
+            next_level += [(left[node], rows[mask]), (right[node], rows[~mask])]
+        level = next_level
+    return (np.asarray(feature, dtype=np.int32), np.asarray(threshold, dtype=float),
+            np.asarray(left, dtype=np.int32), np.asarray(right, dtype=np.int32),
+            np.asarray(value, dtype=float))
+
+
+def tree_bytes(tree):
+    return (tree.feature.tobytes(), tree.threshold.tobytes(), tree.left.tobytes(),
+            tree.right.tobytes(), tree.value.tobytes())
 
 
 class TestLossGradients:
@@ -109,6 +184,40 @@ class TestFitTree:
         with pytest.raises(BoostingError):
             fit_tree(np.ones((3, 1)), np.ones(3), np.ones(3), max_depth=1, min_samples_leaf=2)
 
+    def test_out_receives_each_rows_leaf_value(self):
+        X, y = tie_heavy_dataset()
+        grad, hess = SquaredLoss().gradients(y, np.full(len(y), y.mean()))
+        out = np.full(len(y), np.nan)
+        tree = fit_tree(X, grad, hess, max_depth=4, out=out)
+        assert out.tobytes() == tree.predict(X).tobytes()
+
+
+class TestPresortedGrowth:
+    @pytest.mark.parametrize("min_samples_leaf", [1, 5])
+    @pytest.mark.parametrize("loss", [SquaredLoss(), PinballLoss(0.05), PinballLoss(0.5)],
+                             ids=["squared", "pinball05", "pinball50"])
+    def test_matches_per_node_argsort(self, loss, min_samples_leaf):
+        X, y = tie_heavy_dataset()
+        rng = np.random.default_rng(min_samples_leaf)
+        for pred in (np.full(len(y), loss.base_score(y)), y + rng.normal(0.0, 200.0, len(y))):
+            grad, hess = loss.gradients(y, pred)
+            tree = fit_tree(X, grad, hess, max_depth=6, min_samples_leaf=min_samples_leaf)
+            got = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
+            want = reference_tree(X, grad, hess, 6, min_samples_leaf)
+            assert tree.n_leaves > 8
+            for name, a, b in zip(("feature", "threshold", "left", "right", "value"), got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    def test_given_order_is_presort(self):
+        X, y = tie_heavy_dataset()
+        order = boosted.presort(X)
+        assert order.dtype == np.int64 and order.shape == (X.shape[1], len(X))
+        grad, hess = SquaredLoss().gradients(y, np.zeros(len(y)))
+        a = fit_tree(X, grad, hess, max_depth=5, order=order)
+        b = fit_tree(X, grad, hess, max_depth=5)
+        assert tree_bytes(a) == tree_bytes(b)
+        np.testing.assert_array_equal(order, boosted.presort(X))  # not mutated
+
 
 def deterministic_dataset(n=512, seed=0):
     rng = np.random.default_rng(seed)
@@ -177,6 +286,35 @@ class TestGbdtFit:
     def test_empty_inputs(self):
         with pytest.raises(BoostingError):
             gbdt_fit(np.empty((0, 1)), np.empty(0), np.ones((1, 1)), np.ones(1))
+
+    def test_one_fit_tree_call_per_round(self, monkeypatch):
+        # the benchmark counts trees by wrapping the module attribute fit_tree
+        calls = []
+        real = boosted.fit_tree
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[0]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(boosted, "fit_tree", counting)
+        X, y = tie_heavy_dataset()
+        model = gbdt_fit(X[:400], y[:400], X[400:], y[400:],
+                         params=GbdtParams(n_estimators=7, max_depth=3, early_stopping_rounds=50))
+        assert len(model.trees) == 7
+        assert calls == [400] * 7
+
+    # sha256 of gbdt_to_json, computed with a per-node argsort before column
+    # blocks were presorted: any change to a split or a training prediction shows
+    @pytest.mark.parametrize("loss,digest", [
+        (SquaredLoss(), "5aec35605198a77ad366fe8db78087e665711081d31066e77695f3e8b32510b5"),
+        (PinballLoss(0.05), "88d147a5c1a56bee87ea676dc2a487d4a8bfd1377de7d66cf3e174828d7cdab0"),
+    ], ids=["squared", "pinball05"])
+    def test_golden_model_json(self, loss, digest):
+        X, y = tie_heavy_dataset()
+        model = gbdt_fit(X[:400], y[:400], X[400:], y[400:], loss=loss,
+                         params=GbdtParams(n_estimators=12, max_depth=4, early_stopping_rounds=12))
+        assert len(model.trees) == 12
+        assert hashlib.sha256(gbdt_to_json(model).encode("utf-8")).hexdigest() == digest
 
 
 class TestPredict:

@@ -9,10 +9,12 @@ from loadcast.neural import (
     AdamState,
     NeuralModelError,
     TrainConfig,
+    TrainHistory,
     TrainingDiverged,
     adam_step,
     backward,
     forward,
+    history_to_csv,
     init_model,
     load_checkpoint,
     lstm_cell_forward,
@@ -335,6 +337,37 @@ class TestCheckpoint:
         header_path.write_text(json.dumps(dict(header, **{key: value})))
         with pytest.raises(NeuralModelError, match="checkpoint head"):
             load_checkpoint(prefix)
+
+    def test_failed_write_keeps_previous_pair(self, tmp_path, monkeypatch):
+        prefix = str(tmp_path / "ckpt")
+        save_checkpoint(tiny_model(seed=32), prefix)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def torn_dump(obj, fh, **kwargs):
+            text = json.dumps(obj, **kwargs)
+            fh.write(text[: len(text) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", torn_dump)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(tiny_model(seed=33), prefix)
+        monkeypatch.undo()
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        clone, _ = load_checkpoint(prefix)
+        for name, arr in tiny_model(seed=32).parameters().items():
+            np.testing.assert_array_equal(clone.parameters()[name], arr)
+
+
+class TestHistoryCsv:
+    def test_failed_write_keeps_previous_file(self, tmp_path, tear_csv_writes):
+        path = tmp_path / "lstm_history.csv"
+        history_to_csv(TrainHistory((0.5, 0.4), (0.6, 0.5), 2), path)
+        before = path.read_bytes()
+        tear_csv_writes(2)
+        with pytest.raises(OSError, match="disk full"):
+            history_to_csv(TrainHistory((0.3, 0.2, 0.1), (0.4, 0.3, 0.2), 3), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["lstm_history.csv"]
 
 
 class TestPinballViaLoss:

@@ -146,6 +146,22 @@ class TestConfig:
         assert gbdt["learning_rate"] == 1.0 and type(gbdt["learning_rate"]) is float
         assert cfg.params_for("lstm")["hidden"] == (8, 4)
 
+    def test_config_hash_sees_resolved_hyperparameters(self):
+        def cfg(n):
+            return config_from_dict({"input_path": "a", "output_dir": "b",
+                                     "model_params": {"gbdt": {"n_estimators": n}}})
+
+        assert cfg(60).config_hash() == cfg(60.0).config_hash()
+        assert cfg(60).config_hash() != cfg(61).config_hash()
+
+    def test_config_hash_follows_a_changed_default(self, monkeypatch):
+        before = config_from_dict({"input_path": "a", "output_dir": "b"}).config_hash()
+        spec = pipeline.MODELS["gbdt"]
+        monkeypatch.setitem(pipeline.MODELS, "gbdt",
+                            spec._replace(defaults=dict(spec.defaults, learning_rate=0.1)))
+        after = config_from_dict({"input_path": "a", "output_dir": "b"}).config_hash()
+        assert after != before
+
     @pytest.mark.parametrize("params", [{"gbdt": {"n_estimators": "many"}},
                                         {"lstm": {"hidden": "8,4"}},
                                         {"sarimax": {"max_iter": None}}])
@@ -435,27 +451,14 @@ class TestExternalCoverage:
 
 
 class TestAtomicCsv:
-    def test_failed_plot_write_keeps_previous_file(self, trained, monkeypatch):
+    def test_failed_plot_write_keeps_previous_file(self, trained, monkeypatch, tear_csv_writes):
         cfg_path, ext_path, rows = trained
         write_rows(ext_path, rows)
         cfg = load_config(cfg_path)
         pipeline.cmd_evaluate(cfg)
         plots = cfg.resolved_output_dir() / "plots"
         before = (plots / "seasonal_naive.csv").read_bytes()
-        real_writer = csv.writer
-
-        class TornWriter:
-            def __init__(self, fh):
-                self.inner = real_writer(fh)
-                self.writerow = self.inner.writerow
-
-            def writerows(self, rows):
-                for i, row in enumerate(rows):
-                    if i == 10:
-                        raise OSError("disk full")
-                    self.inner.writerow(row)
-
-        monkeypatch.setattr(csv, "writer", TornWriter)
+        tear_csv_writes(11)  # the header and 10 rows
         with pytest.raises(OSError, match="disk full"):
             pipeline.cmd_evaluate(cfg)
         monkeypatch.undo()

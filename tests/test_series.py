@@ -255,6 +255,16 @@ class TestCsvCache:
         assert back.channel_names == series.channel_names
         np.testing.assert_array_equal(back.values, series.values)
 
+    def test_failed_write_keeps_previous_cache(self, tmp_path, tear_csv_writes):
+        path = tmp_path / "cache.csv"
+        series_to_csv(make_series(np.arange(6.0)), path)
+        before = path.read_bytes()
+        tear_csv_writes(3)
+        with pytest.raises(OSError, match="disk full"):
+            series_to_csv(make_series(np.arange(100.0, 200.0)), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["cache.csv"]
+
     def test_empty_cell_is_missing(self, tmp_path):
         path = tmp_path / "cache.csv"
         path.write_text("hour,Aggregate\n2013-10-07T00:00:00+00:00,\n", encoding="utf-8")
