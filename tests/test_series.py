@@ -1,11 +1,14 @@
+import hashlib
 import math
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loadcast import series as series_mod
 from loadcast.series import (
     ColumnSchema,
     IngestError,
@@ -20,6 +23,7 @@ from loadcast.series import (
     series_to_csv,
     unscale_array,
 )
+from loadcast.synth import regime_switching_series, write_meter_csv
 
 from conftest import make_series
 
@@ -70,6 +74,12 @@ class TestIngest:
         raw = ingest_csv(write_csv(tmp_path, "Unix,Aggregate\n0,-5\n8,100\n"), SCHEMA)
         assert math.isnan(raw.values[0, 0])
 
+    @pytest.mark.parametrize("ts", ["inf", "-inf", "1e30"])
+    def test_timestamp_outside_int64_names_line(self, tmp_path, ts):
+        path = write_csv(tmp_path, f"Unix,Aggregate\n0,5\n{ts},5\n")
+        with pytest.raises(IngestError, match=f"meter.csv: line 3: bad timestamp '{ts}'"):
+            ingest_csv(path, SCHEMA)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestError, match="cannot read"):
             ingest_csv(tmp_path / "nope.csv", SCHEMA)
@@ -78,6 +88,143 @@ class TestIngest:
         path = write_csv(tmp_path, "Time,Watts\n0,1\n")
         with pytest.raises(IngestError, match="missing column"):
             ingest_csv(path, SCHEMA)
+
+
+DIFF_SCHEMA = ColumnSchema("Unix", "Aggregate", ("Appliance1", "Appliance2"))
+
+# Cells numpy's reader and Python's float() both parse, spelled as meter
+# files and repr spell them.
+TIMESTAMP_CELLS = st.one_of(
+    st.integers(0, 40).map(str),  # few values: unsorted rows and duplicates
+    st.integers(-(2**62), 2**62).map(str),
+    st.floats(-1e12, 1e12).map(repr),
+)
+VALUE_CELLS = st.one_of(
+    st.just(""),  # a quarter of the cells are blank
+    st.floats(0, 5000).map(lambda v: f"{v:.3f}"),
+    st.floats().map(repr),  # nan, inf, -inf, -0.0, 1e+300, ...
+    st.sampled_from(["nan", "-NaN", "inf", "-Infinity", "-5", "-0.0", "1e-5", "+7", ".5"]),
+)
+TIME_CELLS = st.sampled_from(["2013-10-07 00:00:00", "x", ""])
+
+
+@st.composite
+def raw_csvs(draw):
+    """A raw meter CSV that numpy's reader parses exactly as the csv module
+    does, as (header, rows, line ending, trailing line ending)."""
+    header = draw(st.permutations(["Unix", "Aggregate", "Appliance1", "Appliance2"]
+                                  + (["Time"] if draw(st.booleans()) else [])))
+    cells = {"Unix": TIMESTAMP_CELLS, "Time": TIME_CELLS}
+    rows = draw(st.lists(st.tuples(*[cells.get(h, VALUE_CELLS) for h in header]).map(list),
+                         min_size=1, max_size=25))
+    return header, rows, draw(st.sampled_from(["\n", "\r\n"])), draw(st.booleans())
+
+
+def csv_text(header, rows, eol, trailing):
+    return eol.join(",".join(r) for r in [header, *rows]) + (eol if trailing else "")
+
+
+def ingest_both(path):
+    """(ingest_csv's outcome, the line parser's outcome, whether ingest_csv
+    fell back to it); an outcome is a RawSeries or an IngestError message."""
+
+    def outcome(parse):
+        try:
+            return parse(path, DIFF_SCHEMA)
+        except IngestError as exc:
+            return str(exc)
+
+    reference = outcome(series_mod._ingest_lines)
+    with mock.patch.object(series_mod, "_ingest_lines", wraps=series_mod._ingest_lines) as spy:
+        got = outcome(ingest_csv)
+    return got, reference, spy.called
+
+
+def assert_same_outcome(got, reference):
+    if isinstance(reference, str):
+        assert got == reference
+        return
+    assert not isinstance(got, str), got
+    for name in ("timestamps", "values"):
+        a, b = getattr(got, name), getattr(reference, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    assert got.channel_names == reference.channel_names
+
+
+class TestIngestFastPath:
+    """ingest_csv parses numbers in blocks with numpy and hands what numpy
+    could read differently to the line parser; both must agree bitwise."""
+
+    @given(raw_csvs())
+    @settings(max_examples=150, deadline=None)
+    def test_fast_path_equals_line_parser(self, tmp_path_factory, table):
+        path = tmp_path_factory.getbasetemp() / "fast.csv"
+        path.write_text(csv_text(*table), encoding="utf-8", newline="")
+        got, reference, fell_back = ingest_both(path)
+        assert not fell_back
+        assert_same_outcome(got, reference)
+
+    @given(raw_csvs(), st.sampled_from(["quote", "hash", "short", "underscore",
+                                        "whitespace row", "blank row"]),
+           st.integers(0, 24), st.integers(0, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_fallback_equals_line_parser(self, tmp_path_factory, table, kind, at, col):
+        header, rows, eol, trailing = table
+        row = rows[at % len(rows)]
+        col %= len(row)
+        if kind == "quote":
+            row[col] = f'"{row[col]}"'
+        elif kind == "hash":
+            row[col] += "#"
+        elif kind == "short":
+            row.pop()
+        elif kind == "underscore":  # in a column numpy reads: Time is never parsed
+            row[header.index("Aggregate") if header[col] == "Time" else col] = "1_000"
+        else:
+            rows.insert(at % len(rows), [" \t "] if kind == "whitespace row" else [""] * len(header))
+        path = tmp_path_factory.getbasetemp() / "fallback.csv"
+        path.write_text(csv_text(header, rows, eol, trailing), encoding="utf-8", newline="")
+        got, reference, fell_back = ingest_both(path)
+        assert fell_back
+        assert_same_outcome(got, reference)
+
+    def test_bad_value_past_the_first_block_names_its_line(self, tmp_path):
+        lines = ["Unix,Aggregate"] + [f"{t * 8},{t % 1000}.125" for t in range(40_000)]
+        lines[30_001] = "240000,1.5x"  # line 30002 of the file, past 512 KiB
+        path = write_csv(tmp_path, "\n".join(lines) + "\n")
+        assert path.stat().st_size > 2 * series_mod._BLOCK_CHARS
+        with pytest.raises(IngestError, match="line 30002: bad value '1.5x'"):
+            ingest_csv(path, SCHEMA)
+        with pytest.raises(IngestError, match="line 30002: bad value '1.5x'"):
+            series_mod._ingest_lines(path, SCHEMA)
+
+    def test_meter_file_never_takes_the_line_parser(self, tmp_path, monkeypatch):
+        """A silent fallback would lose the fast path without failing a test."""
+        hourly = regime_switching_series(24 * 21, noise=0.2, n_appliances=3, seed=4)
+        values = hourly.values.copy()
+        values[100:130, -1] = np.nan  # sub-meter blanks on the last channel
+        values[40:45, 2] = np.nan
+        values[300:320, :] = np.nan  # whole-meter outage: no rows at all
+        path = tmp_path / "meter.csv"
+        write_meter_csv(path, hourly.with_values(values), cadence_seconds=600)
+        schema = ColumnSchema(appliances=hourly.channel_names[1:])
+        reference = series_mod._ingest_lines(path, schema)
+
+        def no_line_parser(*args):
+            raise AssertionError("fell back to the line parser")
+
+        monkeypatch.setattr(series_mod, "_ingest_lines", no_line_parser)
+        raw = ingest_csv(path, schema)
+        assert_same_outcome(raw, reference)
+        assert np.isnan(raw.values[:, -1]).any()
+
+        resampled = resample_hourly(raw)
+        cache = tmp_path / "cache.csv"
+        series_to_csv(resampled, cache)
+        back = series_from_csv(cache)
+        assert np.isnan(back.values).any()
+        assert back.start == resampled.start
+        assert back.values.tobytes() == resampled.values.tobytes()
 
 
 class TestResample:
@@ -269,3 +416,35 @@ class TestCsvCache:
         path = tmp_path / "cache.csv"
         path.write_text("hour,Aggregate\n2013-10-07T00:00:00+00:00,\n", encoding="utf-8")
         assert math.isnan(series_from_csv(path).values[0, 0])
+
+    def test_header_only_is_empty_cache(self, tmp_path):
+        path = tmp_path / "cache.csv"
+        path.write_text("hour,Aggregate\n", encoding="utf-8")
+        with pytest.raises(SeriesError, match="empty hourly cache"):
+            series_from_csv(path)
+
+    @pytest.mark.parametrize("row", ["2013-10-07T01:00:00+00:00,1.0",  # ragged
+                                     "2013-10-07T01:00:00+00:00,abc,2.0",
+                                     "2013-10-07T01:00:00+00:00,1.0,2.0,3.0"])
+    def test_corrupt_cache_names_the_file(self, tmp_path, row):
+        path = tmp_path / "cache.csv"
+        path.write_text("hour,Aggregate,Appliance1\n2013-10-07T00:00:00+00:00,5.0,\n"
+                        f"{row}\n", encoding="utf-8")
+        with pytest.raises(SeriesError, match="cache.csv: corrupt hourly cache"):
+            series_from_csv(path)
+
+    def test_cache_bytes_pinned(self, tmp_path):
+        """The writer's bytes, pinned before it moved to tolist/repr; the row
+        of specials covers repr's exponent switch and 17-digit values."""
+        rng = np.random.default_rng(20131007)
+        values = rng.uniform(0.0, 3000.0, size=(48, 3))
+        values[rng.random(values.shape) < 0.15] = np.nan
+        values[0] = [-0.0, 1e-5, 1e17]
+        values[1] = [0.1 + 0.2, 1e16, 9999999999999998.0]
+        values[2] = np.nan
+        series = make_series(values, channel_names=("Aggregate", "Appliance1", "Appliance2"))
+        path = tmp_path / "cache.csv"
+        series_to_csv(series, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "7757796bf73ab1756e70bf9ea4c2b1e16bbbe0eb3cd1ab1022d5b5fcb198ecf5")
+        assert series_from_csv(path).values.tobytes() == series.values.tobytes()
