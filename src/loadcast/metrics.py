@@ -159,36 +159,29 @@ def _fmt(value: float | None, pattern: str) -> str:
     return "N/A" if value is None else pattern % value
 
 
+def _cells(row: ReportRow) -> list[str]:
+    """One report row's formatted cells, shared by the CSV and text tables."""
+    return [
+        row.model,
+        _fmt(row.rmse, "%.4f"),
+        _fmt(row.mae, "%.4f"),
+        _fmt(row.picp, "%.2f%%"),
+        _fmt(row.aqs, "%.4f"),
+    ]
+
+
 def report_to_csv(report: EvalReport) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["Model", "RMSE", "MAE", "PICP", "AQS"])
-    for row in report.rows:
-        writer.writerow(
-            [
-                row.model,
-                _fmt(row.rmse, "%.4f"),
-                _fmt(row.mae, "%.4f"),
-                _fmt(row.picp, "%.2f%%"),
-                _fmt(row.aqs, "%.4f"),
-            ]
-        )
+    writer.writerows(_cells(row) for row in report.rows)
     return buf.getvalue()
 
 
 def report_to_text(report: EvalReport) -> str:
     """Aligned-column table, one row per model."""
     header = ["Model", "RMSE", "MAE", "PICP (90%)", "Avg. Quantile Score"]
-    body = [
-        [
-            row.model,
-            _fmt(row.rmse, "%.4f"),
-            _fmt(row.mae, "%.4f"),
-            _fmt(row.picp, "%.2f%%"),
-            _fmt(row.aqs, "%.4f"),
-        ]
-        for row in report.rows
-    ]
+    body = [_cells(row) for row in report.rows]
     widths = [max(len(line[i]) for line in [header] + body) for i in range(len(header))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip()
              for line in [header] + body]

@@ -4,8 +4,12 @@ backpropagation through time and patience-based early stopping.
 
 Gate internals are the standard sigmoid/tanh equations; relu applies to a
 block's hidden states as they are handed to the next stage, not inside the
-recurrence. All math is float64 so analytic gradients can be checked
-against central finite differences tightly.
+recurrence. Each layer stores its four gates fused, as one input matrix,
+one recurrent matrix and one bias, so a step is one input and one recurrent
+GEMM; ``parameters()`` exposes per-gate views of them. Eval forwards that
+no backward pass follows keep no BPTT caches. All math is float64 so
+analytic gradients can be checked against central finite differences
+tightly.
 """
 
 from __future__ import annotations
@@ -35,30 +39,41 @@ class TrainingDiverged(RuntimeError):
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp of a non-positive argument only, so neither branch overflows
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
 
 
 @dataclass
 class LstmLayerParams:
-    """One layer's weights: per gate an input matrix W (n_in x n_hidden),
-    a recurrent matrix U (n_hidden x n_hidden) and a bias vector."""
+    """One layer's weights with the gates fused in ``GATES`` order: an input
+    matrix W (n_in x 4H), a recurrent matrix U (H x 4H) and a bias b (4H).
+    Gate k owns columns k*H:(k+1)*H of each."""
 
-    W: dict[str, np.ndarray]
-    U: dict[str, np.ndarray]
-    b: dict[str, np.ndarray]
+    W: np.ndarray
+    U: np.ndarray
+    b: np.ndarray
 
     @property
     def n_in(self) -> int:
-        return self.W["i"].shape[0]
+        return self.W.shape[0]
 
     @property
     def n_hidden(self) -> int:
-        return self.W["i"].shape[1]
+        return self.U.shape[0]
+
+
+def _gate_views(tag: str, W: np.ndarray, U: np.ndarray, b: np.ndarray) -> dict[str, np.ndarray]:
+    """Per-gate views ``{tag}.W_i``, ``{tag}.U_i``, ``{tag}.b_i``, ... of
+    fused arrays; names both a layer's parameters and their gradients."""
+    n = U.shape[0]
+    views: dict[str, np.ndarray] = {}
+    for k, gate in enumerate(GATES):
+        cols = slice(k * n, (k + 1) * n)
+        views[f"{tag}.W_{gate}"] = W[:, cols]
+        views[f"{tag}.U_{gate}"] = U[:, cols]
+        views[f"{tag}.b_{gate}"] = b[cols]
+    return views
 
 
 @dataclass
@@ -74,13 +89,8 @@ class QuantileLstmModel:
         """Flat name -> array view of every trainable tensor."""
         out: dict[str, np.ndarray] = {}
         for tag, layer in (("l1", self.layer1), ("l2", self.layer2)):
-            for gate in GATES:
-                out[f"{tag}.W_{gate}"] = layer.W[gate]
-                out[f"{tag}.U_{gate}"] = layer.U[gate]
-                out[f"{tag}.b_{gate}"] = layer.b[gate]
-        out["head.W"] = self.head_W
-        out["head.b"] = self.head_b
-        return out
+            out |= _gate_views(tag, layer.W, layer.U, layer.b)
+        return out | {"head.W": self.head_W, "head.b": self.head_b}
 
     @property
     def n_features(self) -> int:
@@ -89,10 +99,10 @@ class QuantileLstmModel:
 
 def _init_layer(n_in: int, n_hidden: int, rng: np.random.Generator) -> LstmLayerParams:
     scale = 1.0 / np.sqrt(n_hidden)
-    W = {g: rng.uniform(-scale, scale, size=(n_in, n_hidden)) for g in GATES}
-    U = {g: rng.uniform(-scale, scale, size=(n_hidden, n_hidden)) for g in GATES}
-    b = {g: np.zeros(n_hidden) for g in GATES}
-    b["f"] += 1.0  # open forget gates at the start
+    W = np.hstack([rng.uniform(-scale, scale, size=(n_in, n_hidden)) for _ in GATES])
+    U = np.hstack([rng.uniform(-scale, scale, size=(n_hidden, n_hidden)) for _ in GATES])
+    b = np.zeros(len(GATES) * n_hidden)
+    b[n_hidden : 2 * n_hidden] = 1.0  # open forget gates at the start
     return LstmLayerParams(W, U, b)
 
 
@@ -119,40 +129,45 @@ def init_model(
 
 def lstm_cell_forward(
     x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, params: LstmLayerParams
-) -> tuple[np.ndarray, np.ndarray, dict]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One step of the gated cell on a (batch, n_in) input.
 
-    i = sigmoid(x W_i + h U_i + b_i), f and o likewise, g = tanh(...);
-    c = f*c_prev + i*g; h = o*tanh(c).
+    [i f o g] = [sigmoid sigmoid sigmoid tanh](x W + h U + b);
+    c = f*c_prev + i*g; h = o*tanh(c). Returns (h, c, act), act being the
+    (batch, 4H) gate activations.
     """
-    gates = {
-        gate: x @ params.W[gate] + h_prev @ params.U[gate] + params.b[gate]
-        for gate in GATES
-    }
-    i = _sigmoid(gates["i"])
-    f = _sigmoid(gates["f"])
-    o = _sigmoid(gates["o"])
-    g = np.tanh(gates["g"])
+    act = x @ params.W + h_prev @ params.U + params.b
+    n = params.n_hidden
+    act[:, : 3 * n] = _sigmoid(act[:, : 3 * n])
+    act[:, 3 * n :] = np.tanh(act[:, 3 * n :])
+    i, f, o, g = np.split(act, len(GATES), axis=1)
     c = f * c_prev + i * g
-    tc = np.tanh(c)
-    h = o * tc
-    cache = {"x": x, "h_prev": h_prev, "c_prev": c_prev, "i": i, "f": f, "o": o,
-             "g": g, "c": c, "tanh_c": tc}
-    return h, c, cache
+    h = o * np.tanh(c)
+    return h, c, act
 
 
-def _layer_forward(layer: LstmLayerParams, X: np.ndarray) -> tuple[np.ndarray, list[dict]]:
-    """Run a layer over a (batch, T, n_in) sequence, returning all hidden states."""
+def _layer_forward(
+    layer: LstmLayerParams, X: np.ndarray, keep_caches: bool
+) -> tuple[np.ndarray, dict | None]:
+    """Run a layer over a (batch, T, n_in) sequence, returning all hidden
+    states and, if asked, the stacked BPTT caches: the input X, hidden
+    states H, cell states C (batch, T, H) and gate activations act
+    (batch, T, 4H)."""
     batch, T, _ = X.shape
-    h = np.zeros((batch, layer.n_hidden))
-    c = np.zeros((batch, layer.n_hidden))
-    H = np.empty((batch, T, layer.n_hidden))
-    caches = []
+    n = layer.n_hidden
+    h = np.zeros((batch, n))
+    c = np.zeros((batch, n))
+    H = np.empty((batch, T, n))
+    if keep_caches:
+        C = np.empty((batch, T, n))
+        acts = np.empty((batch, T, len(GATES) * n))
     for t in range(T):
-        h, c, cache = lstm_cell_forward(X[:, t, :], h, c, layer)
+        h, c, act = lstm_cell_forward(X[:, t, :], h, c, layer)
         H[:, t, :] = h
-        caches.append(cache)
-    return H, caches
+        if keep_caches:
+            C[:, t, :] = c
+            acts[:, t, :] = act
+    return H, ({"X": X, "H": H, "C": C, "act": acts} if keep_caches else None)
 
 
 def forward(
@@ -160,13 +175,16 @@ def forward(
     windows: np.ndarray,
     train_mode: bool = False,
     dropout_seed: int | None = None,
-) -> tuple[np.ndarray, dict]:
+    keep_caches: bool = True,
+) -> tuple[np.ndarray, dict | None]:
     """Full forward pass on (batch, T, n_features) windows.
 
     Layer 1 runs over every step; its activated per-step outputs pass
     through dropout (train mode only, inverted scaling), then layer 2; the
     head reads layer 2's final activated (and, in train mode, dropped-out)
-    hidden state. Eval mode is deterministic.
+    hidden state. Eval mode is deterministic. With ``keep_caches=False``
+    the caches for ``backward`` are not kept and None is returned in
+    their place; q is unchanged.
     """
     if windows.ndim == 2:
         windows = windows[None, :, :]
@@ -174,7 +192,6 @@ def forward(
         raise NeuralModelError(
             f"window has {windows.shape[2]} features, model expects {model.n_features}"
         )
-    batch, T, _ = windows.shape
     use_dropout = train_mode and model.dropout_rate > 0.0
     if use_dropout:
         if dropout_seed is None:
@@ -182,30 +199,22 @@ def forward(
         rng = np.random.default_rng(dropout_seed)
         keep = 1.0 - model.dropout_rate
 
-    H1, caches1 = _layer_forward(model.layer1, windows)
+    H1, cache1 = _layer_forward(model.layer1, windows, keep_caches)
     A1 = np.maximum(H1, 0.0)
-    if use_dropout:
-        mask1 = (rng.random(A1.shape) < keep) / keep
-    else:
-        mask1 = None
+    mask1 = (rng.random(A1.shape) < keep) / keep if use_dropout else None
     D1 = A1 * mask1 if mask1 is not None else A1
 
-    H2, caches2 = _layer_forward(model.layer2, D1)
+    H2, cache2 = _layer_forward(model.layer2, D1, keep_caches)
     h2_last = H2[:, -1, :]
     A2 = np.maximum(h2_last, 0.0)
-    if use_dropout:
-        mask2 = (rng.random(A2.shape) < keep) / keep
-    else:
-        mask2 = None
+    mask2 = (rng.random(A2.shape) < keep) / keep if use_dropout else None
     D2 = A2 * mask2 if mask2 is not None else A2
 
     q = D2 @ model.head_W + model.head_b
-    caches = {
-        "windows": windows, "H1": H1, "caches1": caches1, "mask1": mask1,
-        "D1": D1, "H2": H2, "caches2": caches2, "h2_last": h2_last,
-        "mask2": mask2, "D2": D2,
-    }
-    return q, caches
+    if not keep_caches:
+        return q, None
+    return q, {"layer1": cache1, "mask1": mask1, "layer2": cache2,
+               "h2_last": h2_last, "mask2": mask2, "D2": D2}
 
 
 # ---------------------------------------------------------------------------
@@ -214,48 +223,36 @@ def forward(
 
 
 def _layer_backward(
-    layer: LstmLayerParams, caches: list[dict], dH: np.ndarray
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    layer: LstmLayerParams, cache: dict, dH: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """BPTT through one layer. dH is (batch, T, n_hidden) upstream gradient
-    on every hidden state; returns (dX, parameter gradients)."""
-    batch, T, _ = dH.shape
-    grads = {f"W_{g}": np.zeros_like(layer.W[g]) for g in GATES}
-    grads |= {f"U_{g}": np.zeros_like(layer.U[g]) for g in GATES}
-    grads |= {f"b_{g}": np.zeros_like(layer.b[g]) for g in GATES}
-    dX = np.empty((batch, T, layer.n_in))
-
-    dh_next = np.zeros((batch, layer.n_hidden))
-    dc_next = np.zeros((batch, layer.n_hidden))
+    on every hidden state; returns the (batch, T, 4H) gradient dZ of the
+    gate pre-activations and the fused parameter gradients (dW, dU, db)."""
+    X, H, C, acts = cache["X"], cache["H"], cache["C"], cache["act"]
+    batch, T, n = dH.shape
+    dZ = np.empty_like(acts)
+    UT = layer.U.T
+    dh_next = np.zeros((batch, n))
+    dc_next = np.zeros((batch, n))
     for t in range(T - 1, -1, -1):
-        cache = caches[t]
+        i, f, o, g = np.split(acts[:, t, :], len(GATES), axis=1)
+        dz_i, dz_f, dz_o, dz_g = np.split(dZ[:, t, :], len(GATES), axis=1)
+        tc = np.tanh(C[:, t, :])
+        c_prev = C[:, t - 1, :] if t else 0.0  # c_{-1} = 0
         dh = dH[:, t, :] + dh_next
-        i, f, o, g = cache["i"], cache["f"], cache["o"], cache["g"]
-        tc = cache["tanh_c"]
-        do = dh * tc
         dc = dh * o * (1.0 - tc**2) + dc_next
-        df = dc * cache["c_prev"]
-        di = dc * g
-        dg = dc * i
+        dz_i[...] = dc * g * i * (1.0 - i)
+        dz_f[...] = dc * c_prev * f * (1.0 - f)
+        dz_o[...] = dh * tc * o * (1.0 - o)
+        dz_g[...] = dc * i * (1.0 - g**2)
         dc_next = dc * f
-        da = {
-            "i": di * i * (1.0 - i),
-            "f": df * f * (1.0 - f),
-            "o": do * o * (1.0 - o),
-            "g": dg * (1.0 - g**2),
-        }
-        x = cache["x"]
-        h_prev = cache["h_prev"]
-        dx = np.zeros((batch, layer.n_in))
-        dh_prev = np.zeros((batch, layer.n_hidden))
-        for gate in GATES:
-            grads[f"W_{gate}"] += x.T @ da[gate]
-            grads[f"U_{gate}"] += h_prev.T @ da[gate]
-            grads[f"b_{gate}"] += da[gate].sum(axis=0)
-            dx += da[gate] @ layer.W[gate].T
-            dh_prev += da[gate] @ layer.U[gate].T
-        dX[:, t, :] = dx
-        dh_next = dh_prev
-    return dX, grads
+        dh_next = dZ[:, t, :] @ UT
+    dZ_flat = dZ.reshape(batch * T, -1)
+    dW = X.reshape(batch * T, -1).T @ dZ_flat
+    # step t's recurrent input is h_{t-1}; h_{-1} = 0 adds nothing to dU
+    dU = H[:, :-1, :].reshape(-1, n).T @ dZ[:, 1:, :].reshape(-1, dZ.shape[2])
+    db = dZ_flat.sum(axis=0)
+    return dZ, dW, dU, db
 
 
 def backward(
@@ -265,28 +262,25 @@ def backward(
 
     Replays the dropout masks and relu gating recorded by the
     matching forward pass; relu takes subgradient 0 at exactly zero.
+    Gate gradients are per-gate views of fused arrays.
     """
     D2 = caches["D2"]
-    grads: dict[str, np.ndarray] = {
-        "head.W": D2.T @ dq,
-        "head.b": dq.sum(axis=0),
-    }
+    grads = {"head.W": D2.T @ dq, "head.b": dq.sum(axis=0)}
     dD2 = dq @ model.head_W.T
     dA2 = dD2 * caches["mask2"] if caches["mask2"] is not None else dD2
     dh2_last = dA2 * (caches["h2_last"] > 0)
 
-    dH2 = np.zeros_like(caches["H2"])
+    cache1, cache2 = caches["layer1"], caches["layer2"]
+    dH2 = np.zeros_like(cache2["H"])
     dH2[:, -1, :] = dh2_last
-    dD1, grads2 = _layer_backward(model.layer2, caches["caches2"], dH2)
+    dZ2, *fused2 = _layer_backward(model.layer2, cache2, dH2)
+    # layer 2's input gradient; layer 1's own input gradient is never needed
+    D1 = cache2["X"]
+    dD1 = (dZ2.reshape(-1, dZ2.shape[2]) @ model.layer2.W.T).reshape(D1.shape)
     dA1 = dD1 * caches["mask1"] if caches["mask1"] is not None else dD1
-    dH1 = dA1 * (caches["H1"] > 0)
-    _, grads1 = _layer_backward(model.layer1, caches["caches1"], dH1)
-
-    for name, g in grads1.items():
-        grads[f"l1.{name}"] = g
-    for name, g in grads2.items():
-        grads[f"l2.{name}"] = g
-    return grads
+    dH1 = dA1 * (cache1["H"] > 0)
+    _, *fused1 = _layer_backward(model.layer1, cache1, dH1)
+    return grads | _gate_views("l1", *fused1) | _gate_views("l2", *fused2)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +360,7 @@ class TrainHistory:
 
 
 def _epoch_loss(model: QuantileLstmModel, tensors: WindowTensor) -> float:
-    q, _ = forward(model, tensors.data, train_mode=False)
+    q, _ = forward(model, tensors.data, train_mode=False, keep_caches=False)
     loss, _ = quantile_loss_and_grad(q, tensors.targets[:, 0])
     return loss
 
@@ -440,7 +434,7 @@ def predict_quantiles(
 ) -> ForecastDistribution:
     """Eval-mode forward, inverse min-max scaling back to watts, and
     non-crossing repair by per-row sorting."""
-    q, _ = forward(model, tensors.data, train_mode=False)
+    q, _ = forward(model, tensors.data, train_mode=False, keep_caches=False)
     if scaler is not None:
         ch = (
             scaler.channel_names.index(target_channel)

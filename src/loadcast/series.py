@@ -51,10 +51,13 @@ def replace_on_success(path, mode: str = "w"):
         tmp.unlink(missing_ok=True)
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(arr)
-    out.setflags(write=False)
-    return out
+def _freeze(obj, *fields: str) -> None:
+    """Store each named array field of a frozen dataclass as a read-only,
+    C-contiguous array (a copy if the given array was not contiguous)."""
+    for name in fields:
+        arr = np.ascontiguousarray(getattr(obj, name))
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
 
 
 @dataclass(frozen=True)
@@ -96,8 +99,7 @@ class RawSeries:
             raise ValueError("timestamps and values length mismatch")
         if len(self.timestamps) > 1 and not np.all(np.diff(self.timestamps) > 0):
             raise ValueError("timestamps must be strictly increasing")
-        _freeze(self.timestamps)
-        _freeze(self.values)
+        _freeze(self, "timestamps", "values")
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -125,7 +127,7 @@ class HourlySeries:
             raise ValueError("start must be aligned to an hour boundary")
         if self.values.ndim != 2 or self.values.shape[1] != len(self.channel_names):
             raise ValueError("values shape does not match channel_names")
-        _freeze(self.values)
+        _freeze(self, "values")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -175,8 +177,7 @@ class ScalerParams:
     def __post_init__(self) -> None:
         if np.any(self.maxs < self.mins):
             raise ValueError("max must be >= min for every channel")
-        _freeze(self.mins)
-        _freeze(self.maxs)
+        _freeze(self, "mins", "maxs")
 
 
 @dataclass(frozen=True)

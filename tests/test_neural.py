@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from loadcast.features import WindowTensor
 from loadcast.metrics import pinball_loss
 from loadcast.neural import (
+    GATES,
     AdamState,
     NeuralModelError,
     TrainConfig,
@@ -105,6 +107,119 @@ def max_relative_error(model, windows, y, train_mode=False, seed=None, step=1e-5
     return worst
 
 
+# ---------------------------------------------------------------------------
+# Per-gate reference: the cell and BPTT written one gate at a time, with one
+# GEMM per gate and a cache dict per step, as they were before the gates were
+# fused. The fused kernel must reproduce it to rounding.
+# ---------------------------------------------------------------------------
+
+
+def reference_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def reference_init(n_features, hidden, seed):
+    """init_model's draws made one gate at a time, in the same order."""
+    rng = np.random.default_rng(seed)
+    params = {}
+    for tag, n_in, n in (("l1", n_features, hidden[0]), ("l2", hidden[0], hidden[1])):
+        scale = 1.0 / np.sqrt(n)
+        for kind, rows in (("W", n_in), ("U", n)):
+            for gate in GATES:
+                params[f"{tag}.{kind}_{gate}"] = rng.uniform(-scale, scale, size=(rows, n))
+        for gate in GATES:
+            params[f"{tag}.b_{gate}"] = np.full(n, 1.0 if gate == "f" else 0.0)
+    scale = 1.0 / np.sqrt(hidden[1])
+    params["head.W"] = rng.uniform(-scale, scale, size=(hidden[1], 3))
+    params["head.b"] = np.zeros(3)
+    return params
+
+
+def reference_layer_forward(params, tag, X):
+    W, U, b = ({g: params[f"{tag}.{kind}_{g}"] for g in GATES} for kind in "WUb")
+    batch, T, _ = X.shape
+    n = U["i"].shape[0]
+    h = np.zeros((batch, n))
+    c = np.zeros((batch, n))
+    H = np.empty((batch, T, n))
+    caches = []
+    for t in range(T):
+        x = X[:, t, :]
+        z = {g: x @ W[g] + h @ U[g] + b[g] for g in GATES}
+        i, f, o = (reference_sigmoid(z[g]) for g in "ifo")
+        g = np.tanh(z["g"])
+        cache = {"x": x, "h_prev": h, "c_prev": c, "i": i, "f": f, "o": o, "g": g}
+        c = f * c + i * g
+        cache["tanh_c"] = np.tanh(c)
+        h = o * cache["tanh_c"]
+        H[:, t, :] = h
+        caches.append(cache)
+    return H, caches
+
+
+def reference_layer_backward(params, tag, caches, dH):
+    W, U = ({g: params[f"{tag}.{kind}_{g}"] for g in GATES} for kind in "WU")
+    batch, T, n = dH.shape
+    grads = {f"{tag}.{kind}_{g}": np.zeros_like(params[f"{tag}.{kind}_{g}"])
+             for kind in "WUb" for g in GATES}
+    dX = np.empty((batch, T, W["i"].shape[0]))
+    dh_next = np.zeros((batch, n))
+    dc_next = np.zeros((batch, n))
+    for t in range(T - 1, -1, -1):
+        cache = caches[t]
+        dh = dH[:, t, :] + dh_next
+        i, f, o, g, tc = (cache[k] for k in ("i", "f", "o", "g", "tanh_c"))
+        dc = dh * o * (1.0 - tc**2) + dc_next
+        da = {
+            "i": dc * g * i * (1.0 - i),
+            "f": dc * cache["c_prev"] * f * (1.0 - f),
+            "o": dh * tc * o * (1.0 - o),
+            "g": dc * i * (1.0 - g**2),
+        }
+        dc_next = dc * f
+        dX[:, t, :] = 0.0
+        dh_next = np.zeros((batch, n))
+        for gate in GATES:
+            grads[f"{tag}.W_{gate}"] += cache["x"].T @ da[gate]
+            grads[f"{tag}.U_{gate}"] += cache["h_prev"].T @ da[gate]
+            grads[f"{tag}.b_{gate}"] += da[gate].sum(axis=0)
+            dX[:, t, :] += da[gate] @ W[gate].T
+            dh_next += da[gate] @ U[gate].T
+    return dX, grads
+
+
+def reference_forward_backward(model, windows, y, train_mode=False, seed=None):
+    """(q, named gradients) of the per-gate kernel, with forward's dropout draws."""
+    params = {k: v.copy() for k, v in model.parameters().items()}
+    keep = 1.0 - model.dropout_rate
+    rng = np.random.default_rng(seed)
+
+    def mask(shape):
+        return (rng.random(shape) < keep) / keep if train_mode else np.ones(shape)
+
+    H1, caches1 = reference_layer_forward(params, "l1", windows)
+    mask1 = mask(H1.shape)
+    D1 = np.maximum(H1, 0.0) * mask1
+    H2, caches2 = reference_layer_forward(params, "l2", D1)
+    h2_last = H2[:, -1, :]
+    mask2 = mask(h2_last.shape)
+    D2 = np.maximum(h2_last, 0.0) * mask2
+    q = D2 @ params["head.W"] + params["head.b"]
+    _, dq = quantile_loss_and_grad(q, y)
+
+    grads = {"head.W": D2.T @ dq, "head.b": dq.sum(axis=0)}
+    dH2 = np.zeros_like(H2)
+    dH2[:, -1, :] = dq @ params["head.W"].T * mask2 * (h2_last > 0)
+    dD1, grads2 = reference_layer_backward(params, "l2", caches2, dH2)
+    _, grads1 = reference_layer_backward(params, "l1", caches1, dD1 * mask1 * (H1 > 0))
+    return q, grads | grads1 | grads2
+
+
 class TestCellForward:
     def test_all_zero_parameters_hand_oracle(self):
         model = zeroed_model()
@@ -117,8 +232,9 @@ class TestCellForward:
 
     def test_gate_saturation_preserves_cell(self):
         model = zeroed_model()
-        model.layer1.b["f"][...] = 40.0   # forget gate ~ 1
-        model.layer1.b["i"][...] = -40.0  # input gate ~ 0
+        params = model.parameters()
+        params["l1.b_f"][...] = 40.0   # forget gate ~ 1
+        params["l1.b_i"][...] = -40.0  # input gate ~ 0
         c_prev = np.array([[0.7, -1.2, 0.3, 2.0]])
         _, c, _ = lstm_cell_forward(np.ones((1, 3)), np.zeros((1, 4)), c_prev, model.layer1)
         np.testing.assert_allclose(c, c_prev, rtol=1e-12)
@@ -203,6 +319,75 @@ class TestBackward:
         assert (grads["head.W"][:, 1] == 0.0).all()
         assert grads["head.b"][1] == 0.0
         assert (grads["head.W"][:, 0] != 0.0).any()
+
+
+def assert_close_to_rounding(got, want, name, rtol=1e-12):
+    """Largest elementwise difference within ``rtol`` of the array's scale."""
+    assert got.shape == want.shape, name
+    scale = np.abs(want).max()
+    assert np.abs(got - want).max() <= rtol * scale, name
+
+
+class TestFusedKernel:
+    PAPER = dict(n_features=17, hidden=(100, 50), dropout_rate=0.2)
+
+    def paper_batch(self, seed):
+        rng = np.random.default_rng(seed)
+        return rng.uniform(size=(64, 48, 17)), rng.uniform(size=64)
+
+    def test_init_draws_bitwise_per_gate_order(self):
+        model = init_model(**self.PAPER, seed=40)
+        want = reference_init(17, (100, 50), seed=40)
+        got = model.parameters()
+        assert sorted(got) == sorted(want)
+        for name, arr in want.items():
+            assert got[name].tobytes() == arr.tobytes(), name
+
+    @pytest.mark.parametrize("train_mode", [False, True], ids=["eval", "dropout"])
+    def test_matches_per_gate_reference(self, train_mode):
+        model = init_model(**self.PAPER, seed=41)
+        windows, y = self.paper_batch(41)
+        want_q, want_grads = reference_forward_backward(model, windows, y, train_mode, seed=7)
+        q, caches = forward(model, windows, train_mode=train_mode, dropout_seed=7)
+        _, dq = quantile_loss_and_grad(q, y)
+        grads = backward(model, caches, dq)
+        assert_close_to_rounding(q, want_q, "q")
+        assert sorted(grads) == sorted(want_grads) == sorted(model.parameters())
+        for name, g in grads.items():
+            assert_close_to_rounding(g, want_grads[name], name)
+
+    @pytest.mark.parametrize("train_mode", [False, True], ids=["eval", "dropout"])
+    def test_cache_free_forward_same_q(self, train_mode):
+        model = init_model(**self.PAPER, seed=42)
+        windows, _ = self.paper_batch(42)
+        q, caches = forward(model, windows, train_mode=train_mode, dropout_seed=8)
+        q_free, none = forward(model, windows, train_mode=train_mode, dropout_seed=8,
+                               keep_caches=False)
+        assert caches is not None and none is None
+        assert q_free.tobytes() == q.tobytes()
+
+    def test_sigmoid_bitwise_equal_to_masked_form(self):
+        x = np.concatenate([
+            [-np.inf, -800.0, -40.0, -1e-300, -0.0, 0.0, 1e-300, 40.0, 800.0, np.inf, np.nan],
+            np.random.default_rng(43).normal(0.0, 20.0, 10_000),
+        ])
+        got, want = neural_module._sigmoid(x), reference_sigmoid(x)
+        assert np.isnan(got[10]) and np.isnan(want[10])  # a NaN's sign bit carries nothing
+        assert np.delete(got, 10).tobytes() == np.delete(want, 10).tobytes()
+
+    def test_gate_parameters_are_views_of_fused_arrays(self):
+        model = tiny_model(seed=44)
+        n = model.layer1.n_hidden
+        before = model.layer1.b.copy()
+        model.parameters()["l1.b_f"][...] = 7.0  # Adam updates these in place
+        np.testing.assert_array_equal(model.layer1.b[n : 2 * n], 7.0)
+        np.testing.assert_array_equal(np.delete(model.layer1.b, np.s_[n : 2 * n]),
+                                      np.delete(before, np.s_[n : 2 * n]))
+        layers = {"l1": model.layer1, "l2": model.layer2}
+        for name, arr in model.parameters().items():
+            tag, kind = name.split(".")
+            if tag in layers:  # kind is W_i, U_f, b_o, ...
+                assert np.shares_memory(arr, getattr(layers[tag], kind[0])), name
 
 
 class TestAdam:
@@ -326,6 +511,17 @@ class TestCheckpoint:
         assert loaded_scaler.channel_names == ("a", "b")
         windows = np.random.default_rng(30).uniform(size=(2, 5, 3))
         np.testing.assert_array_equal(forward(clone, windows)[0], forward(model, windows)[0])
+
+    def test_layout_bytes_pinned(self, tmp_path):
+        """The fused storage writes the per-gate checkpoint of earlier releases
+        byte for byte."""
+        save_checkpoint(init_model(17, (100, 50), seed=5), str(tmp_path / "lstm"))
+        digests = {ext: hashlib.sha256((tmp_path / f"lstm.{ext}").read_bytes()).hexdigest()
+                   for ext in ("bin", "json")}
+        assert digests == {
+            "bin": "ff67631ce0b568abbc36f9bfe7389fb9002ec3a4b528d547c43773658bf7694b",
+            "json": "d92744c0a496b89d3e90a6468ae292758e3117fc66701749c9f3914e77132714",
+        }
 
     @pytest.mark.parametrize("key, value", [("quantiles", [0.1, 0.5, 0.9]),
                                             ("output_activation", "linear")])

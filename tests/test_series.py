@@ -11,7 +11,10 @@ from hypothesis import strategies as st
 from loadcast import series as series_mod
 from loadcast.series import (
     ColumnSchema,
+    HourlySeries,
     IngestError,
+    RawSeries,
+    ScalerParams,
     SeriesError,
     chronological_split,
     detect_gaps,
@@ -25,7 +28,7 @@ from loadcast.series import (
 )
 from loadcast.synth import regime_switching_series, write_meter_csv
 
-from conftest import make_series
+from conftest import MONDAY, make_series
 
 SCHEMA = ColumnSchema(timestamp="Unix", aggregate="Aggregate", appliances=())
 
@@ -225,6 +228,22 @@ class TestIngestFastPath:
         assert np.isnan(back.values).any()
         assert back.start == resampled.start
         assert back.values.tobytes() == resampled.values.tobytes()
+
+
+@pytest.mark.parametrize("build, fields", [
+    (lambda b: RawSeries(np.arange(8)[::2], b[:, 1:], ("a", "b")), ("timestamps", "values")),
+    (lambda b: HourlySeries(MONDAY, b[:, 1:], ("a", "b")), ("values",)),
+    (lambda b: ScalerParams(b[:, 0], b[:, 1], ("a", "b", "c", "d")), ("mins", "maxs")),
+], ids=["RawSeries", "HourlySeries", "ScalerParams"])
+def test_array_fields_read_only_when_built_from_strided_views(build, fields):
+    base = np.arange(12.0).reshape(4, 3)
+    frozen = build(base)
+    for name in fields:
+        arr = getattr(frozen, name)
+        assert arr.flags.c_contiguous and not arr.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = -1
+    np.testing.assert_array_equal(base, np.arange(12.0).reshape(4, 3))
 
 
 class TestResample:
