@@ -6,10 +6,17 @@ Gate internals are the standard sigmoid/tanh equations; relu applies to a
 block's hidden states as they are handed to the next stage, not inside the
 recurrence. Each layer stores its four gates fused, as one input matrix,
 one recurrent matrix and one bias, so a step is one input and one recurrent
-GEMM; ``parameters()`` exposes per-gate views of them. Eval forwards that
-no backward pass follows keep no BPTT caches. All math is float64 so
-analytic gradients can be checked against central finite differences
-tightly.
+GEMM; ``parameters()`` exposes per-gate views of them. A training forward
+projects every step's input in one GEMM before the recurrence; eval
+forwards that no backward pass follows keep no BPTT caches and project one
+step at a time, and the second layer keeps only its last hidden state.
+
+Every kernel runs in the dtype of the model's parameters. ``init_model``
+defaults to float64, in which analytic gradients are checked against
+central finite differences tightly; the pipeline trains and predicts in
+float32, which halves the kernels' time. Dropout draws, the pinball loss
+sum and the checkpoint body stay float64, and ``predict_quantiles``
+returns float64 watts.
 """
 
 from __future__ import annotations
@@ -38,10 +45,16 @@ class TrainingDiverged(RuntimeError):
     """Training produced a non-finite loss."""
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # exp of a non-positive argument only, so neither branch overflows
     ex = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
+    # numerator 1 where x >= 0, else ex: blended arithmetically, which gives
+    # np.where's bits without its per-element branch
+    pos = (x >= 0).astype(ex.dtype)
+    num = (1.0 - pos) * ex
+    num += pos
+    ex += 1.0
+    return np.divide(num, ex, out=out)
 
 
 @dataclass
@@ -96,14 +109,19 @@ class QuantileLstmModel:
     def n_features(self) -> int:
         return self.layer1.n_in
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of every parameter, and so of every kernel's arithmetic."""
+        return self.head_W.dtype
 
-def _init_layer(n_in: int, n_hidden: int, rng: np.random.Generator) -> LstmLayerParams:
+
+def _init_layer(n_in: int, n_hidden: int, rng: np.random.Generator, dtype) -> LstmLayerParams:
     scale = 1.0 / np.sqrt(n_hidden)
     W = np.hstack([rng.uniform(-scale, scale, size=(n_in, n_hidden)) for _ in GATES])
     U = np.hstack([rng.uniform(-scale, scale, size=(n_hidden, n_hidden)) for _ in GATES])
     b = np.zeros(len(GATES) * n_hidden)
     b[n_hidden : 2 * n_hidden] = 1.0  # open forget gates at the start
-    return LstmLayerParams(W, U, b)
+    return LstmLayerParams(*(a.astype(dtype, copy=False) for a in (W, U, b)))
 
 
 def init_model(
@@ -111,15 +129,23 @@ def init_model(
     hidden: tuple[int, int] = (100, 50),
     dropout_rate: float = 0.2,
     seed: int = 0,
+    dtype=np.float64,
 ) -> QuantileLstmModel:
-    """Fresh model, weights uniform in +-1/sqrt(n_hidden), forget bias +1."""
+    """Fresh model, weights uniform in +-1/sqrt(n_hidden), forget bias +1.
+
+    The draws are float64 whatever ``dtype`` is, so a float32 model holds
+    the float64 model's weights rounded to float32."""
+    dtype = np.dtype(dtype)
+    if dtype not in (np.float32, np.float64):
+        raise NeuralModelError(f"unsupported parameter dtype {dtype}")
     rng = np.random.default_rng(seed)
-    layer1 = _init_layer(n_features, hidden[0], rng)
-    layer2 = _init_layer(hidden[0], hidden[1], rng)
+    layer1 = _init_layer(n_features, hidden[0], rng, dtype)
+    layer2 = _init_layer(hidden[0], hidden[1], rng, dtype)
     scale = 1.0 / np.sqrt(hidden[1])
     head_W = rng.uniform(-scale, scale, size=(hidden[1], len(QUANTILE_LEVELS)))
     head_b = np.zeros(len(QUANTILE_LEVELS))
-    return QuantileLstmModel(layer1, layer2, head_W, head_b, dropout_rate, seed)
+    return QuantileLstmModel(layer1, layer2, head_W.astype(dtype, copy=False),
+                             head_b.astype(dtype, copy=False), dropout_rate, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -127,47 +153,69 @@ def init_model(
 # ---------------------------------------------------------------------------
 
 
-def lstm_cell_forward(
-    x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, params: LstmLayerParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One step of the gated cell on a (batch, n_in) input.
+def _gates(act: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """Views of the i, f, o, g blocks along the last axis of a fused array."""
+    return tuple(act[..., k * n : (k + 1) * n] for k in range(len(GATES)))
 
-    [i f o g] = [sigmoid sigmoid sigmoid tanh](x W + h U + b);
-    c = f*c_prev + i*g; h = o*tanh(c). Returns (h, c, act), act being the
-    (batch, 4H) gate activations.
-    """
-    act = x @ params.W + h_prev @ params.U + params.b
-    n = params.n_hidden
-    act[:, : 3 * n] = _sigmoid(act[:, : 3 * n])
-    act[:, 3 * n :] = np.tanh(act[:, 3 * n :])
-    i, f, o, g = np.split(act, len(GATES), axis=1)
-    c = f * c_prev + i * g
-    h = o * np.tanh(c)
-    return h, c, act
+
+def _cell(
+    act: np.ndarray, c_prev: np.ndarray | None, c: np.ndarray, tc: np.ndarray, h: np.ndarray
+) -> None:
+    """One step of the gated cell on (batch, 4H) pre-activations, which are
+    activated in place: [i f o g] = [sigmoid sigmoid sigmoid tanh](act);
+    c = f*c_prev + i*g, tc = tanh(c) and h = o*tc are written into the
+    given (batch, H) arrays. ``c_prev`` None stands for c_{-1} = 0; it may
+    be ``c`` itself."""
+    n = h.shape[1]
+    _sigmoid(act[:, : 3 * n], out=act[:, : 3 * n])
+    np.tanh(act[:, 3 * n :], out=act[:, 3 * n :])
+    i, f, o, g = _gates(act, n)
+    if c_prev is None:
+        np.multiply(i, g, out=c)
+    else:
+        np.multiply(f, c_prev, out=c)
+        c += i * g
+    np.tanh(c, out=tc)
+    np.multiply(o, tc, out=h)
 
 
 def _layer_forward(
-    layer: LstmLayerParams, X: np.ndarray, keep_caches: bool
-) -> tuple[np.ndarray, dict | None]:
-    """Run a layer over a (batch, T, n_in) sequence, returning all hidden
-    states and, if asked, the stacked BPTT caches: the input X, hidden
-    states H, cell states C (batch, T, H) and gate activations act
-    (batch, T, 4H)."""
-    batch, T, _ = X.shape
+    layer: LstmLayerParams, X: np.ndarray, keep_caches: bool, all_states: bool = True
+) -> tuple[np.ndarray | None, np.ndarray, dict | None]:
+    """Run a layer over a (batch, T, n_in) sequence.
+
+    Returns the hidden states H (batch, T, H), the last hidden state and,
+    with ``keep_caches``, the stacked BPTT caches: the input X, H, cell
+    states C, tanh(C) and the gate activations act (batch, T, 4H). The
+    caching pass projects every step's input in one GEMM into act, so a
+    step adds only h U; a cache-free pass projects one step at a time and,
+    with ``all_states`` false, keeps no H (None is returned)."""
+    batch, T, n_in = X.shape
     n = layer.n_hidden
-    h = np.zeros((batch, n))
-    c = np.zeros((batch, n))
-    H = np.empty((batch, T, n))
+    H = np.empty((batch, T, n), layer.W.dtype) if keep_caches or all_states else None
     if keep_caches:
-        C = np.empty((batch, T, n))
-        acts = np.empty((batch, T, len(GATES) * n))
+        acts = (X.reshape(batch * T, n_in) @ layer.W).reshape(batch, T, -1)
+        acts += layer.b
+        C, TC = np.empty_like(H), np.empty_like(H)
+    else:
+        c, tc = np.empty((2, batch, n), layer.W.dtype)
+        h = np.empty_like(c) if H is None else None
     for t in range(T):
-        h, c, act = lstm_cell_forward(X[:, t, :], h, c, layer)
-        H[:, t, :] = h
-        if keep_caches:
-            C[:, t, :] = c
-            acts[:, t, :] = act
-    return H, ({"X": X, "H": H, "C": C, "act": acts} if keep_caches else None)
+        if keep_caches:  # the step's input projection is already in act
+            act = acts[:, t, :]
+            c, tc = C[:, t, :], TC[:, t, :]
+            c_prev = C[:, t - 1, :] if t else None
+        else:
+            act = X[:, t, :] @ layer.W
+            act += layer.b
+            c_prev = c if t else None
+        if t:  # h is still h_{t-1}; h_{-1} = 0 adds nothing
+            act += h @ layer.U
+        if H is not None:
+            h = H[:, t, :]
+        _cell(act, c_prev, c, tc, h)
+    cache = {"X": X, "H": H, "C": C, "TC": TC, "act": acts} if keep_caches else None
+    return H, h, cache
 
 
 def forward(
@@ -177,7 +225,8 @@ def forward(
     dropout_seed: int | None = None,
     keep_caches: bool = True,
 ) -> tuple[np.ndarray, dict | None]:
-    """Full forward pass on (batch, T, n_features) windows.
+    """Full forward pass on (batch, T, n_features) windows, in the model's
+    dtype (windows of another dtype are cast).
 
     Layer 1 runs over every step; its activated per-step outputs pass
     through dropout (train mode only, inverted scaling), then layer 2; the
@@ -192,6 +241,7 @@ def forward(
         raise NeuralModelError(
             f"window has {windows.shape[2]} features, model expects {model.n_features}"
         )
+    windows = windows.astype(model.dtype, copy=False)
     use_dropout = train_mode and model.dropout_rate > 0.0
     if use_dropout:
         if dropout_seed is None:
@@ -199,15 +249,20 @@ def forward(
         rng = np.random.default_rng(dropout_seed)
         keep = 1.0 - model.dropout_rate
 
-    H1, cache1 = _layer_forward(model.layer1, windows, keep_caches)
-    A1 = np.maximum(H1, 0.0)
-    mask1 = (rng.random(A1.shape) < keep) / keep if use_dropout else None
-    D1 = A1 * mask1 if mask1 is not None else A1
+    def dropout_mask(shape):
+        # float64 draws whatever the model dtype, so both dtypes drop the same units
+        return ((rng.random(shape) < keep) / keep).astype(model.dtype, copy=False)
 
-    H2, cache2 = _layer_forward(model.layer2, D1, keep_caches)
-    h2_last = H2[:, -1, :]
+    H1, _, cache1 = _layer_forward(model.layer1, windows, keep_caches)
+    # backward reads H1 from the cache; without one, relu and dropout go in place
+    D1 = np.maximum(H1, 0.0, out=None if keep_caches else H1)
+    mask1 = dropout_mask(D1.shape) if use_dropout else None
+    if mask1 is not None:
+        D1 *= mask1
+
+    _, h2_last, cache2 = _layer_forward(model.layer2, D1, keep_caches, all_states=False)
     A2 = np.maximum(h2_last, 0.0)
-    mask2 = (rng.random(A2.shape) < keep) / keep if use_dropout else None
+    mask2 = dropout_mask(A2.shape) if use_dropout else None
     D2 = A2 * mask2 if mask2 is not None else A2
 
     q = D2 @ model.head_W + model.head_b
@@ -223,36 +278,48 @@ def forward(
 
 
 def _layer_backward(
-    layer: LstmLayerParams, cache: dict, dH: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    layer: LstmLayerParams, cache: dict, dH: np.ndarray, input_grad: bool
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray]:
     """BPTT through one layer. dH is (batch, T, n_hidden) upstream gradient
-    on every hidden state; returns the (batch, T, 4H) gradient dZ of the
-    gate pre-activations and the fused parameter gradients (dW, dU, db)."""
-    X, H, C, acts = cache["X"], cache["H"], cache["C"], cache["act"]
+    on every hidden state; returns the (batch, T, n_in) gradient of the
+    input (None unless ``input_grad``) and the fused parameter gradients
+    (dW, dU, db).
+
+    Each gate's local derivative is computed for every step at once into
+    dZ before the recurrence, which then only scales it by the step's dc
+    (or dh, for o) and runs the recurrent GEMM."""
+    X, H, C, TC, acts = (cache[k] for k in ("X", "H", "C", "TC", "act"))
     batch, T, n = dH.shape
+    i, f, o, g = _gates(acts, n)
     dZ = np.empty_like(acts)
+    dz_i, dz_f, dz_o, dz_g = _gates(dZ, n)
+    np.multiply(g * i, 1.0 - i, out=dz_i)
+    dz_f[:, 0, :] = 0.0  # c_{-1} = 0
+    np.multiply(C[:, :-1, :] * f[:, 1:, :], 1.0 - f[:, 1:, :], out=dz_f[:, 1:, :])
+    np.multiply(TC * o, 1.0 - o, out=dz_o)
+    np.multiply(i, 1.0 - g**2, out=dz_g)
+    dc_dh = o * (1.0 - TC**2)
     UT = layer.U.T
-    dh_next = np.zeros((batch, n))
-    dc_next = np.zeros((batch, n))
+    dh_next = dc_next = 0.0  # nothing flows back into the last step
     for t in range(T - 1, -1, -1):
-        i, f, o, g = np.split(acts[:, t, :], len(GATES), axis=1)
-        dz_i, dz_f, dz_o, dz_g = np.split(dZ[:, t, :], len(GATES), axis=1)
-        tc = np.tanh(C[:, t, :])
-        c_prev = C[:, t - 1, :] if t else 0.0  # c_{-1} = 0
         dh = dH[:, t, :] + dh_next
-        dc = dh * o * (1.0 - tc**2) + dc_next
-        dz_i[...] = dc * g * i * (1.0 - i)
-        dz_f[...] = dc * c_prev * f * (1.0 - f)
-        dz_o[...] = dh * tc * o * (1.0 - o)
-        dz_g[...] = dc * i * (1.0 - g**2)
-        dc_next = dc * f
+        dc = dh * dc_dh[:, t, :]
+        dc += dc_next
+        dz_i[:, t, :] *= dc
+        dz_f[:, t, :] *= dc
+        dz_o[:, t, :] *= dh
+        dz_g[:, t, :] *= dc
+        dc_next = dc * f[:, t, :]
         dh_next = dZ[:, t, :] @ UT
     dZ_flat = dZ.reshape(batch * T, -1)
     dW = X.reshape(batch * T, -1).T @ dZ_flat
-    # step t's recurrent input is h_{t-1}; h_{-1} = 0 adds nothing to dU
-    dU = H[:, :-1, :].reshape(-1, n).T @ dZ[:, 1:, :].reshape(-1, dZ.shape[2])
     db = dZ_flat.sum(axis=0)
-    return dZ, dW, dU, db
+    dX = (dZ_flat @ layer.W.T).reshape(X.shape) if input_grad else None
+    # step t's recurrent input is h_{t-1}, the row before it in the flat H;
+    # h_{-1} = 0, so step 0's dZ is zeroed and pairs with no h
+    dZ[:, 0, :] = 0.0
+    dU = H.reshape(batch * T, n)[:-1].T @ dZ_flat[1:]
+    return dX, dW, dU, db
 
 
 def backward(
@@ -273,13 +340,12 @@ def backward(
     cache1, cache2 = caches["layer1"], caches["layer2"]
     dH2 = np.zeros_like(cache2["H"])
     dH2[:, -1, :] = dh2_last
-    dZ2, *fused2 = _layer_backward(model.layer2, cache2, dH2)
     # layer 2's input gradient; layer 1's own input gradient is never needed
-    D1 = cache2["X"]
-    dD1 = (dZ2.reshape(-1, dZ2.shape[2]) @ model.layer2.W.T).reshape(D1.shape)
-    dA1 = dD1 * caches["mask1"] if caches["mask1"] is not None else dD1
-    dH1 = dA1 * (cache1["H"] > 0)
-    _, *fused1 = _layer_backward(model.layer1, cache1, dH1)
+    dH1, *fused2 = _layer_backward(model.layer2, cache2, dH2, input_grad=True)
+    if caches["mask1"] is not None:
+        dH1 *= caches["mask1"]
+    dH1 *= cache1["H"] > 0
+    _, *fused1 = _layer_backward(model.layer1, cache1, dH1, input_grad=False)
     return grads | _gate_views("l1", *fused1) | _gate_views("l2", *fused2)
 
 
@@ -290,14 +356,15 @@ def backward(
 
 def quantile_loss_and_grad(q: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean pinball loss over samples and the ``QUANTILE_LEVELS`` heads, and
-    its gradient with respect to the head outputs."""
+    its gradient with respect to the head outputs. The loss is a float64
+    sum; the gradient takes q's dtype."""
     if q.shape != (len(y), len(QUANTILE_LEVELS)):
         raise NeuralModelError(f"head outputs {q.shape} do not match {len(y)} targets")
     levels = tuple(enumerate(QUANTILE_LEVELS))
     losses = np.column_stack([pinball_loss(y, q[:, j], tau) for j, tau in levels])
     dq = np.column_stack([pinball_grad(y, q[:, j], tau) for j, tau in levels])
     n = q.size
-    return float(losses.sum() / n), dq / n
+    return float(losses.sum() / n), (dq / n).astype(q.dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +500,10 @@ def predict_quantiles(
     target_channel: str | int = 0,
 ) -> ForecastDistribution:
     """Eval-mode forward, inverse min-max scaling back to watts, and
-    non-crossing repair by per-row sorting."""
+    non-crossing repair by per-row sorting. The tracks are float64 whatever
+    the model dtype."""
     q, _ = forward(model, tensors.data, train_mode=False, keep_caches=False)
+    q = q.astype(np.float64, copy=False)
     if scaler is not None:
         ch = (
             scaler.channel_names.index(target_channel)
@@ -454,15 +523,16 @@ def predict_quantiles(
 def save_checkpoint(
     model: QuantileLstmModel, path_prefix: str, scaler: ScalerParams | None = None
 ) -> None:
-    """JSON header with shapes/metadata (and the scaler used in training)
-    plus a flat float64 little-endian binary of all parameters in sorted
-    name order."""
+    """JSON header with shapes/metadata (the model dtype and the scaler used
+    in training) plus a flat float64 little-endian binary of all parameters
+    in sorted name order; a float32 model widens to float64 exactly."""
     params = model.parameters()
     names = sorted(params)
     header = {
         "n_features": model.n_features,
         "hidden": [model.layer1.n_hidden, model.layer2.n_hidden],
         "dropout_rate": model.dropout_rate,
+        "dtype": model.dtype.name,
         # the head is fixed; load_checkpoint refuses any other
         "quantiles": list(QUANTILE_LEVELS),
         "output_activation": "relu",
@@ -485,6 +555,8 @@ def save_checkpoint(
 
 
 def load_checkpoint(path_prefix: str) -> tuple[QuantileLstmModel, ScalerParams | None]:
+    """The model and scaler ``save_checkpoint`` wrote; a header without a
+    dtype (written before models had one) loads as float64."""
     with open(f"{path_prefix}.json", encoding="utf-8") as fh:
         header = json.load(fh)
     head = (header["quantiles"], header["output_activation"])
@@ -495,6 +567,7 @@ def load_checkpoint(path_prefix: str) -> tuple[QuantileLstmModel, ScalerParams |
         hidden=tuple(header["hidden"]),
         dropout_rate=header["dropout_rate"],
         seed=header["seed"],
+        dtype=header.get("dtype", "float64"),
     )
     flat = np.fromfile(f"{path_prefix}.bin", dtype="<f8")
     params = model.parameters()

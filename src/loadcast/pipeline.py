@@ -67,6 +67,8 @@ REPORT_TXT = "report.txt"
 # fixed normalisation ranges for calendar columns on the neural path
 _CALENDAR_RANGES = {"hour": (0.0, 23.0), "dayofweek": (0.0, 6.0),
                     "month": (1.0, 12.0), "is_weekend": (0.0, 1.0)}
+# the LSTM's windows and parameters; float32 halves its training time
+_LSTM_DTYPE = np.float32
 
 
 class PipelineError(RuntimeError):
@@ -450,7 +452,8 @@ def _predict_gbdt_quantile(cfg: PipelineConfig, data: PreparedData, models_dir: 
 
 def _window_split(cfg: PipelineConfig, data: PreparedData):
     """Fit / validation / test windows over the train-scaled channels, the
-    normalised calendar columns and the lags."""
+    normalised calendar columns and the lags, in the LSTM's dtype; targets
+    stay float64."""
     scaled = minmax_transform(data.full, data.scaler)
     window_channels = (
         cfg.window_channels if cfg.window_channels is not None else data.full.channel_names
@@ -467,7 +470,8 @@ def _window_split(cfg: PipelineConfig, data: PreparedData):
         if name in _CALENDAR_RANGES:
             lo, hi = _CALENDAR_RANGES[name]
             feats[:, j] = (feats[:, j] - lo) / (hi - lo)
-    matrix = FeatureMatrix(matrix.timestamps, feats, matrix.feature_order, matrix.target)
+    matrix = FeatureMatrix(matrix.timestamps, feats.astype(_LSTM_DTYPE), matrix.feature_order,
+                           matrix.target)
     windows = windowize(matrix, window=cfg.params_for("lstm")["window"], horizon=1)
     return _split_rows(cfg, data, windows.target_timestamps, windows.samples)
 
@@ -480,6 +484,7 @@ def _fit_lstm(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> list
         hidden=params["hidden"],
         dropout_rate=params["dropout"],
         seed=cfg.model_seed("lstm"),
+        dtype=_LSTM_DTYPE,
     )
     model, history = neural.train(
         model, fit, val,

@@ -29,25 +29,28 @@ def test_tracer_wraps_and_restores_every_hook():
 def test_traced_lstm_run_keeps_eval_forwards_inside_the_wrapped_forward():
     """Validation and prediction forwards (the cache-free ones) must still go
     through the ``neural.forward`` the tracer wraps, or ``neural.val_forward.s``
-    and ``neural.predict.s`` lose their time."""
+    and ``neural.predict.s`` lose their time; in float64 and in float32, the
+    dtype the pipeline trains in."""
     from loadcast import neural
     from test_neural import make_tensor
 
     rng = np.random.default_rng(0)
     tensors = make_tensor(rng.uniform(size=(8, 5, 3)), rng.uniform(size=8))
-    tracer = tracing.Tracer()
-    tracer.install()
-    try:
-        model = neural.init_model(3, hidden=(4, 3), seed=0)
-        model, _ = neural.train(model, tensors, tensors,
-                                neural.TrainConfig(max_epochs=1, batch_size=4))
-        neural.predict_quantiles(model, tensors)
-    finally:
-        tracer.uninstall()
-    names = [span[0] for span in tracer.spans]
-    for name in ("neural.forward_train", "neural.backward", "neural.val_forward",
-                 "neural.predict"):
-        assert name in names, name
-    predict = names.index("neural.predict")
-    assert any(name == "neural.forward_eval" and span[3] == predict
-               for name, span in zip(names, tracer.spans))
+    for dtype in (np.float64, np.float32):
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            model = neural.init_model(3, hidden=(4, 3), seed=0, dtype=dtype)
+            model, _ = neural.train(model, tensors, tensors,
+                                    neural.TrainConfig(max_epochs=1, batch_size=4))
+            neural.predict_quantiles(model, tensors)
+        finally:
+            tracer.uninstall()
+        assert model.dtype == dtype
+        names = [span[0] for span in tracer.spans]
+        for name in ("neural.forward_train", "neural.backward", "neural.val_forward",
+                     "neural.predict"):
+            assert name in names, (dtype, name)
+        predict = names.index("neural.predict")
+        assert any(name == "neural.forward_eval" and span[3] == predict
+                   for name, span in zip(names, tracer.spans)), dtype

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +21,6 @@ from loadcast.neural import (
     history_to_csv,
     init_model,
     load_checkpoint,
-    lstm_cell_forward,
     predict_quantiles,
     quantile_loss_and_grad,
     save_checkpoint,
@@ -39,6 +40,16 @@ def zeroed_model(**kwargs):
     for arr in model.parameters().values():
         arr[...] = 0.0
     return model
+
+
+def cell_step(x, h_prev, c_prev, layer):
+    """One step of the gated cell on a (batch, n_in) input through the
+    kernel's ``_cell``; returns (h, c)."""
+    act = x @ layer.W + layer.b
+    act += h_prev @ layer.U
+    h, c, tc = (np.empty_like(h_prev) for _ in range(3))
+    neural_module._cell(act, c_prev, c, tc, h)
+    return h, c
 
 
 def make_tensor(data, targets):
@@ -226,7 +237,7 @@ class TestCellForward:
         c_prev = np.array([[0.4, -0.2, 0.1, 0.9]])
         h_prev = np.zeros((1, 4))
         x = np.array([[1.0, 2.0, 3.0]])
-        h, c, _ = lstm_cell_forward(x, h_prev, c_prev, model.layer1)
+        h, c = cell_step(x, h_prev, c_prev, model.layer1)
         np.testing.assert_allclose(c, 0.5 * c_prev)
         np.testing.assert_allclose(h, 0.5 * np.tanh(0.5 * c_prev))
 
@@ -236,17 +247,17 @@ class TestCellForward:
         params["l1.b_f"][...] = 40.0   # forget gate ~ 1
         params["l1.b_i"][...] = -40.0  # input gate ~ 0
         c_prev = np.array([[0.7, -1.2, 0.3, 2.0]])
-        _, c, _ = lstm_cell_forward(np.ones((1, 3)), np.zeros((1, 4)), c_prev, model.layer1)
+        _, c = cell_step(np.ones((1, 3)), np.zeros((1, 4)), c_prev, model.layer1)
         np.testing.assert_allclose(c, c_prev, rtol=1e-12)
 
     def test_zero_input_and_state(self):
         model = tiny_model(seed=3)
-        h, c, _ = lstm_cell_forward(
+        h, _ = cell_step(
             np.zeros((1, 3)), np.zeros((1, 4)), np.zeros((1, 4)), model.layer1
         )
         # with zero input and state only biases act; zero biases give h = 0
         zero_bias = zeroed_model()
-        h0, _, _ = lstm_cell_forward(
+        h0, _ = cell_step(
             np.zeros((1, 3)), np.zeros((1, 4)), np.zeros((1, 4)), zero_bias.layer1
         )
         np.testing.assert_array_equal(h0, np.zeros((1, 4)))
@@ -328,15 +339,17 @@ def assert_close_to_rounding(got, want, name, rtol=1e-12):
     assert np.abs(got - want).max() <= rtol * scale, name
 
 
+PAPER = dict(n_features=17, hidden=(100, 50), dropout_rate=0.2)
+
+
+def paper_batch(seed):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(size=(64, 48, 17)), rng.uniform(size=64)
+
+
 class TestFusedKernel:
-    PAPER = dict(n_features=17, hidden=(100, 50), dropout_rate=0.2)
-
-    def paper_batch(self, seed):
-        rng = np.random.default_rng(seed)
-        return rng.uniform(size=(64, 48, 17)), rng.uniform(size=64)
-
     def test_init_draws_bitwise_per_gate_order(self):
-        model = init_model(**self.PAPER, seed=40)
+        model = init_model(**PAPER, seed=40)
         want = reference_init(17, (100, 50), seed=40)
         got = model.parameters()
         assert sorted(got) == sorted(want)
@@ -345,8 +358,8 @@ class TestFusedKernel:
 
     @pytest.mark.parametrize("train_mode", [False, True], ids=["eval", "dropout"])
     def test_matches_per_gate_reference(self, train_mode):
-        model = init_model(**self.PAPER, seed=41)
-        windows, y = self.paper_batch(41)
+        model = init_model(**PAPER, seed=41)
+        windows, y = paper_batch(41)
         want_q, want_grads = reference_forward_backward(model, windows, y, train_mode, seed=7)
         q, caches = forward(model, windows, train_mode=train_mode, dropout_seed=7)
         _, dq = quantile_loss_and_grad(q, y)
@@ -358,13 +371,33 @@ class TestFusedKernel:
 
     @pytest.mark.parametrize("train_mode", [False, True], ids=["eval", "dropout"])
     def test_cache_free_forward_same_q(self, train_mode):
-        model = init_model(**self.PAPER, seed=42)
-        windows, _ = self.paper_batch(42)
-        q, caches = forward(model, windows, train_mode=train_mode, dropout_seed=8)
-        q_free, none = forward(model, windows, train_mode=train_mode, dropout_seed=8,
-                               keep_caches=False)
-        assert caches is not None and none is None
-        assert q_free.tobytes() == q.tobytes()
+        """The cache-free forward projects each step's input on its own, with
+        relu and dropout in place and no layer-2 sequence; the caching one
+        projects all steps in one GEMM. Both give the same bits, in float64
+        and in float32."""
+        windows, _ = paper_batch(42)
+        for dtype in (np.float64, np.float32):
+            model = init_model(**PAPER, seed=42, dtype=dtype)
+            q, caches = forward(model, windows, train_mode=train_mode, dropout_seed=8)
+            q_free, none = forward(model, windows, train_mode=train_mode, dropout_seed=8,
+                                   keep_caches=False)
+            assert caches is not None and none is None
+            assert q_free.dtype == q.dtype == dtype
+            assert q_free.tobytes() == q.tobytes(), dtype
+
+    def test_cache_free_forward_holds_one_hidden_sequence(self):
+        """An eval forward holds layer 1's hidden states and per-step arrays;
+        relu writes over them and layer 2 keeps only its last state."""
+        model = init_model(**PAPER, seed=47)
+        windows = np.random.default_rng(47).uniform(size=(256, 48, 17))
+        h1_bytes = 256 * 48 * 100 * 8
+        tracemalloc.start()
+        try:
+            forward(model, windows, keep_caches=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * h1_bytes, peak / h1_bytes
 
     def test_sigmoid_bitwise_equal_to_masked_form(self):
         x = np.concatenate([
@@ -388,6 +421,74 @@ class TestFusedKernel:
             tag, kind = name.split(".")
             if tag in layers:  # kind is W_i, U_f, b_o, ...
                 assert np.shares_memory(arr, getattr(layers[tag], kind[0])), name
+
+
+class TestFloat32:
+    @pytest.mark.parametrize("train_mode", [False, True], ids=["eval", "dropout"])
+    def test_matches_float64_at_paper_width(self, train_mode):
+        """A float32 model (the float64 weights rounded) reproduces the float64
+        head outputs and every gradient to within 1e-5 of each array's scale."""
+        windows, y = paper_batch(48)
+        results = {}
+        for dtype in (np.float64, np.float32):
+            model = init_model(**PAPER, seed=48, dtype=dtype)
+            q, caches = forward(model, windows, train_mode=train_mode, dropout_seed=9)
+            _, dq = quantile_loss_and_grad(q, y)
+            results[dtype] = q, backward(model, caches, dq)
+        (q64, grads64), (q32, grads32) = results[np.float64], results[np.float32]
+        assert q32.dtype == np.float32
+        assert_close_to_rounding(q32.astype(np.float64), q64, "q", rtol=1e-5)
+        assert sorted(grads32) == sorted(grads64)
+        for name, g in grads32.items():
+            assert g.dtype == np.float32, name
+            assert_close_to_rounding(g.astype(np.float64), grads64[name], name, rtol=1e-5)
+
+    def test_train_step_stays_float32(self):
+        """No cache, gradient, Adam moment or parameter is silently upcast."""
+        model = init_model(**PAPER, seed=49, dtype=np.float32)
+        windows, y = paper_batch(49)
+        q, caches = forward(model, windows, train_mode=True, dropout_seed=10)
+        loss, dq = quantile_loss_and_grad(q, y)
+        assert isinstance(loss, float) and dq.dtype == np.float32
+        grads = backward(model, caches, dq)
+        state = adam_step(model.parameters(), grads, AdamState())
+
+        def arrays(obj, path="caches"):
+            if isinstance(obj, dict):
+                for key, value in obj.items():
+                    yield from arrays(value, f"{path}.{key}")
+            elif isinstance(obj, np.ndarray):
+                yield path, obj
+
+        named = list(arrays(caches))
+        assert {"caches.mask1", "caches.layer1.TC", "caches.layer2.act"} <= dict(named).keys()
+        for kind, group in (("grad", grads), ("m", state.m), ("v", state.v),
+                            ("param", model.parameters())):
+            assert sorted(group) == sorted(grads), kind
+            named += [(f"{kind}.{name}", arr) for name, arr in group.items()]
+        for path, arr in named:
+            assert arr.dtype == np.float32, path
+        for layer in (model.layer1, model.layer2):
+            assert layer.W.dtype == layer.U.dtype == layer.b.dtype == np.float32
+
+    def test_train_and_predict_float32(self):
+        rng = np.random.default_rng(50)
+        tensors = make_tensor(rng.uniform(size=(16, 6, 3)), rng.uniform(size=16))
+        tensors = dataclasses.replace(tensors, data=tensors.data.astype(np.float32))
+        model = init_model(3, hidden=(5, 4), seed=50, dtype=np.float32)
+        model, history = train(model, tensors, tensors,
+                               TrainConfig(max_epochs=2, batch_size=8, seed=50))
+        assert model.dtype == np.float32
+        assert all(isinstance(v, float) for v in history.train_loss + history.val_loss)
+        scaler = ScalerParams(np.array([0.0]), np.array([1000.0]), ("Aggregate",))
+        for kwargs in ({}, {"scaler": scaler, "target_channel": "Aggregate"}):
+            dist = predict_quantiles(model, tensors, **kwargs)
+            for track in (dist.q05, dist.q50, dist.q95):
+                assert track.dtype == np.float64, kwargs
+
+    def test_unsupported_dtype_rejected(self):
+        with pytest.raises(NeuralModelError, match="dtype"):
+            init_model(3, hidden=(4, 3), dtype=np.float16)
 
 
 class TestAdam:
@@ -514,14 +615,49 @@ class TestCheckpoint:
 
     def test_layout_bytes_pinned(self, tmp_path):
         """The fused storage writes the per-gate checkpoint of earlier releases
-        byte for byte."""
+        byte for byte; the header differs from theirs only by its dtype key,
+        so without that key, dumped again as save_checkpoint dumps it, it
+        has their digest."""
         save_checkpoint(init_model(17, (100, 50), seed=5), str(tmp_path / "lstm"))
-        digests = {ext: hashlib.sha256((tmp_path / f"lstm.{ext}").read_bytes()).hexdigest()
-                   for ext in ("bin", "json")}
+        header = json.loads((tmp_path / "lstm.json").read_text())
+        assert header.pop("dtype") == "float64"
+        digests = {
+            "bin": hashlib.sha256((tmp_path / "lstm.bin").read_bytes()).hexdigest(),
+            "json": hashlib.sha256(
+                json.dumps(header, sort_keys=True, indent=1).encode()).hexdigest(),
+        }
         assert digests == {
             "bin": "ff67631ce0b568abbc36f9bfe7389fb9002ec3a4b528d547c43773658bf7694b",
             "json": "d92744c0a496b89d3e90a6468ae292758e3117fc66701749c9f3914e77132714",
         }
+
+    def test_float32_round_trip(self, tmp_path):
+        model = init_model(17, (100, 50), seed=34, dtype=np.float32)
+        prefix = str(tmp_path / "ckpt")
+        save_checkpoint(model, prefix)
+        assert json.loads((tmp_path / "ckpt.json").read_text())["dtype"] == "float32"
+        assert (tmp_path / "ckpt.bin").stat().st_size == 8 * sum(
+            a.size for a in model.parameters().values())  # the body stays <f8
+        clone, _ = load_checkpoint(prefix)
+        assert clone.dtype == np.float32
+        for name, arr in model.parameters().items():
+            assert clone.parameters()[name].dtype == np.float32, name
+            assert clone.parameters()[name].tobytes() == arr.tobytes(), name
+        windows = np.random.default_rng(34).uniform(size=(4, 48, 17))
+        np.testing.assert_array_equal(forward(clone, windows)[0], forward(model, windows)[0])
+
+    def test_header_without_dtype_loads_float64(self, tmp_path):
+        prefix = str(tmp_path / "ckpt")
+        model = tiny_model(seed=35)
+        save_checkpoint(model, prefix)
+        header_path = tmp_path / "ckpt.json"
+        header = json.loads(header_path.read_text())
+        del header["dtype"]
+        header_path.write_text(json.dumps(header))
+        clone, _ = load_checkpoint(prefix)
+        assert clone.dtype == np.float64
+        for name, arr in model.parameters().items():
+            assert clone.parameters()[name].tobytes() == arr.tobytes(), name
 
     @pytest.mark.parametrize("key, value", [("quantiles", [0.1, 0.5, 0.9]),
                                             ("output_activation", "linear")])

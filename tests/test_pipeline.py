@@ -314,6 +314,15 @@ class TestTrainEvaluate:
             q05, q50, q95 = float(row["q05"]), float(row["point_or_q50"]), float(row["q95"])
             assert q05 <= q50 <= q95
 
+    def test_lstm_trains_in_float32_on_float32_windows(self, full_run):
+        cfg = full_run["cfg"]
+        header = json.loads((cfg.resolved_output_dir() / "models" / "lstm.json").read_text())
+        assert header["dtype"] == "float32"
+        manifest = pipeline.load_manifest(cfg)
+        data = pipeline.prepare_data(cfg, pipeline._load_cache(cfg), manifest["chosen_imputer"])
+        for part in pipeline._window_split(cfg, data):
+            assert part.data.dtype == np.float32 and part.targets.dtype == np.float64
+
     def test_quantile_gbdt_scored_as_distribution(self, full_run):
         out = full_run["cfg"].resolved_output_dir()
         rows = {r["Model"]: r for r in csv.DictReader(open(out / "report.csv"))}
