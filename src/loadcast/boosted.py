@@ -1,23 +1,31 @@
-"""Gradient-boosted regression trees with second-order leaf updates.
+"""Gradient-boosted regression trees with Newton leaves.
 
 One engine covers both point forecasting (squared loss) and quantile
-forecasting (pinball loss with a unit-hessian surrogate). Trees grow
-level-wise with exact greedy split search (Chen & Guestrin 2016, §4.1):
-``gbdt_fit`` sorts each feature column once per fit (``presort``), and
-every node carries its rows in each feature's sorted order, handed down
-by stable partition when the node splits. No node sorts again. Ties keep
-ascending row order throughout, which is exactly the order a stable sort
-of the node's own values gives, so split choices match a per-node sort bit
-for bit. Split gain is G_L^2/H_L + G_R^2/H_R - G^2/H and each leaf takes
-the Newton value -G/H. Everything is deterministic: ties break on the lowest
-feature index, then the lowest threshold.
+forecasting (pinball loss with a unit-hessian surrogate). Both losses have
+a hessian of 1, so a node's hessian sum is its row count m: split gain is
+G_L^2/k + G_R^2/(m-k) - G^2/m for k rows on the left, and each leaf takes
+the Newton value -G/m. These are bitwise the numbers a summed unit hessian
+gives, since sums of 1.0 are exact integers.
+
+Trees grow level-wise with exact greedy split search (Chen & Guestrin 2016,
+§4.1). ``gbdt_fit`` builds one ``TreeWorkspace`` per fit: it sorts each
+feature column once (``presort``), holds ``X.T`` contiguous, and holds the
+buffers every node's search and partition write into, so growing a tree
+allocates little beyond the tree itself. Every node carries its rows in
+each feature's sorted order, handed down by stable partition when the node
+splits; no node sorts again. Ties keep ascending row order throughout,
+which is exactly the order a stable sort of the node's own values gives, so
+split choices match a per-node sort bit for bit.
+
+A node's search scores every (feature, boundary) pair at once in one
+(n_features, m) array. Everything is deterministic: ties break on the
+lowest feature index, then the lowest threshold.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +52,8 @@ class BoostingError(ValueError):
 class SquaredLoss:
     name: str = "squared"
 
-    def gradients(self, y: np.ndarray, pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return pred - y, np.ones_like(y)
+    def gradients(self, y: np.ndarray, pred: np.ndarray) -> np.ndarray:
+        return pred - y
 
     def base_score(self, y: np.ndarray) -> float:
         return float(np.mean(y))
@@ -62,8 +70,8 @@ class PinballLoss:
     tau: float
     name: str = "pinball"
 
-    def gradients(self, y: np.ndarray, pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return pinball_grad(y, pred, self.tau), np.ones_like(y)
+    def gradients(self, y: np.ndarray, pred: np.ndarray) -> np.ndarray:
+        return pinball_grad(y, pred, self.tau)
 
     def base_score(self, y: np.ndarray) -> float:
         return float(np.quantile(y, self.tau))
@@ -110,68 +118,121 @@ class RegressionTree:
 
 def presort(X: np.ndarray) -> np.ndarray:
     """Row indices of each column of ``X`` in ascending order, ties by row
-    index: an int64 (n_features, n_rows) block that ``fit_tree`` reuses."""
+    index: the int64 (n_features, n_rows) block a ``TreeWorkspace`` holds."""
     return np.argsort(X.T, axis=1, kind="stable")
 
 
-def _best_split(X: np.ndarray, grad: np.ndarray, hess: np.ndarray, rows: np.ndarray,
-                blocks: np.ndarray, min_samples_leaf: int) -> tuple[float, int, float] | None:
+class TreeWorkspace:
+    """Buffers that every tree grown on one ``X`` reuses.
+
+    - ``order`` is ``presort(X)``, read-only. ``xt`` is ``X.T`` made
+      contiguous, so one feature's values gather from one row.
+    - ``levels`` are two ping-pong int64 buffers of n_features x n_rows
+      entries. A node's (n_features, m) block of sorted row ids is
+      contiguous in one of them; a split writes its children's blocks to
+      the same offset in the other. The root's block is ``order``.
+    - ``gain`` and ``right`` are the float buffers of one node's search,
+      ``tied`` its bool mask and ``go_left`` the split's row mask.
+    - ``hl[:m]`` holds 1..m and ``hr[n - m:]`` holds m-1..1: the row counts
+      left and right of each boundary of an m-row node, which are the exact
+      hessian sums of a unit-hessian loss. ``hr`` ends in a 1.0 stand-in
+      for the masked last position, whose right side is empty.
+    """
+
+    def __init__(self, X: np.ndarray) -> None:
+        X = np.asarray(X, dtype=float)
+        n, n_features = X.shape
+        self.shape = X.shape
+        self.xt = np.ascontiguousarray(X.T)
+        self.order = presort(X)
+        self.order.flags.writeable = False
+        size = n_features * n
+        self.levels = (np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64))
+        self.gain = np.empty(size)
+        self.right = np.empty(size)
+        self.tied = np.empty(size, dtype=bool)
+        self.go_left = np.empty(n, dtype=bool)
+        self.hl = np.arange(1.0, n + 1)
+        self.hr = np.arange(n - 1.0, -1.0, -1.0)
+        self.hr[-1] = 1.0
+
+
+def _best_split(ws: TreeWorkspace, grad: np.ndarray, G: float, blocks: np.ndarray,
+                min_samples_leaf: int) -> tuple[int, float] | None:
     """Exact greedy search over all (feature, midpoint threshold) candidates.
 
-    ``rows`` holds the node's rows ascending and ``blocks[f]`` the same rows
-    in ascending order of feature f, ties by row index. That is the order a
-    stable sort of the node's own values gives, so the prefix sums, gains
-    and chosen split match a per-node sort bit for bit without sorting.
+    ``blocks[f]`` holds the node's rows in ascending order of feature f,
+    ties by row index. That is the order a stable sort of the node's own
+    values gives, so the prefix sums, gains and chosen split match a
+    per-node sort bit for bit without sorting. ``G`` is the node's gradient
+    sum over its rows in ascending order.
 
-    Returns (gain, feature, threshold) of the best strictly-positive-gain
-    split, or None. Scanning features then thresholds in ascending order
-    with strict improvement gives the deterministic tie-break.
+    All features are scored at once: boundary j of feature f (after sorted
+    row j) gets gain[f, j], and the last position, which has no right side,
+    is masked. The row-wise argmax takes the lowest threshold of each
+    feature and the argmax over features the lowest feature among equal
+    gains. Returns (feature, threshold) of the best split whose gain is
+    strictly positive, or None.
     """
-    G, H = grad[rows].sum(), hess[rows].sum()
-    parent = G * G / H
-    n = len(rows)
-    k = np.arange(1, n)
-    # boundary after sorted row k leaves k rows on the left
-    size_ok = (k >= min_samples_leaf) & (n - k >= min_samples_leaf)
-    best: tuple[float, int, float] | None = None
-    for f, order in enumerate(blocks):
-        xs = X[order, f]
-        gl = np.cumsum(grad[order])[:-1]
-        hl = np.cumsum(hess[order])[:-1]
-        # candidate boundaries between distinct consecutive values
-        ok = (xs[:-1] != xs[1:]) & size_ok
-        if not ok.any():
-            continue
-        gr = G - gl
-        hr = H - hl
-        gain = gl**2 / hl + gr**2 / hr - parent
-        gain[~ok] = -np.inf
-        j = int(np.argmax(gain))  # gain[j] splits between sorted rows j and j+1
-        if gain[j] > _MIN_GAIN * max(1.0, abs(parent)) and (best is None or gain[j] > best[0]):
-            best = (float(gain[j]), f, float((xs[j] + xs[j + 1]) / 2))
-    return best
+    n_features, m = blocks.shape
+    size = n_features * m
+    n = ws.shape[0]
+    parent = G * G / m
+    xs = ws.right[:size].reshape(n_features, m)
+    for f in range(n_features):
+        ws.xt[f].take(blocks[f], out=xs[f], mode="clip")
+    flat = ws.right[:size]
+    # equal consecutive values are no boundary; the comparison across the
+    # end of a feature's row lands on its masked last position
+    tied = np.equal(flat[:-1], flat[1:], out=ws.tied[: size - 1])
+    gain = ws.gain[:size].reshape(n_features, m)
+    grad.take(blocks, out=gain, mode="clip")
+    np.cumsum(gain, axis=1, out=gain)  # G_L
+    gr = np.subtract(G, gain, out=xs)
+    np.square(gr, out=gr)
+    np.divide(gr, ws.hr[n - m :], out=gr)
+    np.square(gain, out=gain)
+    np.divide(gain, ws.hl[:m], out=gain)
+    gain += gr
+    gain -= parent
+    np.copyto(ws.gain[: size - 1], -np.inf, where=tied)
+    # boundary j leaves j + 1 rows left and m - j - 1 right
+    gain[:, m - max(min_samples_leaf, 1) :] = -np.inf
+    if min_samples_leaf > 1:
+        gain[:, : min_samples_leaf - 1] = -np.inf
+    cols = gain.argmax(axis=1)
+    best = gain[np.arange(n_features), cols]
+    f = int(best.argmax())
+    if not best[f] > _MIN_GAIN * max(1.0, abs(parent)):
+        return None
+    j = cols[f]
+    lo, hi = ws.xt[f].take(blocks[f, j : j + 2])
+    return f, float((lo + hi) / 2)
 
 
 def fit_tree(
     X: np.ndarray,
     grad: np.ndarray,
-    hess: np.ndarray,
     max_depth: int = 6,
     min_samples_leaf: int = 1,
-    order: np.ndarray | None = None,
+    workspace: TreeWorkspace | None = None,
     out: np.ndarray | None = None,
 ) -> RegressionTree:
-    """Grow one tree level-wise on (gradient, hessian) statistics.
+    """Grow one tree level-wise on the gradient of a unit-hessian loss.
 
-    ``order`` is ``presort(X)``, computed here when not given. A node with
-    no positive-gain split, too few rows or at max depth becomes a leaf
-    valued -G/H; ``out``, when given, receives each row's leaf value.
+    ``workspace`` is a ``TreeWorkspace(X)``, built here when not given. A
+    node with no positive-gain split, too few rows or at max depth becomes
+    a leaf valued -G/m (the Newton step, with the hessian sum equal to the
+    node's row count m); ``out``, when given, receives each row's leaf value.
     """
     X = np.asarray(X, dtype=float)
     if len(X) < 2 * min_samples_leaf:
         raise BoostingError(f"{len(X)} rows < 2 x min_samples_leaf={min_samples_leaf}")
-    if order is None:
-        order = presort(X)
+    ws = TreeWorkspace(X) if workspace is None else workspace
+    if ws.shape != X.shape:
+        raise BoostingError(f"workspace built for shape {ws.shape}, X has {X.shape}")
+    n_features = X.shape[1]
+    min_rows = max(2, 2 * min_samples_leaf)
 
     feature: list[int] = []
     threshold: list[float] = []
@@ -187,39 +248,44 @@ def fit_tree(
         value.append(0.0)
         return len(feature) - 1
 
-    go_left = np.empty(len(X), dtype=bool)  # read only at the split node's rows
-    level = deque([(new_node(), np.arange(len(X)), order)])
+    go_left = ws.go_left  # read only at the split node's rows
+    # (node, rows ascending, offset of its block in src)
+    level = [(new_node(), np.arange(len(X)), 0)]
+    src, dst = ws.order.ravel(), ws.levels[0]
     depth = 0
     while level:
-        next_level: deque[tuple[int, np.ndarray, np.ndarray | None]] = deque()
-        while level:
-            # popped, so a parent's blocks are freed once partitioned
-            node, rows, blocks = level.popleft()
+        next_level: list[tuple[int, np.ndarray, int]] = []
+        for node, rows, off in level:
+            m = len(rows)
+            G = grad.take(rows).sum()
             split = None
-            if depth < max_depth and len(rows) >= 2 * min_samples_leaf:
-                split = _best_split(X, grad, hess, rows, blocks, min_samples_leaf)
+            if depth < max_depth and m >= min_rows:
+                blocks = src[off : off + n_features * m].reshape(n_features, m)
+                split = _best_split(ws, grad, G, blocks, min_samples_leaf)
             if split is None:
-                value[node] = -grad[rows].sum() / hess[rows].sum()
+                value[node] = -G / m
                 if out is not None:
                     out[rows] = value[node]
                 continue
-            _, f, thr = split
+            f, thr = split
             feature[node] = f
             threshold[node] = thr
-            mask = X[rows, f] <= thr
+            mask = ws.xt[f].take(rows) <= thr
             lid, rid = new_node(), new_node()
             left[node], right[node] = lid, rid
-            if depth + 1 < max_depth:
+            lrows, rrows = rows[mask], rows[~mask]
+            mid = off + n_features * len(lrows)
+            if depth + 1 < max_depth:  # else the children are leaves and need no blocks
                 # stable partition keeps each child's blocks in sorted order
                 go_left[rows] = mask
-                side = go_left[blocks].ravel()
-                lblocks = blocks.compress(side).reshape(len(blocks), -1)
-                rblocks = blocks.compress(~side).reshape(len(blocks), -1)
-            else:
-                lblocks = rblocks = None
-            next_level.append((lid, rows[mask], lblocks))
-            next_level.append((rid, rows[~mask], rblocks))
+                side = go_left.take(blocks).ravel()
+                flat = blocks.ravel()
+                flat.take(np.flatnonzero(side), out=dst[off:mid], mode="clip")
+                flat.take(np.flatnonzero(~side), out=dst[mid : off + n_features * m], mode="clip")
+            next_level.append((lid, lrows, off))
+            next_level.append((rid, rrows, mid))
         level = next_level
+        src, dst = dst, ws.levels[(depth + 1) % 2]
         depth += 1
 
     return RegressionTree(
@@ -295,13 +361,13 @@ def gbdt_fit(
     best_metric = history[0]
     best_iteration = 0
     trees: list[RegressionTree] = []
-    order = presort(X_train)  # X_train is fixed for every round
+    workspace = TreeWorkspace(X_train)  # X_train is fixed for every round
     leaf = np.empty(len(y_train))
 
     for t in range(1, params.n_estimators + 1):
-        grad, hess = loss.gradients(y_train, pred_train)
-        tree = fit_tree(X_train, grad, hess, params.max_depth, params.min_samples_leaf,
-                        order=order, out=leaf)
+        grad = loss.gradients(y_train, pred_train)
+        tree = fit_tree(X_train, grad, params.max_depth, params.min_samples_leaf,
+                        workspace=workspace, out=leaf)
         trees.append(tree)
         pred_train += params.learning_rate * leaf
         pred_val += params.learning_rate * tree.predict(X_val)
@@ -363,8 +429,9 @@ def gbdt_predict_quantiles(models: dict[float, GbdtModel], X, timestamps=None) -
 # ---------------------------------------------------------------------------
 
 
-def gbdt_to_json(model: GbdtModel) -> str:
-    doc = {
+def gbdt_to_doc(model: GbdtModel) -> dict:
+    """The model as plain JSON types; ``gbdt_from_doc`` inverts it."""
+    return {
         "params": {
             "n_estimators": model.params.n_estimators,
             "learning_rate": model.params.learning_rate,
@@ -390,11 +457,9 @@ def gbdt_to_json(model: GbdtModel) -> str:
             for t in model.trees
         ],
     }
-    return json.dumps(doc, sort_keys=True, indent=1)
 
 
-def gbdt_from_json(text: str) -> GbdtModel:
-    doc = json.loads(text)
+def gbdt_from_doc(doc: dict) -> GbdtModel:
     loss: Loss
     if doc["loss"]["name"] == "squared":
         loss = SquaredLoss()
@@ -420,3 +485,11 @@ def gbdt_from_json(text: str) -> GbdtModel:
         feature_order=tuple(doc["feature_order"]),
         val_history=tuple(doc["val_history"]),
     )
+
+
+def gbdt_to_json(model: GbdtModel) -> str:
+    return json.dumps(gbdt_to_doc(model), sort_keys=True, indent=1)
+
+
+def gbdt_from_json(text: str) -> GbdtModel:
+    return gbdt_from_doc(json.loads(text))

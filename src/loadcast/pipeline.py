@@ -433,9 +433,9 @@ def _predict_gbdt(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> 
 
 def _fit_gbdt_quantile(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> list[str]:
     docs = {
-        repr(tau): json.loads(boosted.gbdt_to_json(
+        repr(tau): boosted.gbdt_to_doc(
             _fit_boosted(cfg, data, "gbdt_quantile", boosted.PinballLoss(tau=tau))
-        ))
+        )
         for tau in metrics.QUANTILE_LEVELS
     }
     _write_text(models_dir / "gbdt_quantile.json", json.dumps(docs, sort_keys=True, indent=1))
@@ -444,7 +444,7 @@ def _fit_gbdt_quantile(cfg: PipelineConfig, data: PreparedData, models_dir: Path
 
 def _predict_gbdt_quantile(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> Forecast:
     docs = json.loads((models_dir / "gbdt_quantile.json").read_text(encoding="utf-8"))
-    models = {float(tau): boosted.gbdt_from_json(json.dumps(doc)) for tau, doc in docs.items()}
+    models = {float(tau): boosted.gbdt_from_doc(doc) for tau, doc in docs.items()}
     _, _, test = _tabular_split(cfg, data)
     dist = boosted.gbdt_predict_quantiles(models, test)
     return Forecast(test.timestamps, test.target, dist.q50, dist)

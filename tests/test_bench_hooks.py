@@ -54,3 +54,27 @@ def test_traced_lstm_run_keeps_eval_forwards_inside_the_wrapped_forward():
         predict = names.index("neural.predict")
         assert any(name == "neural.forward_eval" and span[3] == predict
                    for name, span in zip(names, tracer.spans)), dtype
+
+
+def test_traced_gbdt_fit_records_one_fit_tree_span_per_round():
+    """``boosted.trees`` counts ``boosted.fit_tree`` spans and
+    ``boosted.ms_per_tree`` divides their time by it: each round must call
+    the ``fit_tree`` the tracer wraps, once, inside ``gbdt_fit``."""
+    from loadcast import boosted
+
+    rng = np.random.default_rng(0)
+    X = rng.uniform(size=(120, 3))
+    y = X[:, 0] + rng.normal(0.0, 0.1, 120)
+    params = boosted.GbdtParams(n_estimators=6, max_depth=3, early_stopping_rounds=7)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        model = boosted.gbdt_fit(X[:80], y[:80], X[80:], y[80:], params=params)
+    finally:
+        tracer.uninstall()
+    assert len(model.trees) == params.n_estimators
+    names = [span[0] for span in tracer.spans]
+    fit = names.index("boosted.gbdt_fit")
+    trees = [span for span in tracer.spans if span[0] == "boosted.fit_tree"]
+    assert len(trees) == params.n_estimators
+    assert all(span[3] == fit for span in trees)

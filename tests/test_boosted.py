@@ -1,16 +1,19 @@
 import hashlib
 import json
+import tracemalloc
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
 
-from loadcast import boosted
+from loadcast import boosted, pipeline
 from loadcast.boosted import (
     _MIN_GAIN,
     BoostingError,
     GbdtParams,
     PinballLoss,
     SquaredLoss,
+    TreeWorkspace,
     fit_tree,
     gbdt_fit,
     gbdt_from_json,
@@ -18,11 +21,14 @@ from loadcast.boosted import (
     gbdt_predict_quantiles,
     gbdt_to_json,
 )
+from loadcast.config import config_from_dict
 from loadcast.features import FeatureMatrix
 
 
-def brute_force_best_gain(X, grad, hess, min_samples_leaf=1):
-    """Independent oracle: enumerate every (feature, midpoint) split."""
+def brute_force_best_gain(X, grad, min_samples_leaf=1):
+    """Independent oracle: enumerate every (feature, midpoint) split, with
+    the unit hessian summed explicitly."""
+    hess = np.ones_like(grad)
     G, H = grad.sum(), hess.sum()
     parent = G * G / H
     best = 0.0
@@ -54,9 +60,12 @@ def tie_heavy_dataset(n=480, seed=21):
     return X, y
 
 
-def reference_tree(X, grad, hess, max_depth, min_samples_leaf):
-    """Tree growth with a stable argsort of every feature at every node:
-    the search that presorted blocks must reproduce exactly."""
+def reference_tree(X, grad, max_depth, min_samples_leaf):
+    """Tree growth with a stable argsort of every feature at every node, one
+    feature at a time, and the unit hessian summed explicitly: the search
+    that presorted blocks must reproduce exactly."""
+    hess = np.ones_like(grad)
+
     def best_split(rows):
         g, h = grad[rows], hess[rows]
         G, H = g.sum(), h.sum()
@@ -113,17 +122,17 @@ def tree_bytes(tree):
 
 class TestLossGradients:
     def test_squared(self):
-        g, h = SquaredLoss().gradients(np.array([3.0]), np.array([5.0]))
-        assert g[0] == 2.0 and h[0] == 1.0
+        g = SquaredLoss().gradients(np.array([3.0]), np.array([5.0]))
+        assert g[0] == 2.0
 
     def test_pinball_under_prediction(self):
-        g, h = PinballLoss(0.9).gradients(np.array([10.0]), np.array([8.0]))
-        assert g[0] == pytest.approx(-0.9) and h[0] == 1.0
+        g = PinballLoss(0.9).gradients(np.array([10.0]), np.array([8.0]))
+        assert g[0] == pytest.approx(-0.9)
 
     def test_pinball_median_is_half_sign(self):
         y = np.array([1.0, 5.0, 5.0])
         pred = np.array([3.0, 3.0, 5.0])
-        g, _ = PinballLoss(0.5).gradients(y, pred)
+        g = PinballLoss(0.5).gradients(y, pred)
         expected = 0.5 * np.where(pred >= y, 1.0, -1.0)
         np.testing.assert_allclose(g, expected)
 
@@ -132,27 +141,25 @@ class TestFitTree:
     def test_root_splits_on_separating_feature(self):
         X = np.array([[1.0, 9.0], [2.0, 7.0], [8.0, 9.0], [9.0, 7.0]])
         grad = np.array([-1.0, -1.0, 1.0, 1.0])  # perfectly separated by x0 < 5
-        hess = np.ones(4)
-        tree = fit_tree(X, grad, hess, max_depth=1)
+        tree = fit_tree(X, grad, max_depth=1)
         assert tree.feature[0] == 0
         assert tree.threshold[0] == 5.0  # midpoint of 2 and 8
         # hand-computed gain: GL=-2, GR=2 -> 4/2 + 4/2 - 0 = 4
-        oracle = brute_force_best_gain(X, grad, hess)
+        oracle = brute_force_best_gain(X, grad)
         assert oracle == pytest.approx(4.0)
 
     def test_constant_gradient_single_leaf(self):
         X = np.random.default_rng(0).uniform(size=(50, 3))
         grad = np.full(50, 0.7)
-        tree = fit_tree(X, grad, np.ones(50), max_depth=4)
+        tree = fit_tree(X, grad, max_depth=4)
         assert tree.n_leaves == 1
         assert tree.value[0] == pytest.approx(-0.7)
 
     def test_xor_gradients_have_no_axis_split(self):
         X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         grad = np.array([1.0, -1.0, -1.0, 1.0])
-        hess = np.ones(4)
-        assert brute_force_best_gain(X, grad, hess) == pytest.approx(0.0)
-        tree = fit_tree(X, grad, hess, max_depth=1)
+        assert brute_force_best_gain(X, grad) == pytest.approx(0.0)
+        tree = fit_tree(X, grad, max_depth=1)
         assert tree.n_leaves == 1
 
     def test_chosen_split_matches_brute_force(self):
@@ -161,8 +168,8 @@ class TestFitTree:
             X = rng.uniform(size=(40, 4))
             grad = rng.standard_normal(40)
             hess = np.ones(40)
-            tree = fit_tree(X, grad, hess, max_depth=1, min_samples_leaf=2)
-            oracle = brute_force_best_gain(X, grad, hess, min_samples_leaf=2)
+            tree = fit_tree(X, grad, max_depth=1, min_samples_leaf=2)
+            oracle = brute_force_best_gain(X, grad, min_samples_leaf=2)
             if tree.n_leaves == 1:
                 assert oracle <= 1e-9
                 continue
@@ -177,18 +184,18 @@ class TestFitTree:
         rng = np.random.default_rng(1)
         X = rng.uniform(size=(200, 2))
         grad = rng.standard_normal(200)
-        tree = fit_tree(X, grad, np.ones(200), max_depth=3)
+        tree = fit_tree(X, grad, max_depth=3)
         assert tree.n_leaves <= 8
 
     def test_min_rows_precondition(self):
         with pytest.raises(BoostingError):
-            fit_tree(np.ones((3, 1)), np.ones(3), np.ones(3), max_depth=1, min_samples_leaf=2)
+            fit_tree(np.ones((3, 1)), np.ones(3), max_depth=1, min_samples_leaf=2)
 
     def test_out_receives_each_rows_leaf_value(self):
         X, y = tie_heavy_dataset()
-        grad, hess = SquaredLoss().gradients(y, np.full(len(y), y.mean()))
+        grad = SquaredLoss().gradients(y, np.full(len(y), y.mean()))
         out = np.full(len(y), np.nan)
-        tree = fit_tree(X, grad, hess, max_depth=4, out=out)
+        tree = fit_tree(X, grad, max_depth=4, out=out)
         assert out.tobytes() == tree.predict(X).tobytes()
 
 
@@ -200,23 +207,137 @@ class TestPresortedGrowth:
         X, y = tie_heavy_dataset()
         rng = np.random.default_rng(min_samples_leaf)
         for pred in (np.full(len(y), loss.base_score(y)), y + rng.normal(0.0, 200.0, len(y))):
-            grad, hess = loss.gradients(y, pred)
-            tree = fit_tree(X, grad, hess, max_depth=6, min_samples_leaf=min_samples_leaf)
+            grad = loss.gradients(y, pred)
+            tree = fit_tree(X, grad, max_depth=6, min_samples_leaf=min_samples_leaf)
             got = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
-            want = reference_tree(X, grad, hess, 6, min_samples_leaf)
+            want = reference_tree(X, grad, 6, min_samples_leaf)
             assert tree.n_leaves > 8
             for name, a, b in zip(("feature", "threshold", "left", "right", "value"), got, want):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
     def test_given_order_is_presort(self):
         X, y = tie_heavy_dataset()
-        order = boosted.presort(X)
+        workspace = boosted.TreeWorkspace(X)
+        order = workspace.order
         assert order.dtype == np.int64 and order.shape == (X.shape[1], len(X))
-        grad, hess = SquaredLoss().gradients(y, np.zeros(len(y)))
-        a = fit_tree(X, grad, hess, max_depth=5, order=order)
-        b = fit_tree(X, grad, hess, max_depth=5)
+        np.testing.assert_array_equal(order, boosted.presort(X))
+        grad = SquaredLoss().gradients(y, np.zeros(len(y)))
+        a = fit_tree(X, grad, max_depth=5, workspace=workspace)
+        b = fit_tree(X, grad, max_depth=5)
         assert tree_bytes(a) == tree_bytes(b)
         np.testing.assert_array_equal(order, boosted.presort(X))  # not mutated
+
+    def test_one_workspace_grows_every_tree_alike(self):
+        """Trees grown back to back through one workspace, deep after
+        shallow and back, match a fresh workspace and the reference grower."""
+        X, y = tie_heavy_dataset()
+        workspace = TreeWorkspace(X)
+        assert not workspace.order.flags.writeable
+        rng = np.random.default_rng(11)
+        noisy = y + rng.normal(0.0, 200.0, len(y))
+        for loss in (SquaredLoss(), PinballLoss(0.05)):
+            for pred in (np.full(len(y), loss.base_score(y)), noisy):
+                grad = loss.gradients(y, pred)
+                for max_depth, min_samples_leaf in ((6, 1), (3, 5), (6, 5), (3, 1)):
+                    shared = fit_tree(X, grad, max_depth, min_samples_leaf, workspace=workspace)
+                    fresh = fit_tree(X, grad, max_depth, min_samples_leaf)
+                    want = reference_tree(X, grad, max_depth, min_samples_leaf)
+                    assert tree_bytes(shared) == tree_bytes(fresh)
+                    assert tree_bytes(shared) == tuple(a.tobytes() for a in want)
+        np.testing.assert_array_equal(workspace.order, boosted.presort(X))
+
+    def test_workspace_shape_checked(self):
+        X, y = tie_heavy_dataset()
+        with pytest.raises(BoostingError, match="workspace"):
+            fit_tree(X[:-1], y[:-1], workspace=TreeWorkspace(X))
+
+    def test_tree_growth_allocates_little_beyond_the_workspace(self):
+        """One tree through a given workspace peaks below 1.8x the bytes of
+        X (1.5x measured); a grower that allocates each node's column blocks
+        peaks at 2.2-2.4x here."""
+        X, y = tie_heavy_dataset(n=6000)
+        workspace = TreeWorkspace(X)
+        for loss in (SquaredLoss(), PinballLoss(0.05)):
+            grad = loss.gradients(y, np.full(len(y), loss.base_score(y)))
+            tracemalloc.start()
+            try:
+                tree = fit_tree(X, grad, max_depth=6, workspace=workspace)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert tree.n_leaves > 16
+            assert peak < 1.8 * X.nbytes, peak / X.nbytes
+
+
+def leaf_sizes(tree, X):
+    """Rows reaching each leaf."""
+    node = np.zeros(len(X), dtype=np.int32)
+    for _ in range(tree.max_depth):
+        inner = tree.feature[node] >= 0
+        f = tree.feature[node[inner]]
+        go_left = X[np.flatnonzero(inner), f] <= tree.threshold[node[inner]]
+        node[inner] = np.where(go_left, tree.left[node[inner]], tree.right[node[inner]])
+    return np.bincount(node, minlength=len(tree.feature))[tree.feature < 0]
+
+
+class TestWholeNodeSearch:
+    """Edge cases of scoring every feature of a node in one array."""
+
+    def test_identical_columns_split_on_the_lower_index(self):
+        X, y = tie_heavy_dataset()
+        X = np.column_stack([X[:, :4], X[:, 5], X[:, 5]])  # columns 4 and 5 equal
+        grad = SquaredLoss().gradients(y, np.full(len(y), y.mean()))
+        tree = fit_tree(X, grad, max_depth=6)
+        assert 4 in tree.feature and 5 not in tree.feature
+        assert tree_bytes(tree) == tuple(a.tobytes() for a in reference_tree(X, grad, 6, 1))
+
+    def test_constant_column_never_chosen(self):
+        X, y = tie_heavy_dataset()
+        X = np.column_stack([np.full(len(y), 3.0), X])
+        grad = PinballLoss(0.05).gradients(y, np.full(len(y), y.mean()))
+        tree = fit_tree(X, grad, max_depth=6)
+        assert tree.n_leaves > 8 and 0 not in tree.feature
+
+    def test_node_without_candidates_is_a_leaf(self):
+        # the root splits on column 0; each child holds identical rows, so
+        # no feature has a boundary left although depth allows more
+        X = np.array([[0.0, 5.0], [0.0, 5.0], [0.0, 5.0], [1.0, 7.0], [1.0, 7.0]])
+        grad = np.array([-1.0, -2.0, -3.0, 4.0, 8.0])
+        tree = fit_tree(X, grad, max_depth=4)
+        assert tree.feature.tolist() == [0, -1, -1]
+        assert tree.threshold[0] == 0.5
+        assert tree.value[1:].tolist() == [2.0, -6.0]
+
+    @pytest.mark.parametrize("min_samples_leaf", [0, 1])
+    def test_last_position_is_never_a_boundary(self, min_samples_leaf):
+        # the prefix sum over all rows (1.0) differs from the node sum (0.0),
+        # so the position after the last row scores a gain of 1.0625
+        X = np.ones((16, 1))
+        grad = np.array([1e16, 1.0, -1e16, 1.0] * 4)
+        tree = fit_tree(X, grad, max_depth=3, min_samples_leaf=min_samples_leaf)
+        assert tree.n_leaves == 1 and tree.value[0] == -grad.sum() / 16
+        want = reference_tree(X, grad, 3, min_samples_leaf)
+        assert tree_bytes(tree) == tuple(a.tobytes() for a in want)
+
+    @pytest.mark.parametrize("loss", [SquaredLoss(), PinballLoss(0.05)],
+                             ids=["squared", "pinball05"])
+    def test_min_samples_leaf_zero_grows_single_row_nodes(self, loss):
+        X, y = tie_heavy_dataset(n=60)
+        grad = loss.gradients(y, y + np.random.default_rng(3).normal(0.0, 200.0, len(y)))
+        tree = fit_tree(X, grad, max_depth=10, min_samples_leaf=0)
+        assert (leaf_sizes(tree, X) == 1).any()  # single-row nodes were reached
+        assert tree_bytes(tree) == tuple(a.tobytes() for a in reference_tree(X, grad, 10, 0))
+
+    def test_min_samples_leaf_zero_model_pinned(self):
+        # sha256 of gbdt_to_json computed with the per-feature search: 57
+        # leaves per tree on 60 rows, most of them single rows
+        X, y = tie_heavy_dataset(n=80)
+        model = gbdt_fit(X[:60], y[:60], X[60:], y[60:],
+                         params=GbdtParams(n_estimators=6, max_depth=10, min_samples_leaf=0,
+                                           early_stopping_rounds=6))
+        assert [t.n_leaves for t in model.trees] == [57] * 6
+        digest = hashlib.sha256(gbdt_to_json(model).encode("utf-8")).hexdigest()
+        assert digest == "9d05a80a945cec0354068110ab5652c22cda63a815c30cd3c99209a39ac401f2"
 
 
 def deterministic_dataset(n=512, seed=0):
@@ -386,3 +507,43 @@ class TestSerialization:
         assert clone.loss.tau == 0.95
         doc = json.loads(gbdt_to_json(model))
         assert doc["loss"] == {"name": "pinball", "tau": 0.95}
+
+    def test_doc_round_trip(self):
+        X, y = tie_heavy_dataset()
+        model = gbdt_fit(X[:400], y[:400], X[400:], y[400:], loss=PinballLoss(0.05),
+                         params=GbdtParams(n_estimators=5, max_depth=3))
+        doc = boosted.gbdt_to_doc(model)
+        assert json.loads(gbdt_to_json(model)) == doc
+        assert gbdt_to_json(boosted.gbdt_from_doc(doc)) == gbdt_to_json(model)
+
+    def test_quantile_artifact_bytes_pinned(self, tmp_path, monkeypatch):
+        """``gbdt_quantile.json`` of a 3-tau fit; the digest was computed when
+        the artifact was still built by a JSON text round trip per tau."""
+        X, y = tie_heavy_dataset()
+        start = datetime(2014, 1, 1)
+        stamps = tuple(start + timedelta(hours=i) for i in range(len(y)))
+        order = ("hour", "dayofweek", "month", "weekend", "load", "lag")
+
+        def part(lo, hi):
+            return FeatureMatrix(stamps[lo:hi], X[lo:hi], order, y[lo:hi])
+
+        parts = part(0, 320), part(320, 400), part(400, len(y))
+        monkeypatch.setattr(pipeline, "_tabular_split", lambda cfg, data: parts)
+        cfg = config_from_dict({
+            "input_path": "meter.csv", "output_dir": "out",
+            "model_params": {"gbdt_quantile": {"n_estimators": 8, "max_depth": 3,
+                                               "early_stopping_rounds": 8}},
+        })
+        assert pipeline._fit_gbdt_quantile(cfg, None, tmp_path) == ["gbdt_quantile.json"]
+        data = (tmp_path / "gbdt_quantile.json").read_bytes()
+        digest = hashlib.sha256(data).hexdigest()
+        assert digest == "5ceca941f050fcb7702efbe82cbd3af281f919f00a6f5682492f698449e44fe1"
+        forecast = pipeline._predict_gbdt_quantile(cfg, None, tmp_path)
+        models = {tau: gbdt_fit(parts[0].features, parts[0].target, parts[1].features,
+                                parts[1].target, loss=PinballLoss(tau),
+                                params=GbdtParams(**cfg.params_for("gbdt_quantile")),
+                                feature_order=order)
+                  for tau in (0.05, 0.5, 0.95)}
+        want = gbdt_predict_quantiles(models, parts[2])
+        assert forecast.dist.q05.tobytes() == want.q05.tobytes()
+        assert forecast.dist.q95.tobytes() == want.q95.tobytes()
