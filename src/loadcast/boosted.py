@@ -314,6 +314,11 @@ class GbdtParams:
     def __post_init__(self) -> None:
         if not 0 < self.learning_rate <= 1:
             raise BoostingError("learning_rate must be in (0, 1]")
+        # zero trees (the base score alone) and single-row leaves are legal
+        for name, low in (("n_estimators", 0), ("max_depth", 1), ("min_samples_leaf", 0),
+                          ("early_stopping_rounds", 1)):
+            if getattr(self, name) < low:
+                raise BoostingError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

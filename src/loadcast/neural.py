@@ -7,16 +7,31 @@ block's hidden states as they are handed to the next stage, not inside the
 recurrence. Each layer stores its four gates fused, as one input matrix,
 one recurrent matrix and one bias, so a step is one input and one recurrent
 GEMM; ``parameters()`` exposes per-gate views of them. A training forward
-projects every step's input in one GEMM before the recurrence; eval
-forwards that no backward pass follows keep no BPTT caches and project one
-step at a time, and the second layer keeps only its last hidden state.
+projects every step's input before the recurrence; eval forwards that no
+backward pass follows keep no BPTT caches and project one step at a time,
+and the second layer keeps only its last hidden state.
+
+The kernels are feature-major: every per-step array keeps the batch as its
+last axis. A layer's input is (T, n_in, batch), its gate activations and
+their gradients (T, 4H, batch), its H, C and tanh(C) (T, H, batch), so
+gate k of step t is ``act[t, k*H:(k+1)*H]``, one contiguous (H, batch)
+block, and a step's GEMMs are ``W.T @ x``, ``U.T @ h`` and ``U @ dz``.
+With the batch first, a gate is a strided slice of its step's rows and the
+step a slice strided by T*4H; elementwise work on such views runs two to
+five times slower than on contiguous blocks and, more than the GEMMs, sets
+a batch's time. Only ``forward``'s windows (batch, T,
+features) and q (batch, 3) keep the batch first: layer 1 reads
+``windows[:, t, :]`` through BLAS's transposed operand, so an eval
+forward never copies the window tensor.
 
 Every kernel runs in the dtype of the model's parameters. ``init_model``
 defaults to float64, in which analytic gradients are checked against
 central finite differences tightly; the pipeline trains and predicts in
 float32, which halves the kernels' time. Dropout draws, the pinball loss
 sum and the checkpoint body stay float64, and ``predict_quantiles``
-returns float64 watts.
+returns float64 watts. A dropout mask is a bool keep-mask applied with one
+1/keep rounded to the model dtype, which gives the bits of a float mask
+``(u < keep) / keep`` cast to that dtype.
 """
 
 from __future__ import annotations
@@ -138,6 +153,10 @@ def init_model(
     dtype = np.dtype(dtype)
     if dtype not in (np.float32, np.float64):
         raise NeuralModelError(f"unsupported parameter dtype {dtype}")
+    if not 0.0 <= dropout_rate < 1.0:
+        raise NeuralModelError(f"dropout_rate must be in [0, 1), got {dropout_rate}")
+    if len(hidden) != 2 or min(hidden) < 1:
+        raise NeuralModelError(f"hidden must be two sizes >= 1, got {tuple(hidden)}")
     rng = np.random.default_rng(seed)
     layer1 = _init_layer(n_features, hidden[0], rng, dtype)
     layer2 = _init_layer(hidden[0], hidden[1], rng, dtype)
@@ -154,27 +173,29 @@ def init_model(
 
 
 def _gates(act: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
-    """Views of the i, f, o, g blocks along the last axis of a fused array."""
-    return tuple(act[..., k * n : (k + 1) * n] for k in range(len(GATES)))
+    """Views of the i, f, o, g blocks along the first axis of a fused
+    (4H, ...) array; each is contiguous when ``act`` is."""
+    return tuple(act[k * n : (k + 1) * n] for k in range(len(GATES)))
 
 
 def _cell(
     act: np.ndarray, c_prev: np.ndarray | None, c: np.ndarray, tc: np.ndarray, h: np.ndarray
 ) -> None:
-    """One step of the gated cell on (batch, 4H) pre-activations, which are
+    """One step of the gated cell on (4H, batch) pre-activations, which are
     activated in place: [i f o g] = [sigmoid sigmoid sigmoid tanh](act);
     c = f*c_prev + i*g, tc = tanh(c) and h = o*tc are written into the
-    given (batch, H) arrays. ``c_prev`` None stands for c_{-1} = 0; it may
+    given (H, batch) arrays. ``c_prev`` None stands for c_{-1} = 0; it may
     be ``c`` itself."""
-    n = h.shape[1]
-    _sigmoid(act[:, : 3 * n], out=act[:, : 3 * n])
-    np.tanh(act[:, 3 * n :], out=act[:, 3 * n :])
+    n = h.shape[0]
+    _sigmoid(act[: 3 * n], out=act[: 3 * n])
+    np.tanh(act[3 * n :], out=act[3 * n :])
     i, f, o, g = _gates(act, n)
     if c_prev is None:
         np.multiply(i, g, out=c)
     else:
+        np.multiply(i, g, out=tc)  # tc is free until tanh(c) goes in
         np.multiply(f, c_prev, out=c)
-        c += i * g
+        c += tc
     np.tanh(c, out=tc)
     np.multiply(o, tc, out=h)
 
@@ -182,40 +203,52 @@ def _cell(
 def _layer_forward(
     layer: LstmLayerParams, X: np.ndarray, keep_caches: bool, all_states: bool = True
 ) -> tuple[np.ndarray | None, np.ndarray, dict | None]:
-    """Run a layer over a (batch, T, n_in) sequence.
+    """Run a layer over a (T, n_in, batch) sequence; X[t] may be a strided
+    view, which BLAS reads as a transposed operand.
 
-    Returns the hidden states H (batch, T, H), the last hidden state and,
-    with ``keep_caches``, the stacked BPTT caches: the input X, H, cell
-    states C, tanh(C) and the gate activations act (batch, T, 4H). The
-    caching pass projects every step's input in one GEMM into act, so a
-    step adds only h U; a cache-free pass projects one step at a time and,
+    Returns the hidden states H (T, H, batch), the last hidden state and,
+    with ``keep_caches``, the BPTT caches: the input X, H, cell states C,
+    tanh(C) and the gate activations act (T, 4H, batch). The caching pass
+    projects every step's input into act before the recurrence, so a step
+    adds only U.T h; a cache-free pass projects one step at a time and,
     with ``all_states`` false, keeps no H (None is returned)."""
-    batch, T, n_in = X.shape
+    T, _, batch = X.shape
     n = layer.n_hidden
-    H = np.empty((batch, T, n), layer.W.dtype) if keep_caches or all_states else None
+    dtype = layer.W.dtype
+    WT, UT, b = layer.W.T, layer.U.T, layer.b[:, None]
+    H = np.empty((T, n, batch), dtype) if keep_caches or all_states else None
+    rec = np.empty((4 * n, batch), dtype)  # U.T h_{t-1}
     if keep_caches:
-        acts = (X.reshape(batch * T, n_in) @ layer.W).reshape(batch, T, -1)
-        acts += layer.b
+        # a training batch is small, and BLAS reads contiguous steps about twice as fast
+        X = np.ascontiguousarray(X)
+        acts = np.matmul(WT, X, out=np.empty((T, 4 * n, batch), dtype))
+        acts += b
         C, TC = np.empty_like(H), np.empty_like(H)
     else:
-        c, tc = np.empty((2, batch, n), layer.W.dtype)
+        act = np.empty_like(rec)
+        c, tc = np.empty((2, n, batch), dtype)
         h = np.empty_like(c) if H is None else None
     for t in range(T):
         if keep_caches:  # the step's input projection is already in act
-            act = acts[:, t, :]
-            c, tc = C[:, t, :], TC[:, t, :]
-            c_prev = C[:, t - 1, :] if t else None
+            act = acts[t]
+            c, tc = C[t], TC[t]
+            c_prev = C[t - 1] if t else None
         else:
-            act = X[:, t, :] @ layer.W
-            act += layer.b
+            np.matmul(WT, X[t], out=act)
+            act += b
             c_prev = c if t else None
         if t:  # h is still h_{t-1}; h_{-1} = 0 adds nothing
-            act += h @ layer.U
+            act += np.matmul(UT, h, out=rec)
         if H is not None:
-            h = H[:, t, :]
+            h = H[t]
         _cell(act, c_prev, c, tc, h)
     cache = {"X": X, "H": H, "C": C, "TC": TC, "act": acts} if keep_caches else None
     return H, h, cache
+
+
+def _dropout_scale(model: QuantileLstmModel):
+    """The inverted-dropout factor 1/keep, rounded once to the model dtype."""
+    return model.dtype.type(1.0 / (1.0 - model.dropout_rate))
 
 
 def forward(
@@ -226,7 +259,7 @@ def forward(
     keep_caches: bool = True,
 ) -> tuple[np.ndarray, dict | None]:
     """Full forward pass on (batch, T, n_features) windows, in the model's
-    dtype (windows of another dtype are cast).
+    dtype (windows of another dtype are cast); returns q as (batch, 3).
 
     Layer 1 runs over every step; its activated per-step outputs pass
     through dropout (train mode only, inverted scaling), then layer 2; the
@@ -248,24 +281,30 @@ def forward(
             raise NeuralModelError("train-mode forward needs a dropout seed")
         rng = np.random.default_rng(dropout_seed)
         keep = 1.0 - model.dropout_rate
+        scale = _dropout_scale(model)
 
-    def dropout_mask(shape):
-        # float64 draws whatever the model dtype, so both dtypes drop the same units
-        return ((rng.random(shape) < keep) / keep).astype(model.dtype, copy=False)
+    def keep_mask(shape):
+        # float64 draws in (batch, ...) order whatever the model dtype, so
+        # both dtypes drop the same units; returned in the kernel's layout
+        return np.moveaxis(rng.random(shape) < keep, 0, -1).copy()
 
-    H1, _, cache1 = _layer_forward(model.layer1, windows, keep_caches)
+    # step t's input is windows[:, t, :].T, a view: an eval forward copies no window
+    H1, _, cache1 = _layer_forward(model.layer1, windows.transpose(1, 2, 0), keep_caches)
     # backward reads H1 from the cache; without one, relu and dropout go in place
     D1 = np.maximum(H1, 0.0, out=None if keep_caches else H1)
-    mask1 = dropout_mask(D1.shape) if use_dropout else None
+    mask1 = keep_mask(windows.shape[:2] + (model.layer1.n_hidden,)) if use_dropout else None
     if mask1 is not None:
+        D1 *= scale
         D1 *= mask1
 
     _, h2_last, cache2 = _layer_forward(model.layer2, D1, keep_caches, all_states=False)
-    A2 = np.maximum(h2_last, 0.0)
-    mask2 = dropout_mask(A2.shape) if use_dropout else None
-    D2 = A2 * mask2 if mask2 is not None else A2
+    D2 = np.maximum(h2_last, 0.0)
+    mask2 = keep_mask((len(windows), model.layer2.n_hidden)) if use_dropout else None
+    if mask2 is not None:
+        D2 *= scale
+        D2 *= mask2
 
-    q = D2 @ model.head_W + model.head_b
+    q = D2.T @ model.head_W + model.head_b
     if not keep_caches:
         return q, None
     return q, {"layer1": cache1, "mask1": mask1, "layer2": cache2,
@@ -280,45 +319,60 @@ def forward(
 def _layer_backward(
     layer: LstmLayerParams, cache: dict, dH: np.ndarray, input_grad: bool
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray]:
-    """BPTT through one layer. dH is (batch, T, n_hidden) upstream gradient
-    on every hidden state; returns the (batch, T, n_in) gradient of the
-    input (None unless ``input_grad``) and the fused parameter gradients
-    (dW, dU, db).
+    """BPTT through one layer. dH is the upstream gradient on every hidden
+    state, (T, H, batch), or on the last one only, (H, batch); returns the
+    (T, n_in, batch) gradient of the input (None unless ``input_grad``)
+    and the fused parameter gradients (dW, dU, db).
 
-    Each gate's local derivative is computed for every step at once into
-    dZ before the recurrence, which then only scales it by the step's dc
-    (or dh, for o) and runs the recurrent GEMM."""
+    Each step works on contiguous (H, batch) gate blocks in buffers
+    allocated once; dW and dU accumulate one step's GEMM at a time."""
     X, H, C, TC, acts = (cache[k] for k in ("X", "H", "C", "TC", "act"))
-    batch, T, n = dH.shape
-    i, f, o, g = _gates(acts, n)
+    T, n, batch = H.shape
+    per_step = dH.ndim == 3
     dZ = np.empty_like(acts)
-    dz_i, dz_f, dz_o, dz_g = _gates(dZ, n)
-    np.multiply(g * i, 1.0 - i, out=dz_i)
-    dz_f[:, 0, :] = 0.0  # c_{-1} = 0
-    np.multiply(C[:, :-1, :] * f[:, 1:, :], 1.0 - f[:, 1:, :], out=dz_f[:, 1:, :])
-    np.multiply(TC * o, 1.0 - o, out=dz_o)
-    np.multiply(i, 1.0 - g**2, out=dz_g)
-    dc_dh = o * (1.0 - TC**2)
-    UT = layer.U.T
-    dh_next = dc_next = 0.0  # nothing flows back into the last step
+    dW, dU = np.zeros_like(layer.W), np.zeros_like(layer.U)
+    step_dW, step_dU = np.empty_like(dW), np.empty_like(dU)
+    dh_next, dc, dc_next = np.empty((3, n, batch), acts.dtype)
     for t in range(T - 1, -1, -1):
-        dh = dH[:, t, :] + dh_next
-        dc = dh * dc_dh[:, t, :]
-        dc += dc_next
-        dz_i[:, t, :] *= dc
-        dz_f[:, t, :] *= dc
-        dz_o[:, t, :] *= dh
-        dz_g[:, t, :] *= dc
-        dc_next = dc * f[:, t, :]
-        dh_next = dZ[:, t, :] @ UT
-    dZ_flat = dZ.reshape(batch * T, -1)
-    dW = X.reshape(batch * T, -1).T @ dZ_flat
-    db = dZ_flat.sum(axis=0)
-    dX = (dZ_flat @ layer.W.T).reshape(X.shape) if input_grad else None
-    # step t's recurrent input is h_{t-1}, the row before it in the flat H;
-    # h_{-1} = 0, so step 0's dZ is zeroed and pairs with no h
-    dZ[:, 0, :] = 0.0
-    dU = H.reshape(batch * T, n)[:-1].T @ dZ_flat[1:]
+        act, dz, tc = acts[t], dZ[t], TC[t]
+        i, f, o, g = _gates(act, n)
+        dz_i, dz_f, dz_o, dz_g = _gates(dz, n)
+        if t == T - 1:  # nothing flows back into the last step
+            dh = dH[t] if per_step else dH
+        else:
+            dh = dh_next
+            if per_step:
+                dh += dH[t]
+        # dc = dh o (1 - tc^2) + dc_{t+1}
+        np.multiply(tc, tc, out=dc)
+        np.subtract(1.0, dc, out=dc)
+        dc *= o
+        dc *= dh
+        if t < T - 1:
+            dc += dc_next
+        # local derivatives: s(1 - s) of i, f, o in one pass, 1 - g^2 of g
+        np.subtract(1.0, act[: 3 * n], out=dz[: 3 * n])
+        dz[: 3 * n] *= act[: 3 * n]
+        np.multiply(g, g, out=dz_g)
+        np.subtract(1.0, dz_g, out=dz_g)
+        dz_i *= g
+        if t:
+            dz_f *= C[t - 1]
+        else:  # c_{-1} = 0
+            dz_f[...] = 0.0
+        dz_g *= i
+        dz_o *= tc
+        dz_o *= dh
+        i_and_f = dz[: 2 * n].reshape(2, n, batch)
+        i_and_f *= dc
+        dz_g *= dc
+        np.multiply(dc, f, out=dc_next)
+        dW += np.matmul(X[t], dz.T, out=step_dW)
+        if t:  # step t's recurrent input is h_{t-1}; h_{-1} = 0
+            dU += np.matmul(H[t - 1], dz.T, out=step_dU)
+            np.matmul(layer.U, dz, out=dh_next)
+    db = dZ.sum(axis=0).sum(axis=1)  # a short last axis sums slowly first
+    dX = np.matmul(layer.W, dZ) if input_grad else None
     return dX, dW, dU, db
 
 
@@ -332,17 +386,18 @@ def backward(
     Gate gradients are per-gate views of fused arrays.
     """
     D2 = caches["D2"]
-    grads = {"head.W": D2.T @ dq, "head.b": dq.sum(axis=0)}
-    dD2 = dq @ model.head_W.T
-    dA2 = dD2 * caches["mask2"] if caches["mask2"] is not None else dD2
-    dh2_last = dA2 * (caches["h2_last"] > 0)
+    grads = {"head.W": D2 @ dq, "head.b": dq.sum(axis=0)}
+    dh2_last = model.head_W @ dq.T
+    if caches["mask2"] is not None:
+        dh2_last *= _dropout_scale(model)
+        dh2_last *= caches["mask2"]
+    dh2_last *= caches["h2_last"] > 0
 
     cache1, cache2 = caches["layer1"], caches["layer2"]
-    dH2 = np.zeros_like(cache2["H"])
-    dH2[:, -1, :] = dh2_last
     # layer 2's input gradient; layer 1's own input gradient is never needed
-    dH1, *fused2 = _layer_backward(model.layer2, cache2, dH2, input_grad=True)
+    dH1, *fused2 = _layer_backward(model.layer2, cache2, dh2_last, input_grad=True)
     if caches["mask1"] is not None:
+        dH1 *= _dropout_scale(model)
         dH1 *= caches["mask1"]
     dH1 *= cache1["H"] > 0
     _, *fused1 = _layer_backward(model.layer1, cache1, dH1, input_grad=False)
@@ -417,6 +472,13 @@ class TrainConfig:
     batch_size: int = 64
     learning_rate: float = 1e-3
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        for name in ("max_epochs", "patience", "batch_size"):
+            if getattr(self, name) < 1:
+                raise NeuralModelError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.learning_rate > 0:
+            raise NeuralModelError(f"learning_rate must be > 0, got {self.learning_rate}")
 
 
 @dataclass(frozen=True)

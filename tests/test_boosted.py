@@ -349,6 +349,21 @@ def deterministic_dataset(n=512, seed=0):
     return X, y
 
 
+class TestGbdtParams:
+    @pytest.mark.parametrize("field, value", [
+        ("n_estimators", -5), ("max_depth", 0), ("max_depth", -1),
+        ("min_samples_leaf", -2), ("early_stopping_rounds", 0),
+    ])
+    def test_out_of_range_rejected(self, field, value):
+        with pytest.raises(BoostingError, match=field):
+            GbdtParams(**{field: value})
+
+    def test_zero_trees_and_single_row_leaves_legal(self):
+        params = GbdtParams(n_estimators=0, min_samples_leaf=0, max_depth=1,
+                            early_stopping_rounds=1)
+        assert (params.n_estimators, params.min_samples_leaf) == (0, 0)
+
+
 class TestGbdtFit:
     def test_interpolates_deterministic_function(self):
         X, y = deterministic_dataset()

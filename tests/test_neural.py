@@ -44,12 +44,13 @@ def zeroed_model(**kwargs):
 
 def cell_step(x, h_prev, c_prev, layer):
     """One step of the gated cell on a (batch, n_in) input through the
-    kernel's ``_cell``; returns (h, c)."""
-    act = x @ layer.W + layer.b
-    act += h_prev @ layer.U
-    h, c, tc = (np.empty_like(h_prev) for _ in range(3))
-    neural_module._cell(act, c_prev, c, tc, h)
-    return h, c
+    kernel's ``_cell``, which works feature-major: its arrays are
+    (features, batch); returns (h, c) as (batch, H)."""
+    act = layer.W.T @ x.T + layer.b[:, None]
+    act += layer.U.T @ h_prev.T
+    h, c, tc = (np.empty(h_prev.shape[::-1]) for _ in range(3))
+    neural_module._cell(act, np.ascontiguousarray(c_prev.T), c, tc, h)
+    return h.T, c.T
 
 
 def make_tensor(data, targets):
@@ -423,6 +424,69 @@ class TestFusedKernel:
                 assert np.shares_memory(arr, getattr(layers[tag], kind[0])), name
 
 
+class TestFeatureMajorKernel:
+    """The kernel keeps the batch as the last axis of every per-step array;
+    odd shapes would show swapped axes or an off-by-one recurrent term."""
+
+    @pytest.mark.parametrize("batch, T", [(5, 1), (1, 5), (5, 7)],
+                             ids=["T1", "batch1", "batch5"])
+    @pytest.mark.parametrize("train_mode", [False, True], ids=["eval", "dropout"])
+    def test_edge_shapes_match_per_gate_reference(self, batch, T, train_mode):
+        model = init_model(3, hidden=(6, 4), dropout_rate=0.3, seed=52)
+        rng = np.random.default_rng(52)
+        windows = rng.uniform(-1, 1, size=(batch, T, 3))
+        y = rng.uniform(size=batch)
+        want_q, want_grads = reference_forward_backward(model, windows, y, train_mode, seed=11)
+        q, caches = forward(model, windows, train_mode=train_mode, dropout_seed=11)
+        _, dq = quantile_loss_and_grad(q, y)
+        grads = backward(model, caches, dq)
+        assert_close_to_rounding(q, want_q, "q")
+        assert sorted(grads) == sorted(want_grads)
+        for name, g in grads.items():
+            assert_close_to_rounding(g, want_grads[name], name)
+        q_free, _ = forward(model, windows, train_mode=train_mode, dropout_seed=11,
+                            keep_caches=False)
+        assert q_free.tobytes() == q.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_dropout_products_bitwise_those_of_scaled_float_masks(self, dtype):
+        """Bool keep-masks times one rounded 1/keep give the bits of a float
+        mask ((u < keep) / keep) cast to the model dtype, from the same
+        float64 draws in (batch, T, H) order."""
+        model = init_model(3, hidden=(6, 4), dropout_rate=0.3, seed=53, dtype=dtype)
+        windows = np.random.default_rng(53).uniform(size=(5, 7, 3))
+        _, caches = forward(model, windows, train_mode=True, dropout_seed=12)
+        keep = 1.0 - model.dropout_rate
+        rng = np.random.default_rng(12)
+        mask1 = ((rng.random((5, 7, 6)) < keep) / keep).astype(dtype)
+        mask2 = ((rng.random((5, 4)) < keep) / keep).astype(dtype)
+        assert caches["mask1"].dtype == caches["mask2"].dtype == np.bool_
+        assert caches["mask1"].shape == (7, 6, 5) and caches["mask2"].shape == (4, 5)
+        relu1 = np.maximum(caches["layer1"]["H"], 0.0).transpose(2, 0, 1)
+        want_d1 = (relu1 * mask1).transpose(1, 2, 0)
+        want_d2 = np.maximum(caches["h2_last"], 0.0) * mask2.T
+        assert caches["layer2"]["X"].dtype == caches["D2"].dtype == dtype
+        assert caches["layer2"]["X"].tobytes() == np.ascontiguousarray(want_d1).tobytes()
+        assert caches["D2"].tobytes() == want_d2.tobytes()
+
+    def test_backward_holds_no_per_step_gradient_stack(self):
+        """A paper-width backward peaks at 1.37x layer 1's act cache, a
+        batch-major one at 1.92x; stacking a (T, H, 4H) recurrent gradient
+        before summing it peaks at 2.93x, so the bound sits between."""
+        model = init_model(**PAPER, seed=54, dtype=np.float32)
+        windows, y = paper_batch(54)
+        q, caches = forward(model, windows, train_mode=True, dropout_seed=13)
+        _, dq = quantile_loss_and_grad(q, y)
+        act_bytes = caches["layer1"]["act"].nbytes
+        tracemalloc.start()
+        try:
+            backward(model, caches, dq)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.4 * act_bytes, peak / act_bytes
+
+
 class TestFloat32:
     @pytest.mark.parametrize("train_mode", [False, True], ids=["eval", "dropout"])
     def test_matches_float64_at_paper_width(self, train_mode):
@@ -467,7 +531,9 @@ class TestFloat32:
             assert sorted(group) == sorted(grads), kind
             named += [(f"{kind}.{name}", arr) for name, arr in group.items()]
         for path, arr in named:
-            assert arr.dtype == np.float32, path
+            # the dropout masks are bool keep-masks; every number is float32
+            want = np.bool_ if path in ("caches.mask1", "caches.mask2") else np.float32
+            assert arr.dtype == want, path
         for layer in (model.layer1, model.layer2):
             assert layer.W.dtype == layer.U.dtype == layer.b.dtype == np.float32
 
@@ -489,6 +555,33 @@ class TestFloat32:
     def test_unsupported_dtype_rejected(self):
         with pytest.raises(NeuralModelError, match="dtype"):
             init_model(3, hidden=(4, 3), dtype=np.float16)
+
+
+class TestHyperparameterRanges:
+    @pytest.mark.parametrize("field, value", [
+        ("max_epochs", 0), ("patience", 0), ("batch_size", 0), ("batch_size", -64),
+        ("learning_rate", 0.0), ("learning_rate", -1e-3), ("learning_rate", float("nan")),
+    ])
+    def test_train_config_rejects(self, field, value):
+        with pytest.raises(NeuralModelError, match=field):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("kwargs", [
+        {"dropout_rate": 1.0}, {"dropout_rate": 1.5}, {"dropout_rate": -0.1},
+        {"hidden": (0, 3)}, {"hidden": (4, 0)}, {"hidden": (4,)},
+    ], ids=["dropout1", "dropout1.5", "dropout-0.1", "hidden0_3", "hidden4_0", "hidden4"])
+    def test_init_model_rejects(self, kwargs):
+        name = next(iter(kwargs))
+        with pytest.raises(NeuralModelError, match=name):
+            init_model(3, **kwargs)
+
+    def test_smallest_legal_values_train(self):
+        rng = np.random.default_rng(55)
+        tensors = make_tensor(rng.uniform(size=(4, 3, 3)), rng.uniform(size=4))
+        model = init_model(3, hidden=(1, 1), dropout_rate=0.0, seed=55)
+        _, history = train(model, tensors, tensors,
+                           TrainConfig(max_epochs=1, patience=1, batch_size=1))
+        assert len(history.train_loss) == 1
 
 
 class TestAdam:
