@@ -363,6 +363,8 @@ class Forecast:
 
 def _fit_seasonal_naive(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> list[str]:
     period = cfg.params_for("seasonal_naive")["period"]
+    if period < 1:  # period 0 would forecast each hour by itself
+        raise PipelineError(f"period must be >= 1, got {period}")
     if data.split_idx < period:
         raise PipelineError(f"train split shorter than the naive period {period}")
     tail = data.full.channel(0)[data.split_idx - period : data.split_idx]

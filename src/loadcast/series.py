@@ -5,12 +5,17 @@ optional appliance channels). This module turns it into a regular hourly
 grid with explicit missingness (NaN means "no data", never "zero load"),
 fits and applies train-only min-max scalers and produces the chronological
 train/test split used everywhere downstream.
+
+Raw files and the hourly cache are parsed by numpy's C reader in blocks of
+~256 KiB of text, each copied into arrays sized once from a count of the
+file's line ends: reading holds the result plus one block. Python's csv
+module stays the reference, and a raw file numpy could read differently
+goes through a line parser built on it.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import logging
 import math
 import os
@@ -97,7 +102,7 @@ class RawSeries:
             raise ValueError("values shape does not match channel_names")
         if len(self.timestamps) != len(self.values):
             raise ValueError("timestamps and values length mismatch")
-        if len(self.timestamps) > 1 and not np.all(np.diff(self.timestamps) > 0):
+        if not np.all(self.timestamps[1:] > self.timestamps[:-1]):
             raise ValueError("timestamps must be strictly increasing")
         _freeze(self, "timestamps", "values")
 
@@ -196,9 +201,14 @@ class GapReport:
 # ---------------------------------------------------------------------------
 
 
-# Text parsed per np.loadtxt call. Larger blocks raise peak memory (StringIO
-# keeps four bytes per character) for no gain in speed.
+# Text parsed per np.loadtxt call, and bytes per read when counting line
+# ends. Larger blocks raise peak memory (a block is held as text, as its
+# lines and as parsed rows at once) for no gain in speed.
 _BLOCK_CHARS = 1 << 18
+
+
+class _NotNumeric(Exception):
+    """A block numpy's reader could parse differently from the csv module."""
 
 
 def _blanks_to_nan(block: str) -> str:
@@ -212,32 +222,61 @@ def _blanks_to_nan(block: str) -> str:
     return block
 
 
-def _read_numeric(fh, usecols, width: int, lead: str = "") -> np.ndarray | None:
+def _max_rows(fh) -> int:
+    """An upper bound on the data rows of the open CSV ``fh``: its lines
+    (each ``\\n``, ``\\r`` or ``\\r\\n`` ends one, and a last line may have
+    no end) less the header. Reads the file's bytes without moving ``fh``."""
+    fd = fh.fileno()
+    ends = offset = 0
+    last = b"\n"
+    while chunk := os.pread(fd, _BLOCK_CHARS, offset):
+        offset += len(chunk)
+        b = np.frombuffer(chunk, dtype=np.uint8)
+        lf, cr = b == 10, b == 13
+        # every \n ends a line, and every \r not followed by \n; a \r\n
+        # split between two chunks counts twice, still an upper bound
+        ends += np.count_nonzero(lf) + np.count_nonzero(cr[:-1] & ~lf[1:]) + int(cr[-1])
+        last = chunk[-1:]
+    return max(int(ends) + (last not in (b"\r", b"\n")) - 1, 0)
+
+
+def _numeric_blocks(fh, usecols, width: int, lead: str = ""):
     """Parse the rest of ``fh`` as float64 columns ``usecols`` of a table
     ``width`` cells wide, with numpy's C reader, ~256 KiB of text at a time.
 
-    ``lead`` is text already read from ``fh`` that starts the table. Blank
-    cells read as NaN; blank lines are skipped. Returns None on anything the
-    csv module could read differently: a quote, a ``#``, a row that is not
-    ``width`` cells wide, or text np.loadtxt rejects.
+    Yields ``(rows, text)`` per block: a (k, len(usecols)) array and the
+    whole lines it came from. ``lead`` is text already read from ``fh``
+    that starts the table. Blank cells read as NaN; blank lines are skipped.
+    Raises _NotNumeric on anything the csv module could read differently:
+    a quote, a ``#``, a row that is not ``width`` cells wide, or text
+    np.loadtxt rejects.
     """
-    parts = []
-    while block := lead + fh.read(_BLOCK_CHARS):
+    while text := lead + fh.read(_BLOCK_CHARS):
         lead = ""
-        block += fh.readline()  # extend to a whole line
-        if block.isspace():
+        text += fh.readline()  # extend to a whole line
+        if text.isspace():
             continue
-        if '"' in block or "#" in block:
-            return None
+        if '"' in text or "#" in text:
+            raise _NotNumeric
+        block = text
+        cr = block.find("\r")
+        if cr >= 0 and block[cr + 1:cr + 2] != "\n":
+            # bare \r line ends, which np.loadtxt rejects; any \r\n becomes
+            # an empty line, skipped as the csv module skips it
+            block = block.replace("\r", "\n")
         try:
-            part = np.loadtxt(io.StringIO(_blanks_to_nan(block)), delimiter=",",
+            rows = np.loadtxt(_blanks_to_nan(block).split("\n"), delimiter=",",
                               usecols=usecols, dtype=np.float64, ndmin=2, comments=None)
         except ValueError:
-            return None
-        if block.count(",") != len(part) * (width - 1):
-            return None
-        parts.append(part)
-    return np.concatenate(parts) if parts else np.empty((0, len(usecols)))
+            raise _NotNumeric from None
+        if block.count(",") != len(rows) * (width - 1):
+            raise _NotNumeric
+        yield rows, text
+
+
+def _invalid_to_nan(values: np.ndarray) -> None:
+    """Negative or non-finite power is an invalid reading, not data: NaN, in place."""
+    values[~(np.isfinite(values) & (values >= 0))] = np.nan
 
 
 def _open_raw(path):
@@ -271,19 +310,45 @@ def ingest_csv(path, schema: ColumnSchema | None = None) -> RawSeries:
     timestamp or power cells cannot be parsed at all raises IngestError
     with its line number.
 
-    numpy's C reader parses the numbers in blocks; a file it cannot read
-    exactly as the csv module would (quoted cells, ``#``, ragged rows,
-    whitespace-only rows, ``1_000``, ...) goes through the line parser.
+    numpy's C reader parses the numbers in blocks of ~256 KiB of text,
+    each copied straight into arrays sized once from the file's line ends,
+    so peak memory is the returned table plus one block; the sort and the
+    duplicate pass run only when the timestamps do not already increase
+    strictly. A file it cannot read exactly as the csv module would
+    (quoted cells, ``#``, ragged rows, whitespace-only rows, ``1_000``, a
+    timestamp outside int64, ...) goes through the line parser.
     """
     schema = schema or ColumnSchema()
     with _open_raw(path) as fh:
         cols, width = _raw_columns(fh, path, schema)
-        body = _read_numeric(fh, cols, width)
-    # |ts| < 2**63 also rejects NaN and infinite timestamps
-    if body is None or not len(body) or not np.all(np.abs(body[:, 0]) < 2.0**63):
+        table = _read_raw(fh, cols, width)
+    if table is None:
         return _ingest_lines(path, schema)
-    # astype truncates toward zero, as int(float(cell)) does
-    return _raw_series(path, schema, body[:, 0].astype(np.int64), body[:, 1:])
+    return _raw_series(path, schema, *table)
+
+
+def _read_raw(fh, cols: list[int], width: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """ingest_csv's block reader: the timestamps (int64) and the readings
+    (C-contiguous, invalid ones NaN) of the rest of ``fh`` in file order,
+    or None where the line parser must decide."""
+    cap = _max_rows(fh)
+    timestamps = np.empty(cap, dtype=np.int64)
+    values = np.empty((cap, len(cols) - 1))
+    n = 0
+    try:
+        for rows, _ in _numeric_blocks(fh, cols, width):
+            end = n + len(rows)
+            # more rows than line ends: the file grew while it was read;
+            # |ts| < 2**63 also rejects NaN and infinite timestamps
+            if end > cap or not np.all(np.abs(rows[:, 0]) < 2.0**63):
+                return None
+            timestamps[n:end] = rows[:, 0]  # truncates toward zero, as int(float(cell)) does
+            values[n:end] = rows[:, 1:]
+            _invalid_to_nan(values[n:end])
+            n = end
+    except _NotNumeric:
+        return None
+    return (timestamps[:n], values[:n]) if n else None
 
 
 def _ingest_lines(path, schema: ColumnSchema) -> RawSeries:
@@ -315,25 +380,26 @@ def _ingest_lines(path, schema: ColumnSchema) -> RawSeries:
                     raise IngestError(f"{path}: line {line_no}: bad value {cell!r}") from None
             timestamps.append(ts)
             rows.append(vals)
-    return _raw_series(path, schema, np.asarray(timestamps, dtype=np.int64),
-                       np.asarray(rows, dtype=np.float64))
+    values = np.asarray(rows, dtype=np.float64)
+    _invalid_to_nan(values)
+    return _raw_series(path, schema, np.asarray(timestamps, dtype=np.int64), values)
 
 
 def _raw_series(path, schema: ColumnSchema, ts_arr: np.ndarray, val_arr: np.ndarray) -> RawSeries:
-    """Both parsers' tail: invalid readings to NaN, a stable sort by
-    timestamp, and the last row of each duplicate timestamp."""
+    """Both parsers' tail, given readings already cleaned of invalid values:
+    a stable sort by timestamp and the last row of each duplicate
+    timestamp, both skipped when the timestamps increase strictly."""
     if not len(ts_arr):
         raise IngestError(f"{path}: empty series")
-    order = np.argsort(ts_arr, kind="stable")
-    ts_arr = ts_arr[order]
-    val_arr = val_arr[order]
-    # negative or non-finite power is an invalid reading, not data
-    val_arr[~(np.isfinite(val_arr) & (val_arr >= 0))] = np.nan
-    # duplicates keep the last occurrence
-    if len(ts_arr) > 1:
+    if not np.all(ts_arr[1:] > ts_arr[:-1]):
+        order = np.argsort(ts_arr, kind="stable")
+        ts_arr = ts_arr[order]
+        val_arr = val_arr[order]
+        # duplicates keep the last occurrence
         keep = np.append(ts_arr[1:] != ts_arr[:-1], True)
-        ts_arr = ts_arr[keep]
-        val_arr = val_arr[keep]
+        if not keep.all():
+            ts_arr = ts_arr[keep]
+            val_arr = val_arr[keep]
     logger.info("ingested %d rows, %d channels from %s", len(ts_arr), val_arr.shape[1], path)
     return RawSeries(ts_arr, val_arr, schema.channels)
 
@@ -476,18 +542,36 @@ def series_to_csv(series: HourlySeries, path) -> None:
 
 def series_from_csv(path) -> HourlySeries:
     """Read back a cache written by series_to_csv; a cache it could not
-    have written raises SeriesError."""
+    have written raises SeriesError. Only the first and last hour cells
+    are parsed: the last must be the first plus one hour per row."""
     with open(path, newline="", encoding="utf-8") as fh:
         channel_names = tuple(next(csv.reader(fh), ["hour"])[1:])
         first = fh.readline()
         if not first:
             raise SeriesError(f"{path}: empty hourly cache")
-        try:
-            start = datetime.fromisoformat(first.split(",", 1)[0].rstrip("\r\n"))
-        except ValueError:
-            raise SeriesError(f"{path}: bad hour in line 2") from None
+        start = _cache_hour(path, first, "line 2")
         n = len(channel_names)
-        values = _read_numeric(fh, range(1, n + 1), n + 1, lead=first)
-    if values is None:
-        raise SeriesError(f"{path}: corrupt hourly cache: not {n} numeric cells per hour")
-    return HourlySeries(start, values, channel_names)
+        values = np.empty((_max_rows(fh), n))
+        rows, last = 0, first
+        try:
+            for part, last in _numeric_blocks(fh, range(1, n + 1), n + 1, lead=first):
+                if rows + len(part) > len(values):  # the file grew while it was read
+                    raise _NotNumeric
+                values[rows:rows + len(part)] = part
+                rows += len(part)
+        except _NotNumeric:
+            raise SeriesError(f"{path}: corrupt hourly cache: not {n} numeric cells per hour") from None
+    last = last.rstrip()
+    last_hour = _cache_hour(path, last[max(last.rfind("\n"), last.rfind("\r")) + 1:], "its last row")
+    if last_hour != start + (rows - 1) * HOUR:
+        raise SeriesError(f"{path}: corrupt hourly cache: {rows} rows from {start.isoformat()} "
+                          f"end at {last_hour.isoformat()}, not one row per hour")
+    return HourlySeries(start, values[:rows], channel_names)
+
+
+def _cache_hour(path, line: str, where: str) -> datetime:
+    """The hour cell that starts a cache row."""
+    try:
+        return datetime.fromisoformat(line.split(",", 1)[0].rstrip("\r\n"))
+    except ValueError:
+        raise SeriesError(f"{path}: bad hour in {where}") from None

@@ -78,3 +78,28 @@ def test_traced_gbdt_fit_records_one_fit_tree_span_per_round():
     trees = [span for span in tracer.spans if span[0] == "boosted.fit_tree"]
     assert len(trees) == params.n_estimators
     assert all(span[3] == fit for span in trees)
+
+
+def test_traced_ingest_records_one_parse_and_one_resample(tmp_path):
+    """``series.ingest_csv.rows`` and ``rows_per_s`` come from the one
+    ``ingest_csv`` call of an ``ingest``, whatever the reader does inside it."""
+    from loadcast import pipeline
+    from loadcast.config import config_from_dict
+    from loadcast.synth import regime_switching_series, write_meter_csv
+
+    hourly = regime_switching_series(72, noise=0.2, n_appliances=2, seed=3)
+    write_meter_csv(tmp_path / "meter.csv", hourly, cadence_seconds=600)
+    data_rows = len((tmp_path / "meter.csv").read_text(encoding="utf-8").splitlines()) - 1
+    cfg = config_from_dict({"input_path": str(tmp_path / "meter.csv"),
+                            "output_dir": str(tmp_path / "out"),
+                            "columns": {"appliances": list(hourly.channel_names[1:])}})
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        pipeline.cmd_ingest(cfg)
+    finally:
+        tracer.uninstall()
+    parses = [span for span in tracer.spans if span[0] == "series.ingest_csv"]
+    assert [span[4] for span in parses] == [{"rows": data_rows}]
+    assert data_rows == 72 * 6
+    assert [span[0] for span in tracer.spans].count("series.resample_hourly") == 1

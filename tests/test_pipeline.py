@@ -391,25 +391,27 @@ class TestCrashIsolation:
         assert {r.model for r in report.rows} == {"seasonal_naive", "sarimax", "gbdt"}
 
 
-    @pytest.mark.parametrize("gbdt, gbdt_key, lstm_key, errors", [
-        ("gbdt", ("max_depth", -1), ("dropout", 1.5),
-         ("max_depth must be >= 1, got -1", "dropout_rate must be in [0, 1), got 1.5")),
-        ("gbdt_quantile", ("early_stopping_rounds", 0), ("batch_size", 0),
-         ("early_stopping_rounds must be >= 1, got 0", "batch_size must be >= 1, got 0")),
+    @pytest.mark.parametrize("period, gbdt, gbdt_key, lstm_key, errors", [
+        (0, "gbdt", ("max_depth", -1), ("dropout", 1.5),
+         ("period must be >= 1, got 0", "max_depth must be >= 1, got -1",
+          "dropout_rate must be in [0, 1), got 1.5")),
+        (-24, "gbdt_quantile", ("early_stopping_rounds", 0), ("batch_size", 0),
+         ("period must be >= 1, got -24", "early_stopping_rounds must be >= 1, got 0",
+          "batch_size must be >= 1, got 0")),
     ], ids=["gbdt", "gbdt_quantile"])
     def test_out_of_range_hyperparameters_fail_their_model(
-        self, tmp_path, gbdt, gbdt_key, lstm_key, errors
+        self, tmp_path, period, gbdt, gbdt_key, lstm_key, errors
     ):
         build_input_csv(tmp_path / "meter.csv", seed=4)
         doc = base_config(tmp_path, roster=["seasonal_naive", gbdt, "lstm"])
+        doc["model_params"]["seasonal_naive"] = {"period": period}
         doc["model_params"][gbdt] = dict([gbdt_key])
         doc["model_params"]["lstm"].update([lstm_key])
         cfg = config_from_dict(doc)
         pipeline.cmd_ingest(cfg)
         pipeline.cmd_impute_eval(cfg)
         entries = pipeline.cmd_train(cfg)["models"]
-        assert entries["seasonal_naive"]["status"] == "ok"
-        for name, error in zip((gbdt, "lstm"), errors):
+        for name, error in zip(("seasonal_naive", gbdt, "lstm"), errors):
             assert entries[name] == {"status": "failed", "artifacts": [], "error": error}
 
 

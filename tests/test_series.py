@@ -1,5 +1,7 @@
 import hashlib
+import io
 import math
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 from unittest import mock
 
@@ -83,6 +85,12 @@ class TestIngest:
         with pytest.raises(IngestError, match=f"meter.csv: line 3: bad timestamp '{ts}'"):
             ingest_csv(path, SCHEMA)
 
+    def test_timestamps_further_apart_than_int64_holds(self, tmp_path):
+        """The order check compares neighbours; a difference of 2**63 would wrap."""
+        path = write_csv(tmp_path, f"Unix,Aggregate\n{-(2**62)},1\n{2**62},2\n")
+        for parse in (ingest_csv, series_mod._ingest_lines):
+            assert parse(path, SCHEMA).timestamps.tolist() == [-(2**62), 2**62]
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestError, match="cannot read"):
             ingest_csv(tmp_path / "nope.csv", SCHEMA)
@@ -120,7 +128,7 @@ def raw_csvs(draw):
     cells = {"Unix": TIMESTAMP_CELLS, "Time": TIME_CELLS}
     rows = draw(st.lists(st.tuples(*[cells.get(h, VALUE_CELLS) for h in header]).map(list),
                          min_size=1, max_size=25))
-    return header, rows, draw(st.sampled_from(["\n", "\r\n"])), draw(st.booleans())
+    return header, rows, draw(st.sampled_from(["\n", "\r\n", "\r"])), draw(st.booleans())
 
 
 def csv_text(header, rows, eol, trailing):
@@ -152,6 +160,23 @@ def assert_same_outcome(got, reference):
         a, b = getattr(got, name), getattr(reference, name)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
     assert got.channel_names == reference.channel_names
+
+
+def meter_text(timestamps, values, eol="\n"):
+    """A meter CSV with the default columns, one row per timestamp, a blank
+    cell where a value is NaN."""
+    buf = io.StringIO()
+    np.savetxt(buf, np.column_stack([timestamps, values]),
+               fmt=["%d"] + ["%.1f"] * values.shape[1], delimiter=",", newline=eol,
+               header=",".join(("Unix", *ColumnSchema().channels)), comments="")
+    return buf.getvalue().replace("nan", "")
+
+
+def block_timestamps(path):
+    """The timestamp column of each block the fast path parses from ``path``."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        cols, width = series_mod._raw_columns(fh, path, ColumnSchema())
+        return [rows[:, 0] for rows, _ in series_mod._numeric_blocks(fh, cols, width)]
 
 
 class TestIngestFastPath:
@@ -200,6 +225,59 @@ class TestIngestFastPath:
             ingest_csv(path, SCHEMA)
         with pytest.raises(IngestError, match="line 30002: bad value '1.5x'"):
             series_mod._ingest_lines(path, SCHEMA)
+
+    @pytest.mark.parametrize("case", ["disorder across blocks", "duplicate across blocks",
+                                      "bare CR line ends"])
+    def test_multi_block_file_stays_on_fast_path(self, tmp_path, case):
+        """Sorting and de-duplication must see the whole file, not one block
+        at a time, and bare-CR line ends must not leave the fast path."""
+        rng = np.random.default_rng(5)
+        n = 12_000
+        timestamps = 1_380_000_000 + 8 * np.arange(n)
+        values = rng.uniform(1000.0, 3000.0, (n, 10)).round(1)  # as written
+        values[rng.random(values.shape) < 0.1] = np.nan
+        path = tmp_path / "meter.csv"
+        eol = "\r" if case == "bare CR line ends" else "\n"
+        path.write_text(meter_text(timestamps, values, eol), encoding="utf-8", newline="")
+        first, second, *_ = blocks = block_timestamps(path)
+        assert len(blocks) > 2
+        b = len(first)  # the row that starts the second block
+        if case == "disorder across blocks":
+            # each block increases, but the second starts before the first ends
+            timestamps[b:] -= 8 * 100 + 4
+        elif case == "duplicate across blocks":
+            timestamps[b] = timestamps[b - 1]
+        path.write_text(meter_text(timestamps, values, eol), encoding="utf-8", newline="")
+        first, second, *_ = block_timestamps(path)
+        assert len(first) == b and all(np.all(np.diff(t) > 0) for t in (first, second))
+        reference = series_mod._ingest_lines(path, ColumnSchema())
+        with mock.patch.object(series_mod, "_ingest_lines") as line_parser:
+            raw = ingest_csv(path)
+        assert not line_parser.called
+        assert_same_outcome(raw, reference)
+        if case == "duplicate across blocks":
+            assert len(raw) == n - 1
+            np.testing.assert_array_equal(raw.values[b - 1], values[b])
+        else:
+            assert len(raw) == n
+
+    def test_peak_memory_is_the_table_plus_one_block(self, tmp_path):
+        rng = np.random.default_rng(11)
+        n = 80_000
+        values = rng.uniform(0.0, 3000.0, (n, 10))
+        values[rng.random(values.shape) < 0.1] = np.nan
+        path = tmp_path / "meter.csv"
+        path.write_text(meter_text(1_380_000_000 + 8 * np.arange(n), values),
+                        encoding="utf-8", newline="")
+        assert path.stat().st_size > 8 * series_mod._BLOCK_CHARS
+        tracemalloc.start()
+        try:
+            raw = ingest_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(raw) == n
+        assert peak < 1.5 * (raw.timestamps.nbytes + raw.values.nbytes)
 
     def test_meter_file_never_takes_the_line_parser(self, tmp_path, monkeypatch):
         """A silent fallback would lose the fast path without failing a test."""
@@ -450,6 +528,22 @@ class TestCsvCache:
         path.write_text("hour,Aggregate,Appliance1\n2013-10-07T00:00:00+00:00,5.0,\n"
                         f"{row}\n", encoding="utf-8")
         with pytest.raises(SeriesError, match="cache.csv: corrupt hourly cache"):
+            series_from_csv(path)
+
+    @pytest.mark.parametrize("edit", ["delete a middle row", "edit the last hour"])
+    def test_hour_column_must_step_by_one_hour(self, tmp_path, edit):
+        """A lost middle row would shift every later hour one hour early:
+        the last hour cell must be the first plus one hour per row."""
+        path = tmp_path / "cache.csv"
+        series_to_csv(make_series(np.arange(6.0)), path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert lines[-1].startswith("2013-10-07T05:00:00+00:00,")
+        if edit == "delete a middle row":
+            del lines[3]
+        else:
+            lines[-1] = lines[-1].replace("T05:", "T06:")
+        path.write_text("".join(lines), encoding="utf-8", newline="")
+        with pytest.raises(SeriesError, match="cache.csv: corrupt hourly cache: .* not one row per hour"):
             series_from_csv(path)
 
     def test_cache_bytes_pinned(self, tmp_path):
