@@ -162,7 +162,7 @@ def assemble_matrix(
 
 
 def windowize(matrix: FeatureMatrix, window: int = 48, horizon: int = 1) -> WindowTensor:
-    """Cut contiguous (window x n_features) slices with the following targets.
+    """Cut (window x n_features) read-only views of the rows, with the following targets.
 
     Sample count is rows - window - horizon + 1; sample i's first target
     hour is the hour after its last input row.
@@ -178,7 +178,7 @@ def windowize(matrix: FeatureMatrix, window: int = 48, horizon: int = 1) -> Wind
 
     n_samples = n - window - horizon + 1
     data = np.lib.stride_tricks.sliding_window_view(matrix.features, window, axis=0)
-    data = np.ascontiguousarray(np.swapaxes(data[:n_samples], 1, 2))
+    data = np.swapaxes(data[:n_samples], 1, 2)
     targets = np.lib.stride_tricks.sliding_window_view(matrix.target, horizon)[window:]
     targets = np.ascontiguousarray(targets[:n_samples])
     final_target_ts = tuple(

@@ -4,9 +4,9 @@ chronological split and emit the evaluation report plus plot-data CSVs.
 
 Every model is one entry of ``MODELS``: a ``fit`` that writes artifacts
 under ``models/``, a ``predict`` that reads them back into a ``Forecast``
-on the test split, and its default hyperparameters. Train, evaluate and
-the scoring of external predictions all go through that one table and one
-``_score``.
+of the test hours, and its default hyperparameters. ``cmd_evaluate`` takes
+the test hours and their actual watts once and scores every row, external
+predictions included, on them through one ``_score``.
 
 Leakage rules: the imputation trial window and all structural-gap profiles
 come from the train segment only, scalers fit on the train segment only,
@@ -25,7 +25,7 @@ import logging
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -52,7 +52,6 @@ from .series import (
     resample_hourly,
     series_from_csv,
     series_to_csv,
-    unscale_array,
 )
 
 logger = logging.getLogger(__name__)
@@ -332,12 +331,6 @@ def _tabular_split(cfg: PipelineConfig, data: PreparedData):
     return _split_rows(cfg, data, data.tabular.timestamps, data.tabular.rows)
 
 
-def _test_hours(data: PreparedData) -> tuple[list[datetime], np.ndarray]:
-    """Timestamps and actual watts of every test-split hour."""
-    timestamps = [data.full.start + i * HOUR for i in range(data.split_idx, len(data.full))]
-    return timestamps, data.full.channel(0)[data.split_idx :]
-
-
 def _chosen_imputer(manifest: dict) -> str:
     chosen = manifest.get("chosen_imputer")
     if not chosen:
@@ -352,11 +345,9 @@ def _chosen_imputer(manifest: dict) -> str:
 
 @dataclass(frozen=True)
 class Forecast:
-    """One model's test-split forecast: actuals and point track in watts,
-    plus the quantile tracks of a probabilistic model."""
+    """One model's forecast of every test hour in order: the point track in
+    watts, plus the quantile tracks of a probabilistic model."""
 
-    timestamps: Sequence[datetime]
-    actual: np.ndarray
     point: np.ndarray
     dist: metrics.ForecastDistribution | None = None
 
@@ -376,11 +367,10 @@ def _fit_seasonal_naive(cfg: PipelineConfig, data: PreparedData, models_dir: Pat
 def _predict_seasonal_naive(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> Forecast:
     doc = json.loads((models_dir / "seasonal_naive.json").read_text(encoding="utf-8"))
     period = int(doc["period"])
-    timestamps, actual = _test_hours(data)
     history = np.asarray(doc["history_tail"], dtype=float)
-    # rolling one-step forecast: the value one period earlier, actuals included
-    combined = np.concatenate([history, actual])
-    return Forecast(timestamps, actual, combined[len(history) - period : len(combined) - period])
+    # rolling one-step forecast: the value one period earlier, test hours included
+    combined = np.concatenate([history, data.full.channel(0)[data.split_idx :]])
+    return Forecast(combined[len(history) - period : len(combined) - period])
 
 
 def _calendar_exog(series: HourlySeries, lo: int, hi: int, names: tuple[str, ...]) -> np.ndarray:
@@ -406,10 +396,9 @@ def _fit_sarimax(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> l
 
 def _predict_sarimax(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> Forecast:
     model = classical.sarimax_from_json((models_dir / "sarimax.json").read_text(encoding="utf-8"))
-    timestamps, actual = _test_hours(data)
+    steps = len(data.full) - data.split_idx
     exog = _calendar_exog(data.full, data.split_idx, len(data.full), model.exog_names)
-    point = classical.sarimax_forecast(model, len(actual), exog if len(model.beta) else None)
-    return Forecast(timestamps, actual, point)
+    return Forecast(classical.sarimax_forecast(model, steps, exog if len(model.beta) else None))
 
 
 def _fit_boosted(cfg: PipelineConfig, data: PreparedData, name: str, loss) -> boosted.GbdtModel:
@@ -430,7 +419,7 @@ def _fit_gbdt(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> list
 def _predict_gbdt(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> Forecast:
     model = boosted.gbdt_from_json((models_dir / "gbdt.json").read_text(encoding="utf-8"))
     _, _, test = _tabular_split(cfg, data)
-    return Forecast(test.timestamps, test.target, boosted.gbdt_predict(model, test))
+    return Forecast(boosted.gbdt_predict(model, test))
 
 
 def _fit_gbdt_quantile(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> list[str]:
@@ -449,7 +438,7 @@ def _predict_gbdt_quantile(cfg: PipelineConfig, data: PreparedData, models_dir: 
     models = {float(tau): boosted.gbdt_from_doc(doc) for tau, doc in docs.items()}
     _, _, test = _tabular_split(cfg, data)
     dist = boosted.gbdt_predict_quantiles(models, test)
-    return Forecast(test.timestamps, test.target, dist.q50, dist)
+    return Forecast(dist.q50, dist)
 
 
 def _window_split(cfg: PipelineConfig, data: PreparedData):
@@ -507,10 +496,7 @@ def _predict_lstm(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> 
     model, scaler = neural.load_checkpoint(str(models_dir / "lstm"))
     _, _, test = _window_split(cfg, data)
     dist = neural.predict_quantiles(model, test, scaler=scaler, target_channel=data.target_name)
-    # window targets are scaled; bring them back to watts
-    ch = data.scaler.channel_names.index(data.target_name)
-    actual = unscale_array(test.targets[:, 0], data.scaler.mins[ch], data.scaler.maxs[ch])
-    return Forecast(dist.timestamps, actual, dist.q50, dist)
+    return Forecast(dist.q50, dist)
 
 
 class ModelSpec(NamedTuple):
@@ -582,19 +568,21 @@ def cmd_train(cfg: PipelineConfig, models: tuple[str, ...] | None = None) -> dic
 # ---------------------------------------------------------------------------
 
 
-def _write_plot_csv(path: Path, forecast: Forecast) -> None:
+def _write_plot_csv(
+    path: Path, hours: tuple[datetime, ...], actual: np.ndarray, forecast: Forecast
+) -> None:
     dist = forecast.dist
     _write_csv(path, ["timestamp", "actual", "point_or_q50", "q05", "q95"], ([
         ts.isoformat(),
-        repr(float(forecast.actual[i])),
+        repr(float(actual[i])),
         repr(float(forecast.point[i])),
         "" if dist is None else repr(float(dist.q05[i])),
         "" if dist is None else repr(float(dist.q95[i])),
-    ] for i, ts in enumerate(forecast.timestamps)))
+    ] for i, ts in enumerate(hours)))
 
 
-def _score(name: str, forecast: Forecast) -> metrics.ReportRow:
-    y, point, dist = forecast.actual, forecast.point, forecast.dist
+def _score(name: str, y: np.ndarray, forecast: Forecast) -> metrics.ReportRow:
+    point, dist = forecast.point, forecast.dist
     return metrics.ReportRow(
         name,
         metrics.rmse(y, point),
@@ -604,20 +592,34 @@ def _score(name: str, forecast: Forecast) -> metrics.ReportRow:
     )
 
 
-def _external_forecast(data: PreparedData, path: str) -> Forecast:
-    """Read an externally produced plot-format CSV on our test actuals.
+def _external_cell(path: str, row: dict, key: str, parse=float):
+    """One parsed cell of an external prediction row; a missing, blank,
+    unparsable or non-finite cell raises MetricError naming the file and
+    the row."""
+    try:
+        value = parse(row.get(key))
+    except (TypeError, ValueError):
+        value = np.nan
+    if isinstance(value, float) and not np.isfinite(value):
+        raise metrics.MetricError(f"external predictions {path}: cannot read the {key} cell "
+                                  f"{row.get(key)!r} at timestamp {row.get('timestamp')!r}")
+    return value
+
+
+def _external_forecast(hours: tuple[datetime, ...], path: str) -> Forecast:
+    """Read an externally produced plot-format CSV of the test hours.
 
     Rows off the test split are ignored. Every test hour must appear
-    exactly once, and the q05/q95 cells must be filled on every row or on
-    none; anything else raises MetricError."""
-    timestamps, actual = _test_hours(data)
-    index = {ts: i for i, ts in enumerate(timestamps)}
-    seen = np.zeros(len(timestamps), dtype=int)
-    point, q05, q95 = (np.full(len(timestamps), np.nan) for _ in range(3))
+    exactly once with a finite point_or_q50, and the q05/q95 cells must
+    hold finite numbers on every row or be blank on all; anything else
+    raises MetricError naming the file and the row's timestamp."""
+    index = {ts: i for i, ts in enumerate(hours)}
+    seen = np.zeros(len(hours), dtype=int)
+    point, q05, q95 = (np.full(len(hours), np.nan) for _ in range(3))
     banded = None
     with open(path, newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
-            i = index.get(datetime.fromisoformat(row["timestamp"]))
+            i = index.get(_external_cell(path, row, "timestamp", datetime.fromisoformat))
             if i is None:
                 continue
             band = (row.get("q05") or "", row.get("q95") or "")
@@ -629,21 +631,21 @@ def _external_forecast(data: PreparedData, path: str) -> Forecast:
                 )
             banded = all(band)
             seen[i] += 1
-            point[i] = float(row["point_or_q50"])
+            point[i] = _external_cell(path, row, "point_or_q50")
             if banded:
-                q05[i], q95[i] = float(band[0]), float(band[1])
+                q05[i], q95[i] = _external_cell(path, row, "q05"), _external_cell(path, row, "q95")
     bad = np.flatnonzero(seen != 1)
     if len(bad):
         raise metrics.MetricError(
             f"external predictions {path}: {len(bad)} of {len(seen)} test hours missing or "
-            f"repeated, first at {timestamps[bad[0]].isoformat()}; give every test hour once"
+            f"repeated, first at {hours[bad[0]].isoformat()}; give every test hour once"
         )
     dist = None
     if banded:
         dist = metrics.ForecastDistribution(
-            tuple(timestamps), np.minimum(q05, point), point, np.maximum(q95, point)
+            hours, np.minimum(q05, point), point, np.maximum(q95, point)
         )
-    return Forecast(timestamps, actual, point, dist)
+    return Forecast(point, dist)
 
 
 def _write_report(out_dir: Path, report: metrics.EvalReport) -> str:
@@ -664,22 +666,28 @@ def cmd_evaluate(cfg: PipelineConfig) -> metrics.EvalReport:
         raise PipelineError("artifact/config hash mismatch: config changed since training")
     hourly = _load_cache(cfg)
     data = prepare_data(cfg, hourly, _chosen_imputer(manifest))
+    # the one test axis: every row is checked against these hours and
+    # scored on these actuals
+    hours = tuple(data.full.start + i * HOUR for i in range(data.split_idx, len(data.full)))
+    actual = data.full.channel(0)[data.split_idx :]
 
     plots_dir = out_dir / "plots"
     plots_dir.mkdir(parents=True, exist_ok=True)
-    forecasts: list[tuple[str, Forecast]] = []
+    rows: list[metrics.ReportRow] = []
     for name in cfg.roster:
         entry = manifest["models"].get(name)
         if not entry or entry.get("status") != "ok":
             logger.warning("evaluate: skipping %s (not trained)", name)
             continue
         forecast = MODELS[name].predict(cfg, data, out_dir / "models")
-        _write_plot_csv(plots_dir / f"{name}.csv", forecast)
-        forecasts.append((name, forecast))
+        dist = forecast.dist
+        if len(forecast.point) != len(hours) or (dist is not None and dist.timestamps != hours):
+            raise PipelineError(f"{name}: forecast does not cover exactly the {len(hours)} "
+                                f"test hours from {hours[0]} to {hours[-1]}")
+        _write_plot_csv(plots_dir / f"{name}.csv", hours, actual, forecast)
+        rows.append(_score(name, actual, forecast))
     for name in sorted(cfg.external_predictions):
-        forecasts.append((name, _external_forecast(data, cfg.external_predictions[name])))
-
-    rows = [_score(name, forecast) for name, forecast in forecasts]
+        rows.append(_score(name, actual, _external_forecast(hours, cfg.external_predictions[name])))
     report = metrics.assemble_report(rows)
     _write_report(out_dir, report)
 

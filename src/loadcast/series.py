@@ -432,19 +432,9 @@ def resample_hourly(raw: RawSeries) -> HourlySeries:
 
 def missing_runs(mask: np.ndarray) -> list[tuple[int, int]]:
     """Maximal runs of True in a boolean mask as (start, length) pairs."""
-    runs: list[tuple[int, int]] = []
-    n = len(mask)
-    i = 0
-    while i < n:
-        if mask[i]:
-            j = i
-            while j < n and mask[j]:
-                j += 1
-            runs.append((i, j - i))
-            i = j
-        else:
-            i += 1
-    return runs
+    edges = np.flatnonzero(np.diff(np.asarray(mask, dtype=bool), prepend=False, append=False))
+    starts, stops = edges[::2].tolist(), edges[1::2].tolist()
+    return [(start, stop - start) for start, stop in zip(starts, stops)]
 
 
 def detect_gaps(
@@ -535,9 +525,11 @@ def series_to_csv(series: HourlySeries, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["hour", *series.channel_names])
         ts = series.start
-        for row in series.values.tolist():
-            writer.writerow([ts.isoformat(), *["" if v != v else repr(v) for v in row]])
-            ts += HOUR
+        # 4096 rows of Python floats at a time, not the whole table
+        for block in np.split(series.values, range(4096, len(series), 4096)):
+            for row in block.tolist():
+                writer.writerow([ts.isoformat(), *["" if v != v else repr(v) for v in row]])
+                ts += HOUR
 
 
 def series_from_csv(path) -> HourlySeries:

@@ -1,6 +1,8 @@
 """Acceptance criteria, one test per criterion, each printing a pass line
 with its runtime. Run with `pytest tests/test_acceptance.py -v -s`."""
 
+import hashlib
+import json
 import os
 import time
 from datetime import timedelta
@@ -241,16 +243,26 @@ def _run_chain(cfg):
     return pipeline.cmd_evaluate(cfg)
 
 
+C9_HOURS = 24 * 7 * 26
+
+
+def _c9_inputs(root: Path):
+    """Write c9's meter CSV and its twin with the test-split targets
+    poisoned (x7) under ``root``; return the config that reads the first."""
+    base = regime_switching_series(C9_HOURS, noise=0.15, n_appliances=1, seed=909)
+    vals = base.values.copy()
+    vals[1200:1300, :] = np.nan
+    write_meter_csv(root / "meter.csv", base.with_values(vals.copy()), cadence_seconds=1800)
+    cfg = config_from_dict(_acceptance_config(root, "meter.csv", "out_a"))
+    split_idx = int(np.floor(cfg.split_fraction * C9_HOURS))
+    vals[split_idx:, 0] *= 7.0
+    write_meter_csv(root / "poisoned.csv", base.with_values(vals), cadence_seconds=1800)
+    return cfg
+
+
 def test_c9_pipeline_determinism_and_leakage(tmp_path):
     with Timer("9 pipeline determinism + leakage", 300.0):
-        n_hours = 24 * 7 * 26
-        base = regime_switching_series(n_hours, noise=0.15, n_appliances=1, seed=909)
-        vals = base.values.copy()
-        vals[1200:1300, :] = np.nan
-        series = base.with_values(vals)
-        write_meter_csv(tmp_path / "meter.csv", series, cadence_seconds=1800)
-
-        cfg = config_from_dict(_acceptance_config(tmp_path, "meter.csv", "out_a"))
+        cfg = _c9_inputs(tmp_path)
         _run_chain(cfg)
         out_a = cfg.resolved_output_dir()
         report_first = (out_a / "report.csv").read_bytes()
@@ -264,11 +276,6 @@ def test_c9_pipeline_determinism_and_leakage(tmp_path):
         assert pipeline.load_manifest(cfg)["manifest_hash"] == hash_first
 
         # poison the test-split targets; training artifacts must not move
-        split_idx = int(np.floor(cfg.split_fraction * n_hours))
-        poisoned = series.values.copy()
-        poisoned[split_idx:, 0] *= 7.0
-        write_meter_csv(tmp_path / "poisoned.csv", series.with_values(poisoned),
-                        cadence_seconds=1800)
         cfg_p = config_from_dict(_acceptance_config(tmp_path, "poisoned.csv", "out_b"))
         _run_chain(cfg_p)
         out_b = cfg_p.resolved_output_dir()
@@ -281,6 +288,66 @@ def test_c9_pipeline_determinism_and_leakage(tmp_path):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
         # the reports, by contrast, must differ: the test actuals changed
         assert (out_b / "report.csv").read_bytes() != report_first
+
+
+GOLDEN_C9 = Path(__file__).parent / "golden" / "c9.json"
+# Files computed through the float32 LSTM, whose last bits follow the BLAS
+# kernel and numpy's SIMD paths; they are checked only on a host whose
+# numeric_host() matches the one recorded with the digests.
+HOST_DEPENDENT = (
+    "out_a/manifest.json", "out_a/models/lstm.bin", "out_a/models/lstm_history.csv",
+    "out_a/plots/lstm.csv", "out_a/report.csv", "out_a/report.txt",
+)
+
+
+def numeric_host() -> dict:
+    """numpy version, BLAS build and the CPU features numpy dispatches to."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    build = ("name", "version", "openblas configuration")
+    return {
+        "numpy": np.__version__,
+        "blas": " ".join(str(blas.get(key, "")) for key in build),
+        "cpu_dispatch": [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)],
+    }
+
+
+def c9_digests(root: Path) -> dict[str, str]:
+    """sha256 of every file c9's first chain writes under ``root``: its two
+    meter CSVs and the whole output directory. The manifest is hashed
+    without its wall-clock ``timestamps`` and without ``config_hash`` and
+    ``manifest_hash``, which cover the run's absolute input and output
+    paths."""
+    _run_chain(_c9_inputs(root))
+    digests = {}
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.name == pipeline.MANIFEST_FILE:
+            doc = json.loads(data)
+            for key in ("timestamps", "config_hash", "manifest_hash"):
+                doc.pop(key, None)
+            data = json.dumps(doc, sort_keys=True, indent=1).encode("utf-8")
+        digests[path.relative_to(root).as_posix()] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+def test_c9_golden_digests(tmp_path):
+    """c9's outputs are pinned; a change that moves one by design rewrites
+    tests/golden/c9.json with tests/update_golden.py and names the moved
+    files in CHANGES.md."""
+    golden = json.loads(GOLDEN_C9.read_text(encoding="utf-8"))
+    same_host = golden["host"] == numeric_host()
+    digests = c9_digests(tmp_path)
+    assert sorted(digests) == sorted(golden["files"])
+    moved = [name for name, digest in golden["files"].items()
+             if (same_host or name not in HOST_DEPENDENT) and digests[name] != digest]
+    assert not moved, f"c9 outputs moved: {moved}"
+    if not same_host:
+        print(f"golden c9: host differs from {golden['host']}; skipped {HOST_DEPENDENT}")
 
 
 REFIT_ENV = "LOADCAST_REFIT_CSV"

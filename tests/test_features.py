@@ -13,6 +13,8 @@ from loadcast.features import (
     windowize,
 )
 
+from loadcast.neural import forward, init_model
+
 from conftest import make_series
 
 
@@ -157,6 +159,21 @@ class TestWindowize:
         else:
             tensor = windowize(matrix, window=window, horizon=horizon)
             assert tensor.n_samples == rows - window - horizon + 1
+
+    def test_windows_are_read_only_views_of_the_matrix(self):
+        rng = np.random.default_rng(3)
+        names = ("Aggregate", "Appliance1")
+        series = make_series(rng.uniform(0.0, 1.0, (200, 2)), channel_names=names)
+        matrix = assemble_matrix(series, lags=(1, 24), channels=names)
+        matrix = type(matrix)(matrix.timestamps, matrix.features.astype(np.float32),
+                              matrix.feature_order, matrix.target)
+        tensor = windowize(matrix, window=24, horizon=1)
+        assert np.shares_memory(tensor.data, matrix.features)
+        assert not tensor.data.flags.writeable
+        model = init_model(n_features=tensor.data.shape[2], hidden=(8, 4), seed=5, dtype=np.float32)
+        q_view, _ = forward(model, tensor.data, keep_caches=False)
+        q_copy, _ = forward(model, np.ascontiguousarray(tensor.data), keep_caches=False)
+        assert q_view.tobytes() == q_copy.tobytes()
 
     def test_multi_step_targets(self):
         matrix = assemble_matrix(make_series(np.arange(30.0)), lags=(1,))

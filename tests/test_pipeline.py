@@ -9,7 +9,7 @@ import pytest
 from loadcast import pipeline
 from loadcast.cli import main as cli_main
 from loadcast.config import ConfigError, config_from_dict, load_config
-from loadcast.metrics import MetricError
+from loadcast.metrics import ForecastDistribution, MetricError
 from loadcast.series import ColumnSchema
 from loadcast.synth import bimodal_weekly_series, regime_switching_series, write_meter_csv
 
@@ -433,8 +433,17 @@ class TestExternalPredictions:
         report = pipeline.cmd_evaluate(cfg)
         tft = {r.model: r for r in report.rows}["TFT"]
         lstm = {r.model: r for r in report.rows}["lstm"]
-        assert tft.rmse == pytest.approx(lstm.rmse, rel=1e-9)
-        assert tft.picp == pytest.approx(lstm.picp, rel=1e-9)
+        # one test axis: the same actuals, and tracks that round-trip through repr
+        assert (tft.rmse, tft.mae, tft.picp, tft.aqs) == (lstm.rmse, lstm.mae, lstm.picp, lstm.aqs)
+
+    def test_every_plot_has_the_same_hours_and_actuals(self, full_run):
+        plots = full_run["cfg"].resolved_output_dir() / "plots"
+        def axis(name):
+            rows = csv.DictReader(open(plots / f"{name}.csv"))
+            return [(row["timestamp"], row["actual"]) for row in rows]
+
+        for name in pipeline.MODELS:
+            assert axis(name) == axis("seasonal_naive"), name
 
 
 @pytest.fixture(scope="module")
@@ -483,6 +492,28 @@ class TestExternalCoverage:
         assert str(ext_path) in str(err.value)
 
 
+class TestForecastCoverage:
+    @pytest.mark.parametrize("fault", ["one hour short", "distribution shifted one hour"])
+    def test_forecast_off_the_test_hours_fails_evaluate(self, trained, monkeypatch, fault):
+        cfg_path, _, _ = trained
+        spec = pipeline.MODELS["seasonal_naive"]
+
+        def predict(cfg, data, models_dir):
+            point = spec.predict(cfg, data, models_dir).point
+            if fault == "one hour short":
+                return pipeline.Forecast(point[:-1])
+            hours = [data.full.start + (i + 1) * pipeline.HOUR
+                     for i in range(data.split_idx, len(data.full))]
+            return pipeline.Forecast(point, ForecastDistribution(tuple(hours), point, point, point))
+
+        monkeypatch.setitem(pipeline.MODELS, "seasonal_naive", spec._replace(predict=predict))
+        bare = cfg_path.parent / "bare.json"
+        with pytest.raises(pipeline.PipelineError,
+                           match="seasonal_naive: forecast does not cover exactly the"):
+            pipeline.cmd_evaluate(load_config(bare))
+        assert cli_main(["evaluate", "--config", str(bare)]) == 2
+
+
 class TestAtomicCsv:
     def test_failed_plot_write_keeps_previous_file(self, trained, monkeypatch, tear_csv_writes):
         cfg_path, ext_path, rows = trained
@@ -512,6 +543,40 @@ class TestExternalQuantileCells:
         rows = [dict(r, q05="", q95="") if i < 3 else dict(r) for i, r in enumerate(rows)]
         write_rows(ext_path, rows)
         with pytest.raises(MetricError, match=re.escape(rows[3]["timestamp"])) as err:
+            pipeline.cmd_evaluate(load_config(cfg_path))
+        assert str(ext_path) in str(err.value)
+
+    @pytest.mark.parametrize("column, cell", [
+        ("point_or_q50", ""), ("point_or_q50", "n/a"), ("q05", "low"), ("q95", " "),
+        ("point_or_q50", "nan"),
+    ])
+    def test_bad_number_names_file_and_timestamp(self, trained, column, cell):
+        cfg_path, ext_path, rows = trained
+        rows = [dict(r) for r in rows]
+        rows[7][column] = cell
+        write_rows(ext_path, rows)
+        assert cli_main(["evaluate", "--config", str(cfg_path)]) == 1
+        with pytest.raises(MetricError, match=f"{column} cell {re.escape(repr(cell))} at "
+                           f"timestamp '{re.escape(rows[7]['timestamp'])}'") as err:
+            pipeline.cmd_evaluate(load_config(cfg_path))
+        assert str(ext_path) in str(err.value)
+
+    def test_unparsable_timestamp_names_file_and_cell(self, trained):
+        cfg_path, ext_path, rows = trained
+        rows = [dict(r) for r in rows]
+        rows[7]["timestamp"] = "yesterday"
+        write_rows(ext_path, rows)
+        assert cli_main(["evaluate", "--config", str(cfg_path)]) == 1
+        with pytest.raises(MetricError, match="timestamp cell 'yesterday'") as err:
+            pipeline.cmd_evaluate(load_config(cfg_path))
+        assert str(ext_path) in str(err.value)
+
+    @pytest.mark.parametrize("column", ["timestamp", "point_or_q50"])
+    def test_missing_column_exits_1(self, trained, column):
+        cfg_path, ext_path, rows = trained
+        write_rows(ext_path, [{k: v for k, v in r.items() if k != column} for r in rows])
+        assert cli_main(["evaluate", "--config", str(cfg_path)]) == 1
+        with pytest.raises(MetricError, match=f"cannot read the {column} cell None") as err:
             pipeline.cmd_evaluate(load_config(cfg_path))
         assert str(ext_path) in str(err.value)
 

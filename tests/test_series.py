@@ -21,6 +21,7 @@ from loadcast.series import (
     chronological_split,
     detect_gaps,
     ingest_csv,
+    missing_runs,
     minmax_fit,
     minmax_transform,
     resample_hourly,
@@ -392,6 +393,37 @@ class TestDetectGaps:
     def test_threshold_must_be_positive(self):
         with pytest.raises(SeriesError):
             detect_gaps(make_series(np.ones(5)), 0)
+
+
+def missing_runs_loop(mask) -> list[tuple[int, int]]:
+    """The scan missing_runs replaced, kept as its reference."""
+    runs: list[tuple[int, int]] = []
+    n = len(mask)
+    i = 0
+    while i < n:
+        if mask[i]:
+            j = i
+            while j < n and mask[j]:
+                j += 1
+            runs.append((i, j - i))
+            i = j
+        else:
+            i += 1
+    return runs
+
+
+class TestMissingRuns:
+    @pytest.mark.parametrize("mask", [[], [True] * 7, [False] * 7, [True, False, True],
+                                      [True, True, False, False, True, True]])
+    def test_edge_masks(self, mask):
+        assert missing_runs(np.array(mask, dtype=bool)) == missing_runs_loop(mask)
+
+    @given(st.lists(st.booleans(), max_size=200))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_loop(self, mask):
+        runs = missing_runs(np.array(mask, dtype=bool))
+        assert runs == missing_runs_loop(mask)
+        assert all(type(v) is int for run in runs for v in run)  # manifest gaps are JSON
 
 
 class TestMinMax:

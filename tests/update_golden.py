@@ -1,0 +1,27 @@
+"""Rewrite tests/golden/c9.json from a fresh run of c9's chain.
+
+Run from the repository root after a change that moves c9's outputs by
+design, and name every moved file in CHANGES.md:
+
+    python3 tests/update_golden.py
+"""
+
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
+
+from test_acceptance import GOLDEN_C9, c9_digests, numeric_host  # noqa: E402
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        files = c9_digests(Path(tmp))
+    old = json.loads(GOLDEN_C9.read_text(encoding="utf-8"))["files"] if GOLDEN_C9.exists() else {}
+    for name in sorted(set(files) | set(old)):
+        if files.get(name) != old.get(name):
+            print(f"{name}: {old.get(name)} -> {files.get(name)}")
+    doc = {"host": numeric_host(), "files": files}
+    GOLDEN_C9.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
