@@ -108,11 +108,14 @@ class PipelineConfig:
         return Path(os.environ.get(OUTPUT_DIR_ENV) or self.output_dir)
 
     def to_canonical_json(self) -> str:
-        # external predictions shape no artifact: adding one needs no retraining.
+        # Paths and external predictions shape no artifact: the input's bytes
+        # are the manifest's data_fingerprint, a copied output directory
+        # still evaluates, and adding a prediction file needs no retraining.
         # Hyperparameters enter as resolved, so 60 and 60.0 hash alike and a
         # changed default changes the hash.
         doc = asdict(self)
-        del doc["external_predictions"]
+        for key in ("input_path", "output_dir", "external_predictions"):
+            del doc[key]
         doc["model_params"] = {name: self.params_for(name) for name in self.roster}
         return json.dumps(doc, sort_keys=True)
 

@@ -657,7 +657,11 @@ def _write_report(out_dir: Path, report: metrics.EvalReport) -> str:
 
 def cmd_evaluate(cfg: PipelineConfig) -> metrics.EvalReport:
     """Score every trained model on the test split in watts, write the
-    report and per-model plot CSVs. Runs on whatever artifacts exist."""
+    report and per-model plot CSVs. Runs on whatever artifacts exist.
+
+    A model whose forecast fails is recorded as failed in its manifest
+    entry and gets no report row or plot; every other model is still
+    scored and reported, and then PipelineError names each failure."""
     out_dir = cfg.resolved_output_dir()
     manifest = load_manifest(cfg)
     if not manifest.get("models"):
@@ -674,22 +678,33 @@ def cmd_evaluate(cfg: PipelineConfig) -> metrics.EvalReport:
     plots_dir = out_dir / "plots"
     plots_dir.mkdir(parents=True, exist_ok=True)
     rows: list[metrics.ReportRow] = []
+    failures: list[str] = []
     for name in cfg.roster:
         entry = manifest["models"].get(name)
         if not entry or entry.get("status") != "ok":
             logger.warning("evaluate: skipping %s (not trained)", name)
             continue
-        forecast = MODELS[name].predict(cfg, data, out_dir / "models")
-        dist = forecast.dist
-        if len(forecast.point) != len(hours) or (dist is not None and dist.timestamps != hours):
-            raise PipelineError(f"{name}: forecast does not cover exactly the {len(hours)} "
-                                f"test hours from {hours[0]} to {hours[-1]}")
+        entry.pop("evaluate", None)
+        try:
+            forecast = MODELS[name].predict(cfg, data, out_dir / "models")
+            dist = forecast.dist
+            if len(forecast.point) != len(hours) or (dist is not None and dist.timestamps != hours):
+                raise PipelineError(f"forecast does not cover exactly the {len(hours)} "
+                                    f"test hours from {hours[0]} to {hours[-1]}")
+        except Exception as exc:  # noqa: BLE001 - isolated per model, as in train
+            entry["evaluate"] = {"status": "failed", "error": str(exc)}
+            failures.append(f"{name}: {exc}")
+            (plots_dir / f"{name}.csv").unlink(missing_ok=True)
+            logger.error("evaluate: %s failed: %s", name, exc)
+            continue
         _write_plot_csv(plots_dir / f"{name}.csv", hours, actual, forecast)
         rows.append(_score(name, actual, forecast))
     for name in sorted(cfg.external_predictions):
         rows.append(_score(name, actual, _external_forecast(hours, cfg.external_predictions[name])))
-    report = metrics.assemble_report(rows)
-    _write_report(out_dir, report)
+    # no row is a MetricError, unless every model failed: then there is no report
+    report = metrics.assemble_report(rows) if rows or not failures else None
+    if report is not None:
+        _write_report(out_dir, report)
 
     manifest["metrics"] = {
         r.model: {"rmse": r.rmse, "mae": r.mae, "picp": r.picp, "aqs": r.aqs} for r in rows
@@ -697,6 +712,8 @@ def cmd_evaluate(cfg: PipelineConfig) -> metrics.EvalReport:
     _stamp(manifest, "evaluate")
     save_manifest(cfg, manifest)
     logger.info("evaluate: %d model row(s) written", len(rows))
+    if failures:
+        raise PipelineError("; ".join(failures))
     return report
 
 

@@ -7,10 +7,10 @@ fits and applies train-only min-max scalers and produces the chronological
 train/test split used everywhere downstream.
 
 Raw files and the hourly cache are parsed by numpy's C reader in blocks of
-~256 KiB of text, each copied into arrays sized once from a count of the
-file's line ends: reading holds the result plus one block. Python's csv
-module stays the reference, and a raw file numpy could read differently
-goes through a line parser built on it.
+~256 KiB of text. A raw file's blocks are folded straight into per-hour sums
+and counts, so ingest holds O(hours) memory, not the raw rows. Python's csv
+module stays the reference: a raw file numpy could read differently, or
+whose timestamps do not increase strictly, goes through a line parser.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import csv
 import logging
 import math
 import os
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
@@ -80,34 +81,6 @@ class ColumnSchema:
     @property
     def channels(self) -> tuple[str, ...]:
         return (self.aggregate,) + tuple(self.appliances)
-
-
-@dataclass(frozen=True)
-class RawSeries:
-    """Parsed raw readings, sorted by timestamp.
-
-    Attributes:
-        timestamps: unix seconds, int64, strictly increasing.
-        values: (n, n_channels) float64 watts; NaN marks an invalid reading
-            (empty cell, negative or non-finite power).
-        channel_names: channel labels, aggregate first.
-    """
-
-    timestamps: np.ndarray
-    values: np.ndarray
-    channel_names: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if self.values.ndim != 2 or self.values.shape[1] != len(self.channel_names):
-            raise ValueError("values shape does not match channel_names")
-        if len(self.timestamps) != len(self.values):
-            raise ValueError("timestamps and values length mismatch")
-        if not np.all(self.timestamps[1:] > self.timestamps[:-1]):
-            raise ValueError("timestamps must be strictly increasing")
-        _freeze(self, "timestamps", "values")
-
-    def __len__(self) -> int:
-        return len(self.timestamps)
 
 
 @dataclass(frozen=True)
@@ -201,10 +174,35 @@ class GapReport:
 # ---------------------------------------------------------------------------
 
 
-# Text parsed per np.loadtxt call, and bytes per read when counting line
-# ends. Larger blocks raise peak memory (a block is held as text, as its
-# lines and as parsed rows at once) for no gain in speed.
+@dataclass(frozen=True)
+class HourlySums:
+    """A raw meter file folded into UTC hours, as ingest_csv returns it.
+
+    Attributes:
+        first_hour: unix hours (seconds // 3600) of the table's first row.
+        table: (n_hours, 2 * n_channels) float64: each channel's sum of
+            valid readings per hour, then their counts (exact below 2**53).
+        channel_names: channel labels, aggregate first.
+        n_readings: raw rows folded in, after duplicates; ``len()`` gives it.
+    """
+
+    first_hour: int
+    table: np.ndarray
+    channel_names: tuple[str, ...]
+    n_readings: int
+
+    def __post_init__(self) -> None:
+        _freeze(self, "table")
+
+    def __len__(self) -> int:
+        return self.n_readings
+
+
+# Text parsed per np.loadtxt call. Larger blocks raise peak memory (a block
+# is held as text, as its lines and as parsed rows at once) for no gain in
+# speed.
 _BLOCK_CHARS = 1 << 18
+_MAX_HOURS = 100 * 366 * 24  # a longer span is a timestamp error, not a household
 
 
 class _NotNumeric(Exception):
@@ -222,34 +220,29 @@ def _blanks_to_nan(block: str) -> str:
     return block
 
 
-def _max_rows(fh) -> int:
-    """An upper bound on the data rows of the open CSV ``fh``: its lines
-    (each ``\\n``, ``\\r`` or ``\\r\\n`` ends one, and a last line may have
-    no end) less the header. Reads the file's bytes without moving ``fh``."""
+def _last_line(fh) -> str:
+    """The last line of the open file ``fh`` that is not blank, read from
+    the file's end without moving ``fh``; "" if there is none."""
     fd = fh.fileno()
-    ends = offset = 0
-    last = b"\n"
-    while chunk := os.pread(fd, _BLOCK_CHARS, offset):
-        offset += len(chunk)
-        b = np.frombuffer(chunk, dtype=np.uint8)
-        lf, cr = b == 10, b == 13
-        # every \n ends a line, and every \r not followed by \n; a \r\n
-        # split between two chunks counts twice, still an upper bound
-        ends += np.count_nonzero(lf) + np.count_nonzero(cr[:-1] & ~lf[1:]) + int(cr[-1])
-        last = chunk[-1:]
-    return max(int(ends) + (last not in (b"\r", b"\n")) - 1, 0)
+    tail, end = b"", os.fstat(fd).st_size
+    while True:
+        lines = tail.rstrip().splitlines()  # \n, \r and \r\n, as the csv module splits
+        if len(lines) > 1 or not end:
+            return lines[-1].decode("utf-8", "replace") if lines else ""
+        start = max(end - 4096, 0)
+        tail = os.pread(fd, end - start, start) + tail
+        end = start
 
 
 def _numeric_blocks(fh, usecols, width: int, lead: str = ""):
     """Parse the rest of ``fh`` as float64 columns ``usecols`` of a table
     ``width`` cells wide, with numpy's C reader, ~256 KiB of text at a time.
 
-    Yields ``(rows, text)`` per block: a (k, len(usecols)) array and the
-    whole lines it came from. ``lead`` is text already read from ``fh``
-    that starts the table. Blank cells read as NaN; blank lines are skipped.
-    Raises _NotNumeric on anything the csv module could read differently:
-    a quote, a ``#``, a row that is not ``width`` cells wide, or text
-    np.loadtxt rejects.
+    Yields a (k, len(usecols)) array per block of whole lines. ``lead`` is
+    text already read from ``fh`` that starts the table. Blank cells read
+    as NaN; blank lines are skipped. Raises _NotNumeric on anything the csv
+    module could read differently: a quote, a ``#``, a row that is not
+    ``width`` cells wide, or text np.loadtxt rejects.
     """
     while text := lead + fh.read(_BLOCK_CHARS):
         lead = ""
@@ -258,25 +251,39 @@ def _numeric_blocks(fh, usecols, width: int, lead: str = ""):
             continue
         if '"' in text or "#" in text:
             raise _NotNumeric
-        block = text
-        cr = block.find("\r")
-        if cr >= 0 and block[cr + 1:cr + 2] != "\n":
+        cr = text.find("\r")
+        if cr >= 0 and text[cr + 1:cr + 2] != "\n":
             # bare \r line ends, which np.loadtxt rejects; any \r\n becomes
             # an empty line, skipped as the csv module skips it
-            block = block.replace("\r", "\n")
+            text = text.replace("\r", "\n")
         try:
-            rows = np.loadtxt(_blanks_to_nan(block).split("\n"), delimiter=",",
+            rows = np.loadtxt(_blanks_to_nan(text).split("\n"), delimiter=",",
                               usecols=usecols, dtype=np.float64, ndmin=2, comments=None)
         except ValueError:
             raise _NotNumeric from None
-        if block.count(",") != len(rows) * (width - 1):
+        if text.count(",") != len(rows) * (width - 1):
             raise _NotNumeric
-        yield rows, text
+        yield rows
 
 
-def _invalid_to_nan(values: np.ndarray) -> None:
-    """Negative or non-finite power is an invalid reading, not data: NaN, in place."""
-    values[~(np.isfinite(values) & (values >= 0))] = np.nan
+def _fold(table: np.ndarray, hours: np.ndarray, values: np.ndarray) -> None:
+    """Add (k, n_channels) ``values`` at table rows ``hours`` (in order, none
+    before a row earlier calls filled) to ``table``'s sums and counts.
+
+    A negative or non-finite reading is invalid: it adds 0.0 to the sum,
+    which leaves a sum of non-negative readings bitwise unchanged, and is
+    not counted. The first hour's sum so far goes in as the first weight
+    of one ``bincount``, so every hour adds its readings in file order, as
+    one ``bincount`` over the whole column does, however the file is cut.
+    """
+    c = values.shape[1]
+    lo, hi = int(hours[0]), int(hours[-1]) + 1
+    valid = np.isfinite(values) & (values >= 0)
+    weights = np.concatenate([table[lo:lo + 1, :c], np.where(valid, values, 0.0)])
+    index = np.append(0, hours - lo)[:, None] * c + np.arange(c)
+    # the last reading's hour is hi - 1: each bincount is (hi - lo) * c long
+    table[lo:hi, :c] = np.bincount(index.ravel(), weights.ravel()).reshape(-1, c)
+    table[lo:hi, c:] += np.bincount(index[1:].ravel(), valid.ravel()).reshape(-1, c)
 
 
 def _open_raw(path):
@@ -301,62 +308,70 @@ def _raw_columns(fh, path, schema: ColumnSchema) -> tuple[list[int], int]:
     return cols, len(header)
 
 
-def ingest_csv(path, schema: ColumnSchema | None = None) -> RawSeries:
-    """Parse a raw meter CSV into a RawSeries.
+def ingest_csv(path, schema: ColumnSchema | None = None) -> HourlySums:
+    """Parse a raw meter CSV and fold it into per-hour sums and counts.
 
-    Rows are parsed in file order then sorted by timestamp; duplicate
-    timestamps keep the last occurrence. Empty cells and negative or
-    non-finite power values become NaN (invalid reading). A row whose
-    timestamp or power cells cannot be parsed at all raises IngestError
+    Duplicate timestamps keep the last occurrence. Empty cells and negative
+    or non-finite power values are invalid readings, not counted. A row
+    whose timestamp or power cells cannot be parsed raises IngestError
     with its line number.
 
-    numpy's C reader parses the numbers in blocks of ~256 KiB of text,
-    each copied straight into arrays sized once from the file's line ends,
-    so peak memory is the returned table plus one block; the sort and the
-    duplicate pass run only when the timestamps do not already increase
-    strictly. A file it cannot read exactly as the csv module would
-    (quoted cells, ``#``, ragged rows, whitespace-only rows, ``1_000``, a
-    timestamp outside int64, ...) goes through the line parser.
+    numpy's C reader parses ~256 KiB of text at a time, and each block is
+    folded into an hour table sized from the first and last rows' hours,
+    then dropped: memory is O(hours), whatever the number of raw rows.
+    That needs timestamps that increase strictly down the file, as in
+    REFIT's. A file whose timestamps go back or repeat, or that numpy
+    could read differently from the csv module (quoted cells, ``#``, ragged
+    or whitespace-only rows, ``1_000``, a timestamp outside int64, ...),
+    goes through the line parser, which holds every row.
     """
     schema = schema or ColumnSchema()
     with _open_raw(path) as fh:
         cols, width = _raw_columns(fh, path, schema)
-        table = _read_raw(fh, cols, width)
-    if table is None:
-        return _ingest_lines(path, schema)
-    return _raw_series(path, schema, *table)
+        sums = _fold_blocks(fh, cols, width, schema.channels)
+    if sums is None:
+        sums = _ingest_lines(path, schema)
+    logger.info("ingested %d rows, %d channels from %s", len(sums), len(schema.channels), path)
+    return sums
 
 
-def _read_raw(fh, cols: list[int], width: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """ingest_csv's block reader: the timestamps (int64) and the readings
-    (C-contiguous, invalid ones NaN) of the rest of ``fh`` in file order,
+def _fold_blocks(fh, cols: list[int], width: int, channels) -> HourlySums | None:
+    """ingest_csv's block reader: the rest of ``fh`` folded block by block,
     or None where the line parser must decide."""
-    cap = _max_rows(fh)
-    timestamps = np.empty(cap, dtype=np.int64)
-    values = np.empty((cap, len(cols) - 1))
-    n = 0
     try:
-        for rows, _ in _numeric_blocks(fh, cols, width):
-            end = n + len(rows)
-            # more rows than line ends: the file grew while it was read;
-            # |ts| < 2**63 also rejects NaN and infinite timestamps
-            if end > cap or not np.all(np.abs(rows[:, 0]) < 2.0**63):
+        last_hour = int(float(_last_line(fh).split(",")[cols[0]])) // 3600
+    except (ValueError, OverflowError, IndexError):
+        return None
+    table, prev, n = None, None, 0
+    try:
+        for rows in _numeric_blocks(fh, cols, width):
+            if not np.all(np.abs(rows[:, 0]) < 2.0**63):  # also NaN and infinite ones
                 return None
-            timestamps[n:end] = rows[:, 0]  # truncates toward zero, as int(float(cell)) does
-            values[n:end] = rows[:, 1:]
-            _invalid_to_nan(values[n:end])
-            n = end
+            ts = rows[:, 0].astype(np.int64)  # truncates toward zero, as int(float(cell)) does
+            if (prev is not None and ts[0] <= prev) or not np.all(ts[1:] > ts[:-1]):
+                return None
+            if table is None:
+                first = int(ts[0]) // 3600
+                if not 0 <= last_hour - first < _MAX_HOURS:  # the line parser names the span
+                    return None
+                table = np.zeros((last_hour - first + 1, 2 * len(channels)))
+            hours = ts // 3600 - first
+            if hours[-1] >= len(table):  # past the last row's hour: not in order
+                return None
+            _fold(table, hours, rows[:, 1:])
+            prev, n = ts[-1], n + len(ts)
     except _NotNumeric:
         return None
-    return (timestamps[:n], values[:n]) if n else None
+    return None if table is None else HourlySums(first, table[:hours[-1] + 1], tuple(channels), n)
 
 
-def _ingest_lines(path, schema: ColumnSchema) -> RawSeries:
-    """The reference parser behind ingest_csv: one csv row at a time."""
+def _line_rows(path, schema: ColumnSchema) -> tuple[np.ndarray, np.ndarray]:
+    """The reference parser behind ingest_csv, one csv row at a time: the
+    timestamps (int64) and readings of every data row, sorted by timestamp,
+    the last row of each duplicate timestamp kept."""
     with _open_raw(path) as fh:
         (ts_col, *channel_cols), _ = _raw_columns(fh, path, schema)
-        timestamps: list[int] = []
-        rows: list[list[float]] = []
+        timestamps, readings = array("q"), array("d")  # 8 bytes a number, not a Python object
         for line_no, row in enumerate(csv.reader(fh), start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
@@ -365,69 +380,51 @@ def _ingest_lines(path, schema: ColumnSchema) -> RawSeries:
                 if not -(2**63) <= ts < 2**63:
                     raise OverflowError
             except (ValueError, OverflowError, IndexError):
-                raise IngestError(
-                    f"{path}: line {line_no}: bad timestamp {row[ts_col] if len(row) > ts_col else '<missing>'!r}"
-                ) from None
-            vals = []
+                raise IngestError(f"{path}: line {line_no}: bad timestamp "
+                                  f"{row[ts_col] if len(row) > ts_col else '<missing>'!r}") from None
+            timestamps.append(ts)
             for col in channel_cols:
                 cell = row[col].strip() if col < len(row) else ""
                 if not cell:
-                    vals.append(math.nan)
+                    readings.append(math.nan)
                     continue
                 try:
-                    vals.append(float(cell))
+                    readings.append(float(cell))
                 except ValueError:
                     raise IngestError(f"{path}: line {line_no}: bad value {cell!r}") from None
-            timestamps.append(ts)
-            rows.append(vals)
-    values = np.asarray(rows, dtype=np.float64)
-    _invalid_to_nan(values)
-    return _raw_series(path, schema, np.asarray(timestamps, dtype=np.int64), values)
-
-
-def _raw_series(path, schema: ColumnSchema, ts_arr: np.ndarray, val_arr: np.ndarray) -> RawSeries:
-    """Both parsers' tail, given readings already cleaned of invalid values:
-    a stable sort by timestamp and the last row of each duplicate
-    timestamp, both skipped when the timestamps increase strictly."""
-    if not len(ts_arr):
+    if not timestamps:
         raise IngestError(f"{path}: empty series")
-    if not np.all(ts_arr[1:] > ts_arr[:-1]):
-        order = np.argsort(ts_arr, kind="stable")
-        ts_arr = ts_arr[order]
-        val_arr = val_arr[order]
-        # duplicates keep the last occurrence
-        keep = np.append(ts_arr[1:] != ts_arr[:-1], True)
-        if not keep.all():
-            ts_arr = ts_arr[keep]
-            val_arr = val_arr[keep]
-    logger.info("ingested %d rows, %d channels from %s", len(ts_arr), val_arr.shape[1], path)
-    return RawSeries(ts_arr, val_arr, schema.channels)
+    ts_arr = np.frombuffer(timestamps, dtype=np.int64)
+    order = np.argsort(ts_arr, kind="stable")
+    ts_arr = ts_arr[order]
+    keep = np.append(ts_arr[1:] != ts_arr[:-1], True)  # duplicates keep the last occurrence
+    values = np.frombuffer(readings).reshape(len(ts_arr), len(channel_cols))
+    return ts_arr[keep], values[order[keep]]
 
 
-def resample_hourly(raw: RawSeries) -> HourlySeries:
-    """Average raw readings into hourly buckets.
+def _ingest_lines(path, schema: ColumnSchema) -> HourlySums:
+    """The line parser's rows, folded as the blocks of a file in order are."""
+    ts, values = _line_rows(path, schema)
+    first, last = int(ts[0]) // 3600, int(ts[-1]) // 3600
+    if last - first >= _MAX_HOURS:
+        raise IngestError(f"{path}: readings span {last - first + 1} hours, from unix hour "
+                          f"{first} to {last}; more than {_MAX_HOURS} is a timestamp error")
+    table = np.zeros((last - first + 1, 2 * values.shape[1]))
+    hours = ts // 3600 - first
+    for lo in range(0, len(ts), 1 << 16):  # in pieces: the fold's temporaries stay small
+        _fold(table, hours[lo:lo + (1 << 16)], values[lo:lo + (1 << 16)])
+    return HourlySums(first, table, schema.channels, len(ts))
 
-    Buckets are half-open UTC intervals [h, h+1h); an hour with no valid
-    reading is missing. The grid spans floor(first ts) .. floor(last ts).
-    """
-    if len(raw) == 0:
-        raise SeriesError("cannot resample an empty series")
-    hours = raw.timestamps // 3600
-    first, last = int(hours[0]), int(hours[-1])
-    n_hours = last - first + 1
-    idx = (hours - first).astype(np.intp)
 
-    out = np.full((n_hours, len(raw.channel_names)), np.nan)
-    for c in range(len(raw.channel_names)):
-        col = raw.values[:, c]
-        valid = np.isfinite(col)
-        counts = np.bincount(idx[valid], minlength=n_hours)
-        sums = np.bincount(idx[valid], weights=col[valid], minlength=n_hours)
-        present = counts > 0
-        out[present, c] = sums[present] / counts[present]
-
-    start = _EPOCH + timedelta(hours=first)
-    return HourlySeries(start, out, raw.channel_names)
+def resample_hourly(sums: HourlySums) -> HourlySeries:
+    """The hourly means of what ingest_csv folded, NaN for an hour with no
+    valid reading: buckets are half-open UTC intervals [h, h+1h), and the
+    grid spans floor(first ts) .. floor(last ts)."""
+    c = len(sums.channel_names)
+    counts = sums.table[:, c:]
+    values = np.full(counts.shape, np.nan)
+    np.divide(sums.table[:, :c], counts, out=values, where=counts > 0)
+    return HourlySeries(_EPOCH + timedelta(hours=sums.first_hour), values, sums.channel_names)
 
 
 def missing_runs(mask: np.ndarray) -> list[tuple[int, int]]:
@@ -520,16 +517,19 @@ def chronological_split(
 
 
 def series_to_csv(series: HourlySeries, path) -> None:
-    """Persist as CSV: ISO-8601 hour column, one column per channel, empty = missing."""
+    """Persist as CSV: ISO-8601 hour column, one column per channel, empty =
+    missing, ``\\r\\n`` line ends: the bytes csv.writer gives for these rows,
+    built 512 rows of ``repr`` at a time (larger pieces raise peak RSS)."""
+    start = np.datetime64(int(series.start.timestamp()), "s")
     with replace_on_success(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["hour", *series.channel_names])
-        ts = series.start
-        # 4096 rows of Python floats at a time, not the whole table
-        for block in np.split(series.values, range(4096, len(series), 4096)):
-            for row in block.tolist():
-                writer.writerow([ts.isoformat(), *["" if v != v else repr(v) for v in row]])
-                ts += HOUR
+        csv.writer(fh).writerow(["hour", *series.channel_names])
+        for lo in range(0, len(series), 512):
+            stop = min(lo + 512, len(series))
+            hours = np.datetime_as_string(start + np.arange(lo, stop) * np.timedelta64(3600, "s"))
+            rows = zip(hours, series.values[lo:stop].tolist())
+            # repr spells a missing value "nan" and nothing else with those letters
+            fh.write("".join(f"{hour}+00:00,{','.join(map(repr, row))}\r\n"
+                             for hour, row in rows).replace("nan", ""))
 
 
 def series_from_csv(path) -> HourlySeries:
@@ -542,23 +542,23 @@ def series_from_csv(path) -> HourlySeries:
         if not first:
             raise SeriesError(f"{path}: empty hourly cache")
         start = _cache_hour(path, first, "line 2")
+        last = _cache_hour(path, _last_line(fh), "its last row")
         n = len(channel_names)
-        values = np.empty((_max_rows(fh), n))
-        rows, last = 0, first
+        # a row has n commas and a line end, so a bad last hour cannot size a huge table
+        size = min((last - start) // HOUR + 1, os.fstat(fh.fileno()).st_size // (n + 2))
+        values = np.empty((max(size, 0), n))
+        rows = 0
         try:
-            for part, last in _numeric_blocks(fh, range(1, n + 1), n + 1, lead=first):
-                if rows + len(part) > len(values):  # the file grew while it was read
-                    raise _NotNumeric
-                values[rows:rows + len(part)] = part
+            for part in _numeric_blocks(fh, range(1, n + 1), n + 1, lead=first):
+                if rows + len(part) <= len(values):
+                    values[rows:rows + len(part)] = part
                 rows += len(part)
         except _NotNumeric:
             raise SeriesError(f"{path}: corrupt hourly cache: not {n} numeric cells per hour") from None
-    last = last.rstrip()
-    last_hour = _cache_hour(path, last[max(last.rfind("\n"), last.rfind("\r")) + 1:], "its last row")
-    if last_hour != start + (rows - 1) * HOUR:
+    if rows != len(values) or last != start + (rows - 1) * HOUR:
         raise SeriesError(f"{path}: corrupt hourly cache: {rows} rows from {start.isoformat()} "
-                          f"end at {last_hour.isoformat()}, not one row per hour")
-    return HourlySeries(start, values[:rows], channel_names)
+                          f"end at {last.isoformat()}, not one row per hour")
+    return HourlySeries(start, values, channel_names)
 
 
 def _cache_hour(path, line: str, where: str) -> datetime:

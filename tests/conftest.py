@@ -1,9 +1,9 @@
-import csv
 from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 
+from loadcast import series
 from loadcast.series import HourlySeries
 
 MONDAY = datetime(2013, 10, 7, tzinfo=timezone.utc)  # a Monday 00:00 UTC
@@ -27,26 +27,38 @@ def monday_start():
 
 @pytest.fixture
 def tear_csv_writes(monkeypatch):
-    """``tear(n)`` makes every later ``csv.writer`` raise OSError("disk full")
-    once it has written ``n`` rows: a write that fails halfway."""
-    real_writer = csv.writer
+    """``tear(n)`` makes every file written later through
+    ``series.replace_on_success`` raise OSError("disk full") once it holds
+    ``n`` lines: the write that would pass line ``n`` puts down the lines
+    that fit and then fails, as a write that fails halfway."""
+
+    class TornFile:
+        def __init__(self, fh, n: int):
+            self.fh, self.left = fh, n
+
+        def write(self, data):
+            newline = "\n" if isinstance(data, str) else b"\n"
+            if data.count(newline) > self.left:
+                cut = 0
+                for _ in range(self.left):
+                    cut = data.index(newline, cut) + 1
+                self.fh.write(data[:cut])
+                self.left = 0
+                raise OSError("disk full")
+            self.left -= data.count(newline)
+            return self.fh.write(data)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
 
     def tear(n: int) -> None:
-        class TornWriter:
-            def __init__(self, fh, *args, **kwargs):
-                self.inner = real_writer(fh, *args, **kwargs)
-                self.left = n
+        def torn_open(file, mode="r", *args, **kwargs):
+            fh = open(file, mode, *args, **kwargs)
+            return TornFile(fh, n) if "w" in mode else fh
 
-            def writerow(self, row):
-                if self.left == 0:
-                    raise OSError("disk full")
-                self.left -= 1
-                self.inner.writerow(row)
-
-            def writerows(self, rows):
-                for row in rows:
-                    self.writerow(row)
-
-        monkeypatch.setattr(csv, "writer", TornWriter)
+        monkeypatch.setattr(series, "open", torn_open, raising=False)
 
     return tear

@@ -319,17 +319,14 @@ def numeric_host() -> dict:
 def c9_digests(root: Path) -> dict[str, str]:
     """sha256 of every file c9's first chain writes under ``root``: its two
     meter CSVs and the whole output directory. The manifest is hashed
-    without its wall-clock ``timestamps`` and without ``config_hash`` and
-    ``manifest_hash``, which cover the run's absolute input and output
-    paths."""
+    without its wall-clock ``timestamps``."""
     _run_chain(_c9_inputs(root))
     digests = {}
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
         data = path.read_bytes()
         if path.name == pipeline.MANIFEST_FILE:
             doc = json.loads(data)
-            for key in ("timestamps", "config_hash", "manifest_hash"):
-                doc.pop(key, None)
+            doc.pop("timestamps", None)
             data = json.dumps(doc, sort_keys=True, indent=1).encode("utf-8")
         digests[path.relative_to(root).as_posix()] = hashlib.sha256(data).hexdigest()
     return digests

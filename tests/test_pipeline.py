@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -493,25 +494,63 @@ class TestExternalCoverage:
 
 
 class TestForecastCoverage:
-    @pytest.mark.parametrize("fault", ["one hour short", "distribution shifted one hour"])
+    @pytest.mark.parametrize("fault", ["one hour short", "distribution shifted one hour",
+                                       "predict raises"])
     def test_forecast_off_the_test_hours_fails_evaluate(self, trained, monkeypatch, fault):
-        cfg_path, _, _ = trained
+        """The failing model gets no report row or plot and is recorded as
+        failed; the other rows are still scored and reported, then exit 2."""
+        cfg_path, ext_path, rows = trained
+        write_rows(ext_path, rows)
         spec = pipeline.MODELS["seasonal_naive"]
 
         def predict(cfg, data, models_dir):
             point = spec.predict(cfg, data, models_dir).point
             if fault == "one hour short":
                 return pipeline.Forecast(point[:-1])
+            if fault == "predict raises":
+                raise RuntimeError("artifact unreadable")
             hours = [data.full.start + (i + 1) * pipeline.HOUR
                      for i in range(data.split_idx, len(data.full))]
             return pipeline.Forecast(point, ForecastDistribution(tuple(hours), point, point, point))
 
         monkeypatch.setitem(pipeline.MODELS, "seasonal_naive", spec._replace(predict=predict))
-        bare = cfg_path.parent / "bare.json"
-        with pytest.raises(pipeline.PipelineError,
-                           match="seasonal_naive: forecast does not cover exactly the"):
-            pipeline.cmd_evaluate(load_config(bare))
-        assert cli_main(["evaluate", "--config", str(bare)]) == 2
+        cfg = load_config(cfg_path)
+        message = ("seasonal_naive: artifact unreadable" if fault == "predict raises"
+                   else "seasonal_naive: forecast does not cover exactly the")
+        with pytest.raises(pipeline.PipelineError, match=message):
+            pipeline.cmd_evaluate(cfg)
+        assert cli_main(["evaluate", "--config", str(cfg_path)]) == 2
+
+        out = cfg.resolved_output_dir()
+        with open(out / "report.csv", newline="") as fh:
+            assert [row["Model"] for row in csv.DictReader(fh)] == ["TFT"]
+        assert not (out / "plots" / "seasonal_naive.csv").exists()
+        manifest = pipeline.load_manifest(cfg)
+        assert set(manifest["metrics"]) == {"TFT"}
+        entry = manifest["models"]["seasonal_naive"]
+        assert entry["status"] == "ok"  # its training stands
+        assert entry["evaluate"]["status"] == "failed"
+        assert re.search(message.split(": ")[1], entry["evaluate"]["error"])
+
+        monkeypatch.undo()
+        pipeline.cmd_evaluate(cfg)
+        assert "evaluate" not in pipeline.load_manifest(cfg)["models"]["seasonal_naive"]
+
+
+class TestMovedOutput:
+    def test_copied_output_directory_still_evaluates(self, trained, tmp_path):
+        """Where the input and the outputs live is not part of the config
+        hash: a trained output directory copied elsewhere evaluates there."""
+        cfg_path, _, _ = trained
+        cfg = load_config(cfg_path.parent / "bare.json")
+        moved = tmp_path / "moved"
+        shutil.copytree(cfg.resolved_output_dir(), moved / "out")
+        shutil.copy(cfg.input_path, moved / "meter.csv")
+        moved_cfg = load_config(write_config(moved, base_config(moved, roster=["seasonal_naive"])))
+        assert moved_cfg.config_hash() == cfg.config_hash()
+        report = pipeline.cmd_evaluate(moved_cfg)
+        assert [row.model for row in report.rows] == ["seasonal_naive"]
+        assert (moved / "out" / "report.csv").exists()
 
 
 class TestAtomicCsv:

@@ -14,8 +14,8 @@ from loadcast import series as series_mod
 from loadcast.series import (
     ColumnSchema,
     HourlySeries,
+    HourlySums,
     IngestError,
-    RawSeries,
     ScalerParams,
     SeriesError,
     chronological_split,
@@ -42,12 +42,19 @@ def write_csv(tmp_path, text, name="meter.csv"):
     return path
 
 
+def line_rows(path, schema=SCHEMA):
+    """The line parser's rows as Python lists: (timestamps, readings)."""
+    ts, values = series_mod._line_rows(path, schema)
+    return ts.tolist(), values.tolist()
+
+
 class TestIngest:
     def test_three_line_csv_parsed_in_order(self, tmp_path):
-        path = write_csv(tmp_path, "Unix,Aggregate\n0,100\n8,110\n16,120\n")
-        raw = ingest_csv(path, SCHEMA)
-        assert raw.timestamps.tolist() == [0, 8, 16]
-        assert raw.values[:, 0].tolist() == [100.0, 110.0, 120.0]
+        path = write_csv(tmp_path, "Unix,Aggregate\n0,100\n8,110\n3616,120\n")
+        assert line_rows(path) == ([0, 8, 3616], [[100.0], [110.0], [120.0]])
+        sums = ingest_csv(path, SCHEMA)
+        assert (sums.first_hour, len(sums)) == (0, 3)
+        assert sums.table.tolist() == [[210.0, 2.0], [120.0, 1.0]]
 
     def test_header_only_is_empty_series(self, tmp_path):
         path = write_csv(tmp_path, "Unix,Aggregate\n")
@@ -55,21 +62,16 @@ class TestIngest:
             ingest_csv(path, SCHEMA)
 
     def test_out_of_order_rows_are_sorted(self, tmp_path):
-        sorted_raw = ingest_csv(
-            write_csv(tmp_path, "Unix,Aggregate\n0,100\n8,110\n16,120\n", "a.csv"), SCHEMA
-        )
-        shuffled_raw = ingest_csv(
-            write_csv(tmp_path, "Unix,Aggregate\n16,120\n0,100\n8,110\n", "b.csv"), SCHEMA
-        )
-        assert shuffled_raw.timestamps.tolist() == sorted_raw.timestamps.tolist()
-        assert shuffled_raw.values.tolist() == sorted_raw.values.tolist()
+        ordered = write_csv(tmp_path, "Unix,Aggregate\n0,100\n8,110\n3616,120\n", "a.csv")
+        shuffled = write_csv(tmp_path, "Unix,Aggregate\n3616,120\n0,100\n8,110\n", "b.csv")
+        assert line_rows(shuffled) == line_rows(ordered)
+        assert_same_outcome(ingest_csv(shuffled, SCHEMA), ingest_csv(ordered, SCHEMA))
 
     def test_duplicate_timestamps_keep_last(self, tmp_path):
-        raw = ingest_csv(
-            write_csv(tmp_path, "Unix,Aggregate\n0,100\n8,110\n8,999\n"), SCHEMA
-        )
-        assert raw.timestamps.tolist() == [0, 8]
-        assert raw.values[1, 0] == 999.0
+        path = write_csv(tmp_path, "Unix,Aggregate\n0,100\n8,110\n8,999\n")
+        assert line_rows(path) == ([0, 8], [[100.0], [999.0]])
+        sums = ingest_csv(path, SCHEMA)
+        assert (len(sums), sums.table.tolist()) == (2, [[1099.0, 2.0]])
 
     def test_bad_value_reports_line_number(self, tmp_path):
         path = write_csv(tmp_path, "Unix,Aggregate\n0,100\n8,oops\n")
@@ -77,8 +79,11 @@ class TestIngest:
             ingest_csv(path, SCHEMA)
 
     def test_negative_power_becomes_invalid_reading(self, tmp_path):
-        raw = ingest_csv(write_csv(tmp_path, "Unix,Aggregate\n0,-5\n8,100\n"), SCHEMA)
-        assert math.isnan(raw.values[0, 0])
+        path = write_csv(tmp_path, "Unix,Aggregate\n0,-5\n8,100\n16,inf\n24,nan\n32,\n")
+        assert len(line_rows(path)[0]) == 5
+        sums = ingest_csv(path, SCHEMA)
+        assert (len(sums), sums.table.tolist()) == (5, [[100.0, 1.0]])
+        assert resample_hourly(sums).values.tolist() == [[100.0]]
 
     @pytest.mark.parametrize("ts", ["inf", "-inf", "1e30"])
     def test_timestamp_outside_int64_names_line(self, tmp_path, ts):
@@ -87,10 +92,23 @@ class TestIngest:
             ingest_csv(path, SCHEMA)
 
     def test_timestamps_further_apart_than_int64_holds(self, tmp_path):
-        """The order check compares neighbours; a difference of 2**63 would wrap."""
+        """The order check compares neighbours, where a difference of 2**63
+        would wrap. Parsed in order, the two readings span far more hours
+        than a table can hold: both parsers name the span."""
         path = write_csv(tmp_path, f"Unix,Aggregate\n{-(2**62)},1\n{2**62},2\n")
+        assert line_rows(path)[0] == [-(2**62), 2**62]
+        first, last = -(2**62) // 3600, 2**62 // 3600
         for parse in (ingest_csv, series_mod._ingest_lines):
-            assert parse(path, SCHEMA).timestamps.tolist() == [-(2**62), 2**62]
+            with pytest.raises(IngestError, match=f"meter.csv: readings span {last - first + 1} "
+                               f"hours, from unix hour {first} to {last}"):
+                parse(path, SCHEMA)
+
+    def test_century_of_hours_is_the_most_a_table_holds(self, tmp_path):
+        last = series_mod._MAX_HOURS * 3600 - 1
+        sums = ingest_csv(write_csv(tmp_path, f"Unix,Aggregate\n0,1\n{last},2\n"), SCHEMA)
+        assert len(sums.table) == series_mod._MAX_HOURS
+        with pytest.raises(IngestError, match="more than"):
+            ingest_csv(write_csv(tmp_path, f"Unix,Aggregate\n0,1\n{last + 1},2\n"), SCHEMA)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestError, match="cannot read"):
@@ -136,13 +154,13 @@ def csv_text(header, rows, eol, trailing):
     return eol.join(",".join(r) for r in [header, *rows]) + (eol if trailing else "")
 
 
-def ingest_both(path):
+def ingest_both(path, schema=DIFF_SCHEMA):
     """(ingest_csv's outcome, the line parser's outcome, whether ingest_csv
-    fell back to it); an outcome is a RawSeries or an IngestError message."""
+    fell back to it); an outcome is an HourlySums or an IngestError message."""
 
     def outcome(parse):
         try:
-            return parse(path, DIFF_SCHEMA)
+            return parse(path, schema)
         except IngestError as exc:
             return str(exc)
 
@@ -157,10 +175,36 @@ def assert_same_outcome(got, reference):
         assert got == reference
         return
     assert not isinstance(got, str), got
-    for name in ("timestamps", "values"):
-        a, b = getattr(got, name), getattr(reference, name)
-        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
-    assert got.channel_names == reference.channel_names
+    a, b = got.table, reference.table
+    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    assert (got.first_hour, got.channel_names, len(got)) == (
+        reference.first_hour, reference.channel_names, len(reference))
+
+
+def resample_reference(timestamps, values):
+    """The per-channel masked resample the fold replaced, kept as its
+    reference: (start, hourly means) of rows sorted by timestamp."""
+    idx = timestamps // 3600 - timestamps[0] // 3600
+    out = np.full((idx[-1] + 1, values.shape[1]), np.nan)
+    for c in range(values.shape[1]):
+        col = values[:, c]
+        valid = np.isfinite(col) & (col >= 0)
+        counts = np.bincount(idx[valid], minlength=len(out))
+        sums = np.bincount(idx[valid], weights=col[valid], minlength=len(out))
+        present = counts > 0
+        out[present, c] = sums[present] / counts[present]
+    return series_mod._EPOCH + timedelta(hours=int(timestamps[0] // 3600)), out
+
+
+def assert_hourly_is_the_reference(path, schema=None):
+    """resample_hourly(ingest_csv(path)) is bitwise the reference resample
+    of the line parser's rows."""
+    schema = schema or ColumnSchema()
+    hourly = resample_hourly(ingest_csv(path, schema))
+    start, values = resample_reference(*series_mod._line_rows(path, schema))
+    assert hourly.start == start
+    assert (hourly.values.shape, hourly.values.tobytes()) == (values.shape, values.tobytes())
+    return hourly
 
 
 def meter_text(timestamps, values, eol="\n"):
@@ -177,20 +221,34 @@ def block_timestamps(path):
     """The timestamp column of each block the fast path parses from ``path``."""
     with open(path, newline="", encoding="utf-8") as fh:
         cols, width = series_mod._raw_columns(fh, path, ColumnSchema())
-        return [rows[:, 0] for rows, _ in series_mod._numeric_blocks(fh, cols, width)]
+        return [rows[:, 0] for rows in series_mod._numeric_blocks(fh, cols, width)]
+
+
+def meter_readings(n, seed, step=8):
+    """``n`` strictly increasing timestamps ``step`` s apart and their
+    readings, a tenth of them blank and a few negative."""
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(-50.0, 3000.0, (n, 10)).round(1)  # as written
+    values[rng.random(values.shape) < 0.1] = np.nan
+    return 1_380_000_000 + step * np.arange(n), values
 
 
 class TestIngestFastPath:
-    """ingest_csv parses numbers in blocks with numpy and hands what numpy
-    could read differently to the line parser; both must agree bitwise."""
+    """ingest_csv folds numpy's parse block by block and hands what numpy
+    could read differently, or rows out of order, to the line parser; both
+    must agree bitwise."""
 
     @given(raw_csvs())
     @settings(max_examples=150, deadline=None)
     def test_fast_path_equals_line_parser(self, tmp_path_factory, table):
+        header, rows, _, _ = table
+        ts = [int(float(row[header.index("Unix")])) for row in rows]
+        in_order = all(a < b for a, b in zip(ts, ts[1:]))
         path = tmp_path_factory.getbasetemp() / "fast.csv"
         path.write_text(csv_text(*table), encoding="utf-8", newline="")
         got, reference, fell_back = ingest_both(path)
-        assert not fell_back
+        # rows out of order, and a span the line parser rejects, take the line parser
+        assert fell_back == (not in_order or isinstance(reference, str))
         assert_same_outcome(got, reference)
 
     @given(raw_csvs(), st.sampled_from(["quote", "hash", "short", "underscore",
@@ -227,58 +285,99 @@ class TestIngestFastPath:
         with pytest.raises(IngestError, match="line 30002: bad value '1.5x'"):
             series_mod._ingest_lines(path, SCHEMA)
 
-    @pytest.mark.parametrize("case", ["disorder across blocks", "duplicate across blocks",
-                                      "bare CR line ends"])
-    def test_multi_block_file_stays_on_fast_path(self, tmp_path, case):
-        """Sorting and de-duplication must see the whole file, not one block
-        at a time, and bare-CR line ends must not leave the fast path."""
-        rng = np.random.default_rng(5)
-        n = 12_000
-        timestamps = 1_380_000_000 + 8 * np.arange(n)
-        values = rng.uniform(1000.0, 3000.0, (n, 10)).round(1)  # as written
-        values[rng.random(values.shape) < 0.1] = np.nan
+    @pytest.mark.parametrize("eol", ["\n", "\r"], ids=["LF line ends", "bare CR line ends"])
+    def test_multi_block_file_stays_on_fast_path(self, tmp_path, eol):
+        """Bare-CR line ends must not leave the fast path."""
         path = tmp_path / "meter.csv"
-        eol = "\r" if case == "bare CR line ends" else "\n"
-        path.write_text(meter_text(timestamps, values, eol), encoding="utf-8", newline="")
-        first, second, *_ = blocks = block_timestamps(path)
-        assert len(blocks) > 2
-        b = len(first)  # the row that starts the second block
+        path.write_text(meter_text(*meter_readings(12_000, 5), eol), encoding="utf-8", newline="")
+        assert len(block_timestamps(path)) > 2
+        got, reference, fell_back = ingest_both(path, ColumnSchema())
+        assert not fell_back
+        assert_same_outcome(got, reference)
+        assert len(got) == 12_000
+        assert_hourly_is_the_reference(path)
+
+    @pytest.mark.parametrize("case", ["disorder across blocks", "duplicate across blocks"])
+    def test_disorder_across_blocks_takes_the_line_parser(self, tmp_path, case):
+        """Each block increases, but the second starts at or before the end
+        of the first: the file goes to the line parser, which sorts and
+        keeps the last duplicate, and the hourly means are today's."""
+        timestamps, values = meter_readings(12_000, 5)
+        path = tmp_path / "meter.csv"
+        path.write_text(meter_text(timestamps, values), encoding="utf-8", newline="")
+        b = len(block_timestamps(path)[0])  # the row that starts the second block
         if case == "disorder across blocks":
-            # each block increases, but the second starts before the first ends
             timestamps[b:] -= 8 * 100 + 4
-        elif case == "duplicate across blocks":
+        else:
             timestamps[b] = timestamps[b - 1]
-        path.write_text(meter_text(timestamps, values, eol), encoding="utf-8", newline="")
+        path.write_text(meter_text(timestamps, values), encoding="utf-8", newline="")
         first, second, *_ = block_timestamps(path)
         assert len(first) == b and all(np.all(np.diff(t) > 0) for t in (first, second))
-        reference = series_mod._ingest_lines(path, ColumnSchema())
-        with mock.patch.object(series_mod, "_ingest_lines") as line_parser:
-            raw = ingest_csv(path)
-        assert not line_parser.called
-        assert_same_outcome(raw, reference)
+        got, reference, fell_back = ingest_both(path, ColumnSchema())
+        assert fell_back
+        assert_same_outcome(got, reference)
         if case == "duplicate across blocks":
-            assert len(raw) == n - 1
-            np.testing.assert_array_equal(raw.values[b - 1], values[b])
+            assert len(got) == 12_000 - 1
+            ts, rows = series_mod._line_rows(path, ColumnSchema())
+            np.testing.assert_array_equal(rows[b - 1], values[b])
         else:
-            assert len(raw) == n
+            assert len(got) == 12_000
+        assert_hourly_is_the_reference(path)
 
-    def test_peak_memory_is_the_table_plus_one_block(self, tmp_path):
-        rng = np.random.default_rng(11)
-        n = 80_000
-        values = rng.uniform(0.0, 3000.0, (n, 10))
-        values[rng.random(values.shape) < 0.1] = np.nan
+    def test_small_blocks_fold_bitwise(self, tmp_path, monkeypatch):
+        """Blocks of a few lines: an hour split across blocks, blocks wholly
+        inside one hour and empty hours between blocks all fold to the line
+        parser's table, bit for bit."""
+        timestamps, values = meter_readings(3_000, 8, step=7)
+        timestamps[1_000:] += 5 * 3600  # five empty hours
+        timestamps[2_000:] += 3600 * 3600  # and 150 days
         path = tmp_path / "meter.csv"
-        path.write_text(meter_text(1_380_000_000 + 8 * np.arange(n), values),
-                        encoding="utf-8", newline="")
-        assert path.stat().st_size > 8 * series_mod._BLOCK_CHARS
-        tracemalloc.start()
-        try:
-            raw = ingest_csv(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(raw) == n
-        assert peak < 1.5 * (raw.timestamps.nbytes + raw.values.nbytes)
+        path.write_text(meter_text(timestamps, values), encoding="utf-8", newline="")
+        monkeypatch.setattr(series_mod, "_BLOCK_CHARS", 200)
+        hours = [t // 3600 for t in block_timestamps(path)]
+        spans = [(h[0], h[-1]) for h in hours]
+        assert any(lo == hi for lo, hi in spans)  # a block inside one hour
+        assert any(a[1] == b[0] for a, b in zip(spans, spans[1:]))  # an hour split across blocks
+        assert any(b[0] > a[1] + 1 for a, b in zip(spans, spans[1:]))  # empty hours between
+        got, reference, fell_back = ingest_both(path, ColumnSchema())
+        assert not fell_back
+        assert_same_outcome(got, reference)
+        assert_hourly_is_the_reference(path)
+
+    @given(st.lists(st.integers(1, 9000), min_size=1, max_size=120),
+           st.integers(40, 400), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_any_block_size_folds_bitwise(self, tmp_path_factory, steps, block_chars, seed):
+        rng = np.random.default_rng(seed)
+        timestamps = 1_380_000_000 + np.cumsum(steps)
+        values = rng.uniform(-10.0, 1e4, (len(steps), 10))
+        values[rng.random(values.shape) < 0.2] = np.nan
+        path = tmp_path_factory.getbasetemp() / "blocks.csv"
+        path.write_text(meter_text(timestamps, values), encoding="utf-8", newline="")
+        with mock.patch.object(series_mod, "_BLOCK_CHARS", block_chars):
+            got, reference, fell_back = ingest_both(path, ColumnSchema())
+        assert not fell_back
+        assert_same_outcome(got, reference)
+        assert_hourly_is_the_reference(path)
+
+    def test_ingest_peak_does_not_grow_with_raw_rows(self, tmp_path):
+        """The same household at N and 4N raw rows: parse and resample hold
+        the hour table and one block, not the rows."""
+        peaks, hours = [], set()
+        for step in (240, 60):
+            timestamps, values = meter_readings(45 * 24 * 3600 // step, 11, step)
+            path = tmp_path / f"meter-{step}.csv"
+            path.write_text(meter_text(timestamps, values), encoding="utf-8", newline="")
+            assert path.stat().st_size > 4 * series_mod._BLOCK_CHARS
+            tracemalloc.start()
+            try:
+                hourly = resample_hourly(ingest_csv(path))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            hours.add(len(hourly))
+        assert len(hours) == 1
+        assert peaks[1] < 1.2 * peaks[0], peaks
 
     def test_meter_file_never_takes_the_line_parser(self, tmp_path, monkeypatch):
         """A silent fallback would lose the fast path without failing a test."""
@@ -296,11 +395,12 @@ class TestIngestFastPath:
             raise AssertionError("fell back to the line parser")
 
         monkeypatch.setattr(series_mod, "_ingest_lines", no_line_parser)
-        raw = ingest_csv(path, schema)
-        assert_same_outcome(raw, reference)
-        assert np.isnan(raw.values[:, -1]).any()
+        sums = ingest_csv(path, schema)
+        assert_same_outcome(sums, reference)
+        assert (sums.table[:, -1] == 0).any()  # hours without a last-channel reading
 
-        resampled = resample_hourly(raw)
+        resampled = resample_hourly(sums)
+        assert np.isnan(resampled.values[:, -1]).any()
         cache = tmp_path / "cache.csv"
         series_to_csv(resampled, cache)
         back = series_from_csv(cache)
@@ -310,10 +410,10 @@ class TestIngestFastPath:
 
 
 @pytest.mark.parametrize("build, fields", [
-    (lambda b: RawSeries(np.arange(8)[::2], b[:, 1:], ("a", "b")), ("timestamps", "values")),
+    (lambda b: HourlySums(0, b[:, 1:], ("a",), 4), ("table",)),
     (lambda b: HourlySeries(MONDAY, b[:, 1:], ("a", "b")), ("values",)),
     (lambda b: ScalerParams(b[:, 0], b[:, 1], ("a", "b", "c", "d")), ("mins", "maxs")),
-], ids=["RawSeries", "HourlySeries", "ScalerParams"])
+], ids=["HourlySums", "HourlySeries", "ScalerParams"])
 def test_array_fields_read_only_when_built_from_strided_views(build, fields):
     base = np.arange(12.0).reshape(4, 3)
     frozen = build(base)
