@@ -1,11 +1,13 @@
 """Gradient-boosted regression trees with Newton leaves.
 
 One engine covers both point forecasting (squared loss) and quantile
-forecasting (pinball loss with a unit-hessian surrogate). Both losses have
-a hessian of 1, so a node's hessian sum is its row count m: split gain is
-G_L^2/k + G_R^2/(m-k) - G^2/m for k rows on the left, and each leaf takes
-the Newton value -G/m. These are bitwise the numbers a summed unit hessian
-gives, since sums of 1.0 are exact integers.
+forecasting (pinball loss). Squared loss has a hessian of 1; the pinball
+hessian is 0 almost everywhere, so the pinball fit uses a unit-hessian
+surrogate in its place (ROADMAP item 8 replaces its leaves with a
+tau-quantile refit). Either way a node's hessian sum is its row count m:
+split gain is G_L^2/k + G_R^2/(m-k) - G^2/m for k rows on the left, and
+each leaf takes the value -G/m. These are bitwise the numbers a summed
+unit hessian gives, since sums of 1.0 are exact integers.
 
 Trees grow level-wise with exact greedy split search (Chen & Guestrin 2016,
 §4.1). ``gbdt_fit`` builds one ``TreeWorkspace`` per fit: it sorts each
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import FeatureMatrix
-from .metrics import ForecastDistribution, QUANTILE_LEVELS, pinball_grad, pinball_loss
+from .metrics import QUANTILE_LEVELS, pinball_grad, pinball_loss
 
 logger = logging.getLogger(__name__)
 
@@ -64,8 +66,10 @@ class SquaredLoss:
 
 @dataclass(frozen=True)
 class PinballLoss:
-    """Quantile objective; the hessian is identically 1 (piecewise-linear
-    loss), so the Newton leaf equals the mean gradient step."""
+    """Quantile objective. The pinball loss is piecewise linear, so its
+    hessian is 0 almost everywhere; the leaves use a unit-hessian
+    surrogate, -G/m, the mean gradient step. ROADMAP item 8 replaces it
+    with each leaf's tau-quantile of the residuals."""
 
     tau: float
     name: str = "pinball"
@@ -418,15 +422,14 @@ def gbdt_predict(model: GbdtModel, X) -> np.ndarray:
     return out
 
 
-def gbdt_predict_quantiles(models: dict[float, GbdtModel], X, timestamps=None) -> ForecastDistribution:
-    """Evaluate one model per quantile and repair crossings by row sorting."""
+def gbdt_predict_quantiles(models: dict[float, GbdtModel], X) -> np.ndarray:
+    """Evaluate one model per quantile and repair crossings by row sorting:
+    an (n, len(QUANTILE_LEVELS)) float64 array in ``QUANTILE_LEVELS`` order."""
     if tuple(sorted(models)) != QUANTILE_LEVELS:
         raise BoostingError(f"need one model per quantile {QUANTILE_LEVELS}, got {sorted(models)}")
     preds = np.column_stack([gbdt_predict(models[tau], X) for tau in QUANTILE_LEVELS])
     preds.sort(axis=1)
-    if timestamps is None:
-        timestamps = X.timestamps if isinstance(X, FeatureMatrix) else tuple(range(len(preds)))
-    return ForecastDistribution(tuple(timestamps), preds[:, 0], preds[:, 1], preds[:, 2])
+    return preds
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Forecast scoring: RMSE, MAE, pinball loss, average quantile score, PICP,
 and the per-model report table.
 
-All metrics are computed in original watt units; probabilistic scores take
-a ForecastDistribution holding the 5th, 50th and 95th percentile tracks.
+All metrics are computed in original watt units. Probabilistic scores take
+a forecast's quantiles as one float (n, len(QUANTILE_LEVELS)) array: row i
+holds the 5th, 50th and 95th percentile forecasts of actual i, in
+``QUANTILE_LEVELS`` order and ascending along the row.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from datetime import datetime
 
 import numpy as np
 
@@ -19,26 +20,6 @@ QUANTILE_LEVELS = (0.05, 0.50, 0.95)
 
 class MetricError(ValueError):
     """Raised on misaligned or empty metric inputs."""
-
-
-@dataclass(frozen=True)
-class ForecastDistribution:
-    """Per-timestep quantile forecasts at levels 0.05 / 0.50 / 0.95."""
-
-    timestamps: tuple[datetime, ...]
-    q05: np.ndarray
-    q50: np.ndarray
-    q95: np.ndarray
-
-    def __post_init__(self) -> None:
-        n = len(self.timestamps)
-        if not (len(self.q05) == len(self.q50) == len(self.q95) == n):
-            raise MetricError("quantile tracks must align with timestamps")
-        if np.any(self.q05 > self.q50) or np.any(self.q50 > self.q95):
-            raise MetricError("quantile tracks must satisfy q05 <= q50 <= q95")
-
-    def __len__(self) -> int:
-        return len(self.timestamps)
 
 
 @dataclass(frozen=True)
@@ -105,40 +86,35 @@ def pinball_grad(y, yhat, tau: float):
     return out if out.ndim else float(out)
 
 
-def average_quantile_score(
-    y, dist: ForecastDistribution, quantiles: tuple[float, ...] = QUANTILE_LEVELS
-) -> float:
-    """Mean pinball loss over all (forecast point, quantile level) pairs.
-
-    ``quantiles`` may restrict scoring to a subset of the distribution's
-    levels, e.g. (0.5,) scores the median track alone.
-    """
-    tracks = dict(zip(QUANTILE_LEVELS, (dist.q05, dist.q50, dist.q95)))
-    unknown = set(quantiles) - set(tracks)
-    if not quantiles or unknown:
-        raise MetricError(f"distribution carries quantiles {QUANTILE_LEVELS}, got {quantiles}")
+def _check_quantiles(y, q) -> tuple[np.ndarray, np.ndarray]:
     y = np.asarray(y, dtype=float)
-    if len(y) != len(dist):
-        raise MetricError("actuals misaligned with forecast distribution")
+    q = np.asarray(q, dtype=float)
+    if y.ndim != 1 or q.shape != (len(y), len(QUANTILE_LEVELS)):
+        raise MetricError(f"quantiles of shape {q.shape} do not align with actuals of shape "
+                          f"{y.shape} at the levels {QUANTILE_LEVELS}")
     if len(y) == 0:
         raise MetricError("empty input")
+    if np.any(q[:, :-1] > q[:, 1:]):
+        raise MetricError("quantile tracks must satisfy q05 <= q50 <= q95")
+    return y, q
+
+
+def average_quantile_score(y, q) -> float:
+    """Mean pinball loss over all (forecast point, quantile level) pairs."""
+    y, q = _check_quantiles(y, q)
     total = 0.0
-    for tau in quantiles:
-        total += float(np.sum(pinball_loss(y, tracks[tau], tau)))
-    return total / (len(y) * len(quantiles))
+    for j, tau in enumerate(QUANTILE_LEVELS):
+        total += float(np.sum(pinball_loss(y, q[:, j], tau)))
+    return total / q.size
 
 
-def picp(y, dist: ForecastDistribution) -> float:
+def picp(y, q) -> float:
     """Prediction-interval coverage, percent of actuals with q05 <= y <= q95.
 
     Boundary hits count as covered.
     """
-    y = np.asarray(y, dtype=float)
-    if len(y) != len(dist):
-        raise MetricError("actuals misaligned with forecast distribution")
-    if len(y) == 0:
-        raise MetricError("empty input")
-    covered = (dist.q05 <= y) & (y <= dist.q95)
+    y, q = _check_quantiles(y, q)
+    covered = (q[:, 0] <= y) & (y <= q[:, -1])
     return float(100.0 * np.count_nonzero(covered) / len(y))
 
 

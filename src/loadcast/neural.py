@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .features import WindowTensor
-from .metrics import ForecastDistribution, QUANTILE_LEVELS, pinball_grad, pinball_loss
+from .metrics import QUANTILE_LEVELS, pinball_grad, pinball_loss
 from .series import ScalerParams, replace_on_success, unscale_array
 
 logger = logging.getLogger(__name__)
@@ -556,25 +556,17 @@ def train(
 
 
 def predict_quantiles(
-    model: QuantileLstmModel,
-    tensors: WindowTensor,
-    scaler: ScalerParams | None = None,
-    target_channel: str | int = 0,
-) -> ForecastDistribution:
-    """Eval-mode forward, inverse min-max scaling back to watts, and
-    non-crossing repair by per-row sorting. The tracks are float64 whatever
-    the model dtype."""
+    model: QuantileLstmModel, tensors: WindowTensor, scaler: ScalerParams | None = None
+) -> np.ndarray:
+    """Eval-mode forward, inverse min-max scaling of the target (channel 0
+    of ``scaler``) back to watts, and non-crossing repair by per-row
+    sorting: one (n_windows, len(QUANTILE_LEVELS)) array in
+    ``QUANTILE_LEVELS`` order, float64 whatever the model dtype."""
     q, _ = forward(model, tensors.data, train_mode=False, keep_caches=False)
     q = q.astype(np.float64, copy=False)
     if scaler is not None:
-        ch = (
-            scaler.channel_names.index(target_channel)
-            if isinstance(target_channel, str)
-            else target_channel
-        )
-        q = unscale_array(q, scaler.mins[ch], scaler.maxs[ch])
-    q = np.sort(q, axis=1)
-    return ForecastDistribution(tensors.target_timestamps, q[:, 0], q[:, 1], q[:, 2])
+        q = unscale_array(q, scaler.mins[0], scaler.maxs[0])
+    return np.sort(q, axis=1)
 
 
 # ---------------------------------------------------------------------------

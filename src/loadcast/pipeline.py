@@ -188,12 +188,12 @@ def _load_cache(cfg: PipelineConfig) -> HourlySeries:
 
 
 def _trial_window(cfg: PipelineConfig, train: HourlySeries) -> tuple[int, int]:
-    """First fully observed window of >= 3 months inside the train segment,
-    falling back to the longest one if it still meets the configured
-    minimum."""
+    """First fully observed window of at least 3 months and the configured
+    minimum inside the train segment, falling back to the longest one if it
+    still meets the configured minimum."""
     present = ~np.isnan(train.channel(0))
     runs = missing_runs(present)  # the run finder is generic: runs of True
-    full_months = [r for r in runs if r[1] >= 2160]
+    full_months = [r for r in runs if r[1] >= max(2160, cfg.trial_min_window_hours)]
     if full_months:
         return full_months[0][0], full_months[0][0] + full_months[0][1]
     if runs:
@@ -259,7 +259,6 @@ class PreparedData:
     split_idx: int
     scaler: ScalerParams          # fitted on the train segment
     tabular: FeatureMatrix        # watts, calendar + lags
-    target_name: str
 
     @property
     def split_time(self) -> datetime:
@@ -311,9 +310,7 @@ def prepare_data(cfg: PipelineConfig, hourly: HourlySeries, chosen: str) -> Prep
     tabular = assemble_matrix(
         full, calendar=cfg.calendar_features, lags=cfg.lags, target_channel=0
     )
-    return PreparedData(
-        full, split_idx, minmax_fit(full, (0, split_idx)), tabular, full.channel_names[0]
-    )
+    return PreparedData(full, split_idx, minmax_fit(full, (0, split_idx)), tabular)
 
 
 def _split_rows(cfg: PipelineConfig, data: PreparedData, timestamps, take):
@@ -346,10 +343,11 @@ def _chosen_imputer(manifest: dict) -> str:
 @dataclass(frozen=True)
 class Forecast:
     """One model's forecast of every test hour in order: the point track in
-    watts, plus the quantile tracks of a probabilistic model."""
+    watts and, for a probabilistic model, its quantiles as one
+    (n, len(QUANTILE_LEVELS)) array in ``metrics.QUANTILE_LEVELS`` order."""
 
     point: np.ndarray
-    dist: metrics.ForecastDistribution | None = None
+    quantiles: np.ndarray | None = None
 
 
 def _fit_seasonal_naive(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> list[str]:
@@ -437,8 +435,8 @@ def _predict_gbdt_quantile(cfg: PipelineConfig, data: PreparedData, models_dir: 
     docs = json.loads((models_dir / "gbdt_quantile.json").read_text(encoding="utf-8"))
     models = {float(tau): boosted.gbdt_from_doc(doc) for tau, doc in docs.items()}
     _, _, test = _tabular_split(cfg, data)
-    dist = boosted.gbdt_predict_quantiles(models, test)
-    return Forecast(dist.q50, dist)
+    q = boosted.gbdt_predict_quantiles(models, test)
+    return Forecast(q[:, 1], q)
 
 
 def _window_split(cfg: PipelineConfig, data: PreparedData):
@@ -495,8 +493,8 @@ def _fit_lstm(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> list
 def _predict_lstm(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> Forecast:
     model, scaler = neural.load_checkpoint(str(models_dir / "lstm"))
     _, _, test = _window_split(cfg, data)
-    dist = neural.predict_quantiles(model, test, scaler=scaler, target_channel=data.target_name)
-    return Forecast(dist.q50, dist)
+    q = neural.predict_quantiles(model, test, scaler=scaler)
+    return Forecast(q[:, 1], q)
 
 
 class ModelSpec(NamedTuple):
@@ -571,24 +569,24 @@ def cmd_train(cfg: PipelineConfig, models: tuple[str, ...] | None = None) -> dic
 def _write_plot_csv(
     path: Path, hours: tuple[datetime, ...], actual: np.ndarray, forecast: Forecast
 ) -> None:
-    dist = forecast.dist
+    q = forecast.quantiles
     _write_csv(path, ["timestamp", "actual", "point_or_q50", "q05", "q95"], ([
         ts.isoformat(),
         repr(float(actual[i])),
         repr(float(forecast.point[i])),
-        "" if dist is None else repr(float(dist.q05[i])),
-        "" if dist is None else repr(float(dist.q95[i])),
+        "" if q is None else repr(float(q[i, 0])),
+        "" if q is None else repr(float(q[i, -1])),
     ] for i, ts in enumerate(hours)))
 
 
 def _score(name: str, y: np.ndarray, forecast: Forecast) -> metrics.ReportRow:
-    point, dist = forecast.point, forecast.dist
+    point, q = forecast.point, forecast.quantiles
     return metrics.ReportRow(
         name,
         metrics.rmse(y, point),
         metrics.mae(y, point),
-        picp=None if dist is None else metrics.picp(y, dist),
-        aqs=None if dist is None else metrics.average_quantile_score(y, dist),
+        picp=None if q is None else metrics.picp(y, q),
+        aqs=None if q is None else metrics.average_quantile_score(y, q),
     )
 
 
@@ -640,12 +638,9 @@ def _external_forecast(hours: tuple[datetime, ...], path: str) -> Forecast:
             f"external predictions {path}: {len(bad)} of {len(seen)} test hours missing or "
             f"repeated, first at {hours[bad[0]].isoformat()}; give every test hour once"
         )
-    dist = None
-    if banded:
-        dist = metrics.ForecastDistribution(
-            hours, np.minimum(q05, point), point, np.maximum(q95, point)
-        )
-    return Forecast(point, dist)
+    if not banded:
+        return Forecast(point)
+    return Forecast(point, np.column_stack([np.minimum(q05, point), point, np.maximum(q95, point)]))
 
 
 def _write_report(out_dir: Path, report: metrics.EvalReport) -> str:
@@ -687,10 +682,14 @@ def cmd_evaluate(cfg: PipelineConfig) -> metrics.EvalReport:
         entry.pop("evaluate", None)
         try:
             forecast = MODELS[name].predict(cfg, data, out_dir / "models")
-            dist = forecast.dist
-            if len(forecast.point) != len(hours) or (dist is not None and dist.timestamps != hours):
-                raise PipelineError(f"forecast does not cover exactly the {len(hours)} "
+            q = forecast.quantiles
+            n = len(hours)
+            if np.shape(forecast.point) != (n,) or (
+                q is not None and np.shape(q) != (n, len(metrics.QUANTILE_LEVELS))
+            ):
+                raise PipelineError(f"forecast does not cover exactly the {n} "
                                     f"test hours from {hours[0]} to {hours[-1]}")
+            row = _score(name, actual, forecast)  # crossed quantiles fail the model here
         except Exception as exc:  # noqa: BLE001 - isolated per model, as in train
             entry["evaluate"] = {"status": "failed", "error": str(exc)}
             failures.append(f"{name}: {exc}")
@@ -698,7 +697,7 @@ def cmd_evaluate(cfg: PipelineConfig) -> metrics.EvalReport:
             logger.error("evaluate: %s failed: %s", name, exc)
             continue
         _write_plot_csv(plots_dir / f"{name}.csv", hours, actual, forecast)
-        rows.append(_score(name, actual, forecast))
+        rows.append(row)
     for name in sorted(cfg.external_predictions):
         rows.append(_score(name, actual, _external_forecast(hours, cfg.external_predictions[name])))
     # no row is a MetricError, unless every model failed: then there is no report

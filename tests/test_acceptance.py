@@ -48,11 +48,9 @@ def test_c1_metric_identities():
             y = rng.uniform(-1000, 1000, n)
             yhat = rng.uniform(-1000, 1000, n)
             assert metrics.rmse(y, yhat) >= metrics.mae(y, yhat) - 1e-12
-            dist = metrics.ForecastDistribution(
-                tuple(range(n)), np.full(n, -1e9), yhat, np.full(n, 1e9)
-            )
-            aqs_median = metrics.average_quantile_score(y, dist, quantiles=(0.5,))
-            assert abs(aqs_median - metrics.mae(y, yhat) / 2) <= 1e-12
+            # three tracks at yhat: AQS is MAE/2
+            aqs_point = metrics.average_quantile_score(y, np.column_stack([yhat, yhat, yhat]))
+            assert abs(aqs_point - metrics.mae(y, yhat) / 2) <= 1e-12
         assert metrics.pinball_loss(10.0, 8.0, 0.9) == 1.8
 
 
@@ -61,10 +59,8 @@ def test_c2_picp_calibration():
         rng = np.random.default_rng(202)
         y = rng.uniform(0.0, 1.0, 5000)
         n = len(y)
-        dist = metrics.ForecastDistribution(
-            tuple(range(n)), np.full(n, 0.05), np.full(n, 0.5), np.full(n, 0.95)
-        )
-        coverage = metrics.picp(y, dist)
+        q = np.tile([0.05, 0.5, 0.95], (n, 1))
+        coverage = metrics.picp(y, q)
         assert 87.0 <= coverage <= 93.0
 
 
@@ -176,13 +172,12 @@ def test_c7_quantile_lstm_calibration():
             neural.TrainConfig(max_epochs=50, patience=10, batch_size=64,
                                learning_rate=0.01, seed=707),
         )
-        dist = neural.predict_quantiles(model, val)
-        assert abs(np.mean(dist.q05) - 0.05) <= 0.05
-        assert abs(np.mean(dist.q50) - 0.50) <= 0.05
-        assert abs(np.mean(dist.q95) - 0.95) <= 0.05
-        coverage = metrics.picp(val.targets[:, 0], dist)
-        print(f"  learned quantile means: {np.mean(dist.q05):.3f} "
-              f"{np.mean(dist.q50):.3f} {np.mean(dist.q95):.3f}, PICP {coverage:.1f}%")
+        q = neural.predict_quantiles(model, val)
+        means = q.mean(axis=0)
+        assert np.all(np.abs(means - np.array([0.05, 0.50, 0.95])) <= 0.05)
+        coverage = metrics.picp(val.targets[:, 0], q)
+        print(f"  learned quantile means: {means[0]:.3f} "
+              f"{means[1]:.3f} {means[2]:.3f}, PICP {coverage:.1f}%")
         assert 85.0 <= coverage <= 95.0
 
 

@@ -30,7 +30,9 @@ def test_traced_lstm_run_keeps_eval_forwards_inside_the_wrapped_forward():
     """Validation and prediction forwards (the cache-free ones) must still go
     through the ``neural.forward`` the tracer wraps, or ``neural.val_forward.s``
     and ``neural.predict.s`` lose their time; in float64 and in float32, the
-    dtype the pipeline trains in."""
+    dtype the pipeline trains in. ``neural.predict_windows_per_s`` divides
+    the predict span's ``rows`` by its time, so ``rows`` must count the
+    windows, one row of the returned (n, 3) quantile array each."""
     from loadcast import neural
     from test_neural import make_tensor
 
@@ -43,7 +45,7 @@ def test_traced_lstm_run_keeps_eval_forwards_inside_the_wrapped_forward():
             model = neural.init_model(3, hidden=(4, 3), seed=0, dtype=dtype)
             model, _ = neural.train(model, tensors, tensors,
                                     neural.TrainConfig(max_epochs=1, batch_size=4))
-            neural.predict_quantiles(model, tensors)
+            q = neural.predict_quantiles(model, tensors)
         finally:
             tracer.uninstall()
         assert model.dtype == dtype
@@ -52,6 +54,8 @@ def test_traced_lstm_run_keeps_eval_forwards_inside_the_wrapped_forward():
                      "neural.predict"):
             assert name in names, (dtype, name)
         predict = names.index("neural.predict")
+        assert q.shape == (len(tensors.data), 3)
+        assert tracer.spans[predict][4] == {"rows": len(tensors.data)}, dtype
         assert any(name == "neural.forward_eval" and span[3] == predict
                    for name, span in zip(names, tracer.spans)), dtype
 
@@ -59,7 +63,10 @@ def test_traced_lstm_run_keeps_eval_forwards_inside_the_wrapped_forward():
 def test_traced_gbdt_fit_records_one_fit_tree_span_per_round():
     """``boosted.trees`` counts ``boosted.fit_tree`` spans and
     ``boosted.ms_per_tree`` divides their time by it: each round must call
-    the ``fit_tree`` the tracer wraps, once, inside ``gbdt_fit``."""
+    the ``fit_tree`` the tracer wraps, once, inside ``gbdt_fit``.
+    ``boosted.predict_rows_per_s`` counts the ``rows`` of each
+    ``boosted.predict`` span, one per quantile model of a quantile
+    forecast."""
     from loadcast import boosted
 
     rng = np.random.default_rng(0)
@@ -70,6 +77,7 @@ def test_traced_gbdt_fit_records_one_fit_tree_span_per_round():
     tracer.install()
     try:
         model = boosted.gbdt_fit(X[:80], y[:80], X[80:], y[80:], params=params)
+        q = boosted.gbdt_predict_quantiles(dict.fromkeys((0.05, 0.5, 0.95), model), X[80:])
     finally:
         tracer.uninstall()
     assert len(model.trees) == params.n_estimators
@@ -78,6 +86,9 @@ def test_traced_gbdt_fit_records_one_fit_tree_span_per_round():
     trees = [span for span in tracer.spans if span[0] == "boosted.fit_tree"]
     assert len(trees) == params.n_estimators
     assert all(span[3] == fit for span in trees)
+    assert q.shape == (40, 3)
+    predicts = [span for span in tracer.spans if span[0] == "boosted.predict"]
+    assert [span[4] for span in predicts] == [{"rows": 40}] * 3
 
 
 def test_traced_ingest_records_one_parse_and_one_resample(tmp_path):

@@ -491,9 +491,10 @@ class TestPredict:
                 params=GbdtParams(n_estimators=50, max_depth=3),
                 loss=PinballLoss(tau),
             )
-        dist = gbdt_predict_quantiles(models, X[400:])
-        assert (dist.q05 <= dist.q50).all()
-        assert (dist.q50 <= dist.q95).all()
+        q = gbdt_predict_quantiles(models, X[400:])
+        assert q.shape == (100, 3) and q.dtype == np.float64
+        assert (q[:, 0] <= q[:, 1]).all()
+        assert (q[:, 1] <= q[:, 2]).all()
 
     def test_quantile_set_validated(self):
         with pytest.raises(BoostingError, match="quantile"):
@@ -560,5 +561,5 @@ class TestSerialization:
                                 feature_order=order)
                   for tau in (0.05, 0.5, 0.95)}
         want = gbdt_predict_quantiles(models, parts[2])
-        assert forecast.dist.q05.tobytes() == want.q05.tobytes()
-        assert forecast.dist.q95.tobytes() == want.q95.tobytes()
+        assert forecast.quantiles.tobytes() == want.tobytes()
+        assert forecast.point.tobytes() == want[:, 1].tobytes()

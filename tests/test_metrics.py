@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from loadcast.metrics import (
     EvalReport,
-    ForecastDistribution,
     MetricError,
     ReportRow,
     assemble_report,
@@ -23,8 +22,8 @@ from loadcast.metrics import (
 
 
 def make_dist(q05, q50, q95):
-    q05, q50, q95 = (np.asarray(x, dtype=float) for x in (q05, q50, q95))
-    return ForecastDistribution(tuple(range(len(q50))), q05, q50, q95)
+    """The (n, 3) quantile array of three tracks, in ``QUANTILE_LEVELS`` order."""
+    return np.column_stack([np.asarray(x, dtype=float) for x in (q05, q50, q95)])
 
 
 class TestPointMetrics:
@@ -111,17 +110,27 @@ class TestAqs:
         # losses: 0.05*2, 0, 0.05*2 -> mean 0.2/3
         assert average_quantile_score([10.0], dist) == pytest.approx(0.2 / 3)
 
-    def test_median_only_equals_half_mae(self):
+    def test_point_forecast_scores_half_mae(self):
+        """Three tracks equal to one point forecast: the levels' pinball
+        weights sum to 1.5 on either side, so AQS = 1.5 * MAE / 3."""
         rng = np.random.default_rng(11)
         y = rng.uniform(-100, 100, 500)
         yhat = rng.uniform(-100, 100, 500)
-        dist = make_dist(np.full(500, -1e9), yhat, np.full(500, 1e9))
-        aqs = average_quantile_score(y, dist, quantiles=(0.5,))
+        aqs = average_quantile_score(y, make_dist(yhat, yhat, yhat))
         assert abs(aqs - mae(y, yhat) / 2) <= 1e-12
 
     def test_misalignment(self):
-        with pytest.raises(MetricError):
-            average_quantile_score([1.0, 2.0], make_dist([0.0], [1.0], [2.0]))
+        """Quantiles must be one (n, 3) row per actual, for both scores."""
+        shapes = [(1, 3), (3, 3), (2, 2), (2, 4), (6,)]
+        for score in (average_quantile_score, picp):
+            for shape in shapes:
+                with pytest.raises(MetricError, match="align"):
+                    score([1.0, 2.0], np.zeros(shape))
+
+    @pytest.mark.parametrize("score", [average_quantile_score, picp])
+    def test_empty_input(self, score):
+        with pytest.raises(MetricError, match="empty"):
+            score([], np.zeros((0, 3)))
 
 
 class TestPicp:
@@ -161,8 +170,10 @@ class TestPicp:
         assert 87.0 <= picp(y, dist) <= 93.0
 
     def test_quantile_ordering_enforced(self):
-        with pytest.raises(MetricError):
-            make_dist([1.0], [0.5], [2.0])
+        for score in (average_quantile_score, picp):
+            for row in ([1.0, 0.5, 2.0], [0.0, 2.0, 1.0]):
+                with pytest.raises(MetricError, match="q05 <= q50 <= q95"):
+                    score([1.0], np.array([row]))
 
 
 class TestReport:

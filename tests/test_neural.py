@@ -547,10 +547,9 @@ class TestFloat32:
         assert model.dtype == np.float32
         assert all(isinstance(v, float) for v in history.train_loss + history.val_loss)
         scaler = ScalerParams(np.array([0.0]), np.array([1000.0]), ("Aggregate",))
-        for kwargs in ({}, {"scaler": scaler, "target_channel": "Aggregate"}):
-            dist = predict_quantiles(model, tensors, **kwargs)
-            for track in (dist.q05, dist.q50, dist.q95):
-                assert track.dtype == np.float64, kwargs
+        for kwargs in ({}, {"scaler": scaler}):
+            q = predict_quantiles(model, tensors, **kwargs)
+            assert q.shape == (16, 3) and q.dtype == np.float64, kwargs
 
     def test_unsupported_dtype_rejected(self):
         with pytest.raises(NeuralModelError, match="dtype"):
@@ -677,20 +676,17 @@ class TestPredictQuantiles:
         model = zeroed_model()
         model.head_b[...] = np.array([0.3, 0.2, 0.9])  # deliberately crossed
         tensors = make_tensor(np.zeros((2, 5, 3)), np.zeros(2))
-        dist = predict_quantiles(model, tensors)
-        assert dist.q05.tolist() == [0.2, 0.2]
-        assert dist.q50.tolist() == [0.3, 0.3]
-        assert dist.q95.tolist() == [0.9, 0.9]
+        q = predict_quantiles(model, tensors)
+        assert q.tolist() == [[0.2, 0.3, 0.9], [0.2, 0.3, 0.9]]
 
     def test_inverse_scaling_to_watts(self):
         model = zeroed_model()
         model.head_b[...] = np.array([0.2, 0.5, 0.8])
         tensors = make_tensor(np.zeros((1, 5, 3)), np.zeros(1))
-        scaler = ScalerParams(np.array([0.0]), np.array([1000.0]), ("Aggregate",))
-        dist = predict_quantiles(model, tensors, scaler=scaler, target_channel="Aggregate")
-        assert dist.q50[0] == 500.0
-        assert dist.q05[0] == 200.0
-        assert dist.q95[0] == 800.0
+        # the target is channel 0; the other channel's range must not leak in
+        scaler = ScalerParams(np.array([0.0, 5.0]), np.array([1000.0, 7.0]), ("Aggregate", "x"))
+        q = predict_quantiles(model, tensors, scaler=scaler)
+        assert q.tolist() == [[200.0, 500.0, 800.0]]
 
 
 class TestCheckpoint:

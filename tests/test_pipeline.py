@@ -10,7 +10,7 @@ import pytest
 from loadcast import pipeline
 from loadcast.cli import main as cli_main
 from loadcast.config import ConfigError, config_from_dict, load_config
-from loadcast.metrics import ForecastDistribution, MetricError
+from loadcast.metrics import MetricError
 from loadcast.series import ColumnSchema
 from loadcast.synth import bimodal_weekly_series, regime_switching_series, write_meter_csv
 
@@ -273,6 +273,20 @@ class TestImputeEval:
         with pytest.raises(pipeline.PipelineError, match="gapless window"):
             pipeline.cmd_impute_eval(cfg)
 
+    @pytest.mark.parametrize("minimum, window", [
+        (2500, (2250, 5300)), (2160, (0, 2200)), (200, (0, 2200)),
+    ])
+    def test_trial_window_meets_the_configured_minimum(self, tmp_path, minimum, window):
+        """The first gapless run of 3 months is taken only if it also meets
+        ``trial_min_window_hours``; a higher minimum passes it over for a
+        later, longer run."""
+        from conftest import make_series
+
+        values = np.ones(5300)
+        values[2200:2250] = np.nan
+        cfg = config_from_dict(base_config(tmp_path, trial_min_window_hours=minimum))
+        assert pipeline._trial_window(cfg, make_series(values)) == window
+
     def test_trial_artifacts_written(self, full_run):
         out = full_run["cfg"].resolved_output_dir()
         rows = list(csv.DictReader(open(out / "imputation_trial.csv")))
@@ -494,8 +508,8 @@ class TestExternalCoverage:
 
 
 class TestForecastCoverage:
-    @pytest.mark.parametrize("fault", ["one hour short", "distribution shifted one hour",
-                                       "predict raises"])
+    @pytest.mark.parametrize("fault", ["one hour short", "wrong-shape quantiles",
+                                       "crossed quantiles", "predict raises"])
     def test_forecast_off_the_test_hours_fails_evaluate(self, trained, monkeypatch, fault):
         """The failing model gets no report row or plot and is recorded as
         failed; the other rows are still scored and reported, then exit 2."""
@@ -509,14 +523,15 @@ class TestForecastCoverage:
                 return pipeline.Forecast(point[:-1])
             if fault == "predict raises":
                 raise RuntimeError("artifact unreadable")
-            hours = [data.full.start + (i + 1) * pipeline.HOUR
-                     for i in range(data.split_idx, len(data.full))]
-            return pipeline.Forecast(point, ForecastDistribution(tuple(hours), point, point, point))
+            if fault == "crossed quantiles":
+                return pipeline.Forecast(point, np.column_stack([point + 1.0, point, point]))
+            return pipeline.Forecast(point, np.column_stack([point, point]))
 
         monkeypatch.setitem(pipeline.MODELS, "seasonal_naive", spec._replace(predict=predict))
         cfg = load_config(cfg_path)
-        message = ("seasonal_naive: artifact unreadable" if fault == "predict raises"
-                   else "seasonal_naive: forecast does not cover exactly the")
+        message = {"predict raises": "seasonal_naive: artifact unreadable",
+                   "crossed quantiles": "seasonal_naive: quantile tracks must satisfy",
+                   }.get(fault, "seasonal_naive: forecast does not cover exactly the")
         with pytest.raises(pipeline.PipelineError, match=message):
             pipeline.cmd_evaluate(cfg)
         assert cli_main(["evaluate", "--config", str(cfg_path)]) == 2
