@@ -12,6 +12,7 @@ from loadcast.boosted import (
     BoostingError,
     GbdtParams,
     PinballLoss,
+    RegressionTree,
     SquaredLoss,
     TreeWorkspace,
     fit_tree,
@@ -563,3 +564,215 @@ class TestSerialization:
         want = gbdt_predict_quantiles(models, parts[2])
         assert forecast.quantiles.tobytes() == want.tobytes()
         assert forecast.point.tobytes() == want[:, 1].tobytes()
+
+
+def masked_walk(tree, X):
+    """Reference prediction: the masked walk ``RegressionTree.predict`` ran
+    before the fixed-depth one, which steers only the rows not yet at a
+    leaf, one level at a time."""
+    node = np.zeros(len(X), dtype=np.int32)
+    active = tree.feature[node] >= 0
+    while active.any():
+        idx = np.flatnonzero(active)
+        feats = tree.feature[node[idx]]
+        thresh = tree.threshold[node[idx]]
+        go_left = X[idx, feats] <= thresh
+        node[idx] = np.where(go_left, tree.left[node[idx]], tree.right[node[idx]])
+        active = tree.feature[node] >= 0
+    return tree.value[node]
+
+
+def masked_gbdt_predict(model, X):
+    out = np.full(len(X), model.base_score)
+    for tree in model.trees[: model.best_iteration]:
+        out += model.params.learning_rate * masked_walk(tree, X)
+    return out
+
+
+def tree_depth(tree):
+    """Longest root-to-leaf path, by recursion."""
+    def below(i):
+        return 0 if tree.feature[i] < 0 else 1 + max(below(tree.left[i]), below(tree.right[i]))
+    return below(0)
+
+
+def probe_rows(tree, X, seed=0):
+    """Rows of ``X``, then copies set exactly at each split's threshold and
+    copies with a NaN in each split's feature."""
+    rng = np.random.default_rng(seed)
+    rows = [X]
+    for f, thr in zip(tree.feature, tree.threshold):
+        if f >= 0:
+            for cell in (thr, np.nan):
+                extra = X[rng.integers(0, len(X), 8)].copy()
+                extra[:, f] = cell
+                rows.append(extra)
+    return np.vstack(rows)
+
+
+def fitted_trees(max_depth, n_trees=4, loss=SquaredLoss()):
+    """Trees of ``max_depth`` grown on successive residuals."""
+    X, y = tie_heavy_dataset()
+    pred = np.full(len(y), loss.base_score(y))
+    trees = []
+    for _ in range(n_trees):
+        leaf = np.empty(len(y))
+        trees.append(fit_tree(X, loss.gradients(y, pred), max_depth, out=leaf))
+        pred += 0.3 * leaf
+    return X, trees
+
+
+class TestFixedDepthWalk:
+    """``RegressionTree.predict`` and ``gbdt_predict`` walk every row a
+    fixed number of steps; they must equal the masked walk bit for bit."""
+
+    @pytest.mark.parametrize("max_depth", [1, 2, 3, 4, 5, 6])
+    def test_trees_match_masked_walk(self, max_depth):
+        X, trees = fitted_trees(max_depth, loss=PinballLoss(0.05))
+        for tree in trees:
+            assert tree_depth(tree) == boosted._Walk((tree,)).depth <= max_depth
+            Q = probe_rows(tree, X)
+            assert tree.predict(Q).tobytes() == masked_walk(tree, Q).tobytes()
+
+    def test_single_leaf_tree(self):
+        X = np.random.default_rng(0).uniform(size=(50, 3))
+        tree = fit_tree(X, np.full(50, 0.7), max_depth=4)
+        assert tree.n_leaves == 1 and boosted._Walk((tree,)).depth == 0
+        Q = np.vstack([X, np.full((1, 3), np.nan)])
+        assert tree.predict(Q).tobytes() == masked_walk(tree, Q).tobytes()
+        assert (tree.predict(Q) == tree.value[0]).all()
+
+    def test_tie_goes_left_and_nan_goes_right(self):
+        X = np.array([[1.0], [2.0], [8.0], [9.0]])
+        tree = fit_tree(X, np.array([-1.0, -1.0, 1.0, 1.0]), max_depth=1)
+        assert tree.threshold[0] == 5.0
+        left, right = tree.value[tree.left[0]], tree.value[tree.right[0]]
+        got = tree.predict(np.array([[5.0], [np.nan], [np.nextafter(5.0, 9.0)]]))
+        assert got.tolist() == [left, right, right]
+
+    def test_empty_rows(self):
+        X, trees = fitted_trees(3)
+        assert trees[0].predict(np.empty((0, X.shape[1]))).shape == (0,)
+        model = gbdt_fit(X[:400], X[:400, 5], X[400:], X[400:, 5],
+                         params=GbdtParams(n_estimators=3, max_depth=3))
+        assert gbdt_predict(model, np.empty((0, X.shape[1]))).shape == (0,)
+
+    @pytest.mark.parametrize("block", [1, 7, 100, boosted._BLOCK_SLOTS])
+    def test_model_matches_masked_walk_across_row_blocks(self, block, monkeypatch):
+        monkeypatch.setattr(boosted, "_BLOCK_SLOTS", block)
+        X, y = tie_heavy_dataset()
+        for loss in (SquaredLoss(), PinballLoss(0.95)):
+            model = gbdt_fit(X[:400], y[:400], X[400:], y[400:], loss=loss,
+                             params=GbdtParams(n_estimators=12, max_depth=5,
+                                               early_stopping_rounds=12))
+            Q = np.vstack([probe_rows(t, X, seed=i) for i, t in enumerate(model.trees[:3])])
+            assert gbdt_predict(model, Q).tobytes() == masked_gbdt_predict(model, Q).tobytes()
+
+    def test_round_trip_trees_match_masked_walk(self):
+        X, y = tie_heavy_dataset()
+        model = gbdt_fit(X[:400], y[:400], X[400:], y[400:], loss=PinballLoss(0.5),
+                         params=GbdtParams(n_estimators=10, max_depth=6,
+                                           early_stopping_rounds=10))
+        clone = gbdt_from_json(gbdt_to_json(model))
+        Q = probe_rows(clone.trees[-1], X)
+        for tree in clone.trees:
+            assert tree.predict(Q).tobytes() == masked_walk(tree, Q).tobytes()
+        assert gbdt_predict(clone, Q).tobytes() == masked_gbdt_predict(model, Q).tobytes()
+
+    def test_cyclic_tree_raises_instead_of_hanging(self):
+        tree = RegressionTree(np.array([0, -1], dtype=np.int32), np.zeros(2),
+                              np.array([0, -1], dtype=np.int32),
+                              np.array([1, -1], dtype=np.int32), np.zeros(2), max_depth=1)
+        with pytest.raises(BoostingError, match="cycle"):
+            tree.predict(np.zeros((3, 1)))
+
+
+class TestColumnCount:
+    @pytest.fixture(scope="class")
+    def model(self):
+        X = np.random.default_rng(0).uniform(size=(60, 3))
+        return gbdt_fit(X, X @ [1.0, 2.0, 3.0], X, X @ [1.0, 2.0, 3.0],
+                        params=GbdtParams(n_estimators=5, max_depth=3))
+
+    @pytest.mark.parametrize("shape", [(4, 2), (4, 4), (4,)])
+    def test_wrong_column_count_rejected(self, model, shape):
+        with pytest.raises(BoostingError, match="3 features"):
+            gbdt_predict(model, np.ones(shape))
+
+    def test_tree_rejects_rows_narrower_than_its_features(self, model):
+        tree = next(t for t in model.trees if t.feature.max() == 2)
+        with pytest.raises(BoostingError, match="3 features"):
+            tree.predict(np.ones((4, 2)))
+
+
+class TestMalformedDoc:
+    """``gbdt_from_doc`` rejects a tree ``fit_tree`` could not have grown:
+    the fixed-depth walk would return wrong numbers on it, and the masked
+    walk looped forever on a child that points back."""
+
+    @pytest.fixture(scope="class")
+    def doc(self):
+        X, y = tie_heavy_dataset()
+        model = gbdt_fit(X[:400], y[:400], X[400:], y[400:],
+                         params=GbdtParams(n_estimators=3, max_depth=3,
+                                           early_stopping_rounds=3))
+        doc = boosted.gbdt_to_doc(model)
+        assert all(t["feature"][0] >= 0 and t["feature"][-1] == -1 for t in doc["trees"])
+        return doc
+
+    def load_with(self, doc, edit):
+        bad = json.loads(json.dumps(doc))
+        edit(bad["trees"][1])
+        return boosted.gbdt_from_doc(bad)
+
+    def test_well_formed_doc_loads(self, doc):
+        assert len(boosted.gbdt_from_doc(doc).trees) == 3
+
+    def test_unequal_node_arrays(self, doc):
+        with pytest.raises(BoostingError, match="tree 1: node arrays"):
+            self.load_with(doc, lambda t: t["threshold"].pop())
+
+    @pytest.mark.parametrize("key, child", [("left", 0), ("right", 0), ("left", -1),
+                                            ("right", 10_000)])
+    def test_child_not_after_node_or_out_of_range(self, doc, key, child):
+        def edit(t):
+            t[key][0] = child
+        with pytest.raises(BoostingError, match="tree 1, node 0:"):
+            self.load_with(doc, edit)
+
+    @pytest.mark.parametrize("key", ["left", "right"])
+    def test_child_before_node_without_a_cycle(self, doc, key):
+        # the last internal node points at the internal node before it, whose
+        # children lie after both: no cycle, and max_depth leaves room
+        k = max(i for i, f in enumerate(doc["trees"][1]["feature"]) if f >= 0)
+
+        def edit(t):
+            t[key][k] = k - 1
+            t["max_depth"] = 10
+        assert doc["trees"][1]["feature"][k - 1] >= 0
+        with pytest.raises(BoostingError, match=f"tree 1, node {k}:"):
+            self.load_with(doc, edit)
+
+    def test_leaf_with_children(self, doc):
+        def edit(t):
+            leaf = t["feature"].index(-1)
+            t["left"][leaf] = len(t["feature"]) - 1
+        with pytest.raises(BoostingError, match="tree 1, node .*children"):
+            self.load_with(doc, edit)
+
+    @pytest.mark.parametrize("node, feature", [(0, 7), (-1, -2)], ids=["inner", "leaf"])
+    def test_feature_out_of_range(self, doc, node, feature):
+        n = len(doc["trees"][1]["feature"])
+
+        def edit(t):
+            t["feature"][node] = feature
+        assert len(doc["feature_order"]) == 6
+        with pytest.raises(BoostingError,
+                           match=rf"tree 1, node {node % n}: feature {feature}, .*\[0, 6\)"):
+            self.load_with(doc, edit)
+
+    def test_path_longer_than_max_depth(self, doc):
+        def edit(t):
+            t["max_depth"] = 1
+        with pytest.raises(BoostingError, match="tree 1, node 1: internal at depth 1, max_depth 1"):
+            self.load_with(doc, edit)
