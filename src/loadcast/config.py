@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
+from .features import CALENDAR_COLUMNS
 from .series import ColumnSchema
 
 OUTPUT_DIR_ENV = "LOADCAST_OUTPUT_DIR"
@@ -65,6 +66,12 @@ class PipelineConfig:
                 raise ConfigError(f"unknown model {name!r}; known: {known}")
         for name in self.model_params:
             self.params_for(name)
+        _check_calendar("calendar_features", self.calendar_features)
+        if "sarimax" in self.model_params:
+            _check_calendar("model_params.sarimax.exog", self.params_for("sarimax")["exog"])
+        for k in self.lags:
+            if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+                raise ConfigError(f"lags: {k!r} is not a whole number of hours >= 1")
         self.column_schema()
 
     def params_for(self, model: str) -> dict[str, Any]:
@@ -121,6 +128,13 @@ class PipelineConfig:
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.to_canonical_json().encode("utf-8")).hexdigest()
+
+
+def _check_calendar(key: str, names: tuple) -> None:
+    for name in names:
+        if name not in CALENDAR_COLUMNS:
+            raise ConfigError(f"{key}: unknown calendar column {name!r}; "
+                              f"known: {', '.join(CALENDAR_COLUMNS)}")
 
 
 def load_config(path) -> PipelineConfig:

@@ -1,5 +1,12 @@
-"""Design-matrix construction: calendar columns, lagged targets, and the
-sliding windows consumed by sequence models.
+"""Design-matrix construction on the series' hour grid: calendar columns,
+lagged targets, and the sliding windows consumed by sequence models.
+
+Every derived row is keyed by its integer hour index into the series it
+was built from: ``hours[i] == j`` means row i describes the hour
+``series.start + j`` hours. ``calendar_features`` computes the calendar of
+such hours from ``(start, hours)`` in one vectorised pass; it serves the
+feature columns, the seasonal imputer's week slots and SARIMAX's exogenous
+regressors alike.
 
 Rows whose lag values would reach before the start of the series are
 dropped, so every emitted row is fully defined. Feature order is
@@ -14,7 +21,7 @@ from datetime import datetime
 
 import numpy as np
 
-from .series import HOUR, HourlySeries
+from .series import HourlySeries
 
 
 class FeatureError(ValueError):
@@ -28,11 +35,11 @@ CALENDAR_COLUMNS = ("dayofweek", "hour", "is_weekend", "month")
 class FeatureMatrix:
     """Tabular design matrix aligned to target values.
 
-    Rows are contiguous hourly timestamps; features[i] pairs with target[i]
-    (the label at that same hour, never a future value).
+    features[i] pairs with target[i], the label of hour ``hours[i]`` itself
+    (never a future value); ``hours`` ascend.
     """
 
-    timestamps: tuple[datetime, ...]
+    hours: np.ndarray  # (n,) int, indices into the series' hour grid
     features: np.ndarray  # (n, n_features)
     feature_order: tuple[str, ...]
     target: np.ndarray  # (n,)
@@ -40,8 +47,8 @@ class FeatureMatrix:
     def __post_init__(self) -> None:
         if self.features.ndim != 2 or self.features.shape[1] != len(self.feature_order):
             raise FeatureError("features shape does not match feature_order")
-        if len(self.timestamps) != len(self.features) or len(self.target) != len(self.features):
-            raise FeatureError("timestamps, features and target lengths differ")
+        if len(self.hours) != len(self.features) or len(self.target) != len(self.features):
+            raise FeatureError("hours, features and target lengths differ")
 
     def __len__(self) -> int:
         return len(self.target)
@@ -54,7 +61,7 @@ class FeatureMatrix:
 
     def rows(self, start: int, stop: int) -> "FeatureMatrix":
         return FeatureMatrix(
-            self.timestamps[start:stop],
+            self.hours[start:stop],
             self.features[start:stop],
             self.feature_order,
             self.target[start:stop],
@@ -66,43 +73,38 @@ class WindowTensor:
     """Sliding windows over a FeatureMatrix for sequence models.
 
     data: (samples, window, n_features); sample i covers matrix rows
-    [i, i+window). targets: (samples, horizon) covering rows
-    [i+window, i+window+horizon). target_timestamps holds the timestamp of
-    each sample's final target row.
+    [i, i+window). target[i] is the target of the row after them and
+    hours[i] that row's hour index.
     """
 
     data: np.ndarray
-    targets: np.ndarray
-    window: int
-    horizon: int
-    feature_order: tuple[str, ...]
-    target_timestamps: tuple[datetime, ...]
+    target: np.ndarray
+    hours: np.ndarray
 
     @property
     def n_samples(self) -> int:
         return self.data.shape[0]
 
     def samples(self, start: int, stop: int) -> "WindowTensor":
-        return WindowTensor(
-            self.data[start:stop],
-            self.targets[start:stop],
-            self.window,
-            self.horizon,
-            self.feature_order,
-            self.target_timestamps[start:stop],
-        )
+        return WindowTensor(self.data[start:stop], self.target[start:stop],
+                            self.hours[start:stop])
 
 
-def calendar_features(timestamps: tuple[datetime, ...] | list[datetime]) -> dict[str, np.ndarray]:
-    """hour (0-23), dayofweek (Monday=0), month (1-12) and is_weekend (0/1)."""
-    for ts in timestamps:
-        if ts.minute or ts.second or ts.microsecond:
-            raise FeatureError(f"timestamp {ts.isoformat()} is not hour-aligned")
-    hour = np.array([ts.hour for ts in timestamps], dtype=float)
-    dow = np.array([ts.weekday() for ts in timestamps], dtype=float)
-    month = np.array([ts.month for ts in timestamps], dtype=float)
-    is_weekend = (dow >= 5).astype(float)
-    return {"hour": hour, "dayofweek": dow, "month": month, "is_weekend": is_weekend}
+def calendar_features(start: datetime, hours: np.ndarray) -> dict[str, np.ndarray]:
+    """hour (0-23), dayofweek (Monday=0), month (1-12) and is_weekend (0/1)
+    of each hour ``start + hours[i]``, as float columns on ``start``'s own
+    wall clock."""
+    if start.minute or start.second or start.microsecond:
+        raise FeatureError(f"start {start.isoformat()} is not hour-aligned")
+    t = np.datetime64(start.replace(tzinfo=None), "h") + np.asarray(hours, dtype=np.int64)
+    days = t.astype("datetime64[D]")  # floors, also before 1970
+    dow = ((days.astype(np.int64) + 3) % 7).astype(float)  # 1970-01-01 was a Thursday
+    return {
+        "hour": (t - days).astype(float),
+        "dayofweek": dow,
+        "month": (days.astype("datetime64[M]").astype(np.int64) % 12 + 1).astype(float),
+        "is_weekend": (dow >= 5).astype(float),
+    }
 
 
 def lag_features(target: np.ndarray, lags: tuple[int, ...] = (1, 24, 168)) -> dict[str, np.ndarray]:
@@ -125,19 +127,18 @@ def assemble_matrix(
     calendar: tuple[str, ...] = CALENDAR_COLUMNS,
     lags: tuple[int, ...] = (1, 24, 168),
     channels: tuple[str, ...] = (),
-    target_channel: str | int = 0,
 ) -> FeatureMatrix:
-    """Join calendar, optional raw channel columns and target lags on timestamps.
+    """Join calendar, optional raw channel columns and lags of channel 0,
+    the target, on the series' hours.
 
     Rows with any undefined feature (lag warm-up, missing channel hours)
     are dropped; the result must be non-empty. ``channels`` injects raw
     channel values as features for the windowed sequence path.
     """
-    target = series.channel(target_channel).astype(float)
-    timestamps = series.timestamps()
+    target = series.channel(0).astype(float)
 
     columns: dict[str, np.ndarray] = {}
-    cal = calendar_features(timestamps)
+    cal = calendar_features(series.start, np.arange(len(series)))
     for name in sorted(calendar):
         if name not in cal:
             raise FeatureError(f"unknown calendar feature {name!r}")
@@ -153,35 +154,22 @@ def assemble_matrix(
     if not defined.any():
         raise FeatureError("empty feature matrix after dropping undefined rows")
     keep = np.flatnonzero(defined)
-    return FeatureMatrix(
-        tuple(timestamps[i] for i in keep),
-        stacked[keep],
-        order,
-        target[keep],
-    )
+    return FeatureMatrix(keep, stacked[keep], order, target[keep])
 
 
-def windowize(matrix: FeatureMatrix, window: int = 48, horizon: int = 1) -> WindowTensor:
-    """Cut (window x n_features) read-only views of the rows, with the following targets.
+def windowize(matrix: FeatureMatrix, window: int = 48) -> WindowTensor:
+    """Cut (window x n_features) read-only views of the rows, each with the
+    target of the row after it.
 
-    Sample count is rows - window - horizon + 1; sample i's first target
-    hour is the hour after its last input row.
+    Sample count is rows - window; the rows must be contiguous hours.
     """
     n = len(matrix)
-    if window < 1 or horizon < 1:
-        raise FeatureError("window and horizon must be >= 1")
-    if n < window + horizon:
-        raise FeatureError(f"{n} rows < window {window} + horizon {horizon}")
-    for a, b in zip(matrix.timestamps[:-1], matrix.timestamps[1:]):
-        if b - a != HOUR:
-            raise FeatureError("matrix rows must be contiguous hourly timestamps")
-
-    n_samples = n - window - horizon + 1
+    if window < 1:
+        raise FeatureError("window must be >= 1")
+    if n <= window:
+        raise FeatureError(f"{n} rows leave no target after a window of {window}")
+    if (np.diff(matrix.hours) != 1).any():
+        raise FeatureError("matrix rows must be contiguous hours")
     data = np.lib.stride_tricks.sliding_window_view(matrix.features, window, axis=0)
-    data = np.swapaxes(data[:n_samples], 1, 2)
-    targets = np.lib.stride_tricks.sliding_window_view(matrix.target, horizon)[window:]
-    targets = np.ascontiguousarray(targets[:n_samples])
-    final_target_ts = tuple(
-        matrix.timestamps[i + window + horizon - 1] for i in range(n_samples)
-    )
-    return WindowTensor(data, targets, window, horizon, matrix.feature_order, final_target_ts)
+    return WindowTensor(np.swapaxes(data[: n - window], 1, 2), matrix.target[window:],
+                        matrix.hours[window:])

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .features import calendar_features
 from .series import HourlySeries, missing_runs
 
 logger = logging.getLogger(__name__)
@@ -59,13 +60,9 @@ class ImputationTrial:
 
 
 def _week_positions(series: HourlySeries) -> tuple[np.ndarray, np.ndarray]:
-    """(day_of_week, hour_of_day) for every slot, Monday=0."""
-    idx = np.arange(len(series))
-    hour0 = series.start.hour
-    dow0 = series.start.weekday()
-    hours = hour0 + idx
-    dow = (dow0 + hours // 24) % 7
-    return dow, hours % 24
+    """(day_of_week, hour_of_day) index arrays for every slot, Monday=0."""
+    cal = calendar_features(series.start, np.arange(len(series)))
+    return cal["dayofweek"].astype(np.intp), cal["hour"].astype(np.intp)
 
 
 # ---------------------------------------------------------------------------

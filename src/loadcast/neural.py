@@ -490,7 +490,7 @@ class TrainHistory:
 
 def _epoch_loss(model: QuantileLstmModel, tensors: WindowTensor) -> float:
     q, _ = forward(model, tensors.data, train_mode=False, keep_caches=False)
-    loss, _ = quantile_loss_and_grad(q, tensors.targets[:, 0])
+    loss, _ = quantile_loss_and_grad(q, tensors.target)
     return loss
 
 
@@ -518,7 +518,6 @@ def train(
     train_hist: list[float] = []
     val_hist: list[float] = []
 
-    y_all = tensors.targets[:, 0]
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(tensors.n_samples)
         epoch_total = 0.0
@@ -526,7 +525,7 @@ def train(
             idx = order[start : start + config.batch_size]
             seed = int(rng.integers(0, 2**31 - 1))
             q, caches = forward(model, tensors.data[idx], train_mode=True, dropout_seed=seed)
-            loss, dq = quantile_loss_and_grad(q, y_all[idx])
+            loss, dq = quantile_loss_and_grad(q, tensors.target[idx])
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"non-finite training loss at epoch {epoch}")
             epoch_total += loss * len(idx)

@@ -17,7 +17,6 @@ artifacts byte-identical.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import hashlib
 import json
@@ -260,10 +259,6 @@ class PreparedData:
     scaler: ScalerParams          # fitted on the train segment
     tabular: FeatureMatrix        # watts, calendar + lags
 
-    @property
-    def split_time(self) -> datetime:
-        return self.full.start + self.split_idx * HOUR
-
 
 def _fill_remaining_gaps(
     series: HourlySeries, chosen: str, profile: imputation.SeasonalProfile
@@ -307,25 +302,23 @@ def prepare_data(cfg: PipelineConfig, hourly: HourlySeries, chosen: str) -> Prep
     train, test = chronological_split(hourly, cfg.split_fraction)
     full = _impute_split(cfg, train, test, chosen)
     split_idx = len(train)
-    tabular = assemble_matrix(
-        full, calendar=cfg.calendar_features, lags=cfg.lags, target_channel=0
-    )
+    tabular = assemble_matrix(full, calendar=cfg.calendar_features, lags=cfg.lags)
     return PreparedData(full, split_idx, minmax_fit(full, (0, split_idx)), tabular)
 
 
-def _split_rows(cfg: PipelineConfig, data: PreparedData, timestamps, take):
-    """(fit, validation, test) parts of time-ordered rows: rows before the
-    split time are the train part, its chronological tail the validation
-    set. ``take(start, stop)`` cuts one part."""
-    n_train = bisect.bisect_left(timestamps, data.split_time)
+def _split_rows(cfg: PipelineConfig, data: PreparedData, hours: np.ndarray, take):
+    """(fit, validation, test) parts of rows keyed by ascending hours: rows
+    before the split hour are the train part, its chronological tail the
+    validation set. ``take(start, stop)`` cuts one part."""
+    n_train = int(np.searchsorted(hours, data.split_idx))
     n_fit = int(np.floor(n_train * (1.0 - cfg.validation_fraction)))
     if n_fit == 0 or n_fit == n_train:
         raise PipelineError("validation_fraction leaves an empty fit or validation set")
-    return take(0, n_fit), take(n_fit, n_train), take(n_train, len(timestamps))
+    return take(0, n_fit), take(n_fit, n_train), take(n_train, len(hours))
 
 
 def _tabular_split(cfg: PipelineConfig, data: PreparedData):
-    return _split_rows(cfg, data, data.tabular.timestamps, data.tabular.rows)
+    return _split_rows(cfg, data, data.tabular.hours, data.tabular.rows)
 
 
 def _chosen_imputer(manifest: dict) -> str:
@@ -372,7 +365,7 @@ def _predict_seasonal_naive(cfg: PipelineConfig, data: PreparedData, models_dir:
 
 
 def _calendar_exog(series: HourlySeries, lo: int, hi: int, names: tuple[str, ...]) -> np.ndarray:
-    cal = calendar_features([series.start + i * HOUR for i in range(lo, hi)])
+    cal = calendar_features(series.start, np.arange(lo, hi))
     return np.column_stack([cal[name] for name in names])
 
 
@@ -447,22 +440,17 @@ def _window_split(cfg: PipelineConfig, data: PreparedData):
     window_channels = (
         cfg.window_channels if cfg.window_channels is not None else data.full.channel_names
     )
-    matrix = assemble_matrix(
-        scaled,
-        calendar=cfg.calendar_features,
-        lags=cfg.lags,
-        channels=tuple(window_channels),
-        target_channel=0,
-    )
+    matrix = assemble_matrix(scaled, calendar=cfg.calendar_features, lags=cfg.lags,
+                             channels=tuple(window_channels))
     feats = matrix.features.copy()
     for j, name in enumerate(matrix.feature_order):
         if name in _CALENDAR_RANGES:
             lo, hi = _CALENDAR_RANGES[name]
             feats[:, j] = (feats[:, j] - lo) / (hi - lo)
-    matrix = FeatureMatrix(matrix.timestamps, feats.astype(_LSTM_DTYPE), matrix.feature_order,
+    matrix = FeatureMatrix(matrix.hours, feats.astype(_LSTM_DTYPE), matrix.feature_order,
                            matrix.target)
-    windows = windowize(matrix, window=cfg.params_for("lstm")["window"], horizon=1)
-    return _split_rows(cfg, data, windows.target_timestamps, windows.samples)
+    windows = windowize(matrix, window=cfg.params_for("lstm")["window"])
+    return _split_rows(cfg, data, windows.hours, windows.samples)
 
 
 def _fit_lstm(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> list[str]:
@@ -607,17 +595,24 @@ def _external_cell(path: str, row: dict, key: str, parse=float):
 def _external_forecast(hours: tuple[datetime, ...], path: str) -> Forecast:
     """Read an externally produced plot-format CSV of the test hours.
 
-    Rows off the test split are ignored. Every test hour must appear
-    exactly once with a finite point_or_q50, and the q05/q95 cells must
-    hold finite numbers on every row or be blank on all; anything else
-    raises MetricError naming the file and the row's timestamp."""
+    Every timestamp must carry a UTC offset. Rows off the test split are
+    ignored. Every test hour must appear exactly once with a finite
+    point_or_q50, and the q05/q95 cells must hold finite numbers on every
+    row or be blank on all; anything else raises MetricError naming the
+    file and the row's timestamp."""
     index = {ts: i for i, ts in enumerate(hours)}
     seen = np.zeros(len(hours), dtype=int)
     point, q05, q95 = (np.full(len(hours), np.nan) for _ in range(3))
     banded = None
     with open(path, newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
-            i = index.get(_external_cell(path, row, "timestamp", datetime.fromisoformat))
+            ts = _external_cell(path, row, "timestamp", datetime.fromisoformat)
+            if ts.tzinfo is None:  # would never equal a test hour
+                raise metrics.MetricError(
+                    f"external predictions {path}: timestamp {row['timestamp']!r} has no UTC "
+                    "offset; write every timestamp with one, such as +00:00"
+                )
+            i = index.get(ts)
             if i is None:
                 continue
             band = (row.get("q05") or "", row.get("q95") or "")

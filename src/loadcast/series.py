@@ -114,9 +114,6 @@ class HourlySeries:
     def n_channels(self) -> int:
         return len(self.channel_names)
 
-    def timestamps(self) -> tuple[datetime, ...]:
-        return tuple(self.start + i * HOUR for i in range(len(self)))
-
     def channel_index(self, channel: str | int) -> int:
         if isinstance(channel, int):
             if not 0 <= channel < self.n_channels:

@@ -114,3 +114,35 @@ def test_traced_ingest_records_one_parse_and_one_resample(tmp_path):
     assert [span[4] for span in parses] == [{"rows": data_rows}]
     assert data_rows == 72 * 6
     assert [span[0] for span in tracer.spans].count("series.resample_hourly") == 1
+
+
+def test_traced_prepare_and_window_split_record_window_bytes_and_calendar():
+    """``features.window_mb`` reads the ``bytes`` of the one
+    ``features.windowize`` span, which the tracer takes from the result's
+    ``data.nbytes``; SARIMAX's calendar regressors go through the
+    ``calendar_features`` name that ``pipeline`` imports."""
+    from loadcast import pipeline
+    from loadcast.config import config_from_dict
+    from loadcast.synth import regime_switching_series
+
+    hourly = regime_switching_series(24 * 21, noise=0.2, n_appliances=2, seed=4)
+    cfg = config_from_dict({"input_path": "meter.csv", "output_dir": "out",
+                            "model_params": {"lstm": {"window": 24}}})
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        data = pipeline.prepare_data(cfg, hourly, "linear")
+        parts = pipeline._window_split(cfg, data)
+        exog = pipeline._calendar_exog(data.full, 0, data.split_idx, ("hour", "dayofweek"))
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("pipeline.prepare_data") == 1
+    windows = [span for span in tracer.spans if span[0] == "features.windowize"]
+    nbytes = sum(part.data.nbytes for part in parts)
+    assert nbytes == (len(data.tabular) - 24) * 24 * parts[0].data.shape[2] * 4
+    assert [span[4] for span in windows] == [{"bytes": nbytes}]
+    metrics = tracing.layer_metrics(dict(tracer.dump(), wrapper_cost_s=0.0), simplex_iters=0)
+    assert metrics["features.window_mb"] == nbytes / 1e6
+    assert "features.calendar_features" in names
+    assert exog.shape == (data.split_idx, 2)

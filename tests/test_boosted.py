@@ -477,7 +477,7 @@ class TestPredict:
         y = X[:, 0]
         model = gbdt_fit(X, y, X, y, params=GbdtParams(n_estimators=5),
                          feature_order=("a", "b"))
-        matrix = FeatureMatrix(tuple(range(3)), np.ones((3, 2)), ("b", "a"), np.ones(3))
+        matrix = FeatureMatrix(np.arange(3), np.ones((3, 2)), ("b", "a"), np.ones(3))
         with pytest.raises(BoostingError, match="feature order"):
             gbdt_predict(model, matrix)
 

@@ -55,14 +55,7 @@ def cell_step(x, h_prev, c_prev, layer):
 
 def make_tensor(data, targets):
     data = np.asarray(data, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    if targets.ndim == 1:
-        targets = targets[:, None]
-    return WindowTensor(
-        data, targets, data.shape[1], 1,
-        tuple(f"f{i}" for i in range(data.shape[2])),
-        tuple(range(data.shape[0])),
-    )
+    return WindowTensor(data, np.asarray(targets, dtype=float), np.arange(len(data)))
 
 
 def total_loss(model, windows, y, train_mode=False, seed=None):

@@ -10,6 +10,7 @@ import pytest
 from loadcast import pipeline
 from loadcast.cli import main as cli_main
 from loadcast.config import ConfigError, config_from_dict, load_config
+from loadcast.features import CALENDAR_COLUMNS
 from loadcast.metrics import MetricError
 from loadcast.series import ColumnSchema
 from loadcast.synth import bimodal_weekly_series, regime_switching_series, write_meter_csv
@@ -115,6 +116,26 @@ class TestConfig:
     def test_null_list_rejected(self, key):
         with pytest.raises(ConfigError, match=key):
             config_from_dict({"input_path": "a", "output_dir": "b", key: None})
+
+    @pytest.mark.parametrize("doc, key, bad", [
+        ({"calendar_features": ["hour", "weekday"]}, "calendar_features", "'weekday'"),
+        ({"model_params": {"sarimax": {"exog": ["weekday"]}}}, "model_params.sarimax.exog",
+         "'weekday'"),
+        ({"lags": [1, 0]}, "lags", "0"),
+        ({"lags": [1.5]}, "lags", "1.5"),
+        ({"lags": ["24"]}, "lags", "'24'"),
+    ], ids=["calendar_name", "sarimax_exog", "lag_0", "fractional_lag", "string_lag"])
+    def test_bad_calendar_column_or_lag_fails_at_load(self, tmp_path, doc, key, bad):
+        """Caught when the config loads, not as a bare KeyError or a
+        FeatureError in `train` after `ingest` and `impute-eval` ran."""
+        path = write_config(tmp_path, {"input_path": "a", "output_dir": "b", **doc})
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        message = str(err.value)
+        assert message.startswith(f"{key}: ") and bad in message
+        if key != "lags":
+            assert all(name in message for name in CALENDAR_COLUMNS)
+        assert cli_main(["ingest", "--config", str(path)]) == 1
 
     def test_null_window_channels_means_all(self):
         cfg = config_from_dict({"input_path": "a", "output_dir": "b", "window_channels": None})
@@ -336,7 +357,7 @@ class TestTrainEvaluate:
         manifest = pipeline.load_manifest(cfg)
         data = pipeline.prepare_data(cfg, pipeline._load_cache(cfg), manifest["chosen_imputer"])
         for part in pipeline._window_split(cfg, data):
-            assert part.data.dtype == np.float32 and part.targets.dtype == np.float64
+            assert part.data.dtype == np.float32 and part.target.dtype == np.float64
 
     def test_quantile_gbdt_scored_as_distribution(self, full_run):
         out = full_run["cfg"].resolved_output_dir()
@@ -503,6 +524,19 @@ class TestExternalCoverage:
         assert cli_main(["evaluate", "--config", str(cfg_path)]) == 1
         with pytest.raises(MetricError, match=f"1 of {len(rows)} test hours.*"
                            + re.escape(rows[5]["timestamp"])) as err:
+            pipeline.cmd_evaluate(load_config(cfg_path))
+        assert str(ext_path) in str(err.value)
+
+    def test_timestamps_without_utc_offset_exit_1(self, trained):
+        """A naive timestamp never equals a test hour; the error says so
+        instead of counting every test hour as missing."""
+        cfg_path, ext_path, rows = trained
+        naive = [dict(row, timestamp=row["timestamp"].removesuffix("+00:00")) for row in rows]
+        assert naive[0]["timestamp"] != rows[0]["timestamp"]
+        write_rows(ext_path, naive)
+        assert cli_main(["evaluate", "--config", str(cfg_path)]) == 1
+        with pytest.raises(MetricError, match=re.escape(repr(naive[0]["timestamp"]))
+                           + r" has no UTC offset.*\+00:00") as err:
             pipeline.cmd_evaluate(load_config(cfg_path))
         assert str(ext_path) in str(err.value)
 
