@@ -72,6 +72,9 @@ class PipelineConfig:
         for k in self.lags:
             if isinstance(k, bool) or not isinstance(k, int) or k < 1:
                 raise ConfigError(f"lags: {k!r} is not a whole number of hours >= 1")
+        if not self.calendar_features and not self.lags:
+            raise ConfigError("calendar_features and lags are both empty, which leaves "
+                              "the tabular feature matrix no column")
         self.column_schema()
 
     def params_for(self, model: str) -> dict[str, Any]:

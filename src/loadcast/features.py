@@ -148,6 +148,8 @@ def assemble_matrix(
     if lags:
         columns.update(sorted(lag_features(target, tuple(lags)).items()))
 
+    if not columns:
+        raise FeatureError("no feature column: calendar, lags and channels are all empty")
     order = tuple(columns)
     stacked = np.column_stack([columns[name] for name in order])
     defined = ~np.isnan(stacked).any(axis=1) & ~np.isnan(target)

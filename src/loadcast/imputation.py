@@ -10,6 +10,7 @@ distribution is preserved (earth-mover distance between histograms).
 
 from __future__ import annotations
 
+import bisect
 import logging
 from dataclasses import dataclass
 
@@ -82,33 +83,36 @@ def knn_impute(series: HourlySeries, k: int = 5, max_gap: int = 6) -> HourlySeri
     out = series.values.copy()
     for c in range(series.n_channels):
         col = out[:, c]
-        present = np.flatnonzero(~np.isnan(col))
-        if np.isnan(col).sum() == 0:
+        missing = np.isnan(col)
+        if not missing.any():
             continue
+        present = np.flatnonzero(~missing)
         if len(present) < k:
             raise ImputationError(
                 f"channel {series.channel_names[c]!r} has fewer than k={k} present values"
             )
-        for start, length in missing_runs(np.isnan(col)):
+        # one walk per filled cell, on Python lists: cheaper to index than arrays
+        positions, values = present.tolist(), col[present].tolist()
+        for start, length in missing_runs(missing):
             if length > max_gap:
                 continue
             for i in range(start, start + length):
-                col[i] = _knn_mean(col, present, i, k)
+                col[i] = _knn_mean(positions, values, i, k)
     return series.with_values(out)
 
 
-def _knn_mean(col: np.ndarray, present: np.ndarray, i: int, k: int) -> float:
-    pos = np.searchsorted(present, i)
-    left, right = pos - 1, pos
+def _knn_mean(positions: list[int], values: list[float], i: int, k: int) -> float:
+    """Mean of the k values whose ascending ``positions`` are nearest to hour
+    i, summed nearest first, the earlier one first on a tie."""
+    right = bisect.bisect_left(positions, i)
+    left = right - 1
     total = 0.0
     for _ in range(k):
-        d_left = i - present[left] if left >= 0 else np.inf
-        d_right = present[right] - i if right < len(present) else np.inf
-        if d_left <= d_right:
-            total += col[present[left]]
+        if right == len(positions) or (left >= 0 and i - positions[left] <= positions[right] - i):
+            total += values[left]
             left -= 1
         else:
-            total += col[present[right]]
+            total += values[right]
             right += 1
     return total / k
 

@@ -146,3 +146,35 @@ def test_traced_prepare_and_window_split_record_window_bytes_and_calendar():
     assert metrics["features.window_mb"] == nbytes / 1e6
     assert "features.calendar_features" in names
     assert exog.shape == (data.split_idx, 2)
+
+
+def test_traced_sarimax_fit_counts_every_objective_call(monkeypatch):
+    """``classical.css_evals`` counts the objective calls the tracer sees
+    through the ``nelder_mead`` it wraps; the objective computes residuals
+    once per call and the fit once more for the chosen coefficients, so the
+    count is the residual calls less one."""
+    from loadcast import classical
+
+    calls = []
+    residuals = classical._css_residuals
+
+    def counted_residuals(*args):
+        calls.append(1)
+        return residuals(*args)
+
+    monkeypatch.setattr(classical, "_css_residuals", counted_residuals)
+    y = np.random.default_rng(0).normal(size=24 * 10) + np.tile(np.arange(24.0), 10)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        model = classical.sarimax_fit(y, max_iter=20)
+    finally:
+        tracer.uninstall()
+    assert model.n_iterations == 20
+    fits = [span for span in tracer.spans if span[0] == "classical.sarimax_fit"]
+    assert len(fits) == 1
+    evals = tracer.counts["classical.css_evals"]
+    assert evals == len(calls) - 1 > 20
+    metrics = tracing.layer_metrics(dict(tracer.dump(), wrapper_cost_s=0.0), simplex_iters=20)
+    assert metrics["classical.css_evals"] == evals
+    assert metrics["classical.simplex_iters"] == 20

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from loadcast.classical import (
     ClassicalModelError,
     NearUnitRootWarning,
     SarimaxModel,
     SarimaxOrder,
+    _css_residuals,
+    _expand_poly,
     difference,
     integrate,
     nelder_mead,
@@ -140,6 +144,72 @@ class TestSarimaxFit:
         fc_a = sarimax_forecast(model, 12)
         fc_b = sarimax_forecast(clone, 12)
         np.testing.assert_array_equal(fc_a, fc_b)
+
+
+def css_residuals_numpy_scalars(w, ar_table, ma_table, t0):
+    """The MA recursion as it ran on numpy float64 scalars, lag-checked at
+    every step: the reference ``_css_residuals`` must match bit for bit."""
+    n = len(w)
+    arr = w.copy()
+    for lag, coef in ar_table.items():
+        arr[lag:] += coef * w[:-lag]
+    if not ma_table:
+        return arr[t0:]
+    eps = np.zeros(n)
+    for t in range(t0, n):
+        acc = arr[t]
+        for lag, coef in ma_table.items():
+            if t - lag >= t0:
+                acc -= coef * eps[t - lag]
+        eps[t] = acc
+    return eps[t0:]
+
+
+INF, NAN = float("inf"), float("nan")
+css_coefs = st.one_of(
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(-1.0, 1.0), st.integers(-3, 1)),
+    st.sampled_from([INF, -INF, NAN, 0.0, -0.0, 1e308, -1e308]),
+)
+css_tables = st.dictionaries(st.integers(1, 29), css_coefs, max_size=3)
+
+
+@st.composite
+def seasonal_tables(draw):
+    """AR and MA lag tables of a seasonal order, as ``sarimax_fit`` builds
+    them: products of the two polynomials add the cross lags."""
+    s = draw(st.integers(2, 12))
+    ar, ma, sar, sma = (np.array(draw(st.lists(css_coefs, max_size=2))) for _ in range(4))
+    with np.errstate(all="ignore"):
+        return _expand_poly(ar, sar, s, sign=-1.0), _expand_poly(ma, sma, s, sign=1.0)
+
+
+class TestCssResiduals:
+    @settings(max_examples=300, deadline=None)
+    @given(tables=st.one_of(st.tuples(css_tables, css_tables), seasonal_tables()),
+           w=st.lists(st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0])),
+                      max_size=80),
+           t0_draw=st.integers(0, 100))
+    @example(tables=({1: 0.5}, {}), w=[1.0, -2.0, 3.0, 0.5], t0_draw=1)  # empty MA table
+    @example(tables=({}, {1: INF, 2: NAN, 3: -0.0}), w=[0.0, -0.0, 1.0, 2.0, -3.0, 4.0],
+             t0_draw=0)
+    @example(tables=({2: 0.3}, {24: 0.5}), w=[-0.0] * 10 + [1.0] * 10,
+             t0_draw=3)  # n < t0 + MA lag: only the lag-checked steps run
+    @example(tables=({}, {3: INF}), w=[0.0, -0.0, 1.0] * 4, t0_draw=1)  # single lag, inf
+    @example(tables=({1: 0.2}, {1: 0.4}), w=[1.0, 2.0, 3.0], t0_draw=3)  # n == t0
+    @example(tables=({1: -0.3, 24: -0.2, 25: 0.06}, {1: 0.4, 24: 0.7, 25: 0.28}),
+             w=[float(i % 7) - 3.0 for i in range(80)], t0_draw=25)
+    def test_bitwise_equal_to_numpy_scalar_loop(self, tables, w, t0_draw):
+        ar_table, ma_table = tables
+        w = np.array(w, dtype=float)
+        t0 = t0_draw % (len(w) + 1)
+        with np.errstate(all="ignore"):
+            want = css_residuals_numpy_scalars(w, ar_table, ma_table, t0)
+            got = _css_residuals(w, ar_table, ma_table, t0)
+        assert got.dtype == want.dtype == np.float64
+        # a NaN's sign bit is not compared: it never reaches an output
+        nan = np.isnan(want)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 def ar1_model(phi, last_value):

@@ -133,6 +133,10 @@ class TestAssemble:
         for k in (1, 24):
             np.testing.assert_array_equal(matrix.column(f"lag_{k}hr"), target[24 - k : -k])
 
+    def test_no_column_names_the_empty_inputs(self):
+        with pytest.raises(FeatureError, match="calendar, lags and channels"):
+            assemble_matrix(make_series(np.arange(50.0)), calendar=(), lags=())
+
     def test_empty_result_errors(self):
         with pytest.raises(FeatureError):
             assemble_matrix(make_series(np.full(200, np.nan)), lags=(1,))

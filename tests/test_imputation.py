@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loadcast.imputation import (
@@ -13,6 +13,7 @@ from loadcast.imputation import (
     run_imputation_trial,
     seasonal_impute,
 )
+from loadcast.series import missing_runs
 from loadcast.synth import bimodal_weekly_series
 
 from conftest import make_series
@@ -24,6 +25,54 @@ def weekly_signal(n_hours):
     hod = idx % 24
     dow = (idx // 24) % 7
     return 100.0 + 37.0 * dow + 11.0 * hod + 5.0 * ((dow * 24 + hod) % 13)
+
+
+def knn_impute_numpy_scalars(values, k, max_gap):
+    """``knn_impute`` as it walked numpy arrays with ``np.searchsorted``, one
+    filled cell at a time: the list walk must match it bit for bit."""
+    out = values.copy()
+    for c in range(out.shape[1]):
+        col = out[:, c]
+        present = np.flatnonzero(~np.isnan(col))
+        if np.isnan(col).sum() == 0:
+            continue
+        if len(present) < k:
+            raise ImputationError("fewer than k")
+        for start, length in missing_runs(np.isnan(col)):
+            if length > max_gap:
+                continue
+            for i in range(start, start + length):
+                pos = np.searchsorted(present, i)
+                left, right = pos - 1, pos
+                total = 0.0
+                for _ in range(k):
+                    d_left = i - present[left] if left >= 0 else np.inf
+                    d_right = present[right] - i if right < len(present) else np.inf
+                    if d_left <= d_right:
+                        total += col[present[left]]
+                        left -= 1
+                    else:
+                        total += col[present[right]]
+                        right += 1
+                col[i] = total / k
+    return out
+
+
+@st.composite
+def holed_columns(draw):
+    """(hours, channels) values of magnitudes 1e-8 to 1e16, some ±0 and
+    ±1e308, with random holes and, per channel, optional missing runs at
+    both ends of the series."""
+    n, n_channels = draw(st.integers(1, 60)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.uniform(-1.0, 1.0, (n, n_channels)) * 10.0 ** rng.integers(-8, 17, (n, n_channels))
+    special = rng.random((n, n_channels)) < 0.1
+    values[special] = rng.choice([0.0, -0.0, 1e308, -1e308], special.sum())
+    values[rng.random((n, n_channels)) < draw(st.floats(0.0, 0.9))] = np.nan
+    for c in range(n_channels):
+        values[: draw(st.integers(0, 4)), c] = np.nan
+        values[n - draw(st.integers(0, 4)):, c] = np.nan
+    return values
 
 
 class TestKnn:
@@ -49,6 +98,26 @@ class TestKnn:
     def test_too_few_present_values(self):
         with pytest.raises(ImputationError, match="fewer than k"):
             knn_impute(make_series([1.0, np.nan, np.nan]), k=2, max_gap=6)
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=holed_columns(), k=st.integers(1, 6), max_gap=st.integers(1, 8))
+    # equidistant neighbours of different magnitudes: the earlier one is summed first
+    @example(values=np.array([[1e16], [np.nan], [1.0], [np.nan], [-1e16], [3.0]]),
+             k=3, max_gap=2)
+    # runs at both ends, filled from one side only
+    @example(values=np.array([[np.nan], [np.nan], [0.1], [0.2], [0.3], [np.nan], [np.nan]]),
+             k=2, max_gap=2)
+    def test_bitwise_equal_to_numpy_scalar_walk(self, values, k, max_gap):
+        series = make_series(values)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = knn_impute_numpy_scalars(series.values, k, max_gap)
+        except ImputationError:
+            with pytest.raises(ImputationError, match="fewer than k"):
+                knn_impute(series, k=k, max_gap=max_gap)
+            return
+        got = knn_impute(series, k=k, max_gap=max_gap).values
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_present_values_never_modified(self):
         rng = np.random.default_rng(0)

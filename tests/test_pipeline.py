@@ -137,6 +137,22 @@ class TestConfig:
             assert all(name in message for name in CALENDAR_COLUMNS)
         assert cli_main(["ingest", "--config", str(path)]) == 1
 
+    @pytest.mark.parametrize("roster", [["gbdt"], ["gbdt_quantile"], ["lstm"],
+                                        ["seasonal_naive", "sarimax"]])
+    def test_no_features_fails_at_load(self, tmp_path, roster):
+        """With both lists empty the tabular matrix has no column, and
+        `prepare_data` builds it for every roster, so every `train` fails."""
+        doc = {"input_path": "a", "output_dir": "b", "roster": roster,
+               "calendar_features": [], "lags": []}
+        path = write_config(tmp_path, doc)
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        message = str(err.value)
+        assert "calendar_features" in message and "lags" in message
+        assert cli_main(["ingest", "--config", str(path)]) == 1
+        for kept in ({"lags": [24]}, {"calendar_features": ["hour"]}):
+            config_from_dict({**doc, **kept})
+
     def test_null_window_channels_means_all(self):
         cfg = config_from_dict({"input_path": "a", "output_dir": "b", "window_channels": None})
         assert cfg.window_channels is None
