@@ -3,8 +3,8 @@ for long structural gaps, and the masked-holdout trial that picks between them.
 
 The seasonal imputer fills a missing hour from the average of all observed
 values sharing its (day-of-week, hour-of-day) slot, e.g. prior Mondays at
-9 AM; the trial erases a known-good stretch, re-imputes it with every
-candidate method and scores pointwise error plus how well the value
+9 AM; the trial erases a known-good stretch, re-imputes it with both
+imputers and scores pointwise error plus how well the value
 distribution is preserved (earth-mover distance between histograms).
 """
 
@@ -23,6 +23,9 @@ logger = logging.getLogger(__name__)
 
 HOURS_PER_WEEK = 168
 
+# how each cell of a prepared series got its value (``PreparedData.source``)
+OBSERVED, KNN, LINEAR, SEASONAL, SEASONAL_FALLBACK = range(5)
+
 
 class ImputationError(ValueError):
     """Raised when a gap cannot be filled under the requested method."""
@@ -39,6 +42,11 @@ class SeasonalProfile:
     means: np.ndarray
     counts: np.ndarray
     channel_names: tuple[str, ...]
+
+    def cell_means(self, series: HourlySeries) -> np.ndarray:
+        """(hours, channels) mean of each slot's weekly cell, NaN where empty."""
+        dow, hod = _week_positions(series)
+        return self.means[dow, hod]
 
 
 @dataclass(frozen=True)
@@ -76,26 +84,26 @@ def knn_impute(series: HourlySeries, k: int = 5, max_gap: int = 6) -> HourlySeri
 
     Each missing slot becomes the mean of the k temporally nearest present
     values in the same channel (ties between equidistant neighbours prefer
-    the earlier one). Runs longer than max_gap are left untouched.
+    the earlier one). Runs longer than max_gap are left untouched, so only a
+    channel with a run to fill needs k present values.
     """
     if k < 1:
         raise ImputationError("k must be >= 1")
     out = series.values.copy()
     for c in range(series.n_channels):
         col = out[:, c]
-        missing = np.isnan(col)
-        if not missing.any():
+        runs = [(start, length) for start, length in missing_runs(np.isnan(col))
+                if length <= max_gap]
+        if not runs:
             continue
-        present = np.flatnonzero(~missing)
+        present = np.flatnonzero(~np.isnan(col))
         if len(present) < k:
             raise ImputationError(
                 f"channel {series.channel_names[c]!r} has fewer than k={k} present values"
             )
         # one walk per filled cell, on Python lists: cheaper to index than arrays
         positions, values = present.tolist(), col[present].tolist()
-        for start, length in missing_runs(missing):
-            if length > max_gap:
-                continue
+        for start, length in runs:
             for i in range(start, start + length):
                 col[i] = _knn_mean(positions, values, i, k)
     return series.with_values(out)
@@ -122,33 +130,34 @@ def _knn_mean(positions: list[int], values: list[float], i: int, k: int) -> floa
 # ---------------------------------------------------------------------------
 
 
-def linear_impute(series: HourlySeries, index_range: tuple[int, int]) -> HourlySeries:
-    """Fill missing slots in [start, stop) on the line between the bounding values.
+def linear_impute(series: HourlySeries, runs: list[tuple[int, int]]) -> HourlySeries:
+    """Fill missing slots in each [start, stop) run on the line between the
+    values bounding it.
 
-    Requires a present value immediately before and after the range in each
-    channel that has anything to fill.
+    Requires a present value immediately before and after each run in each
+    channel that has anything to fill in it.
     """
-    start, stop = index_range
-    if not 0 < start <= stop < len(series):
-        raise ImputationError(
-            f"range ({start}, {stop}) must be interior to the series (anchors on both sides)"
-        )
     out = series.values.copy()
-    for c in range(series.n_channels):
-        col = out[start:stop, c]
-        holes = np.isnan(col)
-        if not holes.any():
-            continue
-        left = out[start - 1, c]
-        right = out[stop, c]
-        if np.isnan(left) or np.isnan(right):
+    for start, stop in runs:
+        if not 0 < start <= stop < len(series):
             raise ImputationError(
-                f"channel {series.channel_names[c]!r}: no present anchor adjacent to the gap"
+                f"range ({start}, {stop}) must be interior to the series (anchors on both sides)"
             )
-        # line through (start-1, left) and (stop, right)
-        t = np.arange(start, stop, dtype=float)
-        line = left + (right - left) * (t - (start - 1)) / (stop - (start - 1))
-        col[holes] = line[holes]
+        for c in range(series.n_channels):
+            col = out[start:stop, c]
+            holes = np.isnan(col)
+            if not holes.any():
+                continue
+            left = series.values[start - 1, c]
+            right = series.values[stop, c]
+            if np.isnan(left) or np.isnan(right):
+                raise ImputationError(
+                    f"channel {series.channel_names[c]!r}: no present anchor adjacent to the gap"
+                )
+            # line through (start-1, left) and (stop, right)
+            t = np.arange(start, stop, dtype=float)
+            line = left + (right - left) * (t - (start - 1)) / (stop - (start - 1))
+            col[holes] = line[holes]
     return series.with_values(out)
 
 
@@ -184,74 +193,55 @@ def build_seasonal_profile(
 
 
 def seasonal_impute(
-    series: HourlySeries, index_range: tuple[int, int], profile: SeasonalProfile
+    series: HourlySeries, runs: list[tuple[int, int]], profile: SeasonalProfile
 ) -> HourlySeries:
-    """Fill missing slots in the range from the weekly profile.
+    """Fill missing slots in each [start, stop) run from the weekly profile.
 
-    Slots whose profile cell is empty fall back to linear interpolation
-    across the gap, then to the channel's global mean, so the imputer never
-    emits missing values. Raises only when a channel has no data at all.
+    Slots whose profile cell is empty fall back to the line between the
+    present values around them, then to the channel's mean, both taken from
+    ``series`` as given, so each run's fill is independent of the others.
+    The imputer never emits missing values; it raises only when a channel
+    with such a slot has no data at all.
     """
-    start, stop = index_range
-    if not 0 <= start <= stop <= len(series):
-        raise ImputationError(f"invalid range ({start}, {stop})")
-    dow, hod = _week_positions(series)
+    inside = np.zeros(len(series), dtype=bool)
+    for start, stop in runs:
+        if not 0 <= start <= stop <= len(series):
+            raise ImputationError(f"invalid range ({start}, {stop})")
+        inside[start:stop] = True
+    cells = profile.cell_means(series)
     out = series.values.copy()
     for c in range(series.n_channels):
-        col = out[:, c]
-        hole_idx = np.flatnonzero(np.isnan(col[start:stop])) + start
+        col = series.values[:, c]
+        hole_idx = np.flatnonzero(inside & np.isnan(col))
         if hole_idx.size == 0:
             continue
-        fills = profile.means[dow[hole_idx], hod[hole_idx], c]
+        fills = cells[hole_idx, c]
         missing_cells = np.isnan(fills)
         if missing_cells.any():
-            fills[missing_cells] = _linear_fallback(col, hole_idx[missing_cells], c, series)
-        col[hole_idx] = fills
+            fills[missing_cells] = _linear_fallback(
+                col, hole_idx[missing_cells], series.channel_names[c])
+        out[hole_idx, c] = fills
     return series.with_values(out)
 
 
-def _linear_fallback(
-    col: np.ndarray, idx: np.ndarray, c: int, series: HourlySeries
-) -> np.ndarray:
-    """Fallback chain for empty profile cells: gap-spanning line, then global mean."""
+def _linear_fallback(col: np.ndarray, idx: np.ndarray, name: str) -> np.ndarray:
+    """Fallback chain for empty profile cells: the line between the present
+    values around each slot, else the channel's mean."""
     present = np.flatnonzero(~np.isnan(col))
     if present.size == 0:
-        raise ImputationError(
-            f"channel {series.channel_names[c]!r}: profile cell empty and no data for fallback"
-        )
-    out = np.empty(len(idx))
-    global_mean = float(np.mean(col[present]))
-    for j, i in enumerate(idx):
-        pos = np.searchsorted(present, i)
-        if 0 < pos < len(present):
-            a, b = present[pos - 1], present[pos]
-            va, vb = col[a], col[b]
-            out[j] = va + (vb - va) * (i - a) / (b - a)
-        else:
-            out[j] = global_mean
+        raise ImputationError(f"channel {name!r}: profile cell empty and no data for fallback")
+    out = np.full(len(idx), float(np.mean(col[present])))
+    pos = np.searchsorted(present, idx)
+    inner = (pos > 0) & (pos < len(present))
+    a, b = present[pos[inner] - 1], present[pos[inner]]
+    va, vb = col[a], col[b]
+    out[inner] = va + (vb - va) * (idx[inner] - a) / (b - a)
     return out
 
 
 # ---------------------------------------------------------------------------
 # Masked-holdout trial
 # ---------------------------------------------------------------------------
-
-def _linear_method(series: HourlySeries, rng: tuple[int, int]) -> HourlySeries:
-    return linear_impute(series, rng)
-
-
-def _seasonal_method(series: HourlySeries, rng: tuple[int, int]) -> HourlySeries:
-    profile = build_seasonal_profile(series, exclude=rng)
-    return seasonal_impute(series, rng, profile)
-
-
-# methods the masked-holdout trial compares; the pipeline's own gap filling
-# calls linear_impute and seasonal_impute directly
-IMPUTER_METHODS = {
-    "linear": _linear_method,
-    "seasonal": _seasonal_method,
-}
-
 
 def emd_1d(counts_a: np.ndarray, counts_b: np.ndarray, bin_width: float) -> float:
     """Earth-mover distance between two equal-binning histograms.
@@ -271,47 +261,38 @@ def emd_1d(counts_a: np.ndarray, counts_b: np.ndarray, bin_width: float) -> floa
     return float(np.abs(np.cumsum(p - q)).sum() * bin_width)
 
 
-def run_imputation_trial(
-    series: HourlySeries,
-    mask: tuple[int, int],
-    methods: tuple[str, ...] = ("linear", "seasonal"),
-    channel: str | int = 0,
-    n_bins: int = 50,
-) -> ImputationTrial:
-    """Erase a fully observed interior range and score each imputer against it.
+def run_imputation_trial(series: HourlySeries, mask: tuple[int, int]) -> ImputationTrial:
+    """Erase a fully observed interior range of channel 0 and score the
+    linear and seasonal imputers against it.
 
-    Every method sees the identical masked series and is scored on the
-    identical truth vector: pointwise RMSE/MAE plus the earth-mover distance
-    between the imputed-value histogram and the truth histogram over a
-    shared binning (n_bins equal-width bins spanning the truth range).
+    Both see the identical masked series and are scored on the identical
+    truth vector: pointwise RMSE/MAE plus the earth-mover distance between
+    the imputed-value histogram and the truth histogram over a shared
+    binning (50 equal-width bins spanning the truth range).
     """
     start, stop = mask
-    ch = series.channel_index(channel)
     if not 0 < start < stop < len(series):
         raise ImputationError("mask must be interior to the series")
-    truth = series.values[start:stop, ch].copy()
+    truth = series.values[start:stop, 0].copy()
     if np.isnan(truth).any():
         raise ImputationError("mask overlaps existing missing data")
 
     masked_values = series.values.copy()
-    masked_values[start:stop, ch] = np.nan
+    masked_values[start:stop, 0] = np.nan
     masked = series.with_values(masked_values)
 
     t_lo, t_hi = float(truth.min()), float(truth.max())
     if t_hi == t_lo:
         t_hi = t_lo + 1.0  # degenerate truth range: a single shared bin span
-    edges = np.linspace(t_lo, t_hi, n_bins + 1)
+    edges = np.linspace(t_lo, t_hi, 50 + 1)
     width = edges[1] - edges[0]
     truth_hist, _ = np.histogram(np.clip(truth, t_lo, t_hi), bins=edges)
 
+    profile = build_seasonal_profile(masked, exclude=(start, stop))
     results: dict[str, MethodResult] = {}
-    for name in methods:
-        if name not in IMPUTER_METHODS:
-            raise ImputationError(f"unknown imputation method {name!r}")
-        filled = IMPUTER_METHODS[name](masked, (start, stop))
-        est = filled.values[start:stop, ch]
-        if np.isnan(est).any():
-            raise ImputationError(f"method {name!r} left missing values in the mask")
+    for name, filled in (("linear", linear_impute(masked, [(start, stop)])),
+                         ("seasonal", seasonal_impute(masked, [(start, stop)], profile))):
+        est = filled.values[start:stop, 0]
         err = est - truth
         hist, _ = np.histogram(np.clip(est, t_lo, t_hi), bins=edges)
         results[name] = MethodResult(

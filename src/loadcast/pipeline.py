@@ -215,7 +215,7 @@ def cmd_impute_eval(cfg: PipelineConfig) -> tuple[imputation.ImputationTrial, st
     w_start, w_stop = _trial_window(cfg, train_segment)
     length = w_stop - w_start
     mask = (w_start + length // 3, w_start + 2 * length // 3)
-    trial = imputation.run_imputation_trial(train_segment, mask, methods=("linear", "seasonal"))
+    trial = imputation.run_imputation_trial(train_segment, mask)
     chosen = imputation.choose_imputer(trial)
 
     results = trial.method_results
@@ -255,55 +255,69 @@ def cmd_impute_eval(cfg: PipelineConfig) -> tuple[imputation.ImputationTrial, st
 @dataclass(frozen=True)
 class PreparedData:
     full: HourlySeries            # imputed, watts
+    source: np.ndarray            # read-only int8 (hours, channels): imputation.OBSERVED ...
     split_idx: int
     scaler: ScalerParams          # fitted on the train segment
     tabular: FeatureMatrix        # watts, calendar + lags
 
 
-def _fill_remaining_gaps(
-    series: HourlySeries, chosen: str, profile: imputation.SeasonalProfile
-) -> HourlySeries:
-    """Fill every missing run left after kNN with the chosen imputer,
-    falling back to the seasonal profile when a line has no anchors."""
-    any_missing = np.isnan(series.values).any(axis=1)
-    for start, length in missing_runs(any_missing):
-        rng = (start, start + length)
-        if chosen == "linear":
-            try:
-                series = imputation.linear_impute(series, rng)
-                continue
-            except imputation.ImputationError:
-                pass
-        series = imputation.seasonal_impute(series, rng, profile)
-    return series
+def _fill(source: np.ndarray, code: int, impute, series: HourlySeries, *args) -> HourlySeries:
+    """Run one imputer over ``series``; mark with ``code`` the cells it filled."""
+    filled = impute(series, *args)
+    source[np.isnan(series.values) & ~np.isnan(filled.values)] = code
+    return filled
+
+
+def _impute_segment(
+    cfg: PipelineConfig, segment: HourlySeries, chosen: str,
+    profile: imputation.SeasonalProfile | None = None,
+) -> tuple[HourlySeries, np.ndarray]:
+    """Fill one segment and say how each cell got its value: kNN for runs of
+    at most ``knn_max_gap`` hours, then each remaining run of hours with any
+    channel missing by the chosen imputer. A run at the segment's edge has
+    no line anchor on one side, so it always takes the seasonal profile,
+    which defaults to the segment's own after kNN."""
+    source = np.zeros(segment.values.shape, dtype=np.int8)
+    segment = _fill(source, imputation.KNN, imputation.knn_impute,
+                    segment, cfg.knn_k, cfg.knn_max_gap)
+    runs = [(start, start + length)
+            for start, length in missing_runs(np.isnan(segment.values).any(axis=1))]
+    if not runs:
+        return segment, source
+    if profile is None:
+        profile = imputation.build_seasonal_profile(segment)
+    linear = [(start, stop) for start, stop in runs
+              if chosen == "linear" and 0 < start and stop < len(segment)]
+    segment = _fill(source, imputation.SEASONAL, imputation.seasonal_impute,
+                    segment, [run for run in runs if run not in linear], profile)
+    source[(source == imputation.SEASONAL)
+           & np.isnan(profile.cell_means(segment))] = imputation.SEASONAL_FALLBACK
+    segment = _fill(source, imputation.LINEAR, imputation.linear_impute, segment, linear)
+    return segment, source
 
 
 def _impute_split(
     cfg: PipelineConfig, train: HourlySeries, test: HourlySeries, chosen: str
-) -> HourlySeries:
+) -> tuple[HourlySeries, np.ndarray]:
     """Impute train and test segments without letting test values reach the
-    train side: small gaps by kNN within each segment, longer runs by the
-    chosen imputer with profiles built from the train segment only."""
-    train = imputation.knn_impute(train, cfg.knn_k, cfg.knn_max_gap)
-    if np.isnan(train.values).any():
-        profile = imputation.build_seasonal_profile(train)
-        train = _fill_remaining_gaps(train, chosen, profile)
-    train_profile = imputation.build_seasonal_profile(train)
-
-    if np.isnan(test.values).any():
-        test = imputation.knn_impute(test, cfg.knn_k, cfg.knn_max_gap)
-    if np.isnan(test.values).any():
-        test = _fill_remaining_gaps(test, chosen, train_profile)
-
-    return HourlySeries(train.start, np.vstack([train.values, test.values]), train.channel_names)
+    train side: the test segment's profile is the imputed train segment's.
+    Returns the imputed series and its read-only fill codes."""
+    train, train_source = _impute_segment(cfg, train, chosen)
+    test, test_source = _impute_segment(cfg, test, chosen, imputation.build_seasonal_profile(train))
+    for name, part in (("train", train_source), ("test", test_source)):
+        logger.info("imputed %s segment: %d kNN, %d linear, %d seasonal, "
+                    "%d seasonal-fallback cells", name, *np.bincount(part.ravel(), minlength=5)[1:])
+    source = np.vstack([train_source, test_source])
+    source.flags.writeable = False
+    return train.with_values(np.vstack([train.values, test.values])), source
 
 
 def prepare_data(cfg: PipelineConfig, hourly: HourlySeries, chosen: str) -> PreparedData:
     train, test = chronological_split(hourly, cfg.split_fraction)
-    full = _impute_split(cfg, train, test, chosen)
+    full, source = _impute_split(cfg, train, test, chosen)
     split_idx = len(train)
     tabular = assemble_matrix(full, calendar=cfg.calendar_features, lags=cfg.lags)
-    return PreparedData(full, split_idx, minmax_fit(full, (0, split_idx)), tabular)
+    return PreparedData(full, source, split_idx, minmax_fit(full, (0, split_idx)), tabular)
 
 
 def _split_rows(cfg: PipelineConfig, data: PreparedData, hours: np.ndarray, take):

@@ -178,3 +178,26 @@ def test_traced_sarimax_fit_counts_every_objective_call(monkeypatch):
     metrics = tracing.layer_metrics(dict(tracer.dump(), wrapper_cost_s=0.0), simplex_iters=20)
     assert metrics["classical.css_evals"] == evals
     assert metrics["classical.simplex_iters"] == 20
+
+
+def test_traced_prepare_data_counts_knn_cells_and_structural_fill():
+    """``imputation.knn_cells_filled`` counts the cells kNN filled, which
+    ``PreparedData.source`` marks 1, and ``imputation.structural.s`` takes
+    the pipeline's structural fill: the pipeline calls the imputers the
+    tracer wraps, outside the masked-holdout trial."""
+    from loadcast import imputation, pipeline
+    from loadcast.config import config_from_dict
+    from test_impute_split import toy_household
+
+    cfg = config_from_dict({"input_path": "meter.csv", "output_dir": "out"})
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        data = pipeline.prepare_data(cfg, toy_household(), "linear")
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(dict(tracer.dump(), wrapper_cost_s=0.0), simplex_iters=0)
+    assert metrics["imputation.knn_cells_filled"] == (data.source == imputation.KNN).sum() == 5
+    names = {span[0] for span in tracer.spans}
+    assert set(tracing._STRUCTURAL) <= names and "imputation.trial" not in names
+    assert metrics["imputation.structural.s"] > 0
