@@ -7,9 +7,12 @@ block's hidden states as they are handed to the next stage, not inside the
 recurrence. Each layer stores its four gates fused, as one input matrix,
 one recurrent matrix and one bias, so a step is one input and one recurrent
 GEMM; ``parameters()`` exposes per-gate views of them. A training forward
-projects every step's input before the recurrence; eval forwards that no
-backward pass follows keep no BPTT caches and project one step at a time,
-and the second layer keeps only its last hidden state.
+projects every step's input before the recurrence and keeps its BPTT
+caches in a ``BpttWorkspace``, which ``train`` reuses from batch to batch
+and ``backward`` writes its gradients over. Eval forwards that no backward
+pass follows keep no caches: both layers step in one time loop, each
+step's input projected on its own, so only the current step of either
+layer is held and the peak does not grow with T.
 
 The kernels are feature-major: every per-step array keeps the batch as its
 last axis. A layer's input is (T, n_in, batch), its gate activations and
@@ -39,6 +42,8 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -200,50 +205,103 @@ def _cell(
     np.multiply(o, tc, out=h)
 
 
-def _layer_forward(
-    layer: LstmLayerParams, X: np.ndarray, keep_caches: bool, all_states: bool = True
-) -> tuple[np.ndarray | None, np.ndarray, dict | None]:
-    """Run a layer over a (T, n_in, batch) sequence; X[t] may be a strided
-    view, which BLAS reads as a transposed operand.
+class BpttWorkspace:
+    """The buffers a caching ``forward`` and its ``backward`` work in, kept
+    from one training batch to the next so that a batch neither allocates
+    nor faults in fresh pages while the last batch's caches are still held.
 
-    Returns the hidden states H (T, H, batch), the last hidden state and,
-    with ``keep_caches``, the BPTT caches: the input X, H, cell states C,
-    tanh(C) and the gate activations act (T, 4H, batch). The caching pass
-    projects every step's input into act before the recurrence, so a step
-    adds only U.T h; a cache-free pass projects one step at a time and,
-    with ``all_states`` false, keeps no H (None is returned)."""
+    Each named buffer is flat and sized by the largest batch asked of it; a
+    smaller batch takes a reshaped leading slice, so every (4H, batch) gate
+    block of a step stays contiguous. The caches of a forward are views of
+    these buffers: the next forward on the workspace marks them consumed,
+    and ``backward`` refuses them."""
+
+    def __init__(self) -> None:
+        self._flat: dict[str, np.ndarray] = {}
+        self._caches: dict | None = None
+
+    def take(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        """Buffer ``name`` as a C-contiguous array of ``shape``."""
+        size = math.prod(shape)
+        buf = self._flat.get(name)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self._flat[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+    def bind(self, caches: dict) -> None:
+        """Hand the buffers to ``caches``, consuming the previous ones."""
+        if self._caches is not None:
+            self._caches["consumed"] = True
+        self._caches = caches
+
+
+def _layer_forward(
+    layer: LstmLayerParams, X: np.ndarray, ws: BpttWorkspace, tag: str
+) -> dict[str, np.ndarray]:
+    """Run a layer over a (T, n_in, batch) sequence, in ``ws``'s buffers
+    named after ``tag``, and return the BPTT cache: the input X as one
+    contiguous array, the gate activations act (T, 4H, batch), and the
+    hidden states H, cell states C and tanh(C) (T, H, batch). Every step's
+    input is projected into act before the recurrence, so a step adds only
+    U.T h."""
     T, _, batch = X.shape
     n = layer.n_hidden
     dtype = layer.W.dtype
-    WT, UT, b = layer.W.T, layer.U.T, layer.b[:, None]
-    H = np.empty((T, n, batch), dtype) if keep_caches or all_states else None
-    rec = np.empty((4 * n, batch), dtype)  # U.T h_{t-1}
-    if keep_caches:
+    if not X.flags.c_contiguous:
         # a training batch is small, and BLAS reads contiguous steps about twice as fast
-        X = np.ascontiguousarray(X)
-        acts = np.matmul(WT, X, out=np.empty((T, 4 * n, batch), dtype))
-        acts += b
-        C, TC = np.empty_like(H), np.empty_like(H)
-    else:
-        act = np.empty_like(rec)
-        c, tc = np.empty((2, n, batch), dtype)
-        h = np.empty_like(c) if H is None else None
+        X_copy = ws.take(f"{tag}.X", X.shape, dtype)
+        X_copy[...] = X
+        X = X_copy
+    acts = np.matmul(layer.W.T, X, out=ws.take(f"{tag}.act", (T, 4 * n, batch), dtype))
+    acts += layer.b[:, None]
+    H, C, TC = (ws.take(f"{tag}.{k}", (T, n, batch), dtype) for k in ("H", "C", "TC"))
+    UT = layer.U.T
+    rec = np.empty((4 * n, batch), dtype)  # U.T h_{t-1}
     for t in range(T):
-        if keep_caches:  # the step's input projection is already in act
-            act = acts[t]
-            c, tc = C[t], TC[t]
-            c_prev = C[t - 1] if t else None
-        else:
-            np.matmul(WT, X[t], out=act)
-            act += b
-            c_prev = c if t else None
-        if t:  # h is still h_{t-1}; h_{-1} = 0 adds nothing
-            act += np.matmul(UT, h, out=rec)
-        if H is not None:
-            h = H[t]
-        _cell(act, c_prev, c, tc, h)
-    cache = {"X": X, "H": H, "C": C, "TC": TC, "act": acts} if keep_caches else None
-    return H, h, cache
+        act = acts[t]
+        if t:  # h_{-1} = 0 adds nothing
+            act += np.matmul(UT, H[t - 1], out=rec)
+        _cell(act, C[t - 1] if t else None, C[t], TC[t], H[t])
+    return {"X": X, "H": H, "C": C, "TC": TC, "act": acts}
+
+
+def _step(layer: LstmLayerParams, buffers: tuple[np.ndarray, ...], t: int,
+          x: np.ndarray) -> np.ndarray:
+    """Step t of a layer on its (n_in, batch) input, projected on its own;
+    ``buffers`` are the step's act, U.T h_{t-1}, c, tanh(c) and h, and h
+    holds h_{t-1} on entry and h_t, which is returned, on exit."""
+    act, rec, c, tc, h = buffers
+    np.matmul(layer.W.T, x, out=act)
+    act += layer.b[:, None]
+    if t:  # h_{-1} = 0 adds nothing
+        act += np.matmul(layer.U.T, h, out=rec)
+    _cell(act, c if t else None, c, tc, h)
+    return h
+
+
+def _interleaved_forward(
+    model: QuantileLstmModel, X: np.ndarray, mask1: np.ndarray | None
+) -> np.ndarray:
+    """Layer 2's last hidden state on a (T, n_features, batch) input, with
+    no BPTT cache: both layers step in one time loop, layer 2's step t
+    reading relu(h1_t), dropped out by ``mask1[t]`` when one is given, as
+    soon as layer 1 makes it. Only the current step of either layer is
+    held."""
+    T, _, batch = X.shape
+    dtype = model.dtype
+    buffers1, buffers2 = (
+        (*np.empty((2, 4 * n, batch), dtype), *np.empty((3, n, batch), dtype))
+        for n in (model.layer1.n_hidden, model.layer2.n_hidden)
+    )
+    d1 = np.empty((model.layer1.n_hidden, batch), dtype)
+    scale = _dropout_scale(model)
+    for t in range(T):
+        np.maximum(_step(model.layer1, buffers1, t, X[t]), 0.0, out=d1)
+        if mask1 is not None:
+            d1 *= scale
+            d1 *= mask1[t]
+        h2 = _step(model.layer2, buffers2, t, d1)
+    return h2
 
 
 def _dropout_scale(model: QuantileLstmModel):
@@ -257,6 +315,7 @@ def forward(
     train_mode: bool = False,
     dropout_seed: int | None = None,
     keep_caches: bool = True,
+    workspace: BpttWorkspace | None = None,
 ) -> tuple[np.ndarray, dict | None]:
     """Full forward pass on (batch, T, n_features) windows, in the model's
     dtype (windows of another dtype are cast); returns q as (batch, 3).
@@ -264,9 +323,10 @@ def forward(
     Layer 1 runs over every step; its activated per-step outputs pass
     through dropout (train mode only, inverted scaling), then layer 2; the
     head reads layer 2's final activated (and, in train mode, dropped-out)
-    hidden state. Eval mode is deterministic. With ``keep_caches=False``
-    the caches for ``backward`` are not kept and None is returned in
-    their place; q is unchanged.
+    hidden state. Eval mode is deterministic. The caches for ``backward``
+    live in ``workspace``, a fresh one when None is given. With
+    ``keep_caches=False`` no cache is kept, the layers step together and
+    None is returned in the caches' place; q is unchanged.
     """
     if windows.ndim == 2:
         windows = windows[None, :, :]
@@ -275,6 +335,7 @@ def forward(
             f"window has {windows.shape[2]} features, model expects {model.n_features}"
         )
     windows = windows.astype(model.dtype, copy=False)
+    batch, T, _ = windows.shape
     use_dropout = train_mode and model.dropout_rate > 0.0
     if use_dropout:
         if dropout_seed is None:
@@ -282,24 +343,30 @@ def forward(
         rng = np.random.default_rng(dropout_seed)
         keep = 1.0 - model.dropout_rate
         scale = _dropout_scale(model)
+    ws = BpttWorkspace() if workspace is None or not keep_caches else workspace
 
-    def keep_mask(shape):
+    def keep_mask(name, shape):
         # float64 draws in (batch, ...) order whatever the model dtype, so
         # both dtypes drop the same units; returned in the kernel's layout
-        return np.moveaxis(rng.random(shape) < keep, 0, -1).copy()
+        draws = rng.random(shape, out=ws.take(f"{name}.draws", shape, np.float64))
+        return np.less(np.moveaxis(draws, 0, -1), keep,
+                       out=ws.take(name, shape[1:] + shape[:1], np.bool_))
 
+    mask1 = keep_mask("mask1", (batch, T, model.layer1.n_hidden)) if use_dropout else None
     # step t's input is windows[:, t, :].T, a view: an eval forward copies no window
-    H1, _, cache1 = _layer_forward(model.layer1, windows.transpose(1, 2, 0), keep_caches)
-    # backward reads H1 from the cache; without one, relu and dropout go in place
-    D1 = np.maximum(H1, 0.0, out=None if keep_caches else H1)
-    mask1 = keep_mask(windows.shape[:2] + (model.layer1.n_hidden,)) if use_dropout else None
-    if mask1 is not None:
-        D1 *= scale
-        D1 *= mask1
-
-    _, h2_last, cache2 = _layer_forward(model.layer2, D1, keep_caches, all_states=False)
+    X = windows.transpose(1, 2, 0)
+    if keep_caches:
+        cache1 = _layer_forward(model.layer1, X, ws, "l1")
+        D1 = np.maximum(cache1["H"], 0.0, out=ws.take("D1", cache1["H"].shape, model.dtype))
+        if mask1 is not None:
+            D1 *= scale
+            D1 *= mask1
+        cache2 = _layer_forward(model.layer2, D1, ws, "l2")
+        h2_last = cache2["H"][-1]
+    else:
+        h2_last = _interleaved_forward(model, X, mask1)
     D2 = np.maximum(h2_last, 0.0)
-    mask2 = keep_mask((len(windows), model.layer2.n_hidden)) if use_dropout else None
+    mask2 = keep_mask("mask2", (batch, model.layer2.n_hidden)) if use_dropout else None
     if mask2 is not None:
         D2 *= scale
         D2 *= mask2
@@ -307,8 +374,10 @@ def forward(
     q = D2.T @ model.head_W + model.head_b
     if not keep_caches:
         return q, None
-    return q, {"layer1": cache1, "mask1": mask1, "layer2": cache2,
-               "h2_last": h2_last, "mask2": mask2, "D2": D2}
+    caches = {"layer1": cache1, "mask1": mask1, "layer2": cache2,
+              "h2_last": h2_last, "mask2": mask2, "D2": D2}
+    ws.bind(caches)
+    return q, caches
 
 
 # ---------------------------------------------------------------------------
@@ -324,17 +393,21 @@ def _layer_backward(
     (T, n_in, batch) gradient of the input (None unless ``input_grad``)
     and the fused parameter gradients (dW, dU, db).
 
-    Each step works on contiguous (H, batch) gate blocks in buffers
-    allocated once; dW and dU accumulate one step's GEMM at a time."""
+    Each step works on contiguous (H, batch) gate blocks. Its gate
+    gradients dz go over its activations in the cache, once they are
+    copied to a (4H, batch) buffer, and the input gradient over the cached
+    input, which no step reads after it; dW and dU accumulate one step's
+    GEMM at a time."""
     X, H, C, TC, acts = (cache[k] for k in ("X", "H", "C", "TC", "act"))
     T, n, batch = H.shape
     per_step = dH.ndim == 3
-    dZ = np.empty_like(acts)
     dW, dU = np.zeros_like(layer.W), np.zeros_like(layer.U)
     step_dW, step_dU = np.empty_like(dW), np.empty_like(dU)
+    act = np.empty_like(acts[0])
     dh_next, dc, dc_next = np.empty((3, n, batch), acts.dtype)
     for t in range(T - 1, -1, -1):
-        act, dz, tc = acts[t], dZ[t], TC[t]
+        dz, tc = acts[t], TC[t]
+        np.copyto(act, dz)
         i, f, o, g = _gates(act, n)
         dz_i, dz_f, dz_o, dz_g = _gates(dz, n)
         if t == T - 1:  # nothing flows back into the last step
@@ -371,8 +444,9 @@ def _layer_backward(
         if t:  # step t's recurrent input is h_{t-1}; h_{-1} = 0
             dU += np.matmul(H[t - 1], dz.T, out=step_dU)
             np.matmul(layer.U, dz, out=dh_next)
+    dZ = acts  # every step's dz is in place
     db = dZ.sum(axis=0).sum(axis=1)  # a short last axis sums slowly first
-    dX = np.matmul(layer.W, dZ) if input_grad else None
+    dX = np.matmul(layer.W, dZ, out=X) if input_grad else None
     return dX, dW, dU, db
 
 
@@ -383,8 +457,12 @@ def backward(
 
     Replays the dropout masks and relu gating recorded by the
     matching forward pass; relu takes subgradient 0 at exactly zero.
-    Gate gradients are per-gate views of fused arrays.
+    Gate gradients are per-gate views of fused arrays. The pass writes
+    over the caches, which it marks consumed; consumed caches raise.
     """
+    if caches.get("consumed"):
+        raise NeuralModelError("BPTT caches already consumed; run forward again")
+    caches["consumed"] = True
     D2 = caches["D2"]
     grads = {"head.W": D2 @ dq, "head.b": dq.sum(axis=0)}
     dh2_last = model.head_W @ dq.T
@@ -511,6 +589,8 @@ def train(
     rng = np.random.default_rng(config.seed)
     state = AdamState(learning_rate=config.learning_rate)
     params = model.parameters()
+    # every epoch's first batch is the largest, so each buffer is allocated once
+    workspace = BpttWorkspace()
 
     best_val = np.inf
     best_epoch = 0
@@ -524,7 +604,8 @@ def train(
         for start in range(0, len(order), config.batch_size):
             idx = order[start : start + config.batch_size]
             seed = int(rng.integers(0, 2**31 - 1))
-            q, caches = forward(model, tensors.data[idx], train_mode=True, dropout_seed=seed)
+            q, caches = forward(model, tensors.data[idx], train_mode=True, dropout_seed=seed,
+                                workspace=workspace)
             loss, dq = quantile_loss_and_grad(q, tensors.target[idx])
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"non-finite training loss at epoch {epoch}")
@@ -622,16 +703,24 @@ def load_checkpoint(path_prefix: str) -> tuple[QuantileLstmModel, ScalerParams |
         seed=header["seed"],
         dtype=header.get("dtype", "float64"),
     )
-    flat = np.fromfile(f"{path_prefix}.bin", dtype="<f8")
     params = model.parameters()
+    order = [(entry["name"], tuple(entry["shape"])) for entry in header["param_order"]]
+    want = sorted((name, arr.shape) for name, arr in params.items())
+    if sorted(order) != want:
+        raise NeuralModelError(f"{path_prefix}.json: param_order does not match its model's "
+                               f"parameters, (name, shape) {sorted(set(order) ^ set(want))}")
+    body = f"{path_prefix}.bin"
+    expected = sum(arr.size for arr in params.values())
+    found = os.path.getsize(body)
+    if found != 8 * expected:
+        raise NeuralModelError(f"{body}: expected {expected} float64 parameters "
+                               f"({8 * expected} bytes), found {found} bytes")
+    flat = np.fromfile(body, dtype="<f8")
     offset = 0
-    for entry in header["param_order"]:
-        shape = tuple(entry["shape"])
-        size = int(np.prod(shape))
-        params[entry["name"]][...] = flat[offset : offset + size].reshape(shape)
+    for name, shape in order:
+        size = params[name].size
+        params[name][...] = flat[offset : offset + size].reshape(shape)
         offset += size
-    if offset != flat.size:
-        raise NeuralModelError("checkpoint parameter count mismatch")
     scaler = None
     if header.get("scaler"):
         sc = header["scaler"]

@@ -212,6 +212,7 @@ def cmd_impute_eval(cfg: PipelineConfig) -> tuple[imputation.ImputationTrial, st
     depend on test-split values."""
     out_dir = cfg.resolved_output_dir()
     train_segment, _ = chronological_split(_load_cache(cfg), cfg.split_fraction)
+    _check_train_readings(train_segment)
     w_start, w_stop = _trial_window(cfg, train_segment)
     length = w_stop - w_start
     mask = (w_start + length // 3, w_start + 2 * length // 3)
@@ -312,8 +313,23 @@ def _impute_split(
     return train.with_values(np.vstack([train.values, test.values])), source
 
 
+def _check_train_readings(train: HourlySeries) -> None:
+    """Refuse a channel with no reading in the train segment: no imputer can
+    fill it, and its test hours would take an empty train profile."""
+    dead = np.flatnonzero(np.isnan(train.values).all(axis=0))
+    if len(dead):
+        remedy = "the target needs readings there" if dead[0] == 0 \
+            else "drop it from columns.appliances"
+        last = train.start + (len(train) - 1) * HOUR
+        raise PipelineError(
+            f"channel {train.channel_names[dead[0]]!r} has no reading in the train segment, "
+            f"hours {train.start.isoformat()} to {last.isoformat()} ({len(train)} hours); {remedy}"
+        )
+
+
 def prepare_data(cfg: PipelineConfig, hourly: HourlySeries, chosen: str) -> PreparedData:
     train, test = chronological_split(hourly, cfg.split_fraction)
+    _check_train_readings(train)
     full, source = _impute_split(cfg, train, test, chosen)
     split_idx = len(train)
     tabular = assemble_matrix(full, calendar=cfg.calendar_features, lags=cfg.lags)

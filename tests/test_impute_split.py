@@ -330,3 +330,32 @@ def test_submeter_dying_in_the_test_segment_trains(tmp_path):
     data = pipeline.prepare_data(cfg, pipeline._load_cache(cfg), chosen)
     assert (data.source[split + 2:, 2] == SEASONAL).all()
     assert (data.source[:split + 2, 2] == OBSERVED).all()
+
+
+def test_submeter_dead_in_the_train_segment_names_the_channel(tmp_path):
+    """A channel with no reading in the train segment cannot be imputed
+    there. impute-eval, and train's data preparation under either imputer,
+    stop with a PipelineError that names it, the segment and its hours, and
+    says how to drop it, not with an imputer's error."""
+    series = regime_switching_series(20 * 168, noise=0.15, n_appliances=2, seed=9)
+    split = int(np.floor(0.8 * len(series)))
+    values = series.values.copy()
+    values[:split, 2] = np.nan
+    write_meter_csv(tmp_path / "meter.csv", series.with_values(values), cadence_seconds=1800)
+    cfg = config_from_dict({
+        "input_path": str(tmp_path / "meter.csv"), "output_dir": str(tmp_path / "out"),
+        "columns": {"appliances": list(series.channel_names[1:])},
+        "roster": ["seasonal_naive"],
+    })
+    pipeline.cmd_ingest(cfg)
+    last = series.start + timedelta(hours=split - 1)
+    want = (f"channel {series.channel_names[2]!r} has no reading in the train segment, "
+            f"hours {series.start.isoformat()} to {last.isoformat()} ({split} hours); "
+            "drop it from columns.appliances")
+    with pytest.raises(pipeline.PipelineError) as err:
+        pipeline.cmd_impute_eval(cfg)
+    assert str(err.value) == want
+    for chosen in ("linear", "seasonal"):
+        with pytest.raises(pipeline.PipelineError) as err:
+            pipeline.prepare_data(cfg, pipeline._load_cache(cfg), chosen)
+        assert str(err.value) == want, chosen

@@ -379,19 +379,22 @@ class TestFusedKernel:
             assert q_free.dtype == q.dtype == dtype
             assert q_free.tobytes() == q.tobytes(), dtype
 
-    def test_cache_free_forward_holds_one_hidden_sequence(self):
-        """An eval forward holds layer 1's hidden states and per-step arrays;
-        relu writes over them and layer 2 keeps only its last state."""
+    def test_cache_free_forward_peak_does_not_grow_with_T(self):
+        """An eval forward steps both layers in one time loop and holds only
+        the current step of each: at 256 windows its peak at T=96 is its
+        peak at T=8. Holding layer 1's (T, H, batch) hidden sequence makes
+        it 4.3x."""
         model = init_model(**PAPER, seed=47)
-        windows = np.random.default_rng(47).uniform(size=(256, 48, 17))
-        h1_bytes = 256 * 48 * 100 * 8
-        tracemalloc.start()
-        try:
-            forward(model, windows, keep_caches=False)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * h1_bytes, peak / h1_bytes
+        peaks = {}
+        for T in (8, 96):
+            windows = np.random.default_rng(47).uniform(size=(256, T, 17))
+            tracemalloc.start()
+            try:
+                forward(model, windows, keep_caches=False)
+                peaks[T] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[96] < 1.05 * peaks[8], peaks
 
     def test_sigmoid_bitwise_equal_to_masked_form(self):
         x = np.concatenate([
@@ -478,6 +481,81 @@ class TestFeatureMajorKernel:
         finally:
             tracemalloc.stop()
         assert peak < 2.4 * act_bytes, peak / act_bytes
+
+
+class TestWorkspace:
+    """train runs every batch's forward and backward in one BpttWorkspace."""
+
+    @staticmethod
+    def four_batches(seed):
+        """Three batches of 64 paper-width windows and a ragged one of 20."""
+        rng = np.random.default_rng(seed)
+        return make_tensor(rng.uniform(size=(212, 48, 17)), rng.uniform(size=212))
+
+    def test_train_peaks_within_one_batch_working_set(self):
+        """One batch's working set is the caches of its forward. train adds
+        the workspace's dropout draws, the Adam moments, a best-epoch copy
+        and one step's gradients, about a fifth more; holding the previous
+        batch's caches while the next forward allocates its own reads 2.1x."""
+        tensors = self.four_batches(56)
+        _, caches = forward(init_model(**PAPER, seed=56), tensors.data[:64], train_mode=True,
+                            dropout_seed=0)
+        working_set = sum(arr.nbytes for tag in ("layer1", "layer2")
+                          for arr in caches[tag].values())
+        del caches
+        model = init_model(**PAPER, seed=56)
+        tracemalloc.start()
+        try:
+            train(model, tensors, tensors, TrainConfig(max_epochs=1, batch_size=64, seed=56))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.4 * working_set, peak / working_set
+
+    def test_batches_share_the_workspace(self, monkeypatch):
+        """Every batch's caches, the ragged last one's included, are views of
+        the first batch's buffers, each (4H, batch) gate block contiguous;
+        each is consumed by its backward."""
+        seen = []
+
+        def spy(*args, **kwargs):
+            q, caches = real(*args, **kwargs)
+            if caches is not None:
+                seen.append(caches)
+            return q, caches
+
+        real = neural_module.forward
+        monkeypatch.setattr(neural_module, "forward", spy)
+        train(init_model(**PAPER, seed=57), self.four_batches(57), self.four_batches(58),
+              TrainConfig(max_epochs=2, patience=5, batch_size=64, seed=57))
+        assert [c["layer1"]["act"].shape[-1] for c in seen] == [64, 64, 64, 20] * 2
+        first = seen[0]
+        for caches in seen:
+            assert caches["consumed"]
+            for tag in ("layer1", "layer2"):
+                for key, arr in caches[tag].items():
+                    assert arr.flags.c_contiguous, (tag, key)
+                    assert np.shares_memory(arr, first[tag][key]), (tag, key)
+            for key in ("mask1", "mask2"):
+                assert np.shares_memory(caches[key], first[key]), key
+
+    def test_consumed_caches_refused(self):
+        """backward writes over the caches it reads; running it again on them,
+        or on caches whose workspace a later forward took, raises."""
+        model = tiny_model(seed=58, dropout=0.2)
+        rng = np.random.default_rng(58)
+        windows, y = rng.uniform(size=(5, 7, 3)), rng.uniform(size=5)
+        ws = neural_module.BpttWorkspace()
+        q, caches = forward(model, windows, train_mode=True, dropout_seed=1, workspace=ws)
+        _, dq = quantile_loss_and_grad(q, y)
+        backward(model, caches, dq)
+        with pytest.raises(NeuralModelError, match="consumed"):
+            backward(model, caches, dq)
+        _, stale = forward(model, windows, train_mode=True, dropout_seed=2, workspace=ws)
+        q, caches = forward(model, windows, train_mode=True, dropout_seed=3, workspace=ws)
+        with pytest.raises(NeuralModelError, match="consumed"):
+            backward(model, stale, dq)
+        backward(model, caches, dq)
 
 
 class TestFloat32:
@@ -750,6 +828,30 @@ class TestCheckpoint:
         header = json.loads(header_path.read_text())
         header_path.write_text(json.dumps(dict(header, **{key: value})))
         with pytest.raises(NeuralModelError, match="checkpoint head"):
+            load_checkpoint(prefix)
+
+    @pytest.mark.parametrize("change, want", [
+        (lambda body: body[:8], r"ckpt\.bin: expected 236 float64 parameters \(1888 bytes\), "
+                                r"found 8 bytes"),
+        (lambda body: body + bytes(8), r"ckpt\.bin: expected 236 float64 parameters "
+                                       r"\(1888 bytes\), found 1896 bytes"),
+    ], ids=["truncated", "oversized"])
+    def test_body_of_wrong_size_rejected(self, tmp_path, change, want):
+        prefix = str(tmp_path / "ckpt")
+        save_checkpoint(tiny_model(seed=36), prefix)
+        body = tmp_path / "ckpt.bin"
+        body.write_bytes(change(body.read_bytes()))
+        with pytest.raises(NeuralModelError, match=want):
+            load_checkpoint(prefix)
+
+    def test_param_order_naming_other_parameters_rejected(self, tmp_path):
+        prefix = str(tmp_path / "ckpt")
+        save_checkpoint(tiny_model(seed=37), prefix)
+        header_path = tmp_path / "ckpt.json"
+        header = json.loads(header_path.read_text())
+        header["param_order"][0]["name"] = "head.bias"
+        header_path.write_text(json.dumps(header))
+        with pytest.raises(NeuralModelError, match=r"ckpt\.json: param_order .*'head\.bias'"):
             load_checkpoint(prefix)
 
     def test_failed_write_keeps_previous_pair(self, tmp_path, monkeypatch):
