@@ -69,9 +69,11 @@ class PipelineConfig:
         _check_calendar("calendar_features", self.calendar_features)
         if "sarimax" in self.model_params:
             _check_calendar("model_params.sarimax.exog", self.params_for("sarimax")["exog"])
+        for key, floor in (("seed", None), ("knn_k", 1), ("knn_max_gap", 0),
+                           ("structural_gap_threshold", 1), ("trial_min_window_hours", 1)):
+            _check_whole(key, getattr(self, key), floor)
         for k in self.lags:
-            if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-                raise ConfigError(f"lags: {k!r} is not a whole number of hours >= 1")
+            _check_whole("lags", k, 1)
         if not self.calendar_features and not self.lags:
             raise ConfigError("calendar_features and lags are both empty, which leaves "
                               "the tabular feature matrix no column")
@@ -131,6 +133,13 @@ class PipelineConfig:
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.to_canonical_json().encode("utf-8")).hexdigest()
+
+
+def _check_whole(key: str, value: Any, floor: int | None) -> None:
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or floor is not None and value < floor):
+        raise ConfigError(f"{key}: {value!r} is not a whole number"
+                          + ("" if floor is None else f" >= {floor}"))
 
 
 def _check_calendar(key: str, names: tuple) -> None:

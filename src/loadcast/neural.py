@@ -6,13 +6,16 @@ Gate internals are the standard sigmoid/tanh equations; relu applies to a
 block's hidden states as they are handed to the next stage, not inside the
 recurrence. Each layer stores its four gates fused, as one input matrix,
 one recurrent matrix and one bias, so a step is one input and one recurrent
-GEMM; ``parameters()`` exposes per-gate views of them. A training forward
-projects every step's input before the recurrence and keeps its BPTT
-caches in a ``BpttWorkspace``, which ``train`` reuses from batch to batch
-and ``backward`` writes its gradients over. Eval forwards that no backward
-pass follows keep no caches: both layers step in one time loop, each
-step's input projected on its own, so only the current step of either
-layer is held and the peak does not grow with T.
+GEMM; ``parameters()`` exposes per-gate views of them. ``forward`` runs
+one time loop over chunks of steps, each chunk through layer 1, relu and
+dropout, then layer 2, with one layer kernel that projects a chunk's
+inputs before its recurrence. A training forward is one chunk of all T
+steps; it keeps its BPTT caches in a ``BpttWorkspace``, which ``train``
+reuses from batch to batch and ``backward`` writes its gradients over.
+Eval forwards that no backward pass follows keep no caches: they run T
+one-step chunks in one-step buffers of a fresh workspace, never the
+caller's, so only the current step of either layer is held and the peak
+does not grow with T.
 
 The kernels are feature-major: every per-step array keeps the batch as its
 last axis. A layer's input is (T, n_in, batch), its gate activations and
@@ -23,9 +26,9 @@ With the batch first, a gate is a strided slice of its step's rows and the
 step a slice strided by T*4H; elementwise work on such views runs two to
 five times slower than on contiguous blocks and, more than the GEMMs, sets
 a batch's time. Only ``forward``'s windows (batch, T,
-features) and q (batch, 3) keep the batch first: layer 1 reads
-``windows[:, t, :]`` through BLAS's transposed operand, so an eval
-forward never copies the window tensor.
+features) and q (batch, 3) keep the batch first: layer 1 copies a chunk's
+steps ``windows[:, t, :].T`` into its workspace, so an eval forward holds
+one step's copy, never the window tensor's.
 
 Every kernel runs in the dtype of the model's parameters. ``init_model``
 defaults to float64, in which analytic gradients are checked against
@@ -206,9 +209,11 @@ def _cell(
 
 
 class BpttWorkspace:
-    """The buffers a caching ``forward`` and its ``backward`` work in, kept
-    from one training batch to the next so that a batch neither allocates
-    nor faults in fresh pages while the last batch's caches are still held.
+    """The buffers a ``forward`` and its ``backward`` work in. ``train``
+    keeps one from one training batch to the next so that a batch neither
+    allocates nor faults in fresh pages while the last batch's caches are
+    still held; an eval forward takes its one-step buffers from a fresh
+    one, never the caller's, and drops it on return.
 
     Each named buffer is flat and sized by the largest batch asked of it; a
     smaller batch takes a reshaped leading slice, so every (4H, batch) gate
@@ -236,14 +241,16 @@ class BpttWorkspace:
 
 
 def _layer_forward(
-    layer: LstmLayerParams, X: np.ndarray, ws: BpttWorkspace, tag: str
+    layer: LstmLayerParams, X: np.ndarray, ws: BpttWorkspace, tag: str, carry: bool = False
 ) -> dict[str, np.ndarray]:
     """Run a layer over a (T, n_in, batch) sequence, in ``ws``'s buffers
     named after ``tag``, and return the BPTT cache: the input X as one
     contiguous array, the gate activations act (T, 4H, batch), and the
     hidden states H, cell states C and tanh(C) (T, H, batch). Every step's
     input is projected into act before the recurrence, so a step adds only
-    U.T h."""
+    U.T h. With ``carry`` the sequence continues the previous call's on
+    the same buffers, of the same shape: step 0 starts from the h and c
+    that call left in H[-1] and C[-1], not from zero."""
     T, _, batch = X.shape
     n = layer.n_hidden
     dtype = layer.W.dtype
@@ -256,52 +263,13 @@ def _layer_forward(
     acts += layer.b[:, None]
     H, C, TC = (ws.take(f"{tag}.{k}", (T, n, batch), dtype) for k in ("H", "C", "TC"))
     UT = layer.U.T
-    rec = np.empty((4 * n, batch), dtype)  # U.T h_{t-1}
+    rec = ws.take(f"{tag}.rec", (4 * n, batch), dtype)  # U.T h_{t-1}
     for t in range(T):
         act = acts[t]
-        if t:  # h_{-1} = 0 adds nothing
+        if t or carry:  # h_{-1} = 0 adds nothing; H[-1] is the carried h when t = 0
             act += np.matmul(UT, H[t - 1], out=rec)
-        _cell(act, C[t - 1] if t else None, C[t], TC[t], H[t])
+        _cell(act, C[t - 1] if t or carry else None, C[t], TC[t], H[t])
     return {"X": X, "H": H, "C": C, "TC": TC, "act": acts}
-
-
-def _step(layer: LstmLayerParams, buffers: tuple[np.ndarray, ...], t: int,
-          x: np.ndarray) -> np.ndarray:
-    """Step t of a layer on its (n_in, batch) input, projected on its own;
-    ``buffers`` are the step's act, U.T h_{t-1}, c, tanh(c) and h, and h
-    holds h_{t-1} on entry and h_t, which is returned, on exit."""
-    act, rec, c, tc, h = buffers
-    np.matmul(layer.W.T, x, out=act)
-    act += layer.b[:, None]
-    if t:  # h_{-1} = 0 adds nothing
-        act += np.matmul(layer.U.T, h, out=rec)
-    _cell(act, c if t else None, c, tc, h)
-    return h
-
-
-def _interleaved_forward(
-    model: QuantileLstmModel, X: np.ndarray, mask1: np.ndarray | None
-) -> np.ndarray:
-    """Layer 2's last hidden state on a (T, n_features, batch) input, with
-    no BPTT cache: both layers step in one time loop, layer 2's step t
-    reading relu(h1_t), dropped out by ``mask1[t]`` when one is given, as
-    soon as layer 1 makes it. Only the current step of either layer is
-    held."""
-    T, _, batch = X.shape
-    dtype = model.dtype
-    buffers1, buffers2 = (
-        (*np.empty((2, 4 * n, batch), dtype), *np.empty((3, n, batch), dtype))
-        for n in (model.layer1.n_hidden, model.layer2.n_hidden)
-    )
-    d1 = np.empty((model.layer1.n_hidden, batch), dtype)
-    scale = _dropout_scale(model)
-    for t in range(T):
-        np.maximum(_step(model.layer1, buffers1, t, X[t]), 0.0, out=d1)
-        if mask1 is not None:
-            d1 *= scale
-            d1 *= mask1[t]
-        h2 = _step(model.layer2, buffers2, t, d1)
-    return h2
 
 
 def _dropout_scale(model: QuantileLstmModel):
@@ -323,9 +291,11 @@ def forward(
     Layer 1 runs over every step; its activated per-step outputs pass
     through dropout (train mode only, inverted scaling), then layer 2; the
     head reads layer 2's final activated (and, in train mode, dropped-out)
-    hidden state. Eval mode is deterministic. The caches for ``backward``
-    live in ``workspace``, a fresh one when None is given. With
-    ``keep_caches=False`` no cache is kept, the layers step together and
+    hidden state. Eval mode is deterministic. Both layers run in one time
+    loop over chunks of steps. With ``keep_caches`` a chunk is all T steps
+    and the caches for ``backward`` live in ``workspace``, a fresh one
+    when None is given. With ``keep_caches=False`` a chunk is one step,
+    its buffers come from a fresh workspace whatever ``workspace`` is, and
     None is returned in the caches' place; q is unchanged.
     """
     if windows.ndim == 2:
@@ -353,18 +323,19 @@ def forward(
                        out=ws.take(name, shape[1:] + shape[:1], np.bool_))
 
     mask1 = keep_mask("mask1", (batch, T, model.layer1.n_hidden)) if use_dropout else None
-    # step t's input is windows[:, t, :].T, a view: an eval forward copies no window
+    # step t's input is windows[:, t, :].T, a view: the window tensor is never copied whole
     X = windows.transpose(1, 2, 0)
-    if keep_caches:
-        cache1 = _layer_forward(model.layer1, X, ws, "l1")
-        D1 = np.maximum(cache1["H"], 0.0, out=ws.take("D1", cache1["H"].shape, model.dtype))
+    chunk = T if keep_caches else 1
+    D1 = ws.take("D1", (chunk, model.layer1.n_hidden, batch), model.dtype)
+    for t in range(0, T, chunk):
+        steps = slice(t, t + chunk)
+        cache1 = _layer_forward(model.layer1, X[steps], ws, "l1", carry=t > 0)
+        np.maximum(cache1["H"], 0.0, out=D1)
         if mask1 is not None:
             D1 *= scale
-            D1 *= mask1
-        cache2 = _layer_forward(model.layer2, D1, ws, "l2")
-        h2_last = cache2["H"][-1]
-    else:
-        h2_last = _interleaved_forward(model, X, mask1)
+            D1 *= mask1[steps]
+        cache2 = _layer_forward(model.layer2, D1, ws, "l2", carry=t > 0)
+    h2_last = cache2["H"][-1]
     D2 = np.maximum(h2_last, 0.0)
     mask2 = keep_mask("mask2", (batch, model.layer2.n_hidden)) if use_dropout else None
     if mask2 is not None:

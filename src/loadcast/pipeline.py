@@ -40,6 +40,7 @@ from .series import (
     HOUR,
     GapReport,
     HourlySeries,
+    IngestError,
     ScalerParams,
     chronological_split,
     detect_gaps,
@@ -143,7 +144,10 @@ def cmd_ingest(cfg: PipelineConfig) -> tuple[HourlySeries, GapReport]:
     The gap report always follows the current threshold."""
     out_dir = cfg.resolved_output_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
-    fingerprint = _file_sha256(Path(cfg.input_path))
+    try:
+        fingerprint = _file_sha256(Path(cfg.input_path))
+    except OSError as exc:
+        raise IngestError(f"cannot read {cfg.input_path}: {exc}") from exc
     schema = cfg.column_schema()
     columns = {"timestamp": schema.timestamp, "aggregate": schema.aggregate,
                "appliances": list(schema.appliances)}

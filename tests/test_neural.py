@@ -365,10 +365,10 @@ class TestFusedKernel:
 
     @pytest.mark.parametrize("train_mode", [False, True], ids=["eval", "dropout"])
     def test_cache_free_forward_same_q(self, train_mode):
-        """The cache-free forward projects each step's input on its own, with
-        relu and dropout in place and no layer-2 sequence; the caching one
-        projects all steps in one GEMM. Both give the same bits, in float64
-        and in float32."""
+        """The cache-free forward runs T one-step chunks, each projecting its
+        step's input on its own; the caching one runs one chunk of all T
+        steps and projects them in one GEMM. Both give the same bits, in
+        float64 and in float32."""
         windows, _ = paper_batch(42)
         for dtype in (np.float64, np.float32):
             model = init_model(**PAPER, seed=42, dtype=dtype)
@@ -380,7 +380,7 @@ class TestFusedKernel:
             assert q_free.tobytes() == q.tobytes(), dtype
 
     def test_cache_free_forward_peak_does_not_grow_with_T(self):
-        """An eval forward steps both layers in one time loop and holds only
+        """An eval forward runs both layers one step at a time and holds only
         the current step of each: at 256 windows its peak at T=96 is its
         peak at T=8. Holding layer 1's (T, H, batch) hidden sequence makes
         it 4.3x."""
@@ -443,6 +443,21 @@ class TestFeatureMajorKernel:
         q_free, _ = forward(model, windows, train_mode=train_mode, dropout_seed=11,
                             keep_caches=False)
         assert q_free.tobytes() == q.tobytes()
+
+    @pytest.mark.parametrize("T", [1, 5])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_carried_steps_bitwise_one_call(self, dtype, T):
+        """T one-step calls that carry h and c on one workspace give the
+        bits of one call over all T steps, for every step's cache."""
+        layer = init_model(3, hidden=(6, 4), seed=55, dtype=dtype).layer1
+        X = np.random.default_rng(55).uniform(-1, 1, size=(T, 3, 5)).astype(dtype)
+        whole = neural_module._layer_forward(layer, X, neural_module.BpttWorkspace(), "l1")
+        ws = neural_module.BpttWorkspace()
+        for t in range(T):
+            step = neural_module._layer_forward(layer, X[t : t + 1], ws, "l1", carry=t > 0)
+            for key in ("H", "C", "TC", "act"):
+                assert step[key].shape == (1, *whole[key].shape[1:]), key
+                assert step[key].tobytes() == whole[key][t : t + 1].tobytes(), (t, key)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_dropout_products_bitwise_those_of_scaled_float_masks(self, dtype):

@@ -124,16 +124,27 @@ class TestConfig:
         ({"lags": [1, 0]}, "lags", "0"),
         ({"lags": [1.5]}, "lags", "1.5"),
         ({"lags": ["24"]}, "lags", "'24'"),
-    ], ids=["calendar_name", "sarimax_exog", "lag_0", "fractional_lag", "string_lag"])
+        ({"knn_k": "5"}, "knn_k", "'5'"),
+        ({"knn_k": 0}, "knn_k", "0"),
+        ({"seed": "abc"}, "seed", "'abc'"),
+        ({"seed": True}, "seed", "True"),
+        ({"trial_min_window_hours": "x"}, "trial_min_window_hours", "'x'"),
+        ({"knn_max_gap": -3}, "knn_max_gap", "-3"),
+        ({"knn_max_gap": 2.5}, "knn_max_gap", "2.5"),
+        ({"structural_gap_threshold": 0}, "structural_gap_threshold", "0"),
+    ], ids=["calendar_name", "sarimax_exog", "lag_0", "fractional_lag", "string_lag",
+            "string_knn_k", "knn_k_0", "string_seed", "bool_seed", "string_trial_window",
+            "negative_knn_max_gap", "fractional_knn_max_gap", "structural_threshold_0"])
     def test_bad_calendar_column_or_lag_fails_at_load(self, tmp_path, doc, key, bad):
-        """Caught when the config loads, not as a bare KeyError or a
-        FeatureError in `train` after `ingest` and `impute-eval` ran."""
+        """Caught when the config loads, not as a bare KeyError, a TypeError
+        or a FeatureError in `train` after `ingest` and `impute-eval` ran,
+        nor as a setting that silently switches an imputer off."""
         path = write_config(tmp_path, {"input_path": "a", "output_dir": "b", **doc})
         with pytest.raises(ConfigError) as err:
             load_config(path)
         message = str(err.value)
         assert message.startswith(f"{key}: ") and bad in message
-        if key != "lags":
+        if "calendar" in key or "exog" in key:
             assert all(name in message for name in CALENDAR_COLUMNS)
         assert cli_main(["ingest", "--config", str(path)]) == 1
 
@@ -723,6 +734,15 @@ class TestCli:
         assert cli_main(["ingest", "--config", str(bad)]) == 1
         missing = tmp_path / "nope.json"
         assert cli_main(["ingest", "--config", str(missing)]) == 1
+
+    def test_missing_input_exits_1_naming_it(self, tmp_path, caplog):
+        """An unreadable input is a validation failure, not a runtime one."""
+        doc = base_config(tmp_path, roster=["seasonal_naive"], input_path="nope.csv")
+        cfg_path = write_config(tmp_path, doc)
+        assert cli_main(["ingest", "--config", str(cfg_path)]) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [f"cannot read {tmp_path / 'nope.csv'}: "
+                          f"[Errno 2] No such file or directory: '{tmp_path / 'nope.csv'}'"]
 
     def test_train_subset_and_report(self, tmp_path, capsys):
         build_input_csv(tmp_path / "meter.csv", seed=5)
