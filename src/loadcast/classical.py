@@ -446,9 +446,6 @@ def sarimax_to_json(model: SarimaxModel) -> str:
 def sarimax_from_json(text: str) -> SarimaxModel:
     doc = json.loads(text)
     p, d, q, P, D, Q, s = doc["order"]
-    exog_tail = np.asarray(doc["exog_tail"], dtype=float)
-    if exog_tail.ndim == 1:
-        exog_tail = exog_tail.reshape(0, 0) if exog_tail.size == 0 else exog_tail[:, None]
     return SarimaxModel(
         order=SarimaxOrder(p, d, q, P, D, Q, s),
         ar=np.asarray(doc["ar"], dtype=float),
@@ -462,7 +459,8 @@ def sarimax_from_json(text: str) -> SarimaxModel:
         w_tail=np.asarray(doc["w_tail"], dtype=float),
         eps_tail=np.asarray(doc["eps_tail"], dtype=float),
         endog_tail=np.asarray(doc["endog_tail"], dtype=float),
-        exog_tail=exog_tail,
+        exog_tail=np.asarray(doc["exog_tail"], dtype=float).reshape(
+            len(doc["exog_tail"]), len(doc["beta"])),
         converged=bool(doc["converged"]),
         n_iterations=int(doc["n_iterations"]),
     )

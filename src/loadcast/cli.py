@@ -63,8 +63,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config)
         if args.command == "ingest":
             _, gaps = pipeline.cmd_ingest(cfg)
-            print(f"ingested; {len(gaps.gaps)} structural gap(s) "
-                  f">= {gaps.structural_threshold}h")
+            print(f"ingested; {len(gaps)} structural gap(s) >= {cfg.structural_gap_threshold}h")
         elif args.command == "impute-eval":
             trial, chosen = pipeline.cmd_impute_eval(cfg)
             for name in sorted(trial.method_results):

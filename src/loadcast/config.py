@@ -66,10 +66,11 @@ class PipelineConfig:
                 raise ConfigError(f"unknown model {name!r}; known: {known}")
         for name in self.model_params:
             self.params_for(name)
-        _check_calendar("calendar_features", self.calendar_features)
+        _check_names("calendar_features", self.calendar_features, CALENDAR_COLUMNS)
         if "sarimax" in self.model_params:
-            _check_calendar("model_params.sarimax.exog", self.params_for("sarimax")["exog"])
-        for key, floor in (("seed", None), ("knn_k", 1), ("knn_max_gap", 0),
+            exog = self.params_for("sarimax")["exog"]
+            _check_names("model_params.sarimax.exog", exog, CALENDAR_COLUMNS)
+        for key, floor in (("seed", 0), ("knn_k", 1), ("knn_max_gap", 0),
                            ("structural_gap_threshold", 1), ("trial_min_window_hours", 1)):
             _check_whole(key, getattr(self, key), floor)
         for k in self.lags:
@@ -77,7 +78,8 @@ class PipelineConfig:
         if not self.calendar_features and not self.lags:
             raise ConfigError("calendar_features and lags are both empty, which leaves "
                               "the tabular feature matrix no column")
-        self.column_schema()
+        _check_names("window_channels", self.window_channels or (),
+                     self.column_schema().channels, "channel")
 
     def params_for(self, model: str) -> dict[str, Any]:
         """The model's default hyperparameters overridden by ``model_params``,
@@ -135,18 +137,16 @@ class PipelineConfig:
         return hashlib.sha256(self.to_canonical_json().encode("utf-8")).hexdigest()
 
 
-def _check_whole(key: str, value: Any, floor: int | None) -> None:
-    if (isinstance(value, bool) or not isinstance(value, int)
-            or floor is not None and value < floor):
-        raise ConfigError(f"{key}: {value!r} is not a whole number"
-                          + ("" if floor is None else f" >= {floor}"))
+def _check_whole(key: str, value: Any, floor: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < floor:
+        raise ConfigError(f"{key}: {value!r} is not a whole number >= {floor}")
 
 
-def _check_calendar(key: str, names: tuple) -> None:
+def _check_names(key: str, names: tuple, known: tuple[str, ...],
+                 kind: str = "calendar column") -> None:
     for name in names:
-        if name not in CALENDAR_COLUMNS:
-            raise ConfigError(f"{key}: unknown calendar column {name!r}; "
-                              f"known: {', '.join(CALENDAR_COLUMNS)}")
+        if name not in known:
+            raise ConfigError(f"{key}: unknown {kind} {name!r}; known: {', '.join(known)}")
 
 
 def load_config(path) -> PipelineConfig:
@@ -177,8 +177,13 @@ def config_from_dict(doc: dict[str, Any], base_dir: Path | None = None) -> Pipel
             path = base_dir / path
         return str(path)
 
+    external = doc.get("external_predictions", {})
+    if not isinstance(external, dict) or not all(isinstance(p, str) for p in external.values()):
+        raise ConfigError(f"external_predictions: must map row names to CSV paths, "
+                          f"got {external!r}")
     kwargs = dict(doc, input_path=resolve(doc["input_path"]),
-                  output_dir=resolve(doc["output_dir"]))
+                  output_dir=resolve(doc["output_dir"]),
+                  external_predictions={name: resolve(p) for name, p in external.items()})
     for key in ("calendar_features", "lags", "window_channels", "roster"):
         if key == "window_channels" and doc.get(key) is None:
             continue  # null means every channel

@@ -36,11 +36,9 @@ class SeasonalProfile:
     """Mean load per (day_of_week, hour_of_day) cell, one table per channel.
 
     means: (7, 24, n_channels), NaN where a cell has no observations.
-    counts: (7, 24, n_channels) observation support.
     """
 
     means: np.ndarray
-    counts: np.ndarray
     channel_names: tuple[str, ...]
 
     def cell_means(self, series: HourlySeries) -> np.ndarray:
@@ -62,7 +60,6 @@ class MethodResult:
 @dataclass(frozen=True)
 class ImputationTrial:
     masked_range: tuple[int, int]
-    truth: np.ndarray
     bin_edges: np.ndarray
     truth_histogram: np.ndarray
     method_results: dict[str, MethodResult]
@@ -167,7 +164,7 @@ def build_seasonal_profile(
     """Average present values per (day_of_week, hour_of_day) cell per channel.
 
     Slots inside the half-open ``exclude`` range do not contribute; cells
-    with no observations keep mean NaN and count 0.
+    with no observations keep mean NaN.
     """
     dow, hod = _week_positions(series)
     use = np.ones(len(series), dtype=bool)
@@ -175,7 +172,6 @@ def build_seasonal_profile(
         use[exclude[0] : exclude[1]] = False
 
     means = np.full((7, 24, series.n_channels), np.nan)
-    counts = np.zeros((7, 24, series.n_channels), dtype=np.int64)
     flat = dow * 24 + hod
     for c in range(series.n_channels):
         col = series.values[:, c]
@@ -186,10 +182,9 @@ def build_seasonal_profile(
         tot2 = tot.reshape(7, 24)
         has = cnt2 > 0
         means[has, c] = tot2[has] / cnt2[has]
-        counts[:, :, c] = cnt2
-    if counts.sum() == 0:
+    if np.isnan(means).all():
         raise ImputationError("no present values outside the excluded range")
-    return SeasonalProfile(means, counts, series.channel_names)
+    return SeasonalProfile(means, series.channel_names)
 
 
 def seasonal_impute(
@@ -305,7 +300,7 @@ def run_imputation_trial(series: HourlySeries, mask: tuple[int, int]) -> Imputat
             "imputation trial %-8s rmse=%.3f mae=%.3f emd=%.3f",
             name, results[name].rmse, results[name].mae, results[name].distribution_distance,
         )
-    return ImputationTrial((start, stop), truth, edges, truth_hist, results)
+    return ImputationTrial((start, stop), edges, truth_hist, results)
 
 
 def choose_imputer(trial: ImputationTrial) -> str:

@@ -33,9 +33,14 @@ class ReportRow:
     aqs: float | None = None
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    rows: tuple[ReportRow, ...]
+# each ReportRow field's (report.csv header, report.txt header, cell format)
+_COLUMNS = {
+    "model": ("Model", "Model", "%s"),
+    "rmse": ("RMSE", "RMSE", "%.4f"),
+    "mae": ("MAE", "MAE", "%.4f"),
+    "picp": ("PICP", "PICP (90%)", "%.2f%%"),
+    "aqs": ("AQS", "Avg. Quantile Score", "%.4f"),
+}
 
 
 def _check_aligned(y: np.ndarray, yhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -118,7 +123,14 @@ def picp(y, q) -> float:
     return float(100.0 * np.count_nonzero(covered) / len(y))
 
 
-def assemble_report(entries: list[ReportRow] | tuple[ReportRow, ...]) -> EvalReport:
+def score(model: str, y, point, quantiles=None) -> ReportRow:
+    """One model's report row; a forecast without quantiles gets no interval scores."""
+    return ReportRow(model, rmse(y, point), mae(y, point),
+                     picp=None if quantiles is None else picp(y, quantiles),
+                     aqs=None if quantiles is None else average_quantile_score(y, quantiles))
+
+
+def assemble_report(entries: list[ReportRow] | tuple[ReportRow, ...]) -> tuple[ReportRow, ...]:
     """Validate and order report rows (input order is the pipeline's model order)."""
     if not entries:
         raise MetricError("report needs at least one entry")
@@ -128,37 +140,28 @@ def assemble_report(entries: list[ReportRow] | tuple[ReportRow, ...]) -> EvalRep
     for e in entries:
         if e.picp is not None and not 0.0 <= e.picp <= 100.0:
             raise MetricError(f"picp out of range for {e.model}: {e.picp}")
-    return EvalReport(tuple(entries))
+    return tuple(entries)
 
 
-def _fmt(value: float | None, pattern: str) -> str:
-    return "N/A" if value is None else pattern % value
+def _table(rows: tuple[ReportRow, ...], header: int) -> list[list[str]]:
+    """The header row, entry ``header`` of each ``_COLUMNS`` value (0 for the
+    CSV, 1 for the text table), then one row of cells per model; a None
+    score reads N/A."""
+    cells = [["N/A" if getattr(row, name) is None else fmt % getattr(row, name)
+              for name, (_, _, fmt) in _COLUMNS.items()] for row in rows]
+    return [[column[header] for column in _COLUMNS.values()], *cells]
 
 
-def _cells(row: ReportRow) -> list[str]:
-    """One report row's formatted cells, shared by the CSV and text tables."""
-    return [
-        row.model,
-        _fmt(row.rmse, "%.4f"),
-        _fmt(row.mae, "%.4f"),
-        _fmt(row.picp, "%.2f%%"),
-        _fmt(row.aqs, "%.4f"),
-    ]
-
-
-def report_to_csv(report: EvalReport) -> str:
+def report_to_csv(rows: tuple[ReportRow, ...]) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["Model", "RMSE", "MAE", "PICP", "AQS"])
-    writer.writerows(_cells(row) for row in report.rows)
+    csv.writer(buf, lineterminator="\n").writerows(_table(rows, 0))
     return buf.getvalue()
 
 
-def report_to_text(report: EvalReport) -> str:
+def report_to_text(rows: tuple[ReportRow, ...]) -> str:
     """Aligned-column table, one row per model."""
-    header = ["Model", "RMSE", "MAE", "PICP (90%)", "Avg. Quantile Score"]
-    body = [_cells(row) for row in report.rows]
-    widths = [max(len(line[i]) for line in [header] + body) for i in range(len(header))]
+    table = _table(rows, 1)
+    widths = [max(map(len, column)) for column in zip(*table)]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip()
-             for line in [header] + body]
+             for line in table]
     return "\n".join(lines) + "\n"

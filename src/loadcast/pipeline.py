@@ -6,7 +6,7 @@ Every model is one entry of ``MODELS``: a ``fit`` that writes artifacts
 under ``models/``, a ``predict`` that reads them back into a ``Forecast``
 of the test hours, and its default hyperparameters. ``cmd_evaluate`` takes
 the test hours and their actual watts once and scores every row, external
-predictions included, on them through one ``_score``.
+predictions included, on them through one ``metrics.score``.
 
 Leakage rules: the imputation trial window and all structural-gap profiles
 come from the train segment only, scalers fit on the train segment only,
@@ -38,7 +38,6 @@ from .features import (
 )
 from .series import (
     HOUR,
-    GapReport,
     HourlySeries,
     IngestError,
     ScalerParams,
@@ -137,11 +136,12 @@ def _file_sha256(path: Path) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_ingest(cfg: PipelineConfig) -> tuple[HourlySeries, GapReport]:
+def cmd_ingest(cfg: PipelineConfig) -> tuple[HourlySeries, tuple[tuple[int, int], ...]]:
     """Parse, resample and cache the input. The cache is reused, never
     rewritten, while the input file and the column schema are unchanged;
     a rebuilt cache starts a fresh manifest, so `train` must run again.
-    The gap report always follows the current threshold."""
+    The gap report always follows the current threshold; the structural
+    gaps are returned as (start_index, length_hours) runs."""
     out_dir = cfg.resolved_output_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
@@ -168,13 +168,13 @@ def cmd_ingest(cfg: PipelineConfig) -> tuple[HourlySeries, GapReport]:
 
     gaps = detect_gaps(hourly, cfg.structural_gap_threshold)
     _write_csv(out_dir / GAPS_FILE, ["start_index", "start_hour", "length_hours"], (
-        [start, (hourly.start + start * HOUR).isoformat(), length] for start, length in gaps.gaps
+        [start, (hourly.start + start * HOUR).isoformat(), length] for start, length in gaps
     ))
-    manifest["gaps"] = [[s, l] for s, l in gaps.gaps]
+    manifest["gaps"] = [[s, l] for s, l in gaps]
     _stamp(manifest, "ingest")
     save_manifest(cfg, manifest)
     logger.info("ingest: %d hours, %d channels, %d structural gap(s)",
-                len(hourly), hourly.n_channels, len(gaps.gaps))
+                len(hourly), hourly.n_channels, len(gaps))
     return hourly, gaps
 
 
@@ -601,17 +601,6 @@ def _write_plot_csv(
     ] for i, ts in enumerate(hours)))
 
 
-def _score(name: str, y: np.ndarray, forecast: Forecast) -> metrics.ReportRow:
-    point, q = forecast.point, forecast.quantiles
-    return metrics.ReportRow(
-        name,
-        metrics.rmse(y, point),
-        metrics.mae(y, point),
-        picp=None if q is None else metrics.picp(y, q),
-        aqs=None if q is None else metrics.average_quantile_score(y, q),
-    )
-
-
 def _external_cell(path: str, row: dict, key: str, parse=float):
     """One parsed cell of an external prediction row; a missing, blank,
     unparsable or non-finite cell raises MetricError naming the file and
@@ -633,12 +622,16 @@ def _external_forecast(hours: tuple[datetime, ...], path: str) -> Forecast:
     ignored. Every test hour must appear exactly once with a finite
     point_or_q50, and the q05/q95 cells must hold finite numbers on every
     row or be blank on all; anything else raises MetricError naming the
-    file and the row's timestamp."""
+    file and the row's timestamp, as does a file that cannot be opened."""
     index = {ts: i for i, ts in enumerate(hours)}
     seen = np.zeros(len(hours), dtype=int)
     point, q05, q95 = (np.full(len(hours), np.nan) for _ in range(3))
     banded = None
-    with open(path, newline="", encoding="utf-8") as fh:
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise metrics.MetricError(f"external predictions {path}: cannot read: {exc}") from exc
+    with fh:
         for row in csv.DictReader(fh):
             ts = _external_cell(path, row, "timestamp", datetime.fromisoformat)
             if ts.tzinfo is None:  # would never equal a test hour
@@ -672,14 +665,14 @@ def _external_forecast(hours: tuple[datetime, ...], path: str) -> Forecast:
     return Forecast(point, np.column_stack([np.minimum(q05, point), point, np.maximum(q95, point)]))
 
 
-def _write_report(out_dir: Path, report: metrics.EvalReport) -> str:
-    text = metrics.report_to_text(report)
-    _write_text(out_dir / REPORT_CSV, metrics.report_to_csv(report))
+def _write_report(out_dir: Path, rows: tuple[metrics.ReportRow, ...]) -> str:
+    text = metrics.report_to_text(rows)
+    _write_text(out_dir / REPORT_CSV, metrics.report_to_csv(rows))
     _write_text(out_dir / REPORT_TXT, text)
     return text
 
 
-def cmd_evaluate(cfg: PipelineConfig) -> metrics.EvalReport:
+def cmd_evaluate(cfg: PipelineConfig) -> tuple[metrics.ReportRow, ...]:
     """Score every trained model on the test split in watts, write the
     report and per-model plot CSVs. Runs on whatever artifacts exist.
 
@@ -718,7 +711,8 @@ def cmd_evaluate(cfg: PipelineConfig) -> metrics.EvalReport:
             ):
                 raise PipelineError(f"forecast does not cover exactly the {n} "
                                     f"test hours from {hours[0]} to {hours[-1]}")
-            row = _score(name, actual, forecast)  # crossed quantiles fail the model here
+            # crossed quantiles fail the model here
+            row = metrics.score(name, actual, forecast.point, forecast.quantiles)
         except Exception as exc:  # noqa: BLE001 - isolated per model, as in train
             entry["evaluate"] = {"status": "failed", "error": str(exc)}
             failures.append(f"{name}: {exc}")
@@ -728,21 +722,21 @@ def cmd_evaluate(cfg: PipelineConfig) -> metrics.EvalReport:
         _write_plot_csv(plots_dir / f"{name}.csv", hours, actual, forecast)
         rows.append(row)
     for name in sorted(cfg.external_predictions):
-        rows.append(_score(name, actual, _external_forecast(hours, cfg.external_predictions[name])))
+        forecast = _external_forecast(hours, cfg.external_predictions[name])
+        rows.append(metrics.score(name, actual, forecast.point, forecast.quantiles))
     # no row is a MetricError, unless every model failed: then there is no report
-    report = metrics.assemble_report(rows) if rows or not failures else None
-    if report is not None:
-        _write_report(out_dir, report)
+    if rows or not failures:
+        _write_report(out_dir, metrics.assemble_report(rows))
 
     manifest["metrics"] = {
-        r.model: {"rmse": r.rmse, "mae": r.mae, "picp": r.picp, "aqs": r.aqs} for r in rows
+        r.model: {k: v for k, v in asdict(r).items() if k != "model"} for r in rows
     }
     _stamp(manifest, "evaluate")
     save_manifest(cfg, manifest)
     logger.info("evaluate: %d model row(s) written", len(rows))
     if failures:
         raise PipelineError("; ".join(failures))
-    return report
+    return tuple(rows)
 
 
 def cmd_report(cfg: PipelineConfig) -> str:
@@ -751,10 +745,7 @@ def cmd_report(cfg: PipelineConfig) -> str:
     stored = manifest.get("metrics")
     if not stored:
         raise PipelineError("no metrics in manifest; run `evaluate` first")
-    rows = [
-        metrics.ReportRow(name, m["rmse"], m["mae"], m.get("picp"), m.get("aqs"))
-        for name, m in stored.items()
-    ]
+    rows = [metrics.ReportRow(name, **m) for name, m in stored.items()]
     order = {name: i for i, name in enumerate(cfg.roster)}
     rows.sort(key=lambda r: (order.get(r.model, len(order)), r.model))
     return _write_report(cfg.resolved_output_dir(), metrics.assemble_report(rows))

@@ -155,17 +155,6 @@ class ScalerParams:
         _freeze(self, "mins", "maxs")
 
 
-@dataclass(frozen=True)
-class GapReport:
-    """Runs of missing hours at least ``structural_threshold`` long.
-
-    gaps: tuple of (start_index, length_hours), disjoint and sorted.
-    """
-
-    gaps: tuple[tuple[int, int], ...]
-    structural_threshold: int
-
-
 # ---------------------------------------------------------------------------
 # Ingestion and resampling
 # ---------------------------------------------------------------------------
@@ -431,15 +420,13 @@ def missing_runs(mask: np.ndarray) -> list[tuple[int, int]]:
     return [(start, stop - start) for start, stop in zip(starts, stops)]
 
 
-def detect_gaps(
-    series: HourlySeries, structural_threshold: int = 24, channel: str | int = 0
-) -> GapReport:
-    """Report maximal missing runs of at least ``structural_threshold`` hours."""
+def detect_gaps(series: HourlySeries, structural_threshold: int = 24) -> tuple[tuple[int, int], ...]:
+    """The target's maximal missing runs of at least ``structural_threshold``
+    hours, as (start_index, length_hours), disjoint and sorted."""
     if structural_threshold < 1:
         raise SeriesError("structural_threshold must be >= 1")
-    mask = np.isnan(series.channel(channel))
-    gaps = tuple(r for r in missing_runs(mask) if r[1] >= structural_threshold)
-    return GapReport(gaps, structural_threshold)
+    mask = np.isnan(series.channel(0))
+    return tuple(r for r in missing_runs(mask) if r[1] >= structural_threshold)
 
 
 # ---------------------------------------------------------------------------

@@ -356,7 +356,7 @@ def test_c10_refit_end_to_end(tmp_path):
             },
         })
         report = _run_chain(cfg)
-        rows = {r.model: r for r in report.rows}
+        rows = {r.model: r for r in report}
         naive_rmse = rows["seasonal_naive"].rmse
         # same order of magnitude as the published 623.27
         assert 62.3 < naive_rmse < 6232.7

@@ -172,12 +172,11 @@ class TestSeasonalProfile:
             values[i] = 500.0
         profile = build_seasonal_profile(make_series(values, start=monday_start))
         assert profile.means[0, 9, 0] == 500.0
-        assert profile.counts[0, 9, 0] == 3
 
     def test_cell_without_observations(self, monday_start):
         profile = build_seasonal_profile(make_series(np.ones(24), start=monday_start))
         # a Thursday never seen
-        assert profile.counts[3, 0, 0] == 0 and np.isnan(profile.means[3, 0, 0])
+        assert np.isnan(profile.means[3, 0, 0])
 
     def test_two_observations_average(self, monday_start):
         values = np.full(14 * 24, np.nan)
@@ -190,7 +189,7 @@ class TestSeasonalProfile:
         values = np.full(14 * 24, 1.0)
         values[: 7 * 24] = 9.0
         profile = build_seasonal_profile(make_series(values, start=monday_start), exclude=(0, 7 * 24))
-        assert (profile.means[0, 0, 0], profile.counts[0, 0, 0]) == (1.0, 1)
+        assert profile.means[0, 0, 0] == 1.0
 
 
 class TestSeasonalImpute:
@@ -284,9 +283,8 @@ class TestTrial:
         mask = (300, 500)
         trial = run_imputation_trial(series, mask)
         assert trial.masked_range == mask
-        np.testing.assert_array_equal(trial.truth, series.values[300:500, 0])
         for result in trial.method_results.values():
-            assert result.histogram.sum() == len(trial.truth)
+            assert result.histogram.sum() == mask[1] - mask[0]
 
     def test_mask_overlapping_missing_data_errors(self):
         values = weekly_signal(6 * 168)

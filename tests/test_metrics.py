@@ -1,12 +1,13 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loadcast import metrics
 from loadcast.metrics import (
-    EvalReport,
     MetricError,
     ReportRow,
     assemble_report,
@@ -203,9 +204,18 @@ class TestReport:
         with pytest.raises(MetricError, match="duplicate"):
             assemble_report([ReportRow("a", 1.0, 1.0), ReportRow("a", 2.0, 2.0)])
 
+    def test_every_field_is_one_column_in_order(self):
+        assert list(metrics._COLUMNS) == [f.name for f in fields(ReportRow)]
+
+    def test_score_leaves_interval_columns_empty_without_quantiles(self):
+        y = np.array([1.0, 2.0, 4.0])
+        assert metrics.score("naive", y, y + 1.0) == ReportRow("naive", 1.0, 1.0)
+        row = metrics.score("band", y, y, make_dist(y - 1.0, y, y + 1.0))
+        assert row == ReportRow("band", 0.0, 0.0, picp=100.0, aqs=pytest.approx(0.1 / 3))
+
     def test_rows_keep_pipeline_order(self):
         report = assemble_report([ReportRow("b", 1.0, 1.0), ReportRow("a", 2.0, 2.0)])
-        assert isinstance(report, EvalReport)
+        assert isinstance(report, tuple)
         lines = report_to_text(report).splitlines()
         assert lines[1].startswith("b")
         assert lines[2].startswith("a")

@@ -132,9 +132,12 @@ class TestConfig:
         ({"knn_max_gap": -3}, "knn_max_gap", "-3"),
         ({"knn_max_gap": 2.5}, "knn_max_gap", "2.5"),
         ({"structural_gap_threshold": 0}, "structural_gap_threshold", "0"),
+        ({"seed": -1}, "seed", "-1"),
+        ({"window_channels": ["Aggregate", "Bogus"]}, "window_channels", "'Bogus'"),
     ], ids=["calendar_name", "sarimax_exog", "lag_0", "fractional_lag", "string_lag",
             "string_knn_k", "knn_k_0", "string_seed", "bool_seed", "string_trial_window",
-            "negative_knn_max_gap", "fractional_knn_max_gap", "structural_threshold_0"])
+            "negative_knn_max_gap", "fractional_knn_max_gap", "structural_threshold_0",
+            "negative_seed", "unknown_window_channel"])
     def test_bad_calendar_column_or_lag_fails_at_load(self, tmp_path, doc, key, bad):
         """Caught when the config loads, not as a bare KeyError, a TypeError
         or a FeatureError in `train` after `ingest` and `impute-eval` ran,
@@ -146,6 +149,17 @@ class TestConfig:
         assert message.startswith(f"{key}: ") and bad in message
         if "calendar" in key or "exog" in key:
             assert all(name in message for name in CALENDAR_COLUMNS)
+        if key == "window_channels":
+            assert all(name in message for name in ColumnSchema().channels)
+        assert cli_main(["ingest", "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize("external", [["tft.csv"], "tft.csv", {"TFT": 3}, {"TFT": None}],
+                             ids=["list", "string", "number_path", "null_path"])
+    def test_external_predictions_not_a_map_of_paths_fails_at_load(self, tmp_path, external):
+        path = write_config(tmp_path, {"input_path": "a", "output_dir": "b",
+                                       "external_predictions": external})
+        with pytest.raises(ConfigError, match="^external_predictions: "):
+            load_config(path)
         assert cli_main(["ingest", "--config", str(path)]) == 1
 
     @pytest.mark.parametrize("roster", [["gbdt"], ["gbdt_quantile"], ["lstm"],
@@ -276,7 +290,7 @@ class TestIngest:
         before = cache.stat().st_mtime_ns
         _, gaps = pipeline.cmd_ingest(cfg)
         assert cache.stat().st_mtime_ns == before
-        assert gaps.gaps == ()
+        assert gaps == ()
         report = (cfg.resolved_output_dir() / "gap_report.csv").read_text().splitlines()
         assert report == ["start_index,start_hour,length_hours"]
         assert pipeline.load_manifest(cfg)["gaps"] == []
@@ -408,7 +422,7 @@ class TestTrainEvaluate:
         assert point[24:] == actual[:-24]
 
     def test_gbdt_beats_naive_and_sarimax_trails(self, full_run):
-        rows = {r.model: r for r in full_run["report"].rows}
+        rows = {r.model: r for r in full_run["report"]}
         assert rows["gbdt"].rmse < rows["seasonal_naive"].rmse < rows["sarimax"].rmse
 
     def test_evaluate_requires_matching_config(self, full_run, tmp_path):
@@ -424,10 +438,13 @@ class TestTrainEvaluate:
         assert len(doc["history_tail"]) == 24
 
     def test_report_rerender_matches(self, full_run):
+        """`report` rebuilds each row from the manifest and rewrites both
+        tables byte for byte as `evaluate` wrote them."""
         out = full_run["cfg"].resolved_output_dir()
-        before = (out / "report.txt").read_text()
+        before = {name: (out / name).read_bytes() for name in ("report.csv", "report.txt")}
         text = pipeline.cmd_report(full_run["cfg"])
-        assert text == before
+        assert text.encode("utf-8") == before["report.txt"]
+        assert {name: (out / name).read_bytes() for name in before} == before
 
     def test_manifest_references_existing_files(self, full_run):
         out = full_run["cfg"].resolved_output_dir()
@@ -451,7 +468,7 @@ class TestCrashIsolation:
         assert manifest["models"]["seasonal_naive"]["status"] == "ok"
         # evaluate runs on the surviving subset
         report = pipeline.cmd_evaluate(cfg)
-        assert {r.model for r in report.rows} == {"seasonal_naive", "sarimax", "gbdt"}
+        assert {r.model for r in report} == {"seasonal_naive", "sarimax", "gbdt"}
 
 
     @pytest.mark.parametrize("period, gbdt, gbdt_key, lstm_key, errors", [
@@ -494,10 +511,27 @@ class TestExternalPredictions:
         pipeline.cmd_impute_eval(cfg)
         pipeline.cmd_train(cfg)
         report = pipeline.cmd_evaluate(cfg)
-        tft = {r.model: r for r in report.rows}["TFT"]
-        lstm = {r.model: r for r in report.rows}["lstm"]
+        tft = {r.model: r for r in report}["TFT"]
+        lstm = {r.model: r for r in report}["lstm"]
         # one test axis: the same actuals, and tracks that round-trip through repr
         assert (tft.rmse, tft.mae, tft.picp, tft.aqs) == (lstm.rmse, lstm.mae, lstm.picp, lstm.aqs)
+
+    def test_missing_file_exits_1_naming_it(self, trained, tmp_path, caplog):
+        cfg_path, _, _ = trained
+        missing = tmp_path / "absent.csv"
+        doc = dict(json.loads(cfg_path.read_text()), external_predictions={"TFT": str(missing)})
+        path = write_config(tmp_path, doc)
+        assert cli_main(["evaluate", "--config", str(path)]) == 1
+        assert f"external predictions {missing}: cannot read" in caplog.text
+
+    def test_relative_path_scored_from_another_directory(self, trained, tmp_path, monkeypatch):
+        cfg_path, ext_path, rows = trained
+        write_rows(ext_path, rows)
+        doc = dict(json.loads(cfg_path.read_text()), external_predictions={"TFT": ext_path.name})
+        path = write_config(cfg_path.parent, doc, name="relative.json")
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["evaluate", "--config", str(path)]) == 0
+        assert set(pipeline.load_manifest(load_config(path))["metrics"]) == {"seasonal_naive", "TFT"}
 
     def test_every_plot_has_the_same_hours_and_actuals(self, full_run):
         plots = full_run["cfg"].resolved_output_dir() / "plots"
@@ -625,7 +659,7 @@ class TestMovedOutput:
         moved_cfg = load_config(write_config(moved, base_config(moved, roster=["seasonal_naive"])))
         assert moved_cfg.config_hash() == cfg.config_hash()
         report = pipeline.cmd_evaluate(moved_cfg)
-        assert [row.model for row in report.rows] == ["seasonal_naive"]
+        assert [row.model for row in report] == ["seasonal_naive"]
         assert (moved / "out" / "report.csv").exists()
 
 
@@ -699,7 +733,7 @@ class TestExternalQuantileCells:
         cfg_path, ext_path, rows = trained
         write_rows(ext_path, [dict(r, q05="", q95="") for r in rows])
         report = pipeline.cmd_evaluate(load_config(cfg_path))
-        tft = {r.model: r for r in report.rows}["TFT"]
+        tft = {r.model: r for r in report}["TFT"]
         assert tft.picp is None and tft.aqs is None and tft.rmse > 0
 
 

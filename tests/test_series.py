@@ -473,20 +473,20 @@ class TestDetectGaps:
         values[10:12] = np.nan  # length 2
         values[50:130] = np.nan  # length 80
         report = detect_gaps(make_series(values), structural_threshold=24)
-        assert report.gaps == ((50, 80),)
+        assert report == ((50, 80),)
 
     def test_fully_observed_series(self):
-        assert detect_gaps(make_series(np.ones(48)), 24).gaps == ()
+        assert detect_gaps(make_series(np.ones(48)), 24) == ()
 
     def test_fully_missing_series(self):
         report = detect_gaps(make_series(np.full(50, np.nan)), 24)
-        assert report.gaps == ((0, 50),)
+        assert report == ((0, 50),)
 
     def test_runs_are_maximal(self):
         values = np.ones(100)
         values[20:60] = np.nan
         series = make_series(values)
-        ((start, length),) = detect_gaps(series, 24).gaps
+        ((start, length),) = detect_gaps(series, 24)
         assert not math.isnan(series.values[start - 1, 0])
         assert not math.isnan(series.values[start + length, 0])
 
