@@ -124,10 +124,6 @@ class RegressionTree:
             out[rows] = leaves[0]
         return out
 
-    @property
-    def n_leaves(self) -> int:
-        return int(np.count_nonzero(self.feature < 0))
-
 
 def _inner_levels(inner: np.ndarray, left: np.ndarray, right: np.ndarray,
                   roots: np.ndarray) -> Iterator[np.ndarray]:

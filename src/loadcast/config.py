@@ -66,6 +66,10 @@ class PipelineConfig:
                 raise ConfigError(f"unknown model {name!r}; known: {known}")
         for name in self.model_params:
             self.params_for(name)
+        for name in self.external_predictions:
+            if name in self.roster:
+                raise ConfigError(f"external_predictions: {name!r} is also a roster model; "
+                                  "give the external row another name")
         _check_names("calendar_features", self.calendar_features, CALENDAR_COLUMNS)
         if "sarimax" in self.model_params:
             exog = self.params_for("sarimax")["exog"]
@@ -170,6 +174,10 @@ def config_from_dict(doc: dict[str, Any], base_dir: Path | None = None) -> Pipel
     unknown = set(doc) - {f.name for f in fields(PipelineConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+
+    for key in ("input_path", "output_dir"):
+        if not isinstance(doc[key], str):
+            raise ConfigError(f"{key}: must be a path string, got {doc[key]!r}")
 
     def resolve(p: str) -> str:
         path = Path(p)

@@ -23,6 +23,7 @@ import json
 import logging
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
+from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
@@ -588,17 +589,29 @@ def cmd_train(cfg: PipelineConfig, models: tuple[str, ...] | None = None) -> dic
 # ---------------------------------------------------------------------------
 
 
-def _write_plot_csv(
-    path: Path, hours: tuple[datetime, ...], actual: np.ndarray, forecast: Forecast
-) -> None:
+def _plot_axis(hours: tuple[datetime, ...], actual: np.ndarray) -> list[str]:
+    """Each test hour's ``timestamp,actual,`` plot-CSV text, formatted once
+    per evaluate and shared by every model's plot."""
+    return [f"{ts.isoformat()},{a!r}," for ts, a in zip(hours, actual.tolist())]
+
+
+def _write_plot_csv(path: Path, axis: list[str], forecast: Forecast) -> None:
+    """Write one model's plot CSV: the ``_plot_axis`` text of each test
+    hour, formatted once by ``cmd_evaluate``, then the point track and the
+    outer quantiles (blank for a point forecast). The bytes are those
+    csv.writer gives for these rows, built 512 rows at a time."""
+    point = np.asarray(forecast.point, dtype=float).tolist()
     q = forecast.quantiles
-    _write_csv(path, ["timestamp", "actual", "point_or_q50", "q05", "q95"], ([
-        ts.isoformat(),
-        repr(float(actual[i])),
-        repr(float(forecast.point[i])),
-        "" if q is None else repr(float(q[i, 0])),
-        "" if q is None else repr(float(q[i, -1])),
-    ] for i, ts in enumerate(hours)))
+    if q is None:
+        rows = (f"{pre}{p!r},,\r\n" for pre, p in zip(axis, point))
+    else:
+        q = np.asarray(q, dtype=float)
+        rows = (f"{pre}{p!r},{lo!r},{hi!r}\r\n"
+                for pre, p, lo, hi in zip(axis, point, q[:, 0].tolist(), q[:, -1].tolist()))
+    with replace_on_success(path) as fh:
+        fh.write("timestamp,actual,point_or_q50,q05,q95\r\n")
+        for _ in range(0, len(axis), 512):
+            fh.write("".join(islice(rows, 512)))
 
 
 def _external_cell(path: str, row: dict, key: str, parse=float):
@@ -676,9 +689,12 @@ def cmd_evaluate(cfg: PipelineConfig) -> tuple[metrics.ReportRow, ...]:
     """Score every trained model on the test split in watts, write the
     report and per-model plot CSVs. Runs on whatever artifacts exist.
 
-    A model whose forecast fails is recorded as failed in its manifest
-    entry and gets no report row or plot; every other model is still
-    scored and reported, and then PipelineError names each failure."""
+    The test axis (hours and actual watts) is built once, and so is its
+    ``timestamp,actual,`` text, which every plot CSV shares. A model whose
+    training did not succeed, or whose forecast fails, gets no report row
+    and loses any plot of an earlier run; a failed forecast is also
+    recorded in its manifest entry. Every other model is still scored and
+    reported, and then PipelineError names each forecast failure."""
     out_dir = cfg.resolved_output_dir()
     manifest = load_manifest(cfg)
     if not manifest.get("models"):
@@ -691,6 +707,7 @@ def cmd_evaluate(cfg: PipelineConfig) -> tuple[metrics.ReportRow, ...]:
     # scored on these actuals
     hours = tuple(data.full.start + i * HOUR for i in range(data.split_idx, len(data.full)))
     actual = data.full.channel(0)[data.split_idx :]
+    axis = _plot_axis(hours, actual)
 
     plots_dir = out_dir / "plots"
     plots_dir.mkdir(parents=True, exist_ok=True)
@@ -700,6 +717,7 @@ def cmd_evaluate(cfg: PipelineConfig) -> tuple[metrics.ReportRow, ...]:
         entry = manifest["models"].get(name)
         if not entry or entry.get("status") != "ok":
             logger.warning("evaluate: skipping %s (not trained)", name)
+            (plots_dir / f"{name}.csv").unlink(missing_ok=True)
             continue
         entry.pop("evaluate", None)
         try:
@@ -719,7 +737,7 @@ def cmd_evaluate(cfg: PipelineConfig) -> tuple[metrics.ReportRow, ...]:
             (plots_dir / f"{name}.csv").unlink(missing_ok=True)
             logger.error("evaluate: %s failed: %s", name, exc)
             continue
-        _write_plot_csv(plots_dir / f"{name}.csv", hours, actual, forecast)
+        _write_plot_csv(plots_dir / f"{name}.csv", axis, forecast)
         rows.append(row)
     for name in sorted(cfg.external_predictions):
         forecast = _external_forecast(hours, cfg.external_predictions[name])

@@ -2,17 +2,21 @@ import csv
 import json
 import re
 import shutil
+import tempfile
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loadcast import pipeline
 from loadcast.cli import main as cli_main
 from loadcast.config import ConfigError, config_from_dict, load_config
 from loadcast.features import CALENDAR_COLUMNS
 from loadcast.metrics import MetricError
-from loadcast.series import ColumnSchema
+from loadcast.series import HOUR, ColumnSchema
 from loadcast.synth import bimodal_weekly_series, regime_switching_series, write_meter_csv
 
 N_HOURS = 24 * 7 * 26  # six months
@@ -134,14 +138,20 @@ class TestConfig:
         ({"structural_gap_threshold": 0}, "structural_gap_threshold", "0"),
         ({"seed": -1}, "seed", "-1"),
         ({"window_channels": ["Aggregate", "Bogus"]}, "window_channels", "'Bogus'"),
+        ({"input_path": 123}, "input_path", "123"),
+        ({"output_dir": ["out"]}, "output_dir", "['out']"),
+        ({"roster": ["seasonal_naive"], "external_predictions": {"seasonal_naive": "x.csv"}},
+         "external_predictions", "'seasonal_naive' is also a roster model"),
     ], ids=["calendar_name", "sarimax_exog", "lag_0", "fractional_lag", "string_lag",
             "string_knn_k", "knn_k_0", "string_seed", "bool_seed", "string_trial_window",
             "negative_knn_max_gap", "fractional_knn_max_gap", "structural_threshold_0",
-            "negative_seed", "unknown_window_channel"])
+            "negative_seed", "unknown_window_channel", "number_input_path", "list_output_dir",
+            "external_name_of_roster_model"])
     def test_bad_calendar_column_or_lag_fails_at_load(self, tmp_path, doc, key, bad):
         """Caught when the config loads, not as a bare KeyError, a TypeError
         or a FeatureError in `train` after `ingest` and `impute-eval` ran,
-        nor as a setting that silently switches an imputer off."""
+        nor as a setting that silently switches an imputer off, nor as two
+        report rows of one name once `evaluate` predicted every model."""
         path = write_config(tmp_path, {"input_path": "a", "output_dir": "b", **doc})
         with pytest.raises(ConfigError) as err:
             load_config(path)
@@ -646,6 +656,31 @@ class TestForecastCoverage:
         pipeline.cmd_evaluate(cfg)
         assert "evaluate" not in pipeline.load_manifest(cfg)["models"]["seasonal_naive"]
 
+    def test_model_whose_retraining_failed_loses_its_old_plot(self, trained, tmp_path):
+        """A roster model skipped because its latest `train` failed keeps no
+        plot of an earlier run beside a report without its row."""
+        cfg_path, _, rows = trained
+        cfg = load_config(cfg_path.parent / "bare.json")
+        moved = tmp_path / "moved"
+        shutil.copytree(cfg.resolved_output_dir(), moved / "out")
+        shutil.copy(cfg.input_path, moved / "meter.csv")
+        write_rows(moved / "tft.csv", rows)
+        doc = base_config(moved, roster=["seasonal_naive"],
+                          external_predictions={"TFT": str(moved / "tft.csv")})
+        path = write_config(moved, doc)
+        assert cli_main(["evaluate", "--config", str(path)]) == 0
+        plot = moved / "out" / "plots" / "seasonal_naive.csv"
+        assert plot.exists()
+
+        path = write_config(moved, dict(doc, model_params={"seasonal_naive": {"period": 0}}))
+        pipeline.cmd_train(load_config(path))
+        assert pipeline.load_manifest(load_config(path))["models"]["seasonal_naive"]["status"] \
+            == "failed"
+        assert cli_main(["evaluate", "--config", str(path)]) == 0
+        with open(moved / "out" / "report.csv", newline="") as fh:
+            assert [row["Model"] for row in csv.DictReader(fh)] == ["TFT"]
+        assert not plot.exists()
+
 
 class TestMovedOutput:
     def test_copied_output_directory_still_evaluates(self, trained, tmp_path):
@@ -677,6 +712,49 @@ class TestAtomicCsv:
         monkeypatch.undo()
         assert (plots / "seasonal_naive.csv").read_bytes() == before
         assert not list(plots.glob("*.tmp"))
+
+
+def csv_writer_plot(path, hours, actual, forecast):
+    """The plot CSV as csv.writer writes it, one cell list per test hour."""
+    q = forecast.quantiles
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["timestamp", "actual", "point_or_q50", "q05", "q95"])
+        writer.writerows([
+            ts.isoformat(),
+            repr(float(actual[i])),
+            repr(float(forecast.point[i])),
+            "" if q is None else repr(float(q[i, 0])),
+            "" if q is None else repr(float(q[i, -1])),
+        ] for i, ts in enumerate(hours))
+
+
+# -0.0, subnormals, +-1e16 (repr "1e+16"), 1e-7 (repr "1e-07") and whole numbers
+PLOT_CELLS = st.floats(allow_nan=False, allow_infinity=False, width=64) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, -2.5e-310, 1e16, -1e16, 1e-7, -1e-7, 3.0, -120.0, 2.0**53])
+
+
+class TestPlotCsvBytes:
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.sampled_from([512, 1024, 1025]) | st.integers(1, 1100),
+           first_hour=st.integers(-600_000, 1_200_000),  # years ~1901 to ~2106
+           cells=st.lists(PLOT_CELLS, min_size=1, max_size=40),
+           banded=st.booleans(), data=st.data())
+    def test_same_bytes_as_csv_writer(self, n, first_hour, cells, banded, data):
+        """Random float64 tracks, cycled to n test hours so that a run
+        fills or crosses the 512-row pieces, written with and without a band."""
+        tracks = [np.resize(np.roll(cells, data.draw(st.integers(0, len(cells) - 1))), n)
+                  for _ in range(4)]
+        actual, point, q05, q95 = tracks
+        quantiles = np.column_stack([q05, point, q95]) if banded else None
+        forecast = pipeline.Forecast(point, quantiles)
+        start = datetime(1970, 1, 1, tzinfo=timezone.utc) + first_hour * HOUR
+        hours = tuple(start + i * HOUR for i in range(n))
+        with tempfile.TemporaryDirectory() as tmp:
+            old, new = Path(tmp, "old.csv"), Path(tmp, "new.csv")
+            csv_writer_plot(old, hours, actual, forecast)
+            pipeline._write_plot_csv(new, pipeline._plot_axis(hours, actual), forecast)
+            assert new.read_bytes() == old.read_bytes()
 
 
 class TestExternalQuantileCells:
