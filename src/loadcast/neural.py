@@ -43,17 +43,22 @@ returns float64 watts. A dropout mask is a bool keep-mask applied with one
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .features import WindowTensor
 from .metrics import QUANTILE_LEVELS, pinball_grad, pinball_loss
-from .series import ScalerParams, replace_on_success, unscale_array
+from .series import (
+    ScalerParams,
+    read_blob,
+    read_header,
+    replace_on_success,
+    unscale_array,
+    write_header_blob,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -630,7 +635,9 @@ def save_checkpoint(
 ) -> None:
     """JSON header with shapes/metadata (the model dtype and the scaler used
     in training) plus a flat float64 little-endian binary of all parameters
-    in sorted name order; a float32 model widens to float64 exactly."""
+    in sorted name order; a float32 model widens to float64 exactly. Both
+    go through ``write_header_blob``: neither is replaced unless both are
+    written."""
     params = model.parameters()
     names = sorted(params)
     header = {
@@ -652,18 +659,13 @@ def save_checkpoint(
         "param_order": [{"name": n, "shape": list(params[n].shape)} for n in names],
     }
     flat = np.concatenate([params[n].ravel() for n in names])
-    # neither file is replaced unless both are written
-    with replace_on_success(f"{path_prefix}.json") as head, \
-            replace_on_success(f"{path_prefix}.bin", "wb") as body:
-        json.dump(header, head, sort_keys=True, indent=1)
-        flat.astype("<f8").tofile(body)
+    write_header_blob(path_prefix, header, flat.astype(np.float64, copy=False))
 
 
 def load_checkpoint(path_prefix: str) -> tuple[QuantileLstmModel, ScalerParams | None]:
     """The model and scaler ``save_checkpoint`` wrote; a header without a
     dtype (written before models had one) loads as float64."""
-    with open(f"{path_prefix}.json", encoding="utf-8") as fh:
-        header = json.load(fh)
+    header = read_header(path_prefix)
     head = (header["quantiles"], header["output_activation"])
     if head != (list(QUANTILE_LEVELS), "relu"):
         raise NeuralModelError(f"unsupported checkpoint head (quantiles, activation) {head}")
@@ -680,13 +682,9 @@ def load_checkpoint(path_prefix: str) -> tuple[QuantileLstmModel, ScalerParams |
     if sorted(order) != want:
         raise NeuralModelError(f"{path_prefix}.json: param_order does not match its model's "
                                f"parameters, (name, shape) {sorted(set(order) ^ set(want))}")
-    body = f"{path_prefix}.bin"
     expected = sum(arr.size for arr in params.values())
-    found = os.path.getsize(body)
-    if found != 8 * expected:
-        raise NeuralModelError(f"{body}: expected {expected} float64 parameters "
-                               f"({8 * expected} bytes), found {found} bytes")
-    flat = np.fromfile(body, dtype="<f8")
+    (flat,) = read_blob(path_prefix, [("<f8", (expected,))],
+                        f"{expected} float64 parameters", NeuralModelError)
     offset = 0
     for name, shape in order:
         size = params[name].size

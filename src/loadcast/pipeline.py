@@ -4,9 +4,11 @@ chronological split and emit the evaluation report plus plot-data CSVs.
 
 Every model is one entry of ``MODELS``: a ``fit`` that writes artifacts
 under ``models/``, a ``predict`` that reads them back into a ``Forecast``
-of the test hours, and its default hyperparameters. ``cmd_evaluate`` takes
-the test hours and their actual watts once and scores every row, external
-predictions included, on them through one ``metrics.score``.
+of the test hours, and its default hyperparameters. ``cmd_train`` imputes
+the hourly series once and keeps it as ``imputed_series.json`` + ``.bin``;
+``cmd_evaluate`` reads that pair back, takes the test hours and their
+actual watts from it once and scores every row, external predictions
+included, on them through one ``metrics.score``.
 
 Leakage rules: the imputation trial window and all structural-gap profiles
 come from the train segment only, scalers fit on the train segment only,
@@ -48,15 +50,19 @@ from .series import (
     minmax_fit,
     minmax_transform,
     missing_runs,
+    read_blob,
+    read_header,
     replace_on_success,
     resample_hourly,
     series_from_csv,
     series_to_csv,
+    write_header_blob,
 )
 
 logger = logging.getLogger(__name__)
 
 CACHE_FILE = "hourly_cache.csv"
+IMPUTED_PREFIX = "imputed_series"  # the .json header + .bin blob `train` fits on
 GAPS_FILE = "gap_report.csv"
 TRIAL_FILE = "imputation_trial.csv"
 MANIFEST_FILE = "manifest.json"
@@ -97,11 +103,6 @@ def load_manifest(cfg: PipelineConfig) -> dict:
 
 
 def save_manifest(cfg: PipelineConfig, manifest: dict) -> None:
-    out_dir = cfg.resolved_output_dir()
-    for entry in manifest.get("models", {}).values():
-        for p in entry.get("artifacts", []):
-            if not (out_dir / p).exists():
-                raise PipelineError(f"manifest references missing file {p}")
     manifest["manifest_hash"] = manifest_hash(manifest)
     with replace_on_success(_manifest_path(cfg)) as fh:
         json.dump(manifest, fh, sort_keys=True, indent=1)
@@ -130,6 +131,18 @@ def _file_sha256(path: Path) -> str:
         for block in iter(lambda: fh.read(1 << 20), b""):
             h.update(block)
     return h.hexdigest()
+
+
+def _check_sha256(path: Path, want: str | None) -> None:
+    """Refuse a file that is missing or whose bytes are not the ones `train`
+    recorded as ``want``."""
+    try:
+        found = _file_sha256(path)
+    except OSError as exc:
+        raise PipelineError(f"{path}: cannot read ({exc.strerror}); run `train`") from None
+    if found != want:
+        raise PipelineError(f"{path}: changed since `train` wrote it (sha256 {found[:12]}, "
+                            f"manifest {want[:12] if want else 'none'}); run `train`")
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +349,41 @@ def prepare_data(cfg: PipelineConfig, hourly: HourlySeries, chosen: str) -> Prep
     train, test = chronological_split(hourly, cfg.split_fraction)
     _check_train_readings(train)
     full, source = _impute_split(cfg, train, test, chosen)
-    split_idx = len(train)
+    return _prepared(cfg, full, source, len(train))
+
+
+def _prepared(cfg: PipelineConfig, full: HourlySeries, source: np.ndarray,
+              split_idx: int) -> PreparedData:
+    """What the models see of an imputed series: its train-segment scaler
+    and its tabular matrix."""
     tabular = assemble_matrix(full, calendar=cfg.calendar_features, lags=cfg.lags)
     return PreparedData(full, source, split_idx, minmax_fit(full, (0, split_idx)), tabular)
+
+
+def _save_imputed(out_dir: Path, data: PreparedData, chosen: str) -> dict[str, str]:
+    """Write the imputed series and its fill codes as ``imputed_series.json``
+    + ``.bin``; return each file's sha256 for the manifest."""
+    full = data.full
+    header = {"start": full.start.isoformat(), "channels": list(full.channel_names),
+              "n_hours": len(full), "split_idx": data.split_idx, "imputer": chosen}
+    return write_header_blob(out_dir / IMPUTED_PREFIX, header, full.values, data.source)
+
+
+def _load_imputed(cfg: PipelineConfig, manifest: dict) -> PreparedData:
+    """The PreparedData `train` fitted on, from the pair ``_save_imputed``
+    wrote, once both files match the digests in the manifest."""
+    out_dir = cfg.resolved_output_dir()
+    digests = manifest.get(IMPUTED_PREFIX, {})
+    for name in (f"{IMPUTED_PREFIX}.json", f"{IMPUTED_PREFIX}.bin"):
+        _check_sha256(out_dir / name, digests.get(name))
+    prefix = out_dir / IMPUTED_PREFIX
+    header = read_header(prefix)
+    shape = (header["n_hours"], len(header["channels"]))
+    values, source = read_blob(prefix, [("<f8", shape), ("i1", shape)],
+                               f"{shape[0]} hours x {shape[1]} channels of values and fill codes")
+    source.flags.writeable = False
+    full = HourlySeries(datetime.fromisoformat(header["start"]), values, tuple(header["channels"]))
+    return _prepared(cfg, full, source, header["split_idx"])
 
 
 def _split_rows(cfg: PipelineConfig, data: PreparedData, hours: np.ndarray, take):
@@ -549,16 +594,18 @@ DEFAULT_ROSTER = ("seasonal_naive", "sarimax", "gbdt", "lstm")
 
 
 def cmd_train(cfg: PipelineConfig, models: tuple[str, ...] | None = None) -> dict:
-    """Train every enabled model; a failing model is recorded, not fatal."""
-    out_dir = cfg.resolved_output_dir()
-    hourly = _load_cache(cfg)
-    manifest = load_manifest(cfg)
-    data = prepare_data(cfg, hourly, _chosen_imputer(manifest))
-
+    """Train every enabled model on the imputed series, which is kept for
+    `evaluate`; a failing model is recorded, not fatal."""
     roster = models if models is not None else cfg.roster
     for name in roster:
         if name not in cfg.roster:
             raise PipelineError(f"model {name!r} is not in the configured roster {cfg.roster}")
+    out_dir = cfg.resolved_output_dir()
+    hourly = _load_cache(cfg)
+    manifest = load_manifest(cfg)
+    chosen = _chosen_imputer(manifest)
+    data = prepare_data(cfg, hourly, chosen)
+    manifest[IMPUTED_PREFIX] = _save_imputed(out_dir, data, chosen)
 
     models_dir = out_dir / "models"
     models_dir.mkdir(parents=True, exist_ok=True)
@@ -687,22 +734,24 @@ def _write_report(out_dir: Path, rows: tuple[metrics.ReportRow, ...]) -> str:
 
 def cmd_evaluate(cfg: PipelineConfig) -> tuple[metrics.ReportRow, ...]:
     """Score every trained model on the test split in watts, write the
-    report and per-model plot CSVs. Runs on whatever artifacts exist.
+    report and per-model plot CSVs. Runs on whatever artifacts exist, on
+    the imputed series `train` kept; that pair and each model's artifacts
+    must have the sha256 the manifest recorded.
 
     The test axis (hours and actual watts) is built once, and so is its
     ``timestamp,actual,`` text, which every plot CSV shares. A model whose
-    training did not succeed, or whose forecast fails, gets no report row
-    and loses any plot of an earlier run; a failed forecast is also
-    recorded in its manifest entry. Every other model is still scored and
-    reported, and then PipelineError names each forecast failure."""
+    training did not succeed, or whose artifacts or forecast fail, gets no
+    report row and loses any plot of an earlier run; a failed artifact
+    check or forecast is also recorded in its manifest entry. Every other
+    model is still scored and reported, and then PipelineError names each
+    failure."""
     out_dir = cfg.resolved_output_dir()
     manifest = load_manifest(cfg)
     if not manifest.get("models"):
         raise PipelineError("no trained models in manifest; run `train` first")
     if manifest.get("config_hash") != cfg.config_hash():
         raise PipelineError("artifact/config hash mismatch: config changed since training")
-    hourly = _load_cache(cfg)
-    data = prepare_data(cfg, hourly, _chosen_imputer(manifest))
+    data = _load_imputed(cfg, manifest)
     # the one test axis: every row is checked against these hours and
     # scored on these actuals
     hours = tuple(data.full.start + i * HOUR for i in range(data.split_idx, len(data.full)))
@@ -720,7 +769,10 @@ def cmd_evaluate(cfg: PipelineConfig) -> tuple[metrics.ReportRow, ...]:
             (plots_dir / f"{name}.csv").unlink(missing_ok=True)
             continue
         entry.pop("evaluate", None)
+        hashes = entry.get("artifact_sha256", {})
         try:
+            for artifact in entry["artifacts"]:
+                _check_sha256(out_dir / artifact, hashes.get(Path(artifact).name))
             forecast = MODELS[name].predict(cfg, data, out_dir / "models")
             q = forecast.quantiles
             n = len(hours)

@@ -11,11 +11,18 @@ Raw files and the hourly cache are parsed by numpy's C reader in blocks of
 and counts, so ingest holds O(hours) memory, not the raw rows. Python's csv
 module stays the reference: a raw file numpy could read differently, or
 whose timestamps do not increase strictly, goes through a line parser.
+
+What only loadcast reads back (the LSTM checkpoint, the imputed series
+``train`` keeps) is a pair of files: a JSON header and one little-endian
+blob, written by ``write_header_blob`` and read by ``read_header`` and
+``read_blob``.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
+import json
 import logging
 import math
 import os
@@ -23,6 +30,7 @@ from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +63,57 @@ def replace_on_success(path, mode: str = "w"):
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+class _Sha256Text:
+    """A text file whose writes also feed a sha256 of their UTF-8 bytes."""
+
+    def __init__(self, fh) -> None:
+        self.fh, self.sha = fh, hashlib.sha256()
+
+    def write(self, text: str) -> int:
+        self.sha.update(text.encode("utf-8"))
+        return self.fh.write(text)
+
+
+def write_header_blob(path_prefix, header: dict, *parts: np.ndarray) -> dict[str, str]:
+    """Write ``header`` to ``<prefix>.json`` (sorted keys, indent 1) and the
+    bytes of each of ``parts`` in turn, little-endian, straight from memory
+    to ``<prefix>.bin``. Neither file is replaced unless both are written.
+    Returns each file's name and its sha256, hashed from what was written."""
+    head_path, body_path = Path(f"{path_prefix}.json"), Path(f"{path_prefix}.bin")
+    blob = hashlib.sha256()
+    with replace_on_success(head_path) as head, replace_on_success(body_path, "wb") as body:
+        text = _Sha256Text(head)
+        json.dump(header, text, sort_keys=True, indent=1)
+        for part in parts:
+            part = np.ascontiguousarray(part, part.dtype.newbyteorder("<"))
+            blob.update(part)
+            body.write(part)
+    return {head_path.name: text.sha.hexdigest(), body_path.name: blob.hexdigest()}
+
+
+def read_header(path_prefix) -> dict:
+    """The header ``write_header_blob`` wrote to ``<prefix>.json``."""
+    with open(f"{path_prefix}.json", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def read_blob(path_prefix, parts, what: str,
+              error: type[Exception] = SeriesError) -> list[np.ndarray]:
+    """The arrays ``write_header_blob`` wrote to ``<prefix>.bin``, one per
+    (dtype, shape) of ``parts``, as views of one buffer. A blob of another
+    size raises ``error`` naming the file, ``what`` it should hold, and the
+    expected and found byte counts."""
+    path = f"{path_prefix}.bin"
+    buf = np.fromfile(path, dtype=np.uint8)
+    dtypes = [np.dtype(dtype).newbyteorder("<") for dtype, _ in parts]
+    sizes = [dtype.itemsize * math.prod(shape) for dtype, (_, shape) in zip(dtypes, parts)]
+    if len(buf) != sum(sizes):
+        raise error(f"{path}: expected {what} ({sum(sizes)} bytes), found {len(buf)} bytes")
+    offsets = list(accumulate(sizes, initial=0))
+    return [buf[lo:hi].view(dtype).reshape(shape)
+            for dtype, (_, shape), lo, hi in zip(dtypes, parts, offsets, offsets[1:])]
 
 
 def _freeze(obj, *fields: str) -> None:

@@ -279,6 +279,15 @@ def test_c9_pipeline_determinism_and_leakage(tmp_path):
         ]
         for name in artifact_names:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+        # the imputed series train kept: its train rows, values and fill codes
+        # alike, are byte-identical; its test rows carry the poisoned targets
+        kept_a = pipeline._load_imputed(cfg, pipeline.load_manifest(cfg))
+        kept_b = pipeline._load_imputed(cfg_p, pipeline.load_manifest(cfg_p))
+        split = kept_a.split_idx
+        assert split == kept_b.split_idx == 3494
+        for a, b in ((kept_a.full.values, kept_b.full.values), (kept_a.source, kept_b.source)):
+            assert a[:split].tobytes() == b[:split].tobytes()
+        assert kept_a.full.values[split:].tobytes() != kept_b.full.values[split:].tobytes()
         # the reports, by contrast, must differ: the test actuals changed
         assert (out_b / "report.csv").read_bytes() != report_first
 

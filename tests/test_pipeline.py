@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import re
 import shutil
@@ -698,6 +699,125 @@ class TestMovedOutput:
         assert (moved / "out" / "report.csv").exists()
 
 
+@pytest.fixture(scope="module")
+def kept_run(tmp_path_factory):
+    """A trained and evaluated run of seasonal_naive, gbdt and lstm; tests
+    change only a copy of it, made with ``copy_run``."""
+    root = tmp_path_factory.mktemp("kept")
+    build_input_csv(root / "meter.csv", seed=6)
+    doc = base_config(root, roster=["seasonal_naive", "gbdt", "lstm"])
+    cfg = load_config(write_config(root, doc))
+    pipeline.cmd_ingest(cfg)
+    pipeline.cmd_impute_eval(cfg)
+    pipeline.cmd_train(cfg)
+    pipeline.cmd_evaluate(cfg)
+    return cfg, doc
+
+
+def copy_run(run, dest: Path):
+    """Copy ``run``'s meter file and output directory under ``dest``; return
+    the config path that reads them, with the same config hash."""
+    cfg, doc = run
+    shutil.copytree(cfg.resolved_output_dir(), dest / "out")
+    shutil.copy(cfg.input_path, dest / "meter.csv")
+    path = write_config(dest, dict(doc, input_path=str(dest / "meter.csv"),
+                                   output_dir=str(dest / "out")))
+    assert load_config(path).config_hash() == cfg.config_hash()
+    return path
+
+
+def evaluate_outputs(out: Path) -> dict[str, bytes]:
+    return {p.relative_to(out).as_posix(): p.read_bytes()
+            for p in [out / "report.csv", out / "report.txt", *sorted(out.glob("plots/*.csv"))]}
+
+
+class TestImputedSeries:
+    def test_evaluate_reads_what_prepare_data_gives(self, kept_run):
+        """The pair `train` keeps reads back as the PreparedData that
+        imputing the hourly cache again gives, bit for bit."""
+        cfg, _ = kept_run
+        manifest = pipeline.load_manifest(cfg)
+        kept = pipeline._load_imputed(cfg, manifest)
+        again = pipeline.prepare_data(cfg, pipeline._load_cache(cfg), manifest["chosen_imputer"])
+        assert kept.split_idx == again.split_idx
+        assert kept.full.start == again.full.start
+        assert kept.full.channel_names == again.full.channel_names
+        for a, b in [(kept.full.values, again.full.values), (kept.source, again.source),
+                     (kept.scaler.mins, again.scaler.mins), (kept.scaler.maxs, again.scaler.maxs),
+                     (kept.tabular.features, again.tabular.features),
+                     (kept.tabular.target, again.tabular.target),
+                     (kept.tabular.hours, again.tabular.hours)]:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert not kept.source.flags.writeable
+        out = cfg.resolved_output_dir()
+        assert manifest["imputed_series"] == {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("imputed_series.json", "imputed_series.bin")}
+        assert json.loads((out / "imputed_series.json").read_text()) == {
+            "channels": ["Aggregate", "Appliance1", "Appliance2"], "imputer": "seasonal",
+            "n_hours": N_HOURS, "split_idx": kept.split_idx, "start": kept.full.start.isoformat()}
+
+    def test_evaluate_needs_no_hourly_cache(self, kept_run, tmp_path):
+        path = copy_run(kept_run, tmp_path)
+        out = tmp_path / "out"
+        before = evaluate_outputs(out)
+        assert len(before) == 5
+        (out / "hourly_cache.csv").unlink()
+        assert cli_main(["evaluate", "--config", str(path)]) == 0
+        assert evaluate_outputs(out) == before
+
+    @pytest.mark.parametrize("change", [
+        "delete imputed_series.json", "delete imputed_series.bin",
+        "edit imputed_series.json", "edit imputed_series.bin", "trained before the pair"])
+    def test_missing_or_changed_pair_fails_evaluate(self, kept_run, tmp_path, change):
+        path = copy_run(kept_run, tmp_path)
+        out = tmp_path / "out"
+        verb, name = change.split(" ", 1)
+        if verb == "delete":
+            (out / name).unlink()
+        elif verb == "edit":
+            data = bytearray((out / name).read_bytes())
+            data[len(data) // 2] ^= 1
+            (out / name).write_bytes(bytes(data))
+        else:  # an output directory trained before train kept the series
+            name = "imputed_series.json"
+            for suffix in (".json", ".bin"):
+                (out / f"imputed_series{suffix}").unlink()
+            manifest = json.loads((out / "manifest.json").read_text())
+            del manifest["imputed_series"]
+            pipeline.save_manifest(load_config(path), manifest)
+        with pytest.raises(pipeline.PipelineError,
+                           match=re.escape(str(out / name)) + ".*; run `train`"):
+            pipeline.cmd_evaluate(load_config(path))
+        assert cli_main(["evaluate", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("name, artifact, change", [
+        ("gbdt", "gbdt.json", "append a newline"), ("lstm", "lstm.bin", "delete")])
+    def test_changed_artifact_fails_its_model_only(self, kept_run, tmp_path, name, artifact,
+                                                   change):
+        path = copy_run(kept_run, tmp_path)
+        out = tmp_path / "out"
+        if change == "delete":
+            (out / "models" / artifact).unlink()
+        else:
+            with open(out / "models" / artifact, "a") as fh:
+                fh.write("\n")
+        cfg = load_config(path)
+        with pytest.raises(pipeline.PipelineError,
+                           match=f"^{name}: " + re.escape(str(out / "models" / artifact))
+                           + ".*; run `train`$"):
+            pipeline.cmd_evaluate(cfg)
+        assert cli_main(["evaluate", "--config", str(path)]) == 2
+        kept = {"seasonal_naive", "gbdt", "lstm"} - {name}
+        with open(out / "report.csv", newline="") as fh:
+            assert {row["Model"] for row in csv.DictReader(fh)} == kept
+        assert sorted(p.stem for p in (out / "plots").glob("*.csv")) == sorted(kept)
+        manifest = pipeline.load_manifest(cfg)
+        assert set(manifest["metrics"]) == kept
+        assert manifest["models"][name]["evaluate"]["status"] == "failed"
+        assert artifact in manifest["models"][name]["evaluate"]["error"]
+
+
 class TestAtomicCsv:
     def test_failed_plot_write_keeps_previous_file(self, trained, monkeypatch, tear_csv_writes):
         cfg_path, ext_path, rows = trained
@@ -867,6 +987,14 @@ class TestCli:
         assert "seasonal_naive" in out
         manifest = pipeline.load_manifest(load_config(cfg_path))
         assert list(manifest["models"]) == ["seasonal_naive"]
+
+    def test_train_checks_model_names_before_reading_the_cache(self, tmp_path, caplog):
+        doc = base_config(tmp_path, roster=["seasonal_naive"])
+        cfg_path = write_config(tmp_path, doc)
+        assert cli_main(["train", "--config", str(cfg_path), "--models", "bogus"]) == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == ["model 'bogus' is not in the configured roster ('seasonal_naive',)"]
+        assert not (tmp_path / "out").exists()
 
     def test_train_with_no_model_trained_exits_2(self, tmp_path):
         build_input_csv(tmp_path / "meter.csv", seed=8)

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import json
 import math
 import tracemalloc
 from datetime import datetime, timedelta, timezone
@@ -24,10 +25,13 @@ from loadcast.series import (
     missing_runs,
     minmax_fit,
     minmax_transform,
+    read_blob,
+    read_header,
     resample_hourly,
     series_from_csv,
     series_to_csv,
     unscale_array,
+    write_header_blob,
 )
 from loadcast.synth import regime_switching_series, write_meter_csv
 
@@ -693,3 +697,54 @@ class TestCsvCache:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "7757796bf73ab1756e70bf9ea4c2b1e16bbbe0eb3cd1ab1022d5b5fcb198ecf5")
         assert series_from_csv(path).values.tobytes() == series.values.tobytes()
+
+
+def blob_parts(header):
+    shape = (header["n"], header["c"])
+    return [("<f8", shape), ("i1", shape)]
+
+
+class TestHeaderBlob:
+    def pair(self, tmp_path):
+        values = np.array([[np.nan, -0.0, 1.5], [0.0, np.inf, -2.25e-308]])
+        codes = np.array([[0, 1, 127], [-128, 4, 3]], dtype=np.int8)
+        prefix = tmp_path / "pair"
+        digests = write_header_blob(prefix, {"n": 2, "c": 3, "name": "toy"}, values, codes)
+        return prefix, values, codes, digests
+
+    def test_round_trip_is_bitwise(self, tmp_path):
+        prefix, values, codes, _ = self.pair(tmp_path)
+        header = read_header(prefix)
+        assert header == {"n": 2, "c": 3, "name": "toy"}
+        back, back_codes = read_blob(prefix, blob_parts(header), "a toy pair")
+        assert back.dtype == np.float64 and back.shape == (2, 3)
+        assert back.tobytes() == values.tobytes()  # NaN's bits and the sign of -0.0 kept
+        assert back_codes.dtype == np.int8
+        assert back_codes.tobytes() == codes.tobytes()
+        assert (tmp_path / "pair.bin").read_bytes() == values.astype("<f8").tobytes() \
+            + codes.tobytes()
+        assert (tmp_path / "pair.json").read_text() == \
+            json.dumps(header, sort_keys=True, indent=1)
+
+    def test_digests_are_the_files_sha256(self, tmp_path):
+        *_, digests = self.pair(tmp_path)
+        assert digests == {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                           for name in ("pair.json", "pair.bin")}
+
+    @pytest.mark.parametrize("change, found", [
+        (lambda path: path.write_bytes(path.read_bytes()[:-1]), 53),
+        (lambda path: path.write_bytes(path.read_bytes() + bytes(8)), 62),
+    ], ids=["truncated", "oversized"])
+    def test_blob_of_wrong_size_names_the_file(self, tmp_path, change, found):
+        prefix, _, _, _ = self.pair(tmp_path)
+        change(tmp_path / "pair.bin")
+        with pytest.raises(SeriesError, match=rf"pair\.bin: expected a toy pair "
+                                              rf"\(54 bytes\), found {found} bytes"):
+            read_blob(prefix, blob_parts(read_header(prefix)), "a toy pair")
+
+    def test_header_that_disagrees_with_the_blob_names_the_file(self, tmp_path):
+        prefix, _, _, _ = self.pair(tmp_path)
+        (tmp_path / "pair.json").write_text(json.dumps({"n": 3, "c": 3}))
+        with pytest.raises(SeriesError, match=r"pair\.bin: expected 3 rows \(81 bytes\), "
+                                              r"found 54 bytes"):
+            read_blob(prefix, blob_parts(read_header(prefix)), "3 rows")
