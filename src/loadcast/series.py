@@ -7,10 +7,13 @@ fits and applies train-only min-max scalers and produces the chronological
 train/test split used everywhere downstream.
 
 Raw files and the hourly cache are parsed by numpy's C reader in blocks of
-~256 KiB of text. A raw file's blocks are folded straight into per-hour sums
-and counts, so ingest holds O(hours) memory, not the raw rows. Python's csv
-module stays the reference: a raw file numpy could read differently, or
-whose timestamps do not increase strictly, goes through a line parser.
+~256 KiB of text. Blank cells reach the reader spelled ``nan``: one numpy
+pass over a block's UTF-8 bytes finds them, and counts the commas that
+check each row's width. A raw file's blocks are folded straight into
+per-hour sums and counts, so ingest holds O(hours) memory, not the raw
+rows. Python's csv module stays the reference: a raw file numpy could read
+differently, or whose timestamps do not increase strictly, goes through a
+line parser. A file that is not UTF-8 fails naming its first bad byte.
 
 What only loadcast reads back (the LSTM checkpoint, the imputed series
 ``train`` keeps) is a pair of files: a JSON header and one little-endian
@@ -20,6 +23,7 @@ blob, written by ``write_header_blob`` and read by ``read_header`` and
 
 from __future__ import annotations
 
+import codecs
 import csv
 import hashlib
 import json
@@ -248,21 +252,41 @@ class HourlySums:
 # speed.
 _BLOCK_CHARS = 1 << 18
 _MAX_HOURS = 100 * 366 * 24  # a longer span is a timestamp error, not a household
+_NAN = np.frombuffer(b"nan", np.uint8)
 
 
 class _NotNumeric(Exception):
     """A block numpy's reader could parse differently from the csv module."""
 
 
-def _blanks_to_nan(block: str) -> str:
-    """Spell every blank cell of whole-line CSV text as ``nan``."""
-    block = block.replace(",,", ",nan,").replace(",,", ",nan,")  # twice: runs of blanks
-    block = block.replace(",\n", ",nan\n").replace(",\r", ",nan\r").replace("\n,", "\nnan,")
-    if block.startswith(","):
-        block = "nan" + block
-    if block.endswith(","):  # only at end of file: every other block ends with a newline
-        block += "nan"
-    return block
+def _blanks_to_nan(block: str) -> tuple[str, int]:
+    """Spell every blank cell of whole-line CSV text as ``nan``; also give
+    the text's number of commas.
+
+    A cell is blank where a comma is followed by a comma, a line end or the
+    end of the text, and where a comma starts the text or a line. One pass
+    over the UTF-8 bytes marks those offsets, and one ``np.insert`` puts
+    ``nan`` at each: no byte of a multi-byte character equals ``,``, ``\\n``
+    or ``\\r``, so a byte offset never splits a character.
+    """
+    text = np.frombuffer(f"\n{block}\n".encode("utf-8"), np.uint8)  # each end reads as a line end
+    comma = text == ord(",")
+    commas = int(np.count_nonzero(comma))
+    # blank[j]: a blank cell at byte j of the block, between text[j] and text[j + 1]
+    blank = text[1:] == ord("\n")
+    other = text[1:] == ord("\r")
+    blank |= other
+    blank |= comma[1:]
+    blank &= comma[:-1]  # a comma, then a comma or a line end
+    np.equal(text[:-1], ord("\n"), out=other)
+    other &= comma[1:]  # a line end, then a comma
+    blank |= other
+    at = np.flatnonzero(blank)
+    del comma, blank, other  # freed before the insert makes two block-sized arrays
+    if len(at):
+        # str() decodes the array's buffer in place, without a bytes copy
+        block = str(np.insert(text[1:-1], np.repeat(at, 3), np.tile(_NAN, len(at))), "utf-8")
+    return block, commas
 
 
 def _last_line(fh) -> str:
@@ -301,12 +325,13 @@ def _numeric_blocks(fh, usecols, width: int, lead: str = ""):
             # bare \r line ends, which np.loadtxt rejects; any \r\n becomes
             # an empty line, skipped as the csv module skips it
             text = text.replace("\r", "\n")
+        text, commas = _blanks_to_nan(text)
         try:
-            rows = np.loadtxt(_blanks_to_nan(text).split("\n"), delimiter=",",
+            rows = np.loadtxt(text.split("\n"), delimiter=",",
                               usecols=usecols, dtype=np.float64, ndmin=2, comments=None)
         except ValueError:
             raise _NotNumeric from None
-        if text.count(",") != len(rows) * (width - 1):
+        if commas != len(rows) * (width - 1):
             raise _NotNumeric
         yield rows
 
@@ -329,6 +354,24 @@ def _fold(table: np.ndarray, hours: np.ndarray, values: np.ndarray) -> None:
     # the last reading's hour is hi - 1: each bincount is (hi - lo) * c long
     table[lo:hi, :c] = np.bincount(index.ravel(), weights.ravel()).reshape(-1, c)
     table[lo:hi, c:] += np.bincount(index[1:].ravel(), valid.ravel()).reshape(-1, c)
+
+
+def _not_utf8(path, error: type[Exception]) -> Exception:
+    """``error`` naming the first byte of the file ``path`` that does not
+    decode as UTF-8, found by reading the file again, 1 MiB at a time."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    offset = 0
+    with open(path, "rb") as fh:
+        while True:
+            chunk = fh.read(1 << 20)
+            held = len(decoder.getstate()[0])  # bytes of a character the last chunk cut
+            try:
+                decoder.decode(chunk, final=not chunk)
+            except UnicodeDecodeError as exc:
+                return error(f"{path}: not UTF-8 text at byte {offset - held + exc.start}")
+            if not chunk:
+                return error(f"{path}: not UTF-8 text")
+            offset += len(chunk)
 
 
 def _open_raw(path):
@@ -359,7 +402,8 @@ def ingest_csv(path, schema: ColumnSchema | None = None) -> HourlySums:
     Duplicate timestamps keep the last occurrence. Empty cells and negative
     or non-finite power values are invalid readings, not counted. A row
     whose timestamp or power cells cannot be parsed raises IngestError
-    with its line number.
+    with its line number; a file that is not UTF-8, with the offset of
+    its first bad byte.
 
     numpy's C reader parses ~256 KiB of text at a time, and each block is
     folded into an hour table sized from the first and last rows' hours,
@@ -371,11 +415,14 @@ def ingest_csv(path, schema: ColumnSchema | None = None) -> HourlySums:
     goes through the line parser, which holds every row.
     """
     schema = schema or ColumnSchema()
-    with _open_raw(path) as fh:
-        cols, width = _raw_columns(fh, path, schema)
-        sums = _fold_blocks(fh, cols, width, schema.channels)
-    if sums is None:
-        sums = _ingest_lines(path, schema)
+    try:
+        with _open_raw(path) as fh:
+            cols, width = _raw_columns(fh, path, schema)
+            sums = _fold_blocks(fh, cols, width, schema.channels)
+        if sums is None:
+            sums = _ingest_lines(path, schema)
+    except UnicodeDecodeError:
+        raise _not_utf8(path, IngestError) from None
     logger.info("ingested %d rows, %d channels from %s", len(sums), len(schema.channels), path)
     return sums
 
@@ -579,25 +626,27 @@ def series_from_csv(path) -> HourlySeries:
     """Read back a cache written by series_to_csv; a cache it could not
     have written raises SeriesError. Only the first and last hour cells
     are parsed: the last must be the first plus one hour per row."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        channel_names = tuple(next(csv.reader(fh), ["hour"])[1:])
-        first = fh.readline()
-        if not first:
-            raise SeriesError(f"{path}: empty hourly cache")
-        start = _cache_hour(path, first, "line 2")
-        last = _cache_hour(path, _last_line(fh), "its last row")
-        n = len(channel_names)
-        # a row has n commas and a line end, so a bad last hour cannot size a huge table
-        size = min((last - start) // HOUR + 1, os.fstat(fh.fileno()).st_size // (n + 2))
-        values = np.empty((max(size, 0), n))
-        rows = 0
-        try:
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            channel_names = tuple(next(csv.reader(fh), ["hour"])[1:])
+            first = fh.readline()
+            if not first:
+                raise SeriesError(f"{path}: empty hourly cache")
+            start = _cache_hour(path, first, "line 2")
+            last = _cache_hour(path, _last_line(fh), "its last row")
+            n = len(channel_names)
+            # a row has n commas and a line end, so a bad last hour cannot size a huge table
+            size = min((last - start) // HOUR + 1, os.fstat(fh.fileno()).st_size // (n + 2))
+            values = np.empty((max(size, 0), n))
+            rows = 0
             for part in _numeric_blocks(fh, range(1, n + 1), n + 1, lead=first):
                 if rows + len(part) <= len(values):
                     values[rows:rows + len(part)] = part
                 rows += len(part)
-        except _NotNumeric:
-            raise SeriesError(f"{path}: corrupt hourly cache: not {n} numeric cells per hour") from None
+    except _NotNumeric:
+        raise SeriesError(f"{path}: corrupt hourly cache: not {n} numeric cells per hour") from None
+    except UnicodeDecodeError:
+        raise _not_utf8(path, SeriesError) from None
     if rows != len(values) or last != start + (rows - 1) * HOUR:
         raise SeriesError(f"{path}: corrupt hourly cache: {rows} rows from {start.isoformat()} "
                           f"end at {last.isoformat()}, not one row per hour")

@@ -976,6 +976,15 @@ class TestCli:
         assert errors == [f"cannot read {tmp_path / 'nope.csv'}: "
                           f"[Errno 2] No such file or directory: '{tmp_path / 'nope.csv'}'"]
 
+    def test_non_utf8_input_exits_1_naming_it(self, tmp_path, caplog):
+        data = b"Unix,Aggregate\n0,100\n8,11\xe9\n16,120\n"
+        (tmp_path / "meter.csv").write_bytes(data)
+        doc = base_config(tmp_path, roster=["seasonal_naive"], columns={"appliances": []})
+        cfg_path = write_config(tmp_path, doc)
+        assert cli_main(["ingest", "--config", str(cfg_path)]) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [f"{tmp_path / 'meter.csv'}: not UTF-8 text at byte {data.index(0xe9)}"]
+
     def test_train_subset_and_report(self, tmp_path, capsys):
         build_input_csv(tmp_path / "meter.csv", seed=5)
         doc = base_config(tmp_path, roster=["seasonal_naive", "gbdt"])

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loadcast import series as series_mod
@@ -123,6 +123,33 @@ class TestIngest:
         with pytest.raises(IngestError, match="missing column"):
             ingest_csv(path, SCHEMA)
 
+    @pytest.mark.parametrize("case", ["header read", "first block", "past the first block",
+                                      "line parser"])
+    def test_non_utf8_byte_names_the_file_and_its_byte(self, tmp_path, case):
+        """The byte is the file's own offset, not one within a decoded chunk."""
+        lines = [b"Unix,Aggregate"] + [b"%d,%d.125" % (t * 8, t % 1000) for t in range(40_000)]
+        bad = {"header read": 2, "first block": 9_000}.get(case, 30_000)
+        lines[bad] += b"\xe9"
+        if case == "line parser":
+            lines[5] = b'40,"4.125"'  # a quoted cell: the block reader hands over at once
+        data = b"\n".join(lines) + b"\n"
+        path = tmp_path / "meter.csv"
+        path.write_bytes(data)
+        at = data.index(b"\xe9")
+        assert (at > series_mod._BLOCK_CHARS) == (bad == 30_000)
+        with pytest.raises(IngestError, match=rf"meter\.csv: not UTF-8 text at byte {at}$"):
+            ingest_csv(path, SCHEMA)
+
+    def test_non_utf8_byte_offset_counts_a_character_cut_between_reads(self, tmp_path):
+        """A two-byte character straddles the first 1 MiB the search reads,
+        and a file that ends inside a character points at its first byte."""
+        head = b"x" * ((1 << 20) - 1) + "à".encode() + b"y" * 10
+        for data, at in ((head + b"\xe9\n", len(head)), (b"Unix,Aggregate\n0,1\n\xc3", 19)):
+            path = tmp_path / "meter.csv"
+            path.write_bytes(data)
+            assert str(series_mod._not_utf8(path, IngestError)) == \
+                f"{path}: not UTF-8 text at byte {at}"
+
 
 DIFF_SCHEMA = ColumnSchema("Unix", "Aggregate", ("Appliance1", "Appliance2"))
 
@@ -139,7 +166,8 @@ VALUE_CELLS = st.one_of(
     st.floats().map(repr),  # nan, inf, -inf, -0.0, 1e+300, ...
     st.sampled_from(["nan", "-NaN", "inf", "-Infinity", "-5", "-0.0", "1e-5", "+7", ".5"]),
 )
-TIME_CELLS = st.sampled_from(["2013-10-07 00:00:00", "x", ""])
+# an unparsed column: a multi-byte character there keeps the block on the fast path
+TIME_CELLS = st.sampled_from(["2013-10-07 00:00:00", "7 oct. 2013 à 00:00", "x", ""])
 
 
 @st.composite
@@ -289,9 +317,11 @@ class TestIngestFastPath:
         with pytest.raises(IngestError, match="line 30002: bad value '1.5x'"):
             series_mod._ingest_lines(path, SCHEMA)
 
-    @pytest.mark.parametrize("eol", ["\n", "\r"], ids=["LF line ends", "bare CR line ends"])
+    @pytest.mark.parametrize("eol", ["\n", "\r", "\r\n"],
+                             ids=["LF line ends", "bare CR line ends", "CRLF line ends"])
     def test_multi_block_file_stays_on_fast_path(self, tmp_path, eol):
-        """Bare-CR line ends must not leave the fast path."""
+        """Bare-CR and CRLF line ends must not leave the fast path, with
+        blank cells before every kind of line end."""
         path = tmp_path / "meter.csv"
         path.write_text(meter_text(*meter_readings(12_000, 5), eol), encoding="utf-8", newline="")
         assert len(block_timestamps(path)) > 2
@@ -469,6 +499,32 @@ class TestResample:
         raw = ingest_csv(write_csv(tmp_path, "Unix,Aggregate\n7200,1\n"), SCHEMA)
         hourly = resample_hourly(raw)
         assert hourly.start == datetime(1970, 1, 1, 2, tzinfo=timezone.utc)
+
+
+def blanks_to_nan_chain(block: str) -> str:
+    """The five replaces _blanks_to_nan replaced, kept as its reference."""
+    block = block.replace(",,", ",nan,").replace(",,", ",nan,")  # twice: runs of blanks
+    block = block.replace(",\n", ",nan\n").replace(",\r", ",nan\r").replace("\n,", "\nnan,")
+    if block.startswith(","):
+        block = "nan" + block
+    if block.endswith(","):
+        block += "nan"
+    return block
+
+
+# runs of pieces give runs of blank cells, leading and trailing commas and blank lines
+CSV_PIECES = st.sampled_from([",", "\n", "\r\n", "\r", ".", "x", "é", *"0123456789"])
+
+
+@given(st.lists(CSV_PIECES, max_size=80).map("".join))
+@example("")
+@example(",,,")
+@example("\n,\r\n,\n")
+@example("é,,x\r\n,")
+@settings(max_examples=400, deadline=None)
+def test_blanks_to_nan_matches_replace_chain(text):
+    """The same text, and the comma count _numeric_blocks checks rows by."""
+    assert series_mod._blanks_to_nan(text) == (blanks_to_nan_chain(text), text.count(","))
 
 
 class TestDetectGaps:
@@ -697,6 +753,15 @@ class TestCsvCache:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "7757796bf73ab1756e70bf9ea4c2b1e16bbbe0eb3cd1ab1022d5b5fcb198ecf5")
         assert series_from_csv(path).values.tobytes() == series.values.tobytes()
+
+    def test_non_utf8_byte_names_the_file_and_its_byte(self, tmp_path):
+        path = tmp_path / "cache.csv"
+        series_to_csv(make_series(np.arange(600.0)), path)
+        data = path.read_bytes()
+        at = data.index(b"\r\n", len(data) // 2)
+        path.write_bytes(data[:at] + b"\xe9" + data[at:])
+        with pytest.raises(SeriesError, match=rf"cache\.csv: not UTF-8 text at byte {at}$"):
+            series_from_csv(path)
 
 
 def blob_parts(header):
