@@ -12,14 +12,19 @@ dropout, then layer 2, with one layer kernel that projects a chunk's
 inputs before its recurrence. A training forward is one chunk of all T
 steps; it keeps its BPTT caches in a ``BpttWorkspace``, which ``train``
 reuses from batch to batch and ``backward`` writes its gradients over.
-Eval forwards that no backward pass follows keep no caches: they run T
-one-step chunks in one-step buffers of a fresh workspace, never the
-caller's, so only the current step of either layer is held and the peak
-does not grow with T.
+The caches hold only what backward cannot recompute bit for bit in one
+elementwise pass: each layer's input, gate activations, H and C, and the
+bool dropout masks. tanh(C) is recomputed a step at a time, and dropout's
+float64 uniforms are drawn a few batch rows at a time into one small
+buffer. Eval forwards that no backward pass follows keep no caches: they
+run T one-step chunks in one-step buffers, so only the current step of
+either layer is held and the peak does not grow with T. ``train``'s
+validation forward takes those buffers from the training workspace, whose
+last caches it consumes; ``predict_quantiles`` takes them from a fresh one.
 
 The kernels are feature-major: every per-step array keeps the batch as its
 last axis. A layer's input is (T, n_in, batch), its gate activations and
-their gradients (T, 4H, batch), its H, C and tanh(C) (T, H, batch), so
+their gradients (T, 4H, batch), its H and C (T, H, batch), so
 gate k of step t is ``act[t, k*H:(k+1)*H]``, one contiguous (H, batch)
 block, and a step's GEMMs are ``W.T @ x``, ``U.T @ h`` and ``U @ dz``.
 With the batch first, a gate is a strided slice of its step's rows and the
@@ -63,6 +68,11 @@ from .series import (
 logger = logging.getLogger(__name__)
 
 GATES = ("i", "f", "o", "g")
+# Dropout's float64 uniforms are drawn this many at a time (256 KiB), in
+# whole batch rows, rather than as one (batch, T, H) array: at paper size
+# that array is 2.5 MB, held next to the BPTT caches, for a bool mask an
+# eighth its size, and a 64-window batch's mask takes 11 pieces.
+DROPOUT_DRAW_PIECE = 32768
 
 
 class NeuralModelError(ValueError):
@@ -74,12 +84,16 @@ class TrainingDiverged(RuntimeError):
 
 
 def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    # exp of a non-positive argument only, so neither branch overflows
-    ex = np.exp(-np.abs(x))
+    # exp of a non-positive argument only, so neither branch overflows; each
+    # pass writes over its own temporary, so at most three are held at once
+    ex = np.abs(x)
+    np.negative(ex, out=ex)
+    np.exp(ex, out=ex)
     # numerator 1 where x >= 0, else ex: blended arithmetically, which gives
     # np.where's bits without its per-element branch
     pos = (x >= 0).astype(ex.dtype)
-    num = (1.0 - pos) * ex
+    num = np.subtract(1.0, pos)
+    num *= ex
     num += pos
     ex += 1.0
     return np.divide(num, ex, out=out)
@@ -197,8 +211,8 @@ def _cell(
     """One step of the gated cell on (4H, batch) pre-activations, which are
     activated in place: [i f o g] = [sigmoid sigmoid sigmoid tanh](act);
     c = f*c_prev + i*g, tc = tanh(c) and h = o*tc are written into the
-    given (H, batch) arrays. ``c_prev`` None stands for c_{-1} = 0; it may
-    be ``c`` itself."""
+    given (H, batch) arrays, tc as a work buffer no caller keeps. ``c_prev``
+    None stands for c_{-1} = 0; it may be ``c`` itself."""
     n = h.shape[0]
     _sigmoid(act[: 3 * n], out=act[: 3 * n])
     np.tanh(act[3 * n :], out=act[3 * n :])
@@ -217,14 +231,16 @@ class BpttWorkspace:
     """The buffers a ``forward`` and its ``backward`` work in. ``train``
     keeps one from one training batch to the next so that a batch neither
     allocates nor faults in fresh pages while the last batch's caches are
-    still held; an eval forward takes its one-step buffers from a fresh
-    one, never the caller's, and drops it on return.
+    still held. ``train``'s validation forward takes its one-step buffers
+    from the same workspace, once the last batch's backward is done with
+    them; ``predict_quantiles``'s takes them from a fresh one and drops it
+    on return.
 
     Each named buffer is flat and sized by the largest batch asked of it; a
     smaller batch takes a reshaped leading slice, so every (4H, batch) gate
     block of a step stays contiguous. The caches of a forward are views of
-    these buffers: the next forward on the workspace marks them consumed,
-    and ``backward`` refuses them."""
+    these buffers: the next forward on the workspace, cache-free or not,
+    marks them consumed, and ``backward`` refuses them."""
 
     def __init__(self) -> None:
         self._flat: dict[str, np.ndarray] = {}
@@ -238,8 +254,9 @@ class BpttWorkspace:
             buf = self._flat[name] = np.empty(size, dtype)
         return buf[:size].reshape(shape)
 
-    def bind(self, caches: dict) -> None:
-        """Hand the buffers to ``caches``, consuming the previous ones."""
+    def bind(self, caches: dict | None) -> None:
+        """Hand the buffers to ``caches``, or to no one when None, consuming
+        the previous ones."""
         if self._caches is not None:
             self._caches["consumed"] = True
         self._caches = caches
@@ -251,11 +268,13 @@ def _layer_forward(
     """Run a layer over a (T, n_in, batch) sequence, in ``ws``'s buffers
     named after ``tag``, and return the BPTT cache: the input X as one
     contiguous array, the gate activations act (T, 4H, batch), and the
-    hidden states H, cell states C and tanh(C) (T, H, batch). Every step's
-    input is projected into act before the recurrence, so a step adds only
-    U.T h. With ``carry`` the sequence continues the previous call's on
-    the same buffers, of the same shape: step 0 starts from the h and c
-    that call left in H[-1] and C[-1], not from zero."""
+    hidden states H and cell states C (T, H, batch). tanh(C) is not kept:
+    each step writes it into a one-step buffer, and ``_layer_backward``
+    recomputes it from C. Every step's input is projected into act before
+    the recurrence, so a step adds only U.T h. With ``carry`` the sequence
+    continues the previous call's on the same buffers, of the same shape:
+    step 0 starts from the h and c that call left in H[-1] and C[-1], not
+    from zero."""
     T, _, batch = X.shape
     n = layer.n_hidden
     dtype = layer.W.dtype
@@ -266,15 +285,16 @@ def _layer_forward(
         X = X_copy
     acts = np.matmul(layer.W.T, X, out=ws.take(f"{tag}.act", (T, 4 * n, batch), dtype))
     acts += layer.b[:, None]
-    H, C, TC = (ws.take(f"{tag}.{k}", (T, n, batch), dtype) for k in ("H", "C", "TC"))
+    H, C = (ws.take(f"{tag}.{k}", (T, n, batch), dtype) for k in ("H", "C"))
+    tc = ws.take(f"{tag}.tc", (n, batch), dtype)
     UT = layer.U.T
     rec = ws.take(f"{tag}.rec", (4 * n, batch), dtype)  # U.T h_{t-1}
     for t in range(T):
         act = acts[t]
         if t or carry:  # h_{-1} = 0 adds nothing; H[-1] is the carried h when t = 0
             act += np.matmul(UT, H[t - 1], out=rec)
-        _cell(act, C[t - 1] if t or carry else None, C[t], TC[t], H[t])
-    return {"X": X, "H": H, "C": C, "TC": TC, "act": acts}
+        _cell(act, C[t - 1] if t or carry else None, C[t], tc, H[t])
+    return {"X": X, "H": H, "C": C, "act": acts}
 
 
 def _dropout_scale(model: QuantileLstmModel):
@@ -297,11 +317,14 @@ def forward(
     through dropout (train mode only, inverted scaling), then layer 2; the
     head reads layer 2's final activated (and, in train mode, dropped-out)
     hidden state. Eval mode is deterministic. Both layers run in one time
-    loop over chunks of steps. With ``keep_caches`` a chunk is all T steps
-    and the caches for ``backward`` live in ``workspace``, a fresh one
-    when None is given. With ``keep_caches=False`` a chunk is one step,
-    its buffers come from a fresh workspace whatever ``workspace`` is, and
-    None is returned in the caches' place; q is unchanged.
+    loop over chunks of steps, in the buffers of ``workspace``, a fresh one
+    when None is given; the caches of its previous forward are consumed.
+    With ``keep_caches`` a chunk is all T steps and the caches for
+    ``backward`` live in those buffers: each layer's input, gate
+    activations, H and C, and the bool dropout masks. With
+    ``keep_caches=False`` a chunk is one step, so the buffers hold one step
+    of either layer, and None is returned in the caches' place; q is
+    unchanged.
     """
     if windows.ndim == 2:
         windows = windows[None, :, :]
@@ -318,14 +341,21 @@ def forward(
         rng = np.random.default_rng(dropout_seed)
         keep = 1.0 - model.dropout_rate
         scale = _dropout_scale(model)
-    ws = BpttWorkspace() if workspace is None or not keep_caches else workspace
+    ws = BpttWorkspace() if workspace is None else workspace
+    ws.bind(None)  # this forward writes over the buffers the last one's caches view
 
     def keep_mask(name, shape):
         # float64 draws in (batch, ...) order whatever the model dtype, so
-        # both dtypes drop the same units; returned in the kernel's layout
-        draws = rng.random(shape, out=ws.take(f"{name}.draws", shape, np.float64))
-        return np.less(np.moveaxis(draws, 0, -1), keep,
-                       out=ws.take(name, shape[1:] + shape[:1], np.bool_))
+        # both dtypes drop the same units; returned in the kernel's layout.
+        # Consecutive draws continue one stream: pieces of whole batch rows
+        # give the bits of one draw of the full shape.
+        mask = ws.take(name, shape[1:] + shape[:1], np.bool_)
+        rows = max(1, DROPOUT_DRAW_PIECE // math.prod(shape[1:]))
+        for start in range(0, shape[0], rows):
+            piece = (min(rows, shape[0] - start), *shape[1:])
+            draws = rng.random(out=ws.take("draws", piece, np.float64))
+            np.less(np.moveaxis(draws, 0, -1), keep, out=mask[..., start : start + piece[0]])
+        return mask
 
     mask1 = keep_mask("mask1", (batch, T, model.layer1.n_hidden)) if use_dropout else None
     # step t's input is windows[:, t, :].T, a view: the window tensor is never copied whole
@@ -369,20 +399,23 @@ def _layer_backward(
     (T, n_in, batch) gradient of the input (None unless ``input_grad``)
     and the fused parameter gradients (dW, dU, db).
 
-    Each step works on contiguous (H, batch) gate blocks. Its gate
-    gradients dz go over its activations in the cache, once they are
-    copied to a (4H, batch) buffer, and the input gradient over the cached
-    input, which no step reads after it; dW and dU accumulate one step's
-    GEMM at a time."""
-    X, H, C, TC, acts = (cache[k] for k in ("X", "H", "C", "TC", "act"))
+    Each step works on contiguous (H, batch) gate blocks. It recomputes
+    tanh(C[t]), which the forward did not keep, with the forward's ufunc on
+    the same array, so with the forward's bits. Its gate gradients dz go
+    over its activations in the cache, once they are copied to a
+    (4H, batch) buffer, and the input gradient over the cached input,
+    which no step reads after it; dW and dU accumulate one step's GEMM at
+    a time."""
+    X, H, C, acts = (cache[k] for k in ("X", "H", "C", "act"))
     T, n, batch = H.shape
     per_step = dH.ndim == 3
     dW, dU = np.zeros_like(layer.W), np.zeros_like(layer.U)
     step_dW, step_dU = np.empty_like(dW), np.empty_like(dU)
     act = np.empty_like(acts[0])
-    dh_next, dc, dc_next = np.empty((3, n, batch), acts.dtype)
+    dh_next, dc, dc_next, tc = np.empty((4, n, batch), acts.dtype)
     for t in range(T - 1, -1, -1):
-        dz, tc = acts[t], TC[t]
+        dz = acts[t]
+        np.tanh(C[t], out=tc)
         np.copyto(act, dz)
         i, f, o, g = _gates(act, n)
         dz_i, dz_f, dz_o, dz_g = _gates(dz, n)
@@ -542,8 +575,10 @@ class TrainHistory:
     best_epoch: int  # 1-based
 
 
-def _epoch_loss(model: QuantileLstmModel, tensors: WindowTensor) -> float:
-    q, _ = forward(model, tensors.data, train_mode=False, keep_caches=False)
+def _epoch_loss(
+    model: QuantileLstmModel, tensors: WindowTensor, workspace: BpttWorkspace | None = None
+) -> float:
+    q, _ = forward(model, tensors.data, train_mode=False, keep_caches=False, workspace=workspace)
     loss, _ = quantile_loss_and_grad(q, tensors.target)
     return loss
 
@@ -565,7 +600,9 @@ def train(
     rng = np.random.default_rng(config.seed)
     state = AdamState(learning_rate=config.learning_rate)
     params = model.parameters()
-    # every epoch's first batch is the largest, so each buffer is allocated once
+    # every epoch's first batch is the largest, so each buffer is allocated
+    # once; the validation forward reuses them, growing only the one-step
+    # buffers that a validation set wider than a batch outgrows
     workspace = BpttWorkspace()
 
     best_val = np.inf
@@ -590,7 +627,7 @@ def train(
             adam_step(params, grads, state)
 
         train_loss = epoch_total / tensors.n_samples
-        val_loss = _epoch_loss(model, val_tensors)
+        val_loss = _epoch_loss(model, val_tensors, workspace)
         if not np.isfinite(val_loss):
             raise TrainingDiverged(f"non-finite validation loss at epoch {epoch}")
         train_hist.append(train_loss)

@@ -455,7 +455,8 @@ class TestFeatureMajorKernel:
         ws = neural_module.BpttWorkspace()
         for t in range(T):
             step = neural_module._layer_forward(layer, X[t : t + 1], ws, "l1", carry=t > 0)
-            for key in ("H", "C", "TC", "act"):
+            assert step.keys() == whole.keys() == {"X", "H", "C", "act"}
+            for key in ("H", "C", "act"):
                 assert step[key].shape == (1, *whole[key].shape[1:]), key
                 assert step[key].tobytes() == whole[key][t : t + 1].tobytes(), (t, key)
 
@@ -479,6 +480,25 @@ class TestFeatureMajorKernel:
         assert caches["layer2"]["X"].dtype == caches["D2"].dtype == dtype
         assert caches["layer2"]["X"].tobytes() == np.ascontiguousarray(want_d1).tobytes()
         assert caches["D2"].tobytes() == want_d2.tobytes()
+
+    @pytest.mark.parametrize("piece", [9, 90])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_dropout_drawn_in_pieces_equals_one_draw(self, monkeypatch, dtype, piece):
+        """Drawing the uniforms a few batch rows at a time continues one
+        stream. A batch of 5 splits 2 + 2 + 1 for layer 1's rows of 42
+        draws at a piece of 90, and for layer 2's rows of 4 at a piece of 9;
+        either way both keep-masks hold the bits of one (batch, T, H) draw
+        followed by one (batch, H2) draw."""
+        monkeypatch.setattr(neural_module, "DROPOUT_DRAW_PIECE", piece)
+        model = init_model(3, hidden=(6, 4), dropout_rate=0.3, seed=59, dtype=dtype)
+        windows = np.random.default_rng(59).uniform(size=(5, 7, 3))
+        _, caches = forward(model, windows, train_mode=True, dropout_seed=14)
+        keep = 1.0 - model.dropout_rate
+        rng = np.random.default_rng(14)
+        want1 = rng.random((5, 7, 6)) < keep
+        want2 = rng.random((5, 4)) < keep
+        for got, want in ((caches["mask1"], want1.transpose(1, 2, 0)), (caches["mask2"], want2.T)):
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
     def test_backward_holds_no_per_step_gradient_stack(self):
         """A paper-width backward peaks at 1.37x layer 1's act cache, a
@@ -510,13 +530,19 @@ class TestWorkspace:
     def test_train_peaks_within_one_batch_working_set(self):
         """One batch's working set is the caches of its forward. train adds
         the workspace's dropout draws, the Adam moments, a best-epoch copy
-        and one step's gradients, about a fifth more; holding the previous
-        batch's caches while the next forward allocates its own reads 2.1x."""
+        and one step's gradients, about a fifth more (1.21x); holding the
+        previous batch's caches while the next forward allocates its own
+        reads 2.1x. Validated on the same 212 windows, the peak is 3.09x one
+        batch's layer-1 act cache (30.3 MB); with full-size dropout draws,
+        tanh(C) caches and the validation forward in a fresh workspace
+        beside the training one it was 3.90x (38.3 MB, 1.33x the then
+        larger working set)."""
         tensors = self.four_batches(56)
         _, caches = forward(init_model(**PAPER, seed=56), tensors.data[:64], train_mode=True,
                             dropout_seed=0)
         working_set = sum(arr.nbytes for tag in ("layer1", "layer2")
                           for arr in caches[tag].values())
+        act_bytes = caches["layer1"]["act"].nbytes
         del caches
         model = init_model(**PAPER, seed=56)
         tracemalloc.start()
@@ -526,6 +552,40 @@ class TestWorkspace:
         finally:
             tracemalloc.stop()
         assert peak < 1.4 * working_set, peak / working_set
+        assert peak < 3.5 * act_bytes, peak / act_bytes
+
+    def test_training_forward_holds_no_full_size_draws(self):
+        """A paper-width training forward peaks at 2.66x layer 1's act cache.
+        Drawing the dropout uniforms as one float64 (batch, T, H) array and
+        caching both layers' tanh(C) sequences made it 3.26x."""
+        model = init_model(**PAPER, seed=60)
+        windows, _ = paper_batch(60)
+        _, caches = forward(model, windows, train_mode=True, dropout_seed=0)
+        act_bytes = caches["layer1"]["act"].nbytes
+        del caches
+        tracemalloc.start()
+        try:
+            forward(model, windows, train_mode=True, dropout_seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.0 * act_bytes, peak / act_bytes
+
+    def test_validation_forward_in_the_training_workspace(self):
+        """The validation forward takes its buffers from the training
+        workspace, growing those a 64-window batch left too small for 212
+        windows: it consumes the caches of the batch before it, and its
+        loss is the float a fresh workspace gives."""
+        model = init_model(**PAPER, seed=61)
+        tensors = self.four_batches(61)
+        ws = neural_module.BpttWorkspace()
+        q, caches = forward(model, tensors.data[:64], train_mode=True, dropout_seed=4,
+                            workspace=ws)
+        _, dq = quantile_loss_and_grad(q, tensors.target[:64])
+        fresh = neural_module._epoch_loss(model, tensors)
+        assert neural_module._epoch_loss(model, tensors, ws) == fresh
+        with pytest.raises(NeuralModelError, match="consumed"):
+            backward(model, caches, dq)
 
     def test_batches_share_the_workspace(self, monkeypatch):
         """Every batch's caches, the ragged last one's included, are views of
@@ -611,7 +671,9 @@ class TestFloat32:
                 yield path, obj
 
         named = list(arrays(caches))
-        assert {"caches.mask1", "caches.layer1.TC", "caches.layer2.act"} <= dict(named).keys()
+        assert {"caches.mask1", "caches.layer1.H", "caches.layer1.C",
+                "caches.layer2.act"} <= dict(named).keys()
+        assert "caches.layer1.TC" not in dict(named)  # backward recomputes tanh(C)
         for kind, group in (("grad", grads), ("m", state.m), ("v", state.v),
                             ("param", model.parameters())):
             assert sorted(group) == sorted(grads), kind
@@ -715,7 +777,7 @@ class TestTrain:
 
     def test_early_stop_contract(self, monkeypatch):
         fake_losses = iter([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
-        monkeypatch.setattr(neural_module, "_epoch_loss", lambda m, t: next(fake_losses))
+        monkeypatch.setattr(neural_module, "_epoch_loss", lambda m, t, ws: next(fake_losses))
         rng = np.random.default_rng(21)
         tensors = make_tensor(rng.uniform(size=(8, 4, 3)), rng.uniform(size=8))
         model = tiny_model(seed=21)
