@@ -63,14 +63,22 @@ def difference(series, d: int, D: int, s: int) -> tuple[np.ndarray, DifferenceSt
 
 def integrate(differenced, state: DifferenceState) -> np.ndarray:
     """Invert difference(); integrate(difference(x)) reproduces x."""
-    x = np.asarray(differenced, dtype=float)
+    x = np.asarray(differenced, dtype=float).tolist()
     for lag, prefix in zip(reversed(state.lags), reversed(state.prefixes)):
-        out = np.empty(len(x) + lag)
-        out[:lag] = prefix
-        for i in range(len(x)):
-            out[lag + i] = x[i] + out[i]
-        x = out
-    return x
+        x = _undifference(x, lag, prefix)
+    return np.array(x, dtype=float)
+
+
+def _undifference(x: list[float], lag: int, prefix) -> list[float]:
+    """One stage of integrate: ``prefix`` then each value plus the one
+    ``lag`` before it. The running sum is on Python floats: the same IEEE
+    additions in the same order as on numpy scalars, so bit for bit the same."""
+    if len(prefix) != lag:
+        raise ClassicalModelError(f"integration prefix has {len(prefix)} values, lag is {lag}")
+    out = [float(v) for v in prefix]
+    for i, value in enumerate(x):
+        out.append(value + out[i])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +309,19 @@ def _warn_near_unit_root(coefs: np.ndarray, label: str) -> None:
 
 def sarimax_forecast(model: SarimaxModel, steps: int, exog_future: np.ndarray | None = None) -> np.ndarray:
     """Iterate the one-step recursion with future shocks at zero, then invert
-    the differencing back to the original scale."""
+    the differencing back to the original scale.
+
+    The recursion runs on Python floats, as ``_css_residuals`` does, so it
+    is bit for bit the same recursion on numpy scalars. Every step's
+    exogenous term is computed up front by one batched ``np.matmul`` of
+    (1, k) rows by a (k, 1) column: that takes numpy's vector dot, as a
+    per-row ``zx_f[h] @ beta`` does, where ``zx_f @ beta`` rounds some rows
+    differently.
+    """
+    if steps < 0:
+        raise ClassicalModelError(f"steps must be >= 0, got {steps}")
     order = model.order
+    lags = (1,) * order.d + (order.s,) * order.D
     n_exog = len(model.beta)
     if n_exog:
         if exog_future is None:
@@ -314,43 +333,50 @@ def sarimax_forecast(model: SarimaxModel, steps: int, exog_future: np.ndarray | 
             raise ClassicalModelError(
                 f"exog_future must be ({steps}, {n_exog}), got {exog_future.shape}"
             )
-        # difference future exog against the stored raw tail
-        ext = np.vstack([model.exog_tail, exog_future])
-        zx_f = np.column_stack(
-            [difference(ext[:, j], order.d, order.D, order.s)[0][-steps:] for j in range(n_exog)]
-        )
+        if len(model.exog_tail) < sum(lags):
+            raise ClassicalModelError(f"exog_tail has {len(model.exog_tail)} rows, "
+                                      f"differencing needs {sum(lags)}")
+        # difference future exog against the stored raw tail, as difference()
+        # does, and keep the rows exog_future adds
+        zx_f = np.vstack([model.exog_tail, exog_future])
+        for lag in lags:
+            zx_f = zx_f[lag:] - zx_f[:-lag]
+        zx_f = zx_f[len(zx_f) - steps:]
+        exog_terms = np.matmul(zx_f[:, None, :], model.beta[:, None]).ravel().tolist()
     else:
-        zx_f = np.zeros((steps, 0))
+        exog_terms = [0.0] * steps
 
-    ar_table = _expand_poly(model.ar, model.sar, order.s, sign=-1.0)
-    ma_table = _expand_poly(model.ma, model.sma, order.s, sign=1.0)
+    ar_items = [(lag, float(coef))
+                for lag, coef in _expand_poly(model.ar, model.sar, order.s, sign=-1.0).items()]
+    ma_items = [(lag, float(coef))
+                for lag, coef in _expand_poly(model.ma, model.sma, order.s, sign=1.0).items()]
 
     w_hist = model.w_tail.tolist()
     eps_hist = model.eps_tail.tolist()
-    z_pred = np.empty(steps)
-    for h in range(steps):
+    intercept = float(model.intercept)
+    z_pred = []
+    for exog_term in exog_terms:
         acc = 0.0
-        for lag, coef in ar_table.items():
+        for lag, coef in ar_items:
             if lag <= len(w_hist):
                 acc -= coef * w_hist[-lag]
-        for lag, coef in ma_table.items():
+        for lag, coef in ma_items:
             if lag <= len(eps_hist):
                 acc += coef * eps_hist[-lag]
         w_hist.append(acc)
         eps_hist.append(0.0)  # future shocks are zero
-        z_pred[h] = acc + model.intercept + (zx_f[h] @ model.beta if n_exog else 0.0)
+        z_pred.append(acc + intercept + exog_term)
 
     # invert the differencing stage by stage, last first, each from its last
     # ``lag`` raw-tail values: one integrate over the whole tail would re-add
     # rounded differences of known values and move the forecast's last bits
-    lags = (1,) * order.d + (order.s,) * order.D
     stages, x = [], model.endog_tail
     for lag in lags:
         stages.append(x)
         x = x[lag:] - x[:-lag]
     for lag, stage in zip(reversed(lags), reversed(stages)):
-        z_pred = integrate(z_pred, DifferenceState((lag,), (tuple(stage[-lag:]),)))[lag:]
-    return z_pred
+        z_pred = _undifference(z_pred, lag, stage[-lag:])[lag:]
+    return np.array(z_pred, dtype=float)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ import json
 import logging
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
+from functools import cached_property
 from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
@@ -273,11 +274,26 @@ def cmd_impute_eval(cfg: PipelineConfig) -> tuple[imputation.ImputationTrial, st
 
 @dataclass(frozen=True)
 class PreparedData:
+    """What the models see of an imputed series. The scaler and the tabular
+    matrix are computed on first use, once, so a command builds only what
+    its roster reads, and a matrix that cannot be built fails only the
+    models that read it."""
+
     full: HourlySeries            # imputed, watts
     source: np.ndarray            # read-only int8 (hours, channels): imputation.OBSERVED ...
     split_idx: int
-    scaler: ScalerParams          # fitted on the train segment
-    tabular: FeatureMatrix        # watts, calendar + lags
+    calendar: tuple[str, ...]     # the tabular matrix's calendar columns
+    lags: tuple[int, ...]         # and its target lags
+
+    @cached_property
+    def scaler(self) -> ScalerParams:
+        """Min-max ranges fitted on the train segment."""
+        return minmax_fit(self.full, (0, self.split_idx))
+
+    @cached_property
+    def tabular(self) -> FeatureMatrix:
+        """Watts, calendar + lags."""
+        return assemble_matrix(self.full, calendar=self.calendar, lags=self.lags)
 
 
 def _fill(source: np.ndarray, code: int, impute, series: HourlySeries, *args) -> HourlySeries:
@@ -349,15 +365,7 @@ def prepare_data(cfg: PipelineConfig, hourly: HourlySeries, chosen: str) -> Prep
     train, test = chronological_split(hourly, cfg.split_fraction)
     _check_train_readings(train)
     full, source = _impute_split(cfg, train, test, chosen)
-    return _prepared(cfg, full, source, len(train))
-
-
-def _prepared(cfg: PipelineConfig, full: HourlySeries, source: np.ndarray,
-              split_idx: int) -> PreparedData:
-    """What the models see of an imputed series: its train-segment scaler
-    and its tabular matrix."""
-    tabular = assemble_matrix(full, calendar=cfg.calendar_features, lags=cfg.lags)
-    return PreparedData(full, source, split_idx, minmax_fit(full, (0, split_idx)), tabular)
+    return PreparedData(full, source, len(train), cfg.calendar_features, cfg.lags)
 
 
 def _save_imputed(out_dir: Path, data: PreparedData, chosen: str) -> dict[str, str]:
@@ -383,7 +391,7 @@ def _load_imputed(cfg: PipelineConfig, manifest: dict) -> PreparedData:
                                f"{shape[0]} hours x {shape[1]} channels of values and fill codes")
     source.flags.writeable = False
     full = HourlySeries(datetime.fromisoformat(header["start"]), values, tuple(header["channels"]))
-    return _prepared(cfg, full, source, header["split_idx"])
+    return PreparedData(full, source, header["split_idx"], cfg.calendar_features, cfg.lags)
 
 
 def _split_rows(cfg: PipelineConfig, data: PreparedData, hours: np.ndarray, take):
@@ -500,7 +508,10 @@ def _fit_gbdt_quantile(cfg: PipelineConfig, data: PreparedData, models_dir: Path
         )
         for tau in metrics.QUANTILE_LEVELS
     }
-    _write_text(models_dir / "gbdt_quantile.json", json.dumps(docs, sort_keys=True, indent=1))
+    # written as it is encoded: json.dumps holds every chunk of the text at
+    # once, which for three 50-round models raised the peak RSS by ~3.4 MB
+    with replace_on_success(models_dir / "gbdt_quantile.json") as fh:
+        json.dump(docs, fh, sort_keys=True, indent=1)
     return ["gbdt_quantile.json"]
 
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from loadcast.classical import (
     ClassicalModelError,
+    DifferenceState,
     NearUnitRootWarning,
     SarimaxModel,
     SarimaxOrder,
@@ -165,6 +166,16 @@ def css_residuals_numpy_scalars(w, ar_table, ma_table, t0):
     return eps[t0:]
 
 
+def assert_bitwise_equal(got, want):
+    """Equal float64 arrays bit for bit, but for a NaN's sign bit, which
+    never reaches an output."""
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
 INF, NAN = float("inf"), float("nan")
 css_coefs = st.one_of(
     st.builds(lambda m, e: m * 10.0 ** e, st.floats(-1.0, 1.0), st.integers(-3, 1)),
@@ -205,11 +216,125 @@ class TestCssResiduals:
         with np.errstate(all="ignore"):
             want = css_residuals_numpy_scalars(w, ar_table, ma_table, t0)
             got = _css_residuals(w, ar_table, ma_table, t0)
-        assert got.dtype == want.dtype == np.float64
-        # a NaN's sign bit is not compared: it never reaches an output
-        nan = np.isnan(want)
-        np.testing.assert_array_equal(np.isnan(got), nan)
-        assert got[~nan].tobytes() == want[~nan].tobytes()
+        assert_bitwise_equal(got, want)
+
+
+def integrate_numpy_scalars(x, lags, prefixes):
+    """integrate's running sums as they ran on numpy float64 scalars."""
+    x = np.asarray(x, dtype=float)
+    for lag, prefix in zip(reversed(lags), reversed(prefixes)):
+        out = np.empty(len(x) + lag)
+        out[:lag] = prefix
+        for i in range(len(x)):
+            out[lag + i] = x[i] + out[i]
+        x = out
+    return x
+
+
+def forecast_numpy_scalars(model, steps, exog_future):
+    """sarimax_forecast as it ran on numpy float64 scalars, with one
+    ``zx_f[h] @ beta`` per step: the reference the forecast must match."""
+    order = model.order
+    n_exog = len(model.beta)
+    if n_exog:
+        ext = np.vstack([model.exog_tail, exog_future])
+        zx_f = np.column_stack(
+            [difference(ext[:, j], order.d, order.D, order.s)[0][-steps:] for j in range(n_exog)]
+        )
+    ar_table = _expand_poly(model.ar, model.sar, order.s, sign=-1.0)
+    ma_table = _expand_poly(model.ma, model.sma, order.s, sign=1.0)
+    w_hist = model.w_tail.tolist()
+    eps_hist = model.eps_tail.tolist()
+    z_pred = np.empty(steps)
+    for h in range(steps):
+        acc = 0.0
+        for lag, coef in ar_table.items():
+            if lag <= len(w_hist):
+                acc -= coef * w_hist[-lag]
+        for lag, coef in ma_table.items():
+            if lag <= len(eps_hist):
+                acc += coef * eps_hist[-lag]
+        w_hist.append(acc)
+        eps_hist.append(0.0)
+        z_pred[h] = acc + model.intercept + (zx_f[h] @ model.beta if n_exog else 0.0)
+    lags = (1,) * order.d + (order.s,) * order.D
+    stages, x = [], model.endog_tail
+    for lag in lags:
+        stages.append(x)
+        x = x[lag:] - x[:-lag]
+    for lag, stage in zip(reversed(lags), reversed(stages)):
+        z_pred = integrate_numpy_scalars(z_pred, (lag,), (tuple(stage[-lag:]),))[lag:]
+    return z_pred
+
+
+tail_values = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0]))
+
+
+@st.composite
+def forecast_cases(draw):
+    """A model with drawn coefficients and state, its step count and its
+    future exog: d and D up to 2, seasonal AR and MA tables with cross
+    lags, 0 to 3 exog columns, 0 to 60 steps."""
+    d, D = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    s = draw(st.integers(2, 6))
+    # half the models draw finite coefficients only, so that their
+    # forecasts are not NaN throughout
+    coefs = css_coefs if draw(st.booleans()) else st.floats(-1.0, 1.0)
+    ar, ma, sar, sma = (np.array(draw(st.lists(coefs, max_size=2)), dtype=float)
+                        for _ in range(4))
+    order = SarimaxOrder(len(ar), d, len(ma), len(sar), D, len(sma), s)
+    n_exog = draw(st.integers(0, 3))
+    raw_tail = max(d + D * s, 1)
+
+    def values(shape):
+        return np.array(draw(st.lists(tail_values, min_size=int(np.prod(shape)),
+                                      max_size=int(np.prod(shape)))),
+                        dtype=float).reshape(shape)
+
+    model = SarimaxModel(
+        order=order, ar=ar, ma=ma, sar=sar, sma=sma,
+        beta=np.array(draw(st.lists(coefs, min_size=n_exog, max_size=n_exog)), dtype=float),
+        intercept=draw(coefs), sigma2=1.0, exog_names=tuple(f"x{j}" for j in range(n_exog)),
+        # tails shorter than the longest lag skip that lag's term
+        w_tail=values((draw(st.integers(1, order.max_ar_lag + 2)),)),
+        eps_tail=values((draw(st.integers(1, order.max_ma_lag + 2)),)),
+        endog_tail=values((raw_tail,)),
+        exog_tail=values((raw_tail, n_exog)) if n_exog else np.empty((0, 0)),
+    )
+    # zero steps with exog on a differenced order has its own test below
+    steps = draw(st.integers(1 if n_exog and d + D else 0, 60))
+    return model, steps, values((steps, n_exog)) if n_exog else None
+
+
+class TestPythonFloatRecursions:
+    @settings(max_examples=300, deadline=None)
+    @given(case=forecast_cases())
+    @example(case=(SarimaxModel(  # the pipeline's default order, at season 4
+        order=SarimaxOrder(1, 1, 1, 1, 1, 0, 4), ar=np.array([0.3]), ma=np.array([-0.2]),
+        sar=np.array([0.5]), sma=np.empty(0), beta=np.array([2.0, -0.5]), intercept=0.0,
+        sigma2=1.0, exog_names=("hour", "dayofweek"), w_tail=np.arange(5.0) - 2.0,
+        eps_tail=np.array([0.1, -0.0]), endog_tail=np.arange(5.0) ** 2,
+        exog_tail=np.arange(10.0).reshape(5, 2)), 9, np.arange(18.0).reshape(9, 2) % 7))
+    def test_forecast_bitwise_equal_to_numpy_scalar_loop(self, case):
+        model, steps, exog_future = case
+        with np.errstate(all="ignore"):
+            want = forecast_numpy_scalars(model, steps, exog_future)
+            got = sarimax_forecast(model, steps, exog_future)
+        assert_bitwise_equal(got, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.lists(st.one_of(tail_values, css_coefs), max_size=60),
+           stages=st.lists(st.integers(1, 12).flatmap(
+               lambda lag: st.tuples(st.just(lag), st.lists(st.one_of(tail_values, css_coefs),
+                                                            min_size=lag, max_size=lag))),
+               max_size=3))
+    def test_integrate_bitwise_equal_to_numpy_scalar_loop(self, x, stages):
+        state = DifferenceState(tuple(lag for lag, _ in stages),
+                                tuple(tuple(prefix) for _, prefix in stages))
+        with np.errstate(all="ignore"):
+            want = integrate_numpy_scalars(x, state.lags, state.prefixes)
+            got = integrate(x, state)
+        assert_bitwise_equal(got, want)
 
 
 def ar1_model(phi, last_value):
@@ -269,6 +394,40 @@ class TestSarimaxForecast:
         )
         with pytest.raises(ClassicalModelError, match="exog_future"):
             sarimax_forecast(model, 2)
+
+    def test_negative_steps_rejected(self):
+        with pytest.raises(ClassicalModelError, match="steps must be >= 0, got -1"):
+            sarimax_forecast(ar1_model(0.5, 8.0), -1)
+
+    @pytest.mark.parametrize("d, future, expected", [
+        (0, [2.0, 4.0, 7.0], [4.0, 8.0, 14.0]),
+        (1, [2.0, 4.0, 7.0], [12.0, 16.0, 22.0]),  # 10 + 2 * cumsum of [1, 2, 3]
+        (0, [], []), (1, [], []),
+    ])
+    def test_future_exog_rows_start_after_the_tail(self, d, future, expected):
+        # zero steps keep no exog row: the rows are cut from an explicit
+        # start, where ``[-steps:]`` would keep all of them
+        order = SarimaxOrder(p=0, d=d, q=0, P=0, D=0, Q=0, s=1)
+        model = SarimaxModel(
+            order=order, ar=np.empty(0), ma=np.empty(0), sar=np.empty(0), sma=np.empty(0),
+            beta=np.array([2.0]), intercept=0.0, sigma2=1.0, exog_names=("x",),
+            w_tail=np.array([0.0]), eps_tail=np.array([0.0]),
+            endog_tail=np.array([10.0]), exog_tail=np.array([[1.0]]),
+        )
+        got = sarimax_forecast(model, len(future), np.array(future).reshape(-1, 1))
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, expected)
+
+    def test_exog_tail_shorter_than_differencing_rejected(self):
+        order = SarimaxOrder(p=0, d=1, q=0, P=0, D=1, Q=0, s=2)
+        model = SarimaxModel(
+            order=order, ar=np.empty(0), ma=np.empty(0), sar=np.empty(0), sma=np.empty(0),
+            beta=np.array([2.0]), intercept=0.0, sigma2=1.0, exog_names=("x",),
+            w_tail=np.array([0.0]), eps_tail=np.array([0.0]),
+            endog_tail=np.array([1.0, 5.0, 2.0]), exog_tail=np.ones((2, 1)),
+        )
+        with pytest.raises(ClassicalModelError, match="exog_tail has 2 rows, differencing needs 3"):
+            sarimax_forecast(model, 4, np.ones((4, 1)))
 
     def test_forecast_fit_round_trip_on_seasonal_series(self):
         series = np.tile(np.arange(24.0) * 10, 40) + 100

@@ -506,6 +506,64 @@ class TestCrashIsolation:
             assert entries[name] == {"status": "failed", "artifacts": [], "error": error}
 
 
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Patch ``module.name`` to record the arguments of each call."""
+    calls, original = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestInputsOnFirstUse:
+    """The scaler and the tabular matrix are built when a model first reads
+    them, so a roster builds only what it reads."""
+
+    def imputed(self, tmp_path, roster, **overrides):
+        build_input_csv(tmp_path / "meter.csv", seed=5)
+        doc = base_config(tmp_path, roster=roster, **overrides)
+        for name in ("gbdt", "gbdt_quantile"):
+            doc["model_params"][name] = {"n_estimators": 10, "max_depth": 3}
+        cfg = config_from_dict(doc)
+        pipeline.cmd_ingest(cfg)
+        pipeline.cmd_impute_eval(cfg)
+        return cfg
+
+    def test_classical_roster_builds_neither(self, tmp_path, monkeypatch):
+        cfg = self.imputed(tmp_path, ["seasonal_naive", "sarimax"])
+        built = [count_calls(monkeypatch, pipeline, name)
+                 for name in ("assemble_matrix", "minmax_fit")]
+        entries = pipeline.cmd_train(cfg)["models"]
+        assert {name: e["status"] for name, e in entries.items()} == {
+            "seasonal_naive": "ok", "sarimax": "ok"}
+        assert len(pipeline.cmd_evaluate(cfg)) == 2
+        assert built == [[], []]
+
+    def test_boosted_roster_builds_the_matrix_once_per_command(self, tmp_path, monkeypatch):
+        cfg = self.imputed(tmp_path, ["gbdt", "gbdt_quantile"])
+        matrices, scalers, fits = (count_calls(monkeypatch, module, name) for module, name in (
+            (pipeline, "assemble_matrix"), (pipeline, "minmax_fit"), (pipeline.boosted, "gbdt_fit")))
+        entries = pipeline.cmd_train(cfg)["models"]
+        assert [e["status"] for e in entries.values()] == ["ok", "ok"]
+        assert (len(matrices), len(fits)) == (1, 4)
+        # every fit's rows are a view of the one matrix
+        assert all(np.shares_memory(args[0], fits[0][0]) for args in fits)
+        pipeline.cmd_evaluate(cfg)
+        assert len(matrices) == 2 and scalers == []
+
+    def test_unbuildable_matrix_fails_only_its_models(self, tmp_path):
+        lag = 10 * N_HOURS
+        cfg = self.imputed(tmp_path, ["seasonal_naive", "gbdt"], lags=[lag])
+        entries = pipeline.cmd_train(cfg)["models"]
+        assert entries["seasonal_naive"]["status"] == "ok"
+        assert entries["gbdt"] == {"status": "failed", "artifacts": [], "error":
+                                   f"series of length {N_HOURS} is shorter than max lag {lag}"}
+        assert [row.model for row in pipeline.cmd_evaluate(cfg)] == ["seasonal_naive"]
+
+
 class TestExternalPredictions:
     def test_external_row_scored_from_plot_csv(self, full_run, tmp_path):
         out = full_run["cfg"].resolved_output_dir()
