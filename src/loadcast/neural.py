@@ -12,25 +12,34 @@ dropout, then layer 2, with one layer kernel that projects a chunk's
 inputs before its recurrence. A training forward is one chunk of all T
 steps; it keeps its BPTT caches in a ``BpttWorkspace``, which ``train``
 reuses from batch to batch and ``backward`` writes its gradients over.
-The caches hold only what backward cannot recompute bit for bit in one
-elementwise pass: each layer's input, gate activations, H and C, and the
-bool dropout masks. tanh(C) is recomputed a step at a time, and dropout's
-float64 uniforms are drawn a few batch rows at a time into one small
-buffer. Eval forwards that no backward pass follows keep no caches: they
-run T one-step chunks in one-step buffers, so only the current step of
-either layer is held and the peak does not grow with T. ``train``'s
-validation forward takes those buffers from the training workspace, whose
-last caches it consumes; ``predict_quantiles`` takes them from a fresh one.
+The caches hold only what backward cannot recompute bit for bit without a
+GEMM: each layer's input and gate activations, its cell state after every
+``C_EVERY``-th step, and the head's input. Each layer holds one step's h
+and c; backward rebuilds a segment of ``C_EVERY`` cell states at a time
+from the cached gates and the checkpoint before it, and recomputes
+tanh(c) and h = o tanh(c) a step at a time (checkpointed BPTT, as in
+Chen et al. 2016 and Gruslys et al. 2016, with a recompute that is only
+elementwise). Dropout's float64 uniforms are drawn a few batch rows at a
+time into one small buffer and applied as they are drawn, so no keep-mask
+is kept: backward gates each unit by its dropped-out relu output. Eval
+forwards that no backward pass follows keep no caches: they run T
+one-step chunks in one-step buffers, so only the current step of either
+layer is held and the peak does not grow with T. Validation and
+prediction run them over blocks of at most ``EVAL_BLOCK`` windows, so the
+one-step buffers do not grow with the number of windows either; ``train``'s
+validation forwards take those buffers from the training workspace, whose
+last caches they consume, and ``predict_quantiles`` takes them from a
+fresh one.
 
 The kernels are feature-major: every per-step array keeps the batch as its
 last axis. A layer's input is (T, n_in, batch), its gate activations and
-their gradients (T, 4H, batch), its H and C (T, H, batch), so
-gate k of step t is ``act[t, k*H:(k+1)*H]``, one contiguous (H, batch)
-block, and a step's GEMMs are ``W.T @ x``, ``U.T @ h`` and ``U @ dz``.
-With the batch first, a gate is a strided slice of its step's rows and the
-step a slice strided by T*4H; elementwise work on such views runs two to
-five times slower than on contiguous blocks and, more than the GEMMs, sets
-a batch's time. Only ``forward``'s windows (batch, T,
+their gradients (T, 4H, batch), its checkpoints ((T-1) // C_EVERY, H,
+batch), so gate k of step t is ``act[t, k*H:(k+1)*H]``, one contiguous
+(H, batch) block, and a step's GEMMs are ``W.T @ x``, ``U.T @ h`` and
+``U @ dz``. With the batch first, a gate is a strided slice of its step's
+rows and the step a slice strided by T*4H; elementwise work on such views
+runs two to five times slower than on contiguous blocks and, more than
+the GEMMs, sets a batch's time. Only ``forward``'s windows (batch, T,
 features) and q (batch, 3) keep the batch first: layer 1 copies a chunk's
 steps ``windows[:, t, :].T`` into its workspace, so an eval forward holds
 one step's copy, never the window tensor's.
@@ -40,11 +49,10 @@ defaults to float64, in which analytic gradients are checked against
 central finite differences tightly; the pipeline trains and predicts in
 float32, which halves the kernels' time. Dropout draws, the pinball loss
 sum and the checkpoint body stay float64, and ``predict_quantiles``
-returns float64 watts. A dropout mask is a bool keep-mask applied with one
-1/keep rounded to the model dtype, which gives the bits of a float mask
-``(u < keep) / keep`` cast to that dtype.
+returns float64 watts. Dropout multiplies by one 1/keep rounded to the
+model dtype and then by a bool keep-mask, which gives the bits of a float
+mask ``(u < keep) / keep`` cast to that dtype.
 """
-
 from __future__ import annotations
 
 import csv
@@ -70,9 +78,15 @@ logger = logging.getLogger(__name__)
 GATES = ("i", "f", "o", "g")
 # Dropout's float64 uniforms are drawn this many at a time (256 KiB), in
 # whole batch rows, rather than as one (batch, T, H) array: at paper size
-# that array is 2.5 MB, held next to the BPTT caches, for a bool mask an
-# eighth its size, and a 64-window batch's mask takes 11 pieces.
+# that array is 2.5 MB, held next to the BPTT caches, and a 64-window
+# batch's layer-1 dropout takes 11 pieces.
 DROPOUT_DRAW_PIECE = 32768
+# A training forward keeps each layer's cell state after every C_EVERY-th
+# step only; backward rebuilds the steps between from the cached gates,
+# without a GEMM.
+C_EVERY = 8
+# Validation and prediction forwards run at most this many windows at once.
+EVAL_BLOCK = 128
 
 
 class NeuralModelError(ValueError):
@@ -205,6 +219,22 @@ def _gates(act: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
     return tuple(act[k * n : (k + 1) * n] for k in range(len(GATES)))
 
 
+def _cell_state(
+    i: np.ndarray, f: np.ndarray, g: np.ndarray, c_prev: np.ndarray | None, c: np.ndarray,
+    ig: np.ndarray,
+) -> None:
+    """c = f*c_prev + i*g into ``c``, with ``ig`` as a work buffer; the one
+    definition that both the forward and backward's rebuild of c run, so
+    both get the same bits. ``c_prev`` None stands for c_{-1} = 0; it may
+    be ``c`` itself."""
+    if c_prev is None:
+        np.multiply(i, g, out=c)
+    else:
+        np.multiply(i, g, out=ig)
+        np.multiply(f, c_prev, out=c)
+        c += ig
+
+
 def _cell(
     act: np.ndarray, c_prev: np.ndarray | None, c: np.ndarray, tc: np.ndarray, h: np.ndarray
 ) -> None:
@@ -217,12 +247,7 @@ def _cell(
     _sigmoid(act[: 3 * n], out=act[: 3 * n])
     np.tanh(act[3 * n :], out=act[3 * n :])
     i, f, o, g = _gates(act, n)
-    if c_prev is None:
-        np.multiply(i, g, out=c)
-    else:
-        np.multiply(i, g, out=tc)  # tc is free until tanh(c) goes in
-        np.multiply(f, c_prev, out=c)
-        c += tc
+    _cell_state(i, f, g, c_prev, c, tc)  # tc is free until tanh(c) goes in
     np.tanh(c, out=tc)
     np.multiply(o, tc, out=h)
 
@@ -231,16 +256,20 @@ class BpttWorkspace:
     """The buffers a ``forward`` and its ``backward`` work in. ``train``
     keeps one from one training batch to the next so that a batch neither
     allocates nor faults in fresh pages while the last batch's caches are
-    still held. ``train``'s validation forward takes its one-step buffers
+    still held. ``train``'s validation forwards take their one-step buffers
     from the same workspace, once the last batch's backward is done with
-    them; ``predict_quantiles``'s takes them from a fresh one and drops it
-    on return.
+    them; ``predict_quantiles``'s take them from a fresh one, dropped on
+    return.
 
     Each named buffer is flat and sized by the largest batch asked of it; a
     smaller batch takes a reshaped leading slice, so every (4H, batch) gate
-    block of a step stays contiguous. The caches of a forward are views of
-    these buffers: the next forward on the workspace, cache-free or not,
-    marks them consumed, and ``backward`` refuses them."""
+    block of a step stays contiguous. Per layer the sequence-long buffers
+    are the input copy, the gate activations and the cell-state
+    checkpoints, plus the relu'd layer-1 output that is layer 2's input;
+    h, c and tanh(c) are one step's (H, batch) each. The caches of a
+    forward are views of these buffers: the next forward on the workspace,
+    cache-free or not, marks them consumed, and ``backward`` refuses
+    them."""
 
     def __init__(self) -> None:
         self._flat: dict[str, np.ndarray] = {}
@@ -263,18 +292,22 @@ class BpttWorkspace:
 
 
 def _layer_forward(
-    layer: LstmLayerParams, X: np.ndarray, ws: BpttWorkspace, tag: str, carry: bool = False
+    layer: LstmLayerParams, X: np.ndarray, ws: BpttWorkspace, tag: str, carry: bool = False,
+    relu_out: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
     """Run a layer over a (T, n_in, batch) sequence, in ``ws``'s buffers
     named after ``tag``, and return the BPTT cache: the input X as one
-    contiguous array, the gate activations act (T, 4H, batch), and the
-    hidden states H and cell states C (T, H, batch). tanh(C) is not kept:
-    each step writes it into a one-step buffer, and ``_layer_backward``
-    recomputes it from C. Every step's input is projected into act before
-    the recurrence, so a step adds only U.T h. With ``carry`` the sequence
-    continues the previous call's on the same buffers, of the same shape:
-    step 0 starts from the h and c that call left in H[-1] and C[-1], not
-    from zero."""
+    contiguous array, the gate activations act (T, 4H, batch), the cell
+    state after every ``C_EVERY``-th step but the last, ckpt
+    ((T-1) // C_EVERY, H, batch), and the last step's hidden and cell
+    states h and c (H, batch). No other step's h or c is kept: each step
+    writes over one (H, batch) buffer of each, and ``_layer_backward``
+    rebuilds them from act and ckpt. With ``relu_out`` each step also
+    writes relu(h) into relu_out[t]. Every step's input is projected into
+    act before the recurrence, so a step adds only U.T h. With ``carry``
+    the sequence continues the previous call's on the same buffers, of the
+    same batch: step 0 starts from the h and c that call left, not from
+    zero; only a call that starts from zero can be backpropagated."""
     T, _, batch = X.shape
     n = layer.n_hidden
     dtype = layer.W.dtype
@@ -285,16 +318,21 @@ def _layer_forward(
         X = X_copy
     acts = np.matmul(layer.W.T, X, out=ws.take(f"{tag}.act", (T, 4 * n, batch), dtype))
     acts += layer.b[:, None]
-    H, C = (ws.take(f"{tag}.{k}", (T, n, batch), dtype) for k in ("H", "C"))
-    tc = ws.take(f"{tag}.tc", (n, batch), dtype)
+    h, c, tc = (ws.take(f"{tag}.{k}", (n, batch), dtype) for k in ("h", "c", "tc"))
+    ckpt = ws.take(f"{tag}.ckpt", ((T - 1) // C_EVERY, n, batch), dtype)
     UT = layer.U.T
     rec = ws.take(f"{tag}.rec", (4 * n, batch), dtype)  # U.T h_{t-1}
     for t in range(T):
         act = acts[t]
-        if t or carry:  # h_{-1} = 0 adds nothing; H[-1] is the carried h when t = 0
-            act += np.matmul(UT, H[t - 1], out=rec)
-        _cell(act, C[t - 1] if t or carry else None, C[t], tc, H[t])
-    return {"X": X, "H": H, "C": C, "act": acts}
+        started = t or carry  # h_{-1} = c_{-1} = 0 add nothing
+        if started:
+            act += np.matmul(UT, h, out=rec)
+        _cell(act, c if started else None, c, tc, h)
+        if relu_out is not None:
+            np.maximum(h, 0.0, out=relu_out[t])
+        if t % C_EVERY == C_EVERY - 1 and t < T - 1:
+            ckpt[t // C_EVERY] = c
+    return {"X": X, "act": acts, "ckpt": ckpt, "h": h, "c": c}
 
 
 def _dropout_scale(model: QuantileLstmModel):
@@ -321,9 +359,12 @@ def forward(
     when None is given; the caches of its previous forward are consumed.
     With ``keep_caches`` a chunk is all T steps and the caches for
     ``backward`` live in those buffers: each layer's input, gate
-    activations, H and C, and the bool dropout masks. With
-    ``keep_caches=False`` a chunk is one step, so the buffers hold one step
-    of either layer, and None is returned in the caches' place; q is
+    activations and cell-state checkpoints, and the head's input. Dropout
+    is applied to a whole chunk as its uniforms are drawn, so no keep-mask
+    is kept; a train-mode forward with dropout therefore runs one chunk of
+    all T steps whether it keeps caches or not. Otherwise
+    ``keep_caches=False`` runs one-step chunks, so the buffers hold one
+    step of either layer, and None is returned in the caches' place; q is
     unchanged.
     """
     if windows.ndim == 2:
@@ -344,44 +385,40 @@ def forward(
     ws = BpttWorkspace() if workspace is None else workspace
     ws.bind(None)  # this forward writes over the buffers the last one's caches view
 
-    def keep_mask(name, shape):
-        # float64 draws in (batch, ...) order whatever the model dtype, so
-        # both dtypes drop the same units; returned in the kernel's layout.
-        # Consecutive draws continue one stream: pieces of whole batch rows
-        # give the bits of one draw of the full shape.
-        mask = ws.take(name, shape[1:] + shape[:1], np.bool_)
-        rows = max(1, DROPOUT_DRAW_PIECE // math.prod(shape[1:]))
-        for start in range(0, shape[0], rows):
-            piece = (min(rows, shape[0] - start), *shape[1:])
+    def drop(D):
+        # inverted dropout on a (..., batch) array in the kernel's layout,
+        # from float64 draws in (batch, ...) order whatever the model dtype,
+        # so both dtypes drop the same units. Consecutive draws continue
+        # one stream: pieces of whole batch rows, each applied as it is
+        # drawn, give the bits of one draw of the full shape.
+        D *= scale
+        rows = max(1, DROPOUT_DRAW_PIECE // math.prod(D.shape[:-1]))
+        for start in range(0, batch, rows):
+            piece = (min(rows, batch - start), *D.shape[:-1])
             draws = rng.random(out=ws.take("draws", piece, np.float64))
-            np.less(np.moveaxis(draws, 0, -1), keep, out=mask[..., start : start + piece[0]])
-        return mask
+            # the piece's batch rows of D, viewed in draw order: the mask
+            # stays contiguous and the multiply's inner loop long
+            rows_of_D = np.moveaxis(D[..., start : start + piece[0]], -1, 0)
+            rows_of_D *= draws < keep
 
-    mask1 = keep_mask("mask1", (batch, T, model.layer1.n_hidden)) if use_dropout else None
     # step t's input is windows[:, t, :].T, a view: the window tensor is never copied whole
     X = windows.transpose(1, 2, 0)
-    chunk = T if keep_caches else 1
+    chunk = T if keep_caches or use_dropout else 1
     D1 = ws.take("D1", (chunk, model.layer1.n_hidden, batch), model.dtype)
     for t in range(0, T, chunk):
         steps = slice(t, t + chunk)
-        cache1 = _layer_forward(model.layer1, X[steps], ws, "l1", carry=t > 0)
-        np.maximum(cache1["H"], 0.0, out=D1)
-        if mask1 is not None:
-            D1 *= scale
-            D1 *= mask1[steps]
+        cache1 = _layer_forward(model.layer1, X[steps], ws, "l1", carry=t > 0, relu_out=D1)
+        if use_dropout:
+            drop(D1)
         cache2 = _layer_forward(model.layer2, D1, ws, "l2", carry=t > 0)
-    h2_last = cache2["H"][-1]
-    D2 = np.maximum(h2_last, 0.0)
-    mask2 = keep_mask("mask2", (batch, model.layer2.n_hidden)) if use_dropout else None
-    if mask2 is not None:
-        D2 *= scale
-        D2 *= mask2
+    D2 = np.maximum(cache2["h"], 0.0)
+    if use_dropout:
+        drop(D2)
 
     q = D2.T @ model.head_W + model.head_b
     if not keep_caches:
         return q, None
-    caches = {"layer1": cache1, "mask1": mask1, "layer2": cache2,
-              "h2_last": h2_last, "mask2": mask2, "D2": D2}
+    caches = {"layer1": cache1, "layer2": cache2, "D2": D2, "dropout": use_dropout}
     ws.bind(caches)
     return q, caches
 
@@ -399,25 +436,41 @@ def _layer_backward(
     (T, n_in, batch) gradient of the input (None unless ``input_grad``)
     and the fused parameter gradients (dW, dU, db).
 
-    Each step works on contiguous (H, batch) gate blocks. It recomputes
-    tanh(C[t]), which the forward did not keep, with the forward's ufunc on
-    the same array, so with the forward's bits. Its gate gradients dz go
-    over its activations in the cache, once they are copied to a
-    (4H, batch) buffer, and the input gradient over the cached input,
-    which no step reads after it; dW and dU accumulate one step's GEMM at
-    a time."""
-    X, H, C, acts = (cache[k] for k in ("X", "H", "C", "act"))
-    T, n, batch = H.shape
+    Each step works on contiguous (H, batch) gate blocks. The steps run
+    back in segments of ``C_EVERY``: entering one, backward rebuilds the
+    segment's cell states from the cached i, f and g and the checkpoint
+    before it, through ``_cell_state``, so with the forward's bits. Step t
+    recomputes tanh(c_{t-1}) and h_{t-1} = o_{t-1} tanh(c_{t-1}) with the
+    forward's ufuncs on arrays of the same shape, so with its bits too,
+    and step t-1 reuses that tanh. Its gate gradients dz go over its
+    activations in the cache, once they are copied to a (4H, batch)
+    buffer, and the input gradient over the cached input, which no step
+    reads after it; dW and dU accumulate one step's GEMM at a time."""
+    X, acts, ckpt = (cache[k] for k in ("X", "act", "ckpt"))
+    T, _, batch = acts.shape
+    n = layer.n_hidden
     per_step = dH.ndim == 3
     dW, dU = np.zeros_like(layer.W), np.zeros_like(layer.U)
     step_dW, step_dU = np.empty_like(dW), np.empty_like(dU)
-    act = np.empty_like(acts[0])
-    dh_next, dc, dc_next, tc = np.empty((4, n, batch), acts.dtype)
+    act = np.empty_like(acts[0])  # one step's activations, once dz goes over them
+    i, f, o, g = _gates(act, n)
+    dh_next, dc, dc_next, tc, tc_prev, h_prev = np.empty((6, n, batch), acts.dtype)
+    cells = np.empty((min(T, C_EVERY), n, batch), acts.dtype)  # one segment's c
     for t in range(T - 1, -1, -1):
+        k = t % C_EVERY  # step t's place in its segment
+        if t == T - 1 or k == C_EVERY - 1:  # entering a segment: rebuild its c
+            for j, s in enumerate(range(t - k, t + 1)):
+                a = acts[s]
+                c_before = cells[j - 1] if j else ckpt[s // C_EVERY - 1] if s else None
+                # the i, f and g of step s; dc is free until step t writes it
+                _cell_state(a[:n], a[n : 2 * n], a[3 * n :], c_before, cells[j], dc)
+        c_prev = cells[k - 1] if k else ckpt[t // C_EVERY - 1] if t else None
+        if t == T - 1:
+            np.tanh(cells[k], out=tc)
+        else:  # step t + 1 left tanh(c_t) in tc_prev
+            tc, tc_prev = tc_prev, tc
         dz = acts[t]
-        np.tanh(C[t], out=tc)
         np.copyto(act, dz)
-        i, f, o, g = _gates(act, n)
         dz_i, dz_f, dz_o, dz_g = _gates(dz, n)
         if t == T - 1:  # nothing flows back into the last step
             dh = dH[t] if per_step else dH
@@ -439,7 +492,7 @@ def _layer_backward(
         np.subtract(1.0, dz_g, out=dz_g)
         dz_i *= g
         if t:
-            dz_f *= C[t - 1]
+            dz_f *= c_prev
         else:  # c_{-1} = 0
             dz_f[...] = 0.0
         dz_g *= i
@@ -451,7 +504,9 @@ def _layer_backward(
         np.multiply(dc, f, out=dc_next)
         dW += np.matmul(X[t], dz.T, out=step_dW)
         if t:  # step t's recurrent input is h_{t-1}; h_{-1} = 0
-            dU += np.matmul(H[t - 1], dz.T, out=step_dU)
+            np.tanh(c_prev, out=tc_prev)
+            np.multiply(acts[t - 1, 2 * n : 3 * n], tc_prev, out=h_prev)  # o_{t-1}
+            dU += np.matmul(h_prev, dz.T, out=step_dU)
             np.matmul(layer.U, dz, out=dh_next)
     dZ = acts  # every step's dz is in place
     db = dZ.sum(axis=0).sum(axis=1)  # a short last axis sums slowly first
@@ -464,10 +519,13 @@ def backward(
 ) -> dict[str, np.ndarray]:
     """Gradients of every parameter given d(loss)/d(head outputs).
 
-    Replays the dropout masks and relu gating recorded by the
-    matching forward pass; relu takes subgradient 0 at exactly zero.
-    Gate gradients are per-gate views of fused arrays. The pass writes
-    over the caches, which it marks consumed; consumed caches raise.
+    Replays the dropout and relu gating of the matching forward pass from
+    its outputs: a unit passes gradient where its dropped-out relu output
+    is positive, scaled by 1/keep in train mode, so relu takes subgradient
+    0 at exactly zero. Layer 1's gate is read from layer 2's input before
+    layer 2's input gradient goes over it. Gate gradients are per-gate
+    views of fused arrays. The pass writes over the caches, which it marks
+    consumed; consumed caches raise.
     """
     if caches.get("consumed"):
         raise NeuralModelError("BPTT caches already consumed; run forward again")
@@ -475,18 +533,17 @@ def backward(
     D2 = caches["D2"]
     grads = {"head.W": D2 @ dq, "head.b": dq.sum(axis=0)}
     dh2_last = model.head_W @ dq.T
-    if caches["mask2"] is not None:
+    if caches["dropout"]:
         dh2_last *= _dropout_scale(model)
-        dh2_last *= caches["mask2"]
-    dh2_last *= caches["h2_last"] > 0
+    dh2_last *= D2 > 0
 
     cache1, cache2 = caches["layer1"], caches["layer2"]
+    alive1 = cache2["X"] > 0  # layer 2's input, D1
     # layer 2's input gradient; layer 1's own input gradient is never needed
     dH1, *fused2 = _layer_backward(model.layer2, cache2, dh2_last, input_grad=True)
-    if caches["mask1"] is not None:
+    if caches["dropout"]:
         dH1 *= _dropout_scale(model)
-        dH1 *= caches["mask1"]
-    dH1 *= cache1["H"] > 0
+    dH1 *= alive1
     _, *fused1 = _layer_backward(model.layer1, cache1, dH1, input_grad=False)
     return grads | _gate_views("l1", *fused1) | _gate_views("l2", *fused2)
 
@@ -575,11 +632,30 @@ class TrainHistory:
     best_epoch: int  # 1-based
 
 
+def _eval_forward(
+    model: QuantileLstmModel, windows: np.ndarray, workspace: BpttWorkspace | None = None
+) -> np.ndarray:
+    """Eval-mode q (n_windows, 3) from cache-free forwards over blocks of at
+    most ``EVAL_BLOCK`` windows, all in ``workspace``, a fresh one when None
+    is given, so the one-step buffers hold one block. The blocks are of
+    near-equal size, so none holds a single window unless there is only
+    one: numpy runs a one-column product as a matrix-vector product, which
+    rounds differently from the matrix product of a wider block."""
+    n = len(windows)
+    q = np.empty((n, len(QUANTILE_LEVELS)), model.dtype)
+    ws = BpttWorkspace() if workspace is None else workspace
+    blocks = max(1, -(-n // EVAL_BLOCK))  # one, of no window, when n is 0
+    bounds = [n * k // blocks for k in range(blocks + 1)]
+    for start, stop in zip(bounds, bounds[1:]):
+        q[start:stop] = forward(model, windows[start:stop], keep_caches=False, workspace=ws)[0]
+    return q
+
+
 def _epoch_loss(
     model: QuantileLstmModel, tensors: WindowTensor, workspace: BpttWorkspace | None = None
 ) -> float:
-    q, _ = forward(model, tensors.data, train_mode=False, keep_caches=False, workspace=workspace)
-    loss, _ = quantile_loss_and_grad(q, tensors.target)
+    loss, _ = quantile_loss_and_grad(_eval_forward(model, tensors.data, workspace),
+                                     tensors.target)
     return loss
 
 
@@ -601,8 +677,8 @@ def train(
     state = AdamState(learning_rate=config.learning_rate)
     params = model.parameters()
     # every epoch's first batch is the largest, so each buffer is allocated
-    # once; the validation forward reuses them, growing only the one-step
-    # buffers that a validation set wider than a batch outgrows
+    # once; the validation forwards reuse them, growing only the one-step
+    # buffers that an eval block wider than a batch outgrows
     workspace = BpttWorkspace()
 
     best_val = np.inf
@@ -651,12 +727,12 @@ def train(
 def predict_quantiles(
     model: QuantileLstmModel, tensors: WindowTensor, scaler: ScalerParams | None = None
 ) -> np.ndarray:
-    """Eval-mode forward, inverse min-max scaling of the target (channel 0
-    of ``scaler``) back to watts, and non-crossing repair by per-row
-    sorting: one (n_windows, len(QUANTILE_LEVELS)) array in
-    ``QUANTILE_LEVELS`` order, float64 whatever the model dtype."""
-    q, _ = forward(model, tensors.data, train_mode=False, keep_caches=False)
-    q = q.astype(np.float64, copy=False)
+    """Eval-mode forwards in blocks of at most ``EVAL_BLOCK`` windows,
+    inverse min-max scaling of the target (channel 0 of ``scaler``) back to
+    watts, and non-crossing repair by per-row sorting: one (n_windows,
+    len(QUANTILE_LEVELS)) array in ``QUANTILE_LEVELS`` order, float64
+    whatever the model dtype."""
+    q = _eval_forward(model, tensors.data).astype(np.float64, copy=False)
     if scaler is not None:
         q = unscale_array(q, scaler.mins[0], scaler.maxs[0])
     return np.sort(q, axis=1)

@@ -420,6 +420,24 @@ class TestFusedKernel:
                 assert np.shares_memory(arr, getattr(layers[tag], kind[0])), name
 
 
+def dropped_out(model, windows, caches, seed):
+    """Layer 2's input and the head's input that a train-mode forward with
+    ``seed`` should hold: relu(h1) and relu(h2) times float masks
+    ((u < keep) / keep) cast to the model dtype, drawn as one
+    (batch, T, H1) then one (batch, H2) float64 array. relu(h1) is an eval
+    forward's layer-2 input, since layer 1 runs alike in either mode; h2 is
+    the train-mode forward's own."""
+    batch, T, _ = windows.shape
+    keep = 1.0 - model.dropout_rate
+    rng = np.random.default_rng(seed)
+    mask1 = ((rng.random((batch, T, model.layer1.n_hidden)) < keep) / keep).astype(model.dtype)
+    mask2 = ((rng.random((batch, model.layer2.n_hidden)) < keep) / keep).astype(model.dtype)
+    _, eval_caches = forward(model, windows)
+    want_d1 = eval_caches["layer2"]["X"] * mask1.transpose(1, 2, 0)
+    want_d2 = np.maximum(caches["layer2"]["h"], 0.0) * mask2.T
+    return want_d1, want_d2
+
+
 class TestFeatureMajorKernel:
     """The kernel keeps the batch as the last axis of every per-step array;
     odd shapes would show swapped axes or an off-by-one recurrent term."""
@@ -444,41 +462,51 @@ class TestFeatureMajorKernel:
                             keep_caches=False)
         assert q_free.tobytes() == q.tobytes()
 
-    @pytest.mark.parametrize("T", [1, 5])
+    @pytest.mark.parametrize("T", [1, 5, 17])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_carried_steps_bitwise_one_call(self, dtype, T):
         """T one-step calls that carry h and c on one workspace give the
-        bits of one call over all T steps, for every step's cache."""
+        bits of one call over all T steps: every step's activations and
+        relu(h), the h and c after every step, and so the cell states the
+        one call checkpoints after every C_EVERY-th step but the last."""
+        every = neural_module.C_EVERY
         layer = init_model(3, hidden=(6, 4), seed=55, dtype=dtype).layer1
         X = np.random.default_rng(55).uniform(-1, 1, size=(T, 3, 5)).astype(dtype)
-        whole = neural_module._layer_forward(layer, X, neural_module.BpttWorkspace(), "l1")
+        relu = np.empty((T, 6, 5), dtype)
+        whole = neural_module._layer_forward(layer, X, neural_module.BpttWorkspace(), "l1",
+                                             relu_out=relu)
+        assert whole.keys() == {"X", "act", "ckpt", "h", "c"}
+        assert whole["ckpt"].shape == ((T - 1) // every, 6, 5)
         ws = neural_module.BpttWorkspace()
+        step_relu = np.empty((1, 6, 5), dtype)
         for t in range(T):
-            step = neural_module._layer_forward(layer, X[t : t + 1], ws, "l1", carry=t > 0)
-            assert step.keys() == whole.keys() == {"X", "H", "C", "act"}
-            for key in ("H", "C", "act"):
-                assert step[key].shape == (1, *whole[key].shape[1:]), key
-                assert step[key].tobytes() == whole[key][t : t + 1].tobytes(), (t, key)
+            step = neural_module._layer_forward(layer, X[t : t + 1], ws, "l1", carry=t > 0,
+                                                relu_out=step_relu)
+            assert step.keys() == whole.keys()
+            assert step["act"].shape == (1, *whole["act"].shape[1:])
+            assert step["act"].tobytes() == whole["act"][t : t + 1].tobytes(), t
+            assert step_relu.tobytes() == relu[t : t + 1].tobytes(), t
+            upto = neural_module._layer_forward(layer, X[: t + 1], neural_module.BpttWorkspace(),
+                                                "l1")
+            for key in ("h", "c"):
+                assert step[key].tobytes() == upto[key].tobytes(), (t, key)
+            if t % every == every - 1 and t < T - 1:
+                assert step["c"].tobytes() == whole["ckpt"][t // every].tobytes(), t
+        assert step["h"].tobytes() == whole["h"].tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_dropout_products_bitwise_those_of_scaled_float_masks(self, dtype):
         """Bool keep-masks times one rounded 1/keep give the bits of a float
         mask ((u < keep) / keep) cast to the model dtype, from the same
-        float64 draws in (batch, T, H) order."""
+        float64 draws in (batch, T, H) order: in layer 2's input, relu(h1)
+        dropped out, and in the head's input, relu(h2) dropped out."""
         model = init_model(3, hidden=(6, 4), dropout_rate=0.3, seed=53, dtype=dtype)
         windows = np.random.default_rng(53).uniform(size=(5, 7, 3))
         _, caches = forward(model, windows, train_mode=True, dropout_seed=12)
-        keep = 1.0 - model.dropout_rate
-        rng = np.random.default_rng(12)
-        mask1 = ((rng.random((5, 7, 6)) < keep) / keep).astype(dtype)
-        mask2 = ((rng.random((5, 4)) < keep) / keep).astype(dtype)
-        assert caches["mask1"].dtype == caches["mask2"].dtype == np.bool_
-        assert caches["mask1"].shape == (7, 6, 5) and caches["mask2"].shape == (4, 5)
-        relu1 = np.maximum(caches["layer1"]["H"], 0.0).transpose(2, 0, 1)
-        want_d1 = (relu1 * mask1).transpose(1, 2, 0)
-        want_d2 = np.maximum(caches["h2_last"], 0.0) * mask2.T
+        assert caches.keys() == {"layer1", "layer2", "D2", "dropout"}  # no keep-mask is kept
+        want_d1, want_d2 = dropped_out(model, windows, caches, seed=12)
         assert caches["layer2"]["X"].dtype == caches["D2"].dtype == dtype
-        assert caches["layer2"]["X"].tobytes() == np.ascontiguousarray(want_d1).tobytes()
+        assert caches["layer2"]["X"].tobytes() == want_d1.tobytes()
         assert caches["D2"].tobytes() == want_d2.tobytes()
 
     @pytest.mark.parametrize("piece", [9, 90])
@@ -487,18 +515,16 @@ class TestFeatureMajorKernel:
         """Drawing the uniforms a few batch rows at a time continues one
         stream. A batch of 5 splits 2 + 2 + 1 for layer 1's rows of 42
         draws at a piece of 90, and for layer 2's rows of 4 at a piece of 9;
-        either way both keep-masks hold the bits of one (batch, T, H) draw
+        either way, each piece applied as it is drawn, layer 2's input and
+        the head's input hold the bits of masks from one (batch, T, H) draw
         followed by one (batch, H2) draw."""
         monkeypatch.setattr(neural_module, "DROPOUT_DRAW_PIECE", piece)
         model = init_model(3, hidden=(6, 4), dropout_rate=0.3, seed=59, dtype=dtype)
         windows = np.random.default_rng(59).uniform(size=(5, 7, 3))
         _, caches = forward(model, windows, train_mode=True, dropout_seed=14)
-        keep = 1.0 - model.dropout_rate
-        rng = np.random.default_rng(14)
-        want1 = rng.random((5, 7, 6)) < keep
-        want2 = rng.random((5, 4)) < keep
-        for got, want in ((caches["mask1"], want1.transpose(1, 2, 0)), (caches["mask2"], want2.T)):
-            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+        want_d1, want_d2 = dropped_out(model, windows, caches, seed=14)
+        assert caches["layer2"]["X"].tobytes() == want_d1.tobytes()
+        assert caches["D2"].tobytes() == want_d2.tobytes()
 
     def test_backward_holds_no_per_step_gradient_stack(self):
         """A paper-width backward peaks at 1.37x layer 1's act cache, a
@@ -530,13 +556,15 @@ class TestWorkspace:
     def test_train_peaks_within_one_batch_working_set(self):
         """One batch's working set is the caches of its forward. train adds
         the workspace's dropout draws, the Adam moments, a best-epoch copy
-        and one step's gradients, about a fifth more (1.21x); holding the
+        and one step's gradients, about a quarter more (1.28x); holding the
         previous batch's caches while the next forward allocates its own
-        reads 2.1x. Validated on the same 212 windows, the peak is 3.09x one
-        batch's layer-1 act cache (30.3 MB); with full-size dropout draws,
-        tanh(C) caches and the validation forward in a fresh workspace
-        beside the training one it was 3.90x (38.3 MB, 1.33x the then
-        larger working set)."""
+        reads 2.1x. Validated on the same 212 windows, the peak is 2.37x one
+        batch's layer-1 act cache (23.3 MB). Caching every step's h and c
+        and layer 1's bool keep-mask, with the validation set in one block,
+        made it 3.09x (30.3 MB, 1.21x the then larger working set); with
+        full-size dropout draws, tanh(C) caches and the validation forward
+        in a fresh workspace beside the training one it was 3.90x
+        (38.3 MB)."""
         tensors = self.four_batches(56)
         _, caches = forward(init_model(**PAPER, seed=56), tensors.data[:64], train_mode=True,
                             dropout_seed=0)
@@ -552,12 +580,14 @@ class TestWorkspace:
         finally:
             tracemalloc.stop()
         assert peak < 1.4 * working_set, peak / working_set
-        assert peak < 3.5 * act_bytes, peak / act_bytes
+        assert peak < 2.7 * act_bytes, peak / act_bytes
 
     def test_training_forward_holds_no_full_size_draws(self):
-        """A paper-width training forward peaks at 2.66x layer 1's act cache.
-        Drawing the dropout uniforms as one float64 (batch, T, H) array and
-        caching both layers' tanh(C) sequences made it 3.26x."""
+        """A paper-width training forward peaks at 1.93x layer 1's act cache.
+        Caching both layers' H and C sequences and layer 1's bool keep-mask
+        made it 2.66x; drawing the dropout uniforms as one float64
+        (batch, T, H) array and caching both layers' tanh(C) sequences as
+        well, 3.26x."""
         model = init_model(**PAPER, seed=60)
         windows, _ = paper_batch(60)
         _, caches = forward(model, windows, train_mode=True, dropout_seed=0)
@@ -569,7 +599,7 @@ class TestWorkspace:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3.0 * act_bytes, peak / act_bytes
+        assert peak < 2.3 * act_bytes, peak / act_bytes
 
     def test_validation_forward_in_the_training_workspace(self):
         """The validation forward takes its buffers from the training
@@ -590,7 +620,9 @@ class TestWorkspace:
     def test_batches_share_the_workspace(self, monkeypatch):
         """Every batch's caches, the ragged last one's included, are views of
         the first batch's buffers, each (4H, batch) gate block contiguous;
-        each is consumed by its backward."""
+        each is consumed by its backward. The one-step h and c are views of
+        the buffers of the epoch's first batch: the first validation block,
+        106 windows wide, outgrows those of a 64-window batch."""
         seen = []
 
         def spy(*args, **kwargs):
@@ -604,15 +636,14 @@ class TestWorkspace:
         train(init_model(**PAPER, seed=57), self.four_batches(57), self.four_batches(58),
               TrainConfig(max_epochs=2, patience=5, batch_size=64, seed=57))
         assert [c["layer1"]["act"].shape[-1] for c in seen] == [64, 64, 64, 20] * 2
-        first = seen[0]
-        for caches in seen:
+        for n, caches in enumerate(seen):
             assert caches["consumed"]
             for tag in ("layer1", "layer2"):
+                assert caches[tag].keys() == {"X", "act", "ckpt", "h", "c"}
                 for key, arr in caches[tag].items():
+                    first = seen[0] if key in ("X", "act", "ckpt") else seen[n - n % 4]
                     assert arr.flags.c_contiguous, (tag, key)
                     assert np.shares_memory(arr, first[tag][key]), (tag, key)
-            for key in ("mask1", "mask2"):
-                assert np.shares_memory(caches[key], first[key]), key
 
     def test_consumed_caches_refused(self):
         """backward writes over the caches it reads; running it again on them,
@@ -631,6 +662,174 @@ class TestWorkspace:
         with pytest.raises(NeuralModelError, match="consumed"):
             backward(model, stale, dq)
         backward(model, caches, dq)
+
+
+# ---------------------------------------------------------------------------
+# Full-cache reference: the kernel as it was when BPTT kept every step's h
+# and c and layer 1's bool keep-mask, written without a workspace. The
+# checkpointed kernel must reproduce its bits.
+# ---------------------------------------------------------------------------
+
+
+def full_cache_layer_forward(layer, X):
+    T, _, batch = X.shape
+    n = layer.n_hidden
+    X = np.ascontiguousarray(X)
+    acts = np.matmul(layer.W.T, X)
+    acts += layer.b[:, None]
+    H, C = np.empty((2, T, n, batch), X.dtype)
+    tc = np.empty((n, batch), X.dtype)
+    for t in range(T):
+        act = acts[t]
+        if t:
+            act += layer.U.T @ H[t - 1]
+        neural_module._sigmoid(act[: 3 * n], out=act[: 3 * n])
+        np.tanh(act[3 * n :], out=act[3 * n :])
+        i, f, o, g = (act[k * n : (k + 1) * n] for k in range(4))
+        if t:
+            np.multiply(i, g, out=tc)
+            np.multiply(f, C[t - 1], out=C[t])
+            C[t] += tc
+        else:
+            np.multiply(i, g, out=C[t])
+        np.tanh(C[t], out=tc)
+        np.multiply(o, tc, out=H[t])
+    return {"X": X, "H": H, "C": C, "act": acts}
+
+
+def full_cache_forward(model, windows, train_mode=False, dropout_seed=None, keep_caches=True,
+                       workspace=None):
+    """``forward``'s signature; every forward keeps its caches, which only
+    a ``keep_caches`` one returns."""
+    windows = windows.astype(model.dtype, copy=False)
+    batch, T, _ = windows.shape
+    rng = np.random.default_rng(dropout_seed)
+    keep = 1.0 - model.dropout_rate
+    scale = neural_module._dropout_scale(model)
+    masks = None
+    if train_mode and model.dropout_rate > 0.0:
+        masks = ((rng.random((batch, T, model.layer1.n_hidden)) < keep).transpose(1, 2, 0),
+                 (rng.random((batch, model.layer2.n_hidden)) < keep).T)
+    cache1 = full_cache_layer_forward(model.layer1, windows.transpose(1, 2, 0))
+    D1 = np.maximum(cache1["H"], 0.0)
+    if masks is not None:
+        D1 *= scale
+        D1 *= masks[0]
+    cache2 = full_cache_layer_forward(model.layer2, D1)
+    D2 = np.maximum(cache2["H"][-1], 0.0)
+    if masks is not None:
+        D2 *= scale
+        D2 *= masks[1]
+    q = D2.T @ model.head_W + model.head_b
+    return q, {"layer1": cache1, "layer2": cache2, "masks": masks, "D2": D2} if keep_caches else None
+
+
+def full_cache_layer_backward(layer, cache, dH, input_grad):
+    X, H, C, acts = (cache[k] for k in ("X", "H", "C", "act"))
+    T, n, batch = H.shape
+    dW, dU = np.zeros_like(layer.W), np.zeros_like(layer.U)
+    dh_next, dc, dc_next = np.empty((3, n, batch), acts.dtype)
+    for t in range(T - 1, -1, -1):
+        dz = acts[t]
+        tc = np.tanh(C[t])
+        i, f, o, g = (dz[k * n : (k + 1) * n].copy() for k in range(4))
+        dz_i, dz_f, dz_o, dz_g = (dz[k * n : (k + 1) * n] for k in range(4))
+        dh = (dH[t] if dH.ndim == 3 else dH) if t == T - 1 else dh_next
+        if t < T - 1 and dH.ndim == 3:
+            dh += dH[t]
+        np.multiply(tc, tc, out=dc)
+        np.subtract(1.0, dc, out=dc)
+        dc *= o
+        dc *= dh
+        if t < T - 1:
+            dc += dc_next
+        for z, a in ((dz_i, i), (dz_f, f), (dz_o, o)):
+            np.subtract(1.0, a, out=z)
+            z *= a
+        np.multiply(g, g, out=dz_g)
+        np.subtract(1.0, dz_g, out=dz_g)
+        dz_i *= g
+        if t:
+            dz_f *= C[t - 1]
+        else:
+            dz_f[...] = 0.0
+        dz_g *= i
+        dz_o *= tc
+        dz_o *= dh
+        dz_i *= dc
+        dz_f *= dc
+        dz_g *= dc
+        np.multiply(dc, f, out=dc_next)
+        dW += X[t] @ dz.T
+        if t:
+            dU += H[t - 1] @ dz.T
+            dh_next = layer.U @ dz
+    db = acts.sum(axis=0).sum(axis=1)
+    return (layer.W @ acts if input_grad else None), dW, dU, db
+
+
+def full_cache_backward(model, caches, dq):
+    D2, masks = caches["D2"], caches["masks"]
+    scale = neural_module._dropout_scale(model)
+    grads = {"head.W": D2 @ dq, "head.b": dq.sum(axis=0)}
+    dh2_last = model.head_W @ dq.T
+    if masks is not None:
+        dh2_last *= scale
+        dh2_last *= masks[1]
+    dh2_last *= caches["layer2"]["H"][-1] > 0
+    dH1, *fused2 = full_cache_layer_backward(model.layer2, caches["layer2"], dh2_last, True)
+    if masks is not None:
+        dH1 *= scale
+        dH1 *= masks[0]
+    dH1 *= caches["layer1"]["H"] > 0
+    _, *fused1 = full_cache_layer_backward(model.layer1, caches["layer1"], dH1, False)
+    return grads | neural_module._gate_views("l1", *fused1) | neural_module._gate_views("l2", *fused2)
+
+
+class TestCheckpointedBptt:
+    """The kernel keeps one step's h and c and every C_EVERY-th cell state,
+    and no keep-mask; q, every gradient and training equal the full-cache
+    reference's bit for bit, over T around the checkpoint interval."""
+
+    @pytest.mark.parametrize("T", [1, 7, 8, 9, 17, 48])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_q_and_gradients_bitwise_full_cache_kernel(self, dtype, T):
+        for batch in (1, 5, 64):
+            for rate in (0.0, 0.2):
+                model = init_model(17, (100, 50), dropout_rate=rate, seed=T, dtype=dtype)
+                rng = np.random.default_rng(batch)
+                windows, y = rng.uniform(size=(batch, T, 17)), rng.uniform(size=batch)
+                results = []
+                for fwd, bwd in ((forward, backward), (full_cache_forward, full_cache_backward)):
+                    q, caches = fwd(model, windows, train_mode=True, dropout_seed=batch + T)
+                    _, dq = quantile_loss_and_grad(q, y)
+                    results.append((q, bwd(model, caches, dq)))
+                (q, grads), (want_q, want_grads) = results
+                case = (batch, rate)
+                assert q.tobytes() == want_q.tobytes(), case
+                assert sorted(grads) == sorted(want_grads), case
+                for name, g in grads.items():
+                    assert g.dtype == dtype, (case, name)
+                    assert g.tobytes() == want_grads[name].tobytes(), (case, name)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.2])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_one_epoch_train_bitwise_full_cache_kernel(self, monkeypatch, dtype, rate):
+        """Batches of 64, 64 and a ragged 22, validated on 389 windows."""
+        rng = np.random.default_rng(63)
+        tensors = make_tensor(rng.uniform(size=(150, 48, 17)), rng.uniform(size=150))
+        val = make_tensor(rng.uniform(size=(389, 48, 17)), rng.uniform(size=389))
+        config = TrainConfig(max_epochs=1, batch_size=64, seed=63)
+        runs = []
+        for kernel in ((forward, backward), (full_cache_forward, full_cache_backward)):
+            monkeypatch.setattr(neural_module, "forward", kernel[0])
+            monkeypatch.setattr(neural_module, "backward", kernel[1])
+            model = init_model(17, (100, 50), dropout_rate=rate, seed=63, dtype=dtype)
+            runs.append(train(model, tensors, val, config))
+        (model, history), (want_model, want_history) = runs
+        assert history == want_history
+        for name, arr in want_model.parameters().items():
+            assert model.parameters()[name].tobytes() == arr.tobytes(), name
 
 
 class TestFloat32:
@@ -671,17 +870,18 @@ class TestFloat32:
                 yield path, obj
 
         named = list(arrays(caches))
-        assert {"caches.mask1", "caches.layer1.H", "caches.layer1.C",
-                "caches.layer2.act"} <= dict(named).keys()
-        assert "caches.layer1.TC" not in dict(named)  # backward recomputes tanh(C)
+        assert {"caches.layer1.act", "caches.layer1.ckpt", "caches.layer2.X",
+                "caches.layer2.act", "caches.D2"} <= dict(named).keys()
+        # backward rebuilds every step's h, c and tanh(c), and gates by the
+        # dropped-out relu outputs, so no H, C, tanh(C) or keep-mask is kept
+        assert not {"caches.layer1.H", "caches.layer1.C", "caches.layer1.TC",
+                    "caches.mask1", "caches.mask2"} & dict(named).keys()
         for kind, group in (("grad", grads), ("m", state.m), ("v", state.v),
                             ("param", model.parameters())):
             assert sorted(group) == sorted(grads), kind
             named += [(f"{kind}.{name}", arr) for name, arr in group.items()]
         for path, arr in named:
-            # the dropout masks are bool keep-masks; every number is float32
-            want = np.bool_ if path in ("caches.mask1", "caches.mask2") else np.float32
-            assert arr.dtype == want, path
+            assert arr.dtype == np.float32, path
         for layer in (model.layer1, model.layer2):
             assert layer.W.dtype == layer.U.dtype == layer.b.dtype == np.float32
 
@@ -835,6 +1035,66 @@ class TestPredictQuantiles:
         scaler = ScalerParams(np.array([0.0, 5.0]), np.array([1000.0, 7.0]), ("Aggregate", "x"))
         q = predict_quantiles(model, tensors, scaler=scaler)
         assert q.tolist() == [[200.0, 500.0, 800.0]]
+
+
+class TestBlockedEval:
+    """Validation and prediction run the cache-free forward over blocks of
+    at most EVAL_BLOCK windows, of near-equal size."""
+
+    @pytest.mark.parametrize("n", [0, 1, 127, 128, 129, 389])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blocks_equal_one_whole_batch_forward(self, dtype, n):
+        """In float32, the pipeline's dtype, q holds the bits of one
+        forward over all n windows. In float64, OpenBLAS's dgemm (0.3.31 on
+        an AVX-512 Xeon) rounds the trailing n % 8 columns of a product
+        about 200 columns wide or wider otherwise than a narrower product
+        does, so at n = 389 a block's q matches the whole batch's to
+        rounding only. 0 windows give a (0, 3) float64 array and a NaN
+        loss, as one forward does."""
+        model = init_model(**PAPER, seed=64, dtype=dtype)
+        rng = np.random.default_rng(64)
+        tensors = make_tensor(rng.uniform(size=(n, 48, 17)), rng.uniform(size=n))
+        whole, _ = forward(model, tensors.data, keep_caches=False)
+        with np.errstate(invalid="ignore"):  # the mean loss of no window is 0/0
+            want_loss, _ = quantile_loss_and_grad(whole, tensors.target)
+            loss = neural_module._epoch_loss(model, tensors)
+        q = predict_quantiles(model, tensors)
+        want_q = np.sort(whole.astype(np.float64), axis=1)
+        assert q.shape == (n, 3) and q.dtype == np.float64
+        if dtype == np.float32:
+            assert q.tobytes() == want_q.tobytes()
+            assert loss == want_loss or (np.isnan(loss) and np.isnan(want_loss))
+        else:
+            np.testing.assert_allclose(q, want_q, rtol=1e-12, atol=0.0)
+            assert loss == pytest.approx(want_loss, rel=1e-12, nan_ok=True)
+
+    def test_blocks_of_near_equal_size_through_the_module_forward(self, monkeypatch):
+        """Blocks go through the module's ``forward``, which the benchmark's
+        tracer wraps: 389 windows as 97, 97, 97 and 98, 129 as 64 and 65,
+        never one window alone; validation reuses one workspace."""
+        sizes, spaces = [], []
+        real = neural_module.forward
+
+        def spy(model, windows, **kwargs):
+            sizes.append(len(windows))
+            spaces.append(kwargs["workspace"])
+            return real(model, windows, **kwargs)
+
+        monkeypatch.setattr(neural_module, "forward", spy)
+        model = tiny_model(seed=65)
+        rng = np.random.default_rng(65)
+        for n, want in ((389, [97, 97, 97, 98]), (129, [64, 65]), (128, [128]), (0, [0])):
+            sizes.clear()
+            spaces.clear()
+            tensors = make_tensor(rng.uniform(size=(n, 5, 3)), rng.uniform(size=n))
+            predict_quantiles(model, tensors)
+            assert sizes == want, n
+            assert all(ws is spaces[0] for ws in spaces), n
+        ws = neural_module.BpttWorkspace()
+        spaces.clear()
+        neural_module._epoch_loss(model, make_tensor(rng.uniform(size=(300, 5, 3)),
+                                                     rng.uniform(size=300)), ws)
+        assert spaces == [ws] * 3
 
 
 class TestCheckpoint:
