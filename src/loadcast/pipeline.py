@@ -4,11 +4,16 @@ chronological split and emit the evaluation report plus plot-data CSVs.
 
 Every model is one entry of ``MODELS``: a ``fit`` that writes artifacts
 under ``models/``, a ``predict`` that reads them back into a ``Forecast``
-of the test hours, and its default hyperparameters. ``cmd_train`` imputes
-the hourly series once and keeps it as ``imputed_series.json`` + ``.bin``;
-``cmd_evaluate`` reads that pair back, takes the test hours and their
-actual watts from it once and scores every row, external predictions
-included, on them through one ``metrics.score``.
+of the test hours, and its default hyperparameters.
+
+Each command hands the next what it read, as files whose sha256 the
+manifest records and the next command checks: ``ingest`` writes the
+hourly cache CSV; ``cmd_impute_eval`` parses it once and keeps the parsed
+series as ``hourly_series.json`` + ``.bin``; ``cmd_train`` reads that
+pair, imputes the series once and keeps it as ``imputed_series.json`` +
+``.bin``; ``cmd_evaluate`` reads that pair back, takes the test hours and
+their actual watts from it once and scores every row, external
+predictions included, on them through one ``metrics.score``.
 
 Leakage rules: the imputation trial window and all structural-gap profiles
 come from the train segment only, scalers fit on the train segment only,
@@ -63,6 +68,7 @@ from .series import (
 logger = logging.getLogger(__name__)
 
 CACHE_FILE = "hourly_cache.csv"
+HOURLY_PREFIX = "hourly_series"  # the parsed cache, as impute-eval hands it to `train`
 IMPUTED_PREFIX = "imputed_series"  # the .json header + .bin blob `train` fits on
 GAPS_FILE = "gap_report.csv"
 TRIAL_FILE = "imputation_trial.csv"
@@ -134,16 +140,43 @@ def _file_sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _check_sha256(path: Path, want: str | None) -> None:
-    """Refuse a file that is missing or whose bytes are not the ones `train`
-    recorded as ``want``."""
+def _check_sha256(path: Path, want: str | None, writer: str) -> None:
+    """Refuse a file that is missing or whose bytes are not the ones the
+    command ``writer`` recorded as ``want``."""
     try:
         found = _file_sha256(path)
     except OSError as exc:
-        raise PipelineError(f"{path}: cannot read ({exc.strerror}); run `train`") from None
+        raise PipelineError(f"{path}: cannot read ({exc.strerror}); run `{writer}`") from None
     if found != want:
-        raise PipelineError(f"{path}: changed since `train` wrote it (sha256 {found[:12]}, "
-                            f"manifest {want[:12] if want else 'none'}); run `train`")
+        raise PipelineError(f"{path}: changed since `{writer}` wrote it (sha256 {found[:12]}, "
+                            f"manifest {want[:12] if want else 'none'}); run `{writer}`")
+
+
+def _save_series(out_dir: Path, prefix: str, series: HourlySeries, *parts: np.ndarray,
+                 **header) -> dict[str, str]:
+    """Keep ``series``, then any ``parts`` of its shape, as ``<prefix>.json``
+    + ``.bin``; return each file's sha256 for the manifest."""
+    header.update(start=series.start.isoformat(), channels=list(series.channel_names),
+                  n_hours=len(series))
+    return write_header_blob(out_dir / prefix, header, series.values, *parts)
+
+
+def _load_series(cfg: PipelineConfig, manifest: dict, prefix: str, writer: str,
+                 what: str, *dtypes: str) -> tuple[dict, HourlySeries, list[np.ndarray]]:
+    """The header, the series and any further parts of ``dtypes`` that
+    ``_save_series`` kept as ``<prefix>.json`` + ``.bin``, once both files
+    match the digests the command ``writer`` recorded in the manifest."""
+    out_dir = cfg.resolved_output_dir()
+    digests = manifest.get(prefix, {})
+    for name in (f"{prefix}.json", f"{prefix}.bin"):
+        _check_sha256(out_dir / name, digests.get(name), writer)
+    header = read_header(out_dir / prefix)
+    shape = (header["n_hours"], len(header["channels"]))
+    values, *parts = read_blob(out_dir / prefix, [(dtype, shape) for dtype in ("<f8", *dtypes)],
+                               f"{shape[0]} hours x {shape[1]} channels of {what}")
+    series = HourlySeries(datetime.fromisoformat(header["start"]), values,
+                          tuple(header["channels"]))
+    return header, series, parts
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +186,9 @@ def _check_sha256(path: Path, want: str | None) -> None:
 
 def cmd_ingest(cfg: PipelineConfig) -> tuple[HourlySeries, tuple[tuple[int, int], ...]]:
     """Parse, resample and cache the input. The cache is reused, never
-    rewritten, while the input file and the column schema are unchanged;
-    a rebuilt cache starts a fresh manifest, so `train` must run again.
+    rewritten, while the input file, the column schema and the cache's own
+    bytes are unchanged; a rebuilt cache starts a fresh manifest, so
+    `impute-eval` and `train` must run again.
     The gap report always follows the current threshold; the structural
     gaps are returned as (start_index, length_hours) runs."""
     out_dir = cfg.resolved_output_dir()
@@ -169,16 +203,22 @@ def cmd_ingest(cfg: PipelineConfig) -> tuple[HourlySeries, tuple[tuple[int, int]
     manifest = load_manifest(cfg)
 
     cache_path = out_dir / CACHE_FILE
-    if (manifest.get("data_fingerprint") == fingerprint
-            and manifest.get("columns") == columns and cache_path.exists()):
+    try:
+        current = (manifest.get("data_fingerprint") == fingerprint
+                   and manifest.get("columns") == columns
+                   and _file_sha256(cache_path) == manifest.get("cache_sha256"))
+    except OSError:  # no cache to reuse
+        current = False
+    if current:
         logger.info("ingest: cache up to date (fingerprint %s), not rewriting", fingerprint[:12])
         hourly = series_from_csv(cache_path)
     else:
         hourly = resample_hourly(ingest_csv(cfg.input_path, schema))
-        series_to_csv(hourly, cache_path)
+        cache_sha256 = series_to_csv(hourly, cache_path)
         # Every other entry (imputer choice, models, config hash, metrics)
         # was derived from the old cache, so none of it carries over.
         manifest = {"data_fingerprint": fingerprint, "columns": columns,
+                    "cache_sha256": cache_sha256,
                     "n_hours": len(hourly), "channels": list(hourly.channel_names)}
 
     gaps = detect_gaps(hourly, cfg.structural_gap_threshold)
@@ -194,9 +234,9 @@ def cmd_ingest(cfg: PipelineConfig) -> tuple[HourlySeries, tuple[tuple[int, int]
 
 
 def _load_cache(cfg: PipelineConfig) -> HourlySeries:
+    """The hourly cache, once its bytes are the ones `ingest` wrote."""
     cache_path = cfg.resolved_output_dir() / CACHE_FILE
-    if not cache_path.exists():
-        raise PipelineError(f"hourly cache missing; run `ingest` first ({cache_path})")
+    _check_sha256(cache_path, load_manifest(cfg).get("cache_sha256"), "ingest")
     return series_from_csv(cache_path)
 
 
@@ -226,11 +266,14 @@ def _trial_window(cfg: PipelineConfig, train: HourlySeries) -> tuple[int, int]:
 def cmd_impute_eval(cfg: PipelineConfig) -> tuple[imputation.ImputationTrial, str]:
     """Mask the middle third of a gapless train-segment window, score the
     linear vs. seasonal imputers and record the winner in the manifest.
+    The parsed hourly cache is kept for `train` as ``hourly_series.json`` +
+    ``.bin``.
 
     The trial sees the train segment only, so the selection can never
     depend on test-split values."""
     out_dir = cfg.resolved_output_dir()
-    train_segment, _ = chronological_split(_load_cache(cfg), cfg.split_fraction)
+    hourly = _load_cache(cfg)
+    train_segment, _ = chronological_split(hourly, cfg.split_fraction)
     _check_train_readings(train_segment)
     w_start, w_stop = _trial_window(cfg, train_segment)
     length = w_stop - w_start
@@ -253,6 +296,7 @@ def cmd_impute_eval(cfg: PipelineConfig) -> tuple[imputation.ImputationTrial, st
         ))
 
     manifest = load_manifest(cfg)
+    manifest[HOURLY_PREFIX] = _save_series(out_dir, HOURLY_PREFIX, hourly)
     manifest["chosen_imputer"] = chosen
     manifest["imputation_trial"] = {
         "masked_range": list(trial.masked_range),
@@ -371,26 +415,16 @@ def prepare_data(cfg: PipelineConfig, hourly: HourlySeries, chosen: str) -> Prep
 def _save_imputed(out_dir: Path, data: PreparedData, chosen: str) -> dict[str, str]:
     """Write the imputed series and its fill codes as ``imputed_series.json``
     + ``.bin``; return each file's sha256 for the manifest."""
-    full = data.full
-    header = {"start": full.start.isoformat(), "channels": list(full.channel_names),
-              "n_hours": len(full), "split_idx": data.split_idx, "imputer": chosen}
-    return write_header_blob(out_dir / IMPUTED_PREFIX, header, full.values, data.source)
+    return _save_series(out_dir, IMPUTED_PREFIX, data.full, data.source,
+                        split_idx=data.split_idx, imputer=chosen)
 
 
 def _load_imputed(cfg: PipelineConfig, manifest: dict) -> PreparedData:
     """The PreparedData `train` fitted on, from the pair ``_save_imputed``
     wrote, once both files match the digests in the manifest."""
-    out_dir = cfg.resolved_output_dir()
-    digests = manifest.get(IMPUTED_PREFIX, {})
-    for name in (f"{IMPUTED_PREFIX}.json", f"{IMPUTED_PREFIX}.bin"):
-        _check_sha256(out_dir / name, digests.get(name))
-    prefix = out_dir / IMPUTED_PREFIX
-    header = read_header(prefix)
-    shape = (header["n_hours"], len(header["channels"]))
-    values, source = read_blob(prefix, [("<f8", shape), ("i1", shape)],
-                               f"{shape[0]} hours x {shape[1]} channels of values and fill codes")
+    header, full, (source,) = _load_series(cfg, manifest, IMPUTED_PREFIX, "train",
+                                           "values and fill codes", "i1")
     source.flags.writeable = False
-    full = HourlySeries(datetime.fromisoformat(header["start"]), values, tuple(header["channels"]))
     return PreparedData(full, source, header["split_idx"], cfg.calendar_features, cfg.lags)
 
 
@@ -605,16 +639,17 @@ DEFAULT_ROSTER = ("seasonal_naive", "sarimax", "gbdt", "lstm")
 
 
 def cmd_train(cfg: PipelineConfig, models: tuple[str, ...] | None = None) -> dict:
-    """Train every enabled model on the imputed series, which is kept for
-    `evaluate`; a failing model is recorded, not fatal."""
+    """Train every enabled model on the hourly series `impute-eval` kept,
+    imputed; the imputed series is kept for `evaluate`. A failing model is
+    recorded, not fatal."""
     roster = models if models is not None else cfg.roster
     for name in roster:
         if name not in cfg.roster:
             raise PipelineError(f"model {name!r} is not in the configured roster {cfg.roster}")
     out_dir = cfg.resolved_output_dir()
-    hourly = _load_cache(cfg)
     manifest = load_manifest(cfg)
     chosen = _chosen_imputer(manifest)
+    _, hourly, _ = _load_series(cfg, manifest, HOURLY_PREFIX, "impute-eval", "values")
     data = prepare_data(cfg, hourly, chosen)
     manifest[IMPUTED_PREFIX] = _save_imputed(out_dir, data, chosen)
 
@@ -783,7 +818,7 @@ def cmd_evaluate(cfg: PipelineConfig) -> tuple[metrics.ReportRow, ...]:
         hashes = entry.get("artifact_sha256", {})
         try:
             for artifact in entry["artifacts"]:
-                _check_sha256(out_dir / artifact, hashes.get(Path(artifact).name))
+                _check_sha256(out_dir / artifact, hashes.get(Path(artifact).name), "train")
             forecast = MODELS[name].predict(cfg, data, out_dir / "models")
             q = forecast.quantiles
             n = len(hours)

@@ -15,8 +15,9 @@ rows. Python's csv module stays the reference: a raw file numpy could read
 differently, or whose timestamps do not increase strictly, goes through a
 line parser. A file that is not UTF-8 fails naming its first bad byte.
 
-What only loadcast reads back (the LSTM checkpoint, the imputed series
-``train`` keeps) is a pair of files: a JSON header and one little-endian
+What only loadcast reads back (the LSTM checkpoint, the parsed hourly
+series ``impute-eval`` hands to ``train``, the imputed series ``train``
+keeps) is a pair of files: a JSON header and one little-endian
 blob, written by ``write_header_blob`` and read by ``read_header`` and
 ``read_blob``.
 """
@@ -606,12 +607,14 @@ def chronological_split(
 # ---------------------------------------------------------------------------
 
 
-def series_to_csv(series: HourlySeries, path) -> None:
+def series_to_csv(series: HourlySeries, path) -> str:
     """Persist as CSV: ISO-8601 hour column, one column per channel, empty =
     missing, ``\\r\\n`` line ends: the bytes csv.writer gives for these rows,
-    built 512 rows of ``repr`` at a time (larger pieces raise peak RSS)."""
+    built 512 rows of ``repr`` at a time (larger pieces raise peak RSS).
+    Returns the file's sha256, hashed from what was written."""
     start = np.datetime64(int(series.start.timestamp()), "s")
-    with replace_on_success(path) as fh:
+    with replace_on_success(path) as out:
+        fh = _Sha256Text(out)
         csv.writer(fh).writerow(["hour", *series.channel_names])
         for lo in range(0, len(series), 512):
             stop = min(lo + 512, len(series))
@@ -620,6 +623,7 @@ def series_to_csv(series: HourlySeries, path) -> None:
             # repr spells a missing value "nan" and nothing else with those letters
             fh.write("".join(f"{hour}+00:00,{','.join(map(repr, row))}\r\n"
                              for hour, row in rows).replace("nan", ""))
+    return fh.sha.hexdigest()
 
 
 def series_from_csv(path) -> HourlySeries:

@@ -527,9 +527,11 @@ class TestFeatureMajorKernel:
         assert caches["D2"].tobytes() == want_d2.tobytes()
 
     def test_backward_holds_no_per_step_gradient_stack(self):
-        """A paper-width backward peaks at 1.37x layer 1's act cache, a
-        batch-major one at 1.92x; stacking a (T, H, 4H) recurrent gradient
-        before summing it peaks at 2.93x, so the bound sits between."""
+        """A paper-width float32 backward peaks at 0.28x layer 1's act
+        cache: one 8-step segment's cell states and one step's buffers.
+        Stacking every step's (H, 4H) recurrent gradient dU before summing
+        it peaks at 3.46x with a float64 stack, which the 2.4x bound fails,
+        and at 1.86x with a float32 one, which it does not."""
         model = init_model(**PAPER, seed=54, dtype=np.float32)
         windows, y = paper_batch(54)
         q, caches = forward(model, windows, train_mode=True, dropout_seed=13)

@@ -289,9 +289,38 @@ class TestIngest:
         cfg = config_from_dict(doc)
         pipeline.cmd_ingest(cfg)
         manifest = pipeline.load_manifest(cfg)
-        assert not {"models", "chosen_imputer", "config_hash"} & set(manifest)
+        assert not {"models", "chosen_imputer", "config_hash", "hourly_series",
+                    "imputed_series"} & set(manifest)
         with pytest.raises(pipeline.PipelineError, match="run `train` first"):
             pipeline.cmd_evaluate(cfg)
+
+    def test_edited_cache_is_rebuilt_or_refused(self, tmp_path, caplog):
+        """An edited cache is no cache hit: `ingest` rebuilds it with the
+        bytes it wrote, and `impute-eval` refuses one edited after `ingest`."""
+        build_input_csv(tmp_path / "meter.csv", seed=11)
+        cfg_path = write_config(tmp_path, base_config(tmp_path, roster=["seasonal_naive"]))
+        cfg = load_config(cfg_path)
+        pipeline.cmd_ingest(cfg)
+        cache = cfg.resolved_output_dir() / "hourly_cache.csv"
+        written = cache.read_bytes()
+
+        def edit():
+            head, row, rest = cache.read_bytes().split(b"\r\n", 2)
+            hour, _, cells = row.split(b",", 2)
+            cache.write_bytes(b"\r\n".join([head, b",".join([hour, b"99999.0", cells]), rest]))
+
+        edit()
+        caplog.clear()
+        with caplog.at_level("INFO"):
+            pipeline.cmd_ingest(cfg)
+        assert "cache up to date" not in caplog.text
+        assert cache.read_bytes() == written
+        assert pipeline.load_manifest(cfg)["cache_sha256"] == hashlib.sha256(written).hexdigest()
+        edit()
+        with pytest.raises(pipeline.PipelineError, match=re.escape(str(cache))
+                           + ": changed since `ingest`.*; run `ingest`"):
+            pipeline.cmd_impute_eval(cfg)
+        assert cli_main(["impute-eval", "--config", str(cfg_path)]) == 2
 
     def test_gap_report_follows_threshold_on_cache_hit(self, tmp_path):
         build_input_csv(tmp_path / "meter.csv", seed=7)
@@ -829,23 +858,9 @@ class TestImputedSeries:
         "edit imputed_series.json", "edit imputed_series.bin", "trained before the pair"])
     def test_missing_or_changed_pair_fails_evaluate(self, kept_run, tmp_path, change):
         path = copy_run(kept_run, tmp_path)
-        out = tmp_path / "out"
-        verb, name = change.split(" ", 1)
-        if verb == "delete":
-            (out / name).unlink()
-        elif verb == "edit":
-            data = bytearray((out / name).read_bytes())
-            data[len(data) // 2] ^= 1
-            (out / name).write_bytes(bytes(data))
-        else:  # an output directory trained before train kept the series
-            name = "imputed_series.json"
-            for suffix in (".json", ".bin"):
-                (out / f"imputed_series{suffix}").unlink()
-            manifest = json.loads((out / "manifest.json").read_text())
-            del manifest["imputed_series"]
-            pipeline.save_manifest(load_config(path), manifest)
+        name = change_pair(path, "imputed_series", change)
         with pytest.raises(pipeline.PipelineError,
-                           match=re.escape(str(out / name)) + ".*; run `train`"):
+                           match=re.escape(str(tmp_path / "out" / name)) + ".*; run `train`"):
             pipeline.cmd_evaluate(load_config(path))
         assert cli_main(["evaluate", "--config", str(path)]) == 2
 
@@ -874,6 +889,72 @@ class TestImputedSeries:
         assert set(manifest["metrics"]) == kept
         assert manifest["models"][name]["evaluate"]["status"] == "failed"
         assert artifact in manifest["models"][name]["evaluate"]["error"]
+
+
+def change_pair(path: Path, prefix: str, change: str) -> str:
+    """Delete or edit one file of the ``<prefix>.json`` + ``.bin`` pair in
+    the output directory of the config at ``path``, or (any other change)
+    make the directory one written before the pair existed: neither file,
+    and no ``prefix`` entry in the manifest. Returns the file a refusal
+    should name."""
+    cfg = load_config(path)
+    out = cfg.resolved_output_dir()
+    verb, name = change.split(" ", 1)
+    if verb == "delete":
+        (out / name).unlink()
+    elif verb == "edit":
+        data = bytearray((out / name).read_bytes())
+        data[len(data) // 2] ^= 1
+        (out / name).write_bytes(bytes(data))
+    else:
+        name = f"{prefix}.json"
+        for suffix in (".json", ".bin"):
+            (out / f"{prefix}{suffix}").unlink()
+        manifest = json.loads((out / "manifest.json").read_text())
+        del manifest[prefix]
+        pipeline.save_manifest(cfg, manifest)
+    return name
+
+
+def train_outputs(out: Path) -> dict[str, bytes]:
+    return {p.relative_to(out).as_posix(): p.read_bytes()
+            for p in [out / "imputed_series.json", out / "imputed_series.bin",
+                      *sorted(out.glob("models/*"))]}
+
+
+class TestHourlySeries:
+    def test_pair_holds_what_the_cache_parses_to(self, kept_run):
+        cfg, _ = kept_run
+        out = cfg.resolved_output_dir()
+        manifest = pipeline.load_manifest(cfg)
+        assert manifest["hourly_series"] == {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("hourly_series.json", "hourly_series.bin")}
+        cache = pipeline.series_from_csv(out / "hourly_cache.csv")
+        assert json.loads((out / "hourly_series.json").read_text()) == {
+            "channels": list(cache.channel_names), "n_hours": len(cache),
+            "start": cache.start.isoformat()}
+        assert (out / "hourly_series.bin").read_bytes() == cache.values.tobytes()
+
+    def test_train_needs_no_hourly_cache(self, kept_run, tmp_path):
+        path = copy_run(kept_run, tmp_path)
+        out = tmp_path / "out"
+        before = train_outputs(out)
+        assert len(before) == 7
+        (out / "hourly_cache.csv").unlink()
+        assert cli_main(["train", "--config", str(path)]) == 0
+        assert train_outputs(out) == before
+
+    @pytest.mark.parametrize("change", [
+        "delete hourly_series.json", "delete hourly_series.bin",
+        "edit hourly_series.json", "edit hourly_series.bin", "chosen before the pair"])
+    def test_missing_or_changed_pair_fails_train(self, kept_run, tmp_path, change):
+        path = copy_run(kept_run, tmp_path)
+        name = change_pair(path, "hourly_series", change)
+        with pytest.raises(pipeline.PipelineError,
+                           match=re.escape(str(tmp_path / "out" / name)) + ".*; run `impute-eval`"):
+            pipeline.cmd_train(load_config(path))
+        assert cli_main(["train", "--config", str(path)]) == 2
 
 
 class TestAtomicCsv:

@@ -749,8 +749,8 @@ class TestCsvCache:
         values[2] = np.nan
         series = make_series(values, channel_names=("Aggregate", "Appliance1", "Appliance2"))
         path = tmp_path / "cache.csv"
-        series_to_csv(series, path)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        digest = series_to_csv(series, path)
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest() == (
             "7757796bf73ab1756e70bf9ea4c2b1e16bbbe0eb3cd1ab1022d5b5fcb198ecf5")
         assert series_from_csv(path).values.tobytes() == series.values.tobytes()
 
