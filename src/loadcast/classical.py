@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -171,20 +172,21 @@ def _css_residuals(w: np.ndarray, ar_table: dict[int, float], ma_table: dict[int
     if not ma_table:
         return arr[t0:]
     a = arr.tolist()
-    eps = [0.0] * n
+    eps: list[float] = []  # eps[j] is the residual at t0 + j
     ma_items = [(lag, float(coef)) for lag, coef in ma_table.items()]
     head = min(n, t0 + ma_items[0][0]) if len(ma_items) == 1 else n
     for t in range(t0, head):
         acc = a[t]
         for lag, coef in ma_items:
             if t - lag >= t0:
-                acc -= coef * eps[t - lag]
-        eps[t] = acc
+                acc -= coef * eps[t - lag - t0]
+        eps.append(acc)
     if head < n:
         (lag, coef), = ma_items
-        for t in range(head, n):
-            eps[t] = a[t] - coef * eps[t - lag]
-    return np.array(eps[t0:])
+        append = eps.append
+        for x in a[head:]:
+            append(x - coef * eps[-lag])
+    return np.fromiter(eps, dtype=float, count=len(eps))
 
 
 def _unpack(params: np.ndarray, order: SarimaxOrder, n_exog: int):
@@ -209,8 +211,18 @@ def sarimax_fit(
 ) -> SarimaxModel:
     """Estimate coefficients by conditional sum of squares.
 
+    The fit runs in units of the differenced series' spread: the series is
+    divided by S, the power of two nearest its standard deviation (S = 1 if
+    that is 0 or not finite), and ``beta``, ``intercept``, ``w_tail`` and
+    ``eps_tail`` are multiplied back by S and ``sigma2`` by S^2. So the fit
+    does not depend on the unit of the readings: readings scaled by a power
+    of two give the same coefficients and scaled artifacts, bit for bit.
+    An exogenous column that is all zero after differencing (``hour`` at
+    s = 24) is held at coefficient 0, outside the search, and logged.
+
     The simplex search starts from all-zero coefficients and stops when the
-    objective spread falls below ``tol`` or after ``max_iter`` iterations;
+    objective spread falls below ``tol``, relative to the data's spread
+    (the objective is in units of S^2), or after ``max_iter`` iterations;
     non-convergence keeps the best coefficients found and flips the
     ``converged`` flag. Warns when an AR root is within 1e-3 of the unit
     circle.
@@ -226,13 +238,22 @@ def sarimax_fit(
     n_exog = exog.shape[1]
     if exog_names and len(exog_names) != n_exog:
         raise ClassicalModelError("exog_names length does not match exog columns")
+    exog_names = tuple(exog_names) if exog_names else tuple(f"x{j}" for j in range(n_exog))
 
     z, _ = difference(endog, order.d, order.D, order.s)
     zx = np.column_stack(
         [difference(exog[:, j], order.d, order.D, order.s)[0] for j in range(n_exog)]
     ) if n_exog else np.empty((len(z), 0))
+    free = np.any(zx != 0.0, axis=0)
+    if not free.all():
+        held = [name for name, keep in zip(exog_names, free) if not keep]
+        logger.info("sarimax_fit: exog %s all zero after differencing, held at 0", held)
+    zx = zx[:, free]
+    n_free = int(free.sum())
+    scale = _unit_scale(z)
+    z = z / scale
 
-    n_params = order.p + order.q + order.P + order.Q + n_exog + (1 if order.with_intercept else 0)
+    n_params = order.p + order.q + order.P + order.Q + n_free + (1 if order.with_intercept else 0)
     t0 = order.max_ar_lag
     n_effective = len(z) - t0
     if n_params > 0 and len(z) <= 10 * n_params:
@@ -241,9 +262,9 @@ def sarimax_fit(
         )
 
     def objective(params: np.ndarray) -> float:
-        ar, ma, sar, sma, beta, intercept = _unpack(params, order, n_exog)
+        ar, ma, sar, sma, beta, intercept = _unpack(params, order, n_free)
         w = z - intercept
-        if n_exog:
+        if n_free:
             w = w - zx @ beta
         ar_table = _expand_poly(ar, sar, order.s, sign=-1.0)
         ma_table = _expand_poly(ma, sma, order.s, sign=1.0)
@@ -263,12 +284,15 @@ def sarimax_fit(
     if not converged:
         logger.warning("sarimax_fit: simplex search did not converge in %d iterations", n_iter)
 
-    ar, ma, sar, sma, beta, intercept = _unpack(best, order, n_exog)
+    ar, ma, sar, sma, beta_free, intercept = _unpack(best, order, n_free)
     ar_table = _expand_poly(ar, sar, order.s, sign=-1.0)
     ma_table = _expand_poly(ma, sma, order.s, sign=1.0)
-    w = z - intercept - (zx @ beta if n_exog else 0.0)
+    w = z - intercept - (zx @ beta_free if n_free else 0.0)
     eps = _css_residuals(w, ar_table, ma_table, t0)
-    sigma2 = max(float(eps @ eps) / max(n_effective, 1), np.finfo(float).tiny)
+    sigma2 = max(float(eps @ eps) / max(n_effective, 1) * (scale * scale),
+                 np.finfo(float).tiny)
+    beta = np.zeros(n_exog)
+    beta[free] = beta_free * scale
 
     _warn_near_unit_root(ar, "ar")
     _warn_near_unit_root(sar, "seasonal ar")
@@ -280,10 +304,10 @@ def sarimax_fit(
     model = SarimaxModel(
         order=order,
         ar=np.array(ar), ma=np.array(ma), sar=np.array(sar), sma=np.array(sma),
-        beta=np.array(beta), intercept=float(intercept), sigma2=sigma2,
-        exog_names=tuple(exog_names) if exog_names else tuple(f"x{j}" for j in range(n_exog)),
-        w_tail=w[-tail_len:].copy(),
-        eps_tail=eps_full[-max(order.max_ma_lag, 1):].copy(),
+        beta=beta, intercept=float(intercept) * scale, sigma2=sigma2,
+        exog_names=exog_names,
+        w_tail=w[-tail_len:] * scale,
+        eps_tail=eps_full[-max(order.max_ma_lag, 1):] * scale,
         endog_tail=endog[-max(raw_tail, 1):].copy(),
         exog_tail=exog[-max(raw_tail, 1):].copy() if n_exog else np.empty((0, 0)),
         converged=converged,
@@ -295,6 +319,18 @@ def sarimax_fit(
         sigma2, converged, n_iter,
     )
     return model
+
+
+def _unit_scale(z: np.ndarray) -> float:
+    """The power of two nearest the standard deviation of ``z`` (rounded in
+    log2), or 1.0 when that is 0 or not finite. Taken from the float's
+    mantissa and exponent, so ``z * 2**k`` gives exactly ``2**k`` times it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        std = float(np.std(z))
+    if std == 0.0 or not np.isfinite(std):
+        return 1.0
+    mantissa, exponent = math.frexp(std)  # std = mantissa * 2**exponent, mantissa in [0.5, 1)
+    return math.ldexp(1.0, exponent - (mantissa < math.sqrt(0.5)))
 
 
 def _warn_near_unit_root(coefs: np.ndarray, label: str) -> None:
@@ -418,7 +454,7 @@ def nelder_mead(
             converged = True
             break
 
-        centroid = np.mean(simplex[:-1], axis=0)
+        centroid = np.add.reduce(simplex[:-1], axis=0) / dim  # np.mean's sum and divide
         reflected = centroid + alpha * (centroid - simplex[-1])
         f_ref = func(reflected)
         if fvals[0] <= f_ref < fvals[-2]:

@@ -10,7 +10,6 @@ distribution is preserved (earth-mover distance between histograms).
 
 from __future__ import annotations
 
-import bisect
 import logging
 from dataclasses import dataclass
 
@@ -83,6 +82,12 @@ def knn_impute(series: HourlySeries, k: int = 5, max_gap: int = 6) -> HourlySeri
     values in the same channel (ties between equidistant neighbours prefer
     the earlier one). Runs longer than max_gap are left untouched, so only a
     channel with a run to fill needs k present values.
+
+    A channel's cells are filled together, in k array steps of the walk
+    from each cell outwards: each step adds the nearer of the next left and
+    right neighbours, nearest first, so every sum is rounded as a walk of
+    one cell at a time would round it. Like that walk on Python floats, a
+    sum that overflows is inf (or NaN) without a warning.
     """
     if k < 1:
         raise ImputationError("k must be >= 1")
@@ -98,28 +103,22 @@ def knn_impute(series: HourlySeries, k: int = 5, max_gap: int = 6) -> HourlySeri
             raise ImputationError(
                 f"channel {series.channel_names[c]!r} has fewer than k={k} present values"
             )
-        # one walk per filled cell, on Python lists: cheaper to index than arrays
-        positions, values = present.tolist(), col[present].tolist()
-        for start, length in runs:
-            for i in range(start, start + length):
-                col[i] = _knn_mean(positions, values, i, k)
+        cells = np.concatenate([np.arange(start, start + length) for start, length in runs])
+        values = col[present]
+        right = np.searchsorted(present, cells, side="left")
+        left = right - 1
+        total = np.zeros(len(cells))
+        last = len(present) - 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(k):
+                r = np.minimum(right, last)
+                take_left = (right > last) | (
+                    (left >= 0) & (cells - present[left] <= present[r] - cells))
+                total += np.where(take_left, values[left], values[r])
+                left -= take_left
+                right += ~take_left
+        col[cells] = total / k
     return series.with_values(out)
-
-
-def _knn_mean(positions: list[int], values: list[float], i: int, k: int) -> float:
-    """Mean of the k values whose ascending ``positions`` are nearest to hour
-    i, summed nearest first, the earlier one first on a tie."""
-    right = bisect.bisect_left(positions, i)
-    left = right - 1
-    total = 0.0
-    for _ in range(k):
-        if right == len(positions) or (left >= 0 and i - positions[left] <= positions[right] - i):
-            total += values[left]
-            left -= 1
-        else:
-            total += values[right]
-            right += 1
-    return total / k
 
 
 # ---------------------------------------------------------------------------

@@ -731,7 +731,16 @@ def predict_quantiles(
     inverse min-max scaling of the target (channel 0 of ``scaler``) back to
     watts, and non-crossing repair by per-row sorting: one (n_windows,
     len(QUANTILE_LEVELS)) array in ``QUANTILE_LEVELS`` order, float64
-    whatever the model dtype."""
+    whatever the model dtype.
+
+    A window's quantiles can differ in the last bits with the number of
+    windows forwarded with it. numpy runs a one-window block's products as
+    matrix-vector products, which round differently from a wider block's
+    matrix products, and some BLAS builds round the trailing columns of a
+    wide float64 product differently from a narrower one. So one window
+    alone, or a float64 model on another number of windows, can give other
+    bits for the same window; a fixed window set gives the same bits every
+    run."""
     q = _eval_forward(model, tensors.data).astype(np.float64, copy=False)
     if scaler is not None:
         q = unscale_array(q, scaler.mins[0], scaler.maxs[0])

@@ -349,6 +349,77 @@ def test_c9_golden_digests(tmp_path):
         print(f"golden c9: host differs from {golden['host']}; skipped {HOST_DEPENDENT}")
 
 
+SHIFT_DAYS = 10227  # 28 years: the same weekday, month and day from 1901 to 2099
+
+
+def _rewrite_meter(src: Path, dst: Path, edit_row, edit_header=lambda cells: cells) -> None:
+    """Write ``src``'s raw meter CSV to ``dst``, each reading row's cells
+    passed through ``edit_row`` and the header's through ``edit_header``."""
+    header, *rows = (line.split(",") for line in src.read_text(encoding="utf-8").splitlines())
+    lines = [edit_header(header)] + [edit_row(row) for row in rows]
+    dst.write_text("".join(",".join(cells) + "\n" for cells in lines), encoding="utf-8")
+
+
+def _c11_chain(root: Path, input_name: str, out_name: str, roster=None):
+    """Run c9's config on ``input_name``; return the report rows by model
+    and the bytes of every model artifact and of report.csv."""
+    doc = _acceptance_config(root, input_name, out_name)
+    if roster is not None:
+        doc["roster"] = list(roster)
+    cfg = config_from_dict(doc)
+    rows = {row.model: row for row in _run_chain(cfg)}
+    out = cfg.resolved_output_dir()
+    files = {p.relative_to(out).as_posix(): p.read_bytes()
+             for p in sorted((out / "models").iterdir())}
+    files["report.csv"] = (out / "report.csv").read_bytes()
+    return rows, files
+
+
+def test_c11_metamorphic_invariance(tmp_path):
+    """What the table says must not hang on the unit of the readings, the
+    calendar era, the raw file's column order, or which models share a
+    run."""
+    with Timer("11 metamorphic invariance", 120.0):
+        _c9_inputs(tmp_path)
+        meter = tmp_path / "meter.csv"
+        rows, files = _c11_chain(tmp_path, "meter.csv", "out_base")
+
+        # raw readings x 2, exact in binary: every score x 2, the same coverage
+        _rewrite_meter(meter, tmp_path / "double.csv", lambda row:
+                       [row[0]] + [repr(2.0 * float(v)) if v else v for v in row[1:]])
+        doubled, _ = _c11_chain(tmp_path, "double.csv", "out_double")
+        assert doubled.keys() == rows.keys() and len(rows) == 4
+        for name, row in rows.items():
+            twin = doubled[name]
+            assert (twin.rmse, twin.mae) == (2.0 * row.rmse, 2.0 * row.mae), name
+            assert twin.aqs == (None if row.aqs is None else 2.0 * row.aqs), name
+            assert twin.picp == row.picp, name
+
+        # timestamps moved by whole weeks of 28 years: nothing moves
+        _rewrite_meter(meter, tmp_path / "shifted.csv",
+                       lambda row: [str(int(row[0]) + SHIFT_DAYS * 86400)] + row[1:])
+        assert _c11_chain(tmp_path, "shifted.csv", "out_shifted")[1] == files
+
+        # the raw file's columns in another order: nothing moves
+        def permute(cells):
+            return [cells[2], cells[0], cells[1]]
+
+        _rewrite_meter(meter, tmp_path / "permuted.csv", permute, permute)
+        assert _c11_chain(tmp_path, "permuted.csv", "out_permuted")[1] == files
+
+        # the roster reversed, and each model alone: the same artifacts (the
+        # report lists the rows in roster order)
+        files.pop("report.csv")
+        roster = list(rows)
+        reversed_files = _c11_chain(tmp_path, "meter.csv", "out_reversed", roster[::-1])[1]
+        reversed_files.pop("report.csv")
+        assert reversed_files == files
+        for name in roster:
+            alone = _c11_chain(tmp_path, "meter.csv", f"out_{name}", [name])[1]
+            alone.pop("report.csv")
+            assert alone and all(files[path] == data for path, data in alone.items()), name
+
+
 REFIT_ENV = "LOADCAST_REFIT_CSV"
 
 

@@ -135,6 +135,32 @@ class TestSarimaxFit:
         with pytest.warns(NearUnitRootWarning):
             sarimax_fit(x, order=order)
 
+    @pytest.mark.parametrize("k", [-10, 1, 10])
+    def test_fit_does_not_depend_on_the_unit(self, k, caplog):
+        series = regime_switching_series(720, noise=0.15, seed=11).channel(0)
+        hours = np.arange(len(series))
+        exog = np.column_stack([hours % 24, hours // 24 % 7]).astype(float)
+        scale = 2.0 ** k
+        # the default order, whose seasonal difference zeroes the hour column
+        with caplog.at_level("INFO", logger="loadcast.classical"):
+            base = sarimax_fit(series, exog, exog_names=("hour", "dayofweek"), max_iter=300)
+        assert "['hour'] all zero after differencing, held at 0" in caplog.text
+        scaled = sarimax_fit(series * scale, exog, exog_names=("hour", "dayofweek"),
+                             max_iter=300)
+        assert base.converged and scaled.n_iterations == base.n_iterations
+        for name in ("ar", "ma", "sar", "sma"):
+            assert getattr(scaled, name).tobytes() == getattr(base, name).tobytes(), name
+        assert base.beta[0] == scaled.beta[0] == 0.0 and base.beta[1] != 0.0
+        for name in ("beta", "w_tail", "eps_tail"):
+            assert getattr(scaled, name).tobytes() == (getattr(base, name) * scale).tobytes()
+        assert scaled.sigma2 == base.sigma2 * scale * scale
+        # no differencing: the intercept is fitted, and scales too
+        order = SarimaxOrder(p=1, d=0, q=1, P=0, D=0, Q=0, s=1)
+        base, scaled = (sarimax_fit(y, order=order) for y in (series, series * scale))
+        assert base.converged and scaled.n_iterations == base.n_iterations
+        assert (scaled.ar[0], scaled.ma[0]) == (base.ar[0], base.ma[0])
+        assert scaled.intercept == base.intercept * scale != 0.0
+
     def test_serialization_round_trip(self):
         x = simulate_ar1(0.5, 1500, seed=7)
         order = SarimaxOrder(p=1, d=1, q=1, P=0, D=0, Q=0, s=1)
