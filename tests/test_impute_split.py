@@ -21,6 +21,7 @@ from loadcast.series import HourlySeries, chronological_split, missing_runs
 from loadcast.synth import regime_switching_series, write_meter_csv
 
 from conftest import MONDAY, make_series
+from test_pipeline import load_hourly
 
 OBSERVED, KNN, LINEAR, SEASONAL, FALLBACK = range(5)
 
@@ -287,7 +288,7 @@ def test_toy_household_counts_per_segment_and_method(chosen):
 def _observed_where_cached(cfg) -> None:
     pipeline.cmd_ingest(cfg)
     _, chosen = pipeline.cmd_impute_eval(cfg)
-    hourly = pipeline._load_cache(cfg)
+    hourly = load_hourly(cfg)
     data = pipeline.prepare_data(cfg, hourly, chosen)
     np.testing.assert_array_equal(data.source == OBSERVED, ~np.isnan(hourly.values))
     assert (data.source > OBSERVED).any()
@@ -327,7 +328,7 @@ def test_submeter_dying_in_the_test_segment_trains(tmp_path):
     _, chosen = pipeline.cmd_impute_eval(cfg)
     pipeline.cmd_train(cfg)
     assert pipeline.load_manifest(cfg)["models"]["seasonal_naive"]["status"] == "ok"
-    data = pipeline.prepare_data(cfg, pipeline._load_cache(cfg), chosen)
+    data = pipeline.prepare_data(cfg, load_hourly(cfg), chosen)
     assert (data.source[split + 2:, 2] == SEASONAL).all()
     assert (data.source[:split + 2, 2] == OBSERVED).all()
 
@@ -357,5 +358,5 @@ def test_submeter_dead_in_the_train_segment_names_the_channel(tmp_path):
     assert str(err.value) == want
     for chosen in ("linear", "seasonal"):
         with pytest.raises(pipeline.PipelineError) as err:
-            pipeline.prepare_data(cfg, pipeline._load_cache(cfg), chosen)
+            pipeline.prepare_data(cfg, load_hourly(cfg), chosen)
         assert str(err.value) == want, chosen

@@ -51,6 +51,12 @@ def base_config(root: Path, **overrides) -> dict:
     return doc
 
 
+def load_hourly(cfg):
+    """The hourly series `ingest` kept, as `impute-eval` and `train` read it."""
+    return pipeline._load_series(cfg, pipeline.load_manifest(cfg), pipeline.HOURLY_PREFIX,
+                                 "ingest", "values")[1]
+
+
 def write_config(root: Path, doc: dict, name="config.json") -> Path:
     path = root / name
     path.write_text(json.dumps(doc, indent=1), encoding="utf-8")
@@ -289,14 +295,20 @@ class TestIngest:
         cfg = config_from_dict(doc)
         pipeline.cmd_ingest(cfg)
         manifest = pipeline.load_manifest(cfg)
-        assert not {"models", "chosen_imputer", "config_hash", "hourly_series",
-                    "imputed_series"} & set(manifest)
+        assert not {"models", "chosen_imputer", "config_hash", "imputed_series"} & set(manifest)
+        out = cfg.resolved_output_dir()
+        assert manifest["hourly_series"] == {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("hourly_series.json", "hourly_series.bin")}
+        assert load_hourly(cfg).values.tobytes() == pipeline.series_from_csv(
+            out / "hourly_cache.csv").values.tobytes()
         with pytest.raises(pipeline.PipelineError, match="run `train` first"):
             pipeline.cmd_evaluate(cfg)
 
     def test_edited_cache_is_rebuilt_or_refused(self, tmp_path, caplog):
         """An edited cache is no cache hit: `ingest` rebuilds it with the
-        bytes it wrote, and `impute-eval` refuses one edited after `ingest`."""
+        bytes it wrote, and `impute-eval` refuses an hourly series pair, its
+        input, edited after `ingest`."""
         build_input_csv(tmp_path / "meter.csv", seed=11)
         cfg_path = write_config(tmp_path, base_config(tmp_path, roster=["seasonal_naive"]))
         cfg = load_config(cfg_path)
@@ -316,8 +328,11 @@ class TestIngest:
         assert "cache up to date" not in caplog.text
         assert cache.read_bytes() == written
         assert pipeline.load_manifest(cfg)["cache_sha256"] == hashlib.sha256(written).hexdigest()
-        edit()
-        with pytest.raises(pipeline.PipelineError, match=re.escape(str(cache))
+        pair = cfg.resolved_output_dir() / "hourly_series.bin"
+        values = np.fromfile(pair)
+        values[0] = 99999.0
+        values.tofile(pair)
+        with pytest.raises(pipeline.PipelineError, match=re.escape(str(pair))
                            + ": changed since `ingest`.*; run `ingest`"):
             pipeline.cmd_impute_eval(cfg)
         assert cli_main(["impute-eval", "--config", str(cfg_path)]) == 2
@@ -436,7 +451,7 @@ class TestTrainEvaluate:
         header = json.loads((cfg.resolved_output_dir() / "models" / "lstm.json").read_text())
         assert header["dtype"] == "float32"
         manifest = pipeline.load_manifest(cfg)
-        data = pipeline.prepare_data(cfg, pipeline._load_cache(cfg), manifest["chosen_imputer"])
+        data = pipeline.prepare_data(cfg, load_hourly(cfg), manifest["chosen_imputer"])
         for part in pipeline._window_split(cfg, data):
             assert part.data.dtype == np.float32 and part.target.dtype == np.float64
 
@@ -825,7 +840,7 @@ class TestImputedSeries:
         cfg, _ = kept_run
         manifest = pipeline.load_manifest(cfg)
         kept = pipeline._load_imputed(cfg, manifest)
-        again = pipeline.prepare_data(cfg, pipeline._load_cache(cfg), manifest["chosen_imputer"])
+        again = pipeline.prepare_data(cfg, load_hourly(cfg), manifest["chosen_imputer"])
         assert kept.split_idx == again.split_idx
         assert kept.full.start == again.full.start
         assert kept.full.channel_names == again.full.channel_names
@@ -916,6 +931,29 @@ def change_pair(path: Path, prefix: str, change: str) -> str:
     return name
 
 
+PAIR_CHANGES = ["delete hourly_series.json", "delete hourly_series.bin",
+                "edit hourly_series.json", "edit hourly_series.bin", "chosen before the pair"]
+
+
+def hourly_pair(out: Path) -> dict[str, bytes]:
+    return {name: (out / name).read_bytes() for name in ("hourly_series.json",
+                                                         "hourly_series.bin")}
+
+
+def assert_ingest_repairs(path: Path, kept: dict[str, bytes]) -> None:
+    """One `ingest` (no cache hit) writes the ``kept`` pair again, and
+    `impute-eval` and `train` then run."""
+    assert cli_main(["ingest", "--config", str(path)]) == 0
+    assert hourly_pair(load_config(path).resolved_output_dir()) == kept
+    for command in ("impute-eval", "train"):
+        assert cli_main([command, "--config", str(path)]) == 0, command
+
+
+def trial_outputs(out: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in [out / "imputation_trial.csv",
+                                             *sorted(out.glob("hist_*.csv"))]}
+
+
 def train_outputs(out: Path) -> dict[str, bytes]:
     return {p.relative_to(out).as_posix(): p.read_bytes()
             for p in [out / "imputed_series.json", out / "imputed_series.bin",
@@ -936,25 +974,57 @@ class TestHourlySeries:
             "start": cache.start.isoformat()}
         assert (out / "hourly_series.bin").read_bytes() == cache.values.tobytes()
 
-    def test_train_needs_no_hourly_cache(self, kept_run, tmp_path):
+    def test_impute_eval_and_train_need_no_hourly_cache(self, kept_run, tmp_path):
         path = copy_run(kept_run, tmp_path)
         out = tmp_path / "out"
-        before = train_outputs(out)
-        assert len(before) == 7
+        before = trial_outputs(out), train_outputs(out)
+        assert [len(part) for part in before] == [4, 7]
         (out / "hourly_cache.csv").unlink()
-        assert cli_main(["train", "--config", str(path)]) == 0
-        assert train_outputs(out) == before
+        for command in ("impute-eval", "train"):
+            assert cli_main([command, "--config", str(path)]) == 0, command
+        assert (trial_outputs(out), train_outputs(out)) == before
 
-    @pytest.mark.parametrize("change", [
-        "delete hourly_series.json", "delete hourly_series.bin",
-        "edit hourly_series.json", "edit hourly_series.bin", "chosen before the pair"])
-    def test_missing_or_changed_pair_fails_train(self, kept_run, tmp_path, change):
+    @pytest.mark.parametrize("change", PAIR_CHANGES)
+    def test_missing_or_changed_pair_fails_impute_eval(self, kept_run, tmp_path, change):
         path = copy_run(kept_run, tmp_path)
+        kept = hourly_pair(tmp_path / "out")
         name = change_pair(path, "hourly_series", change)
         with pytest.raises(pipeline.PipelineError,
-                           match=re.escape(str(tmp_path / "out" / name)) + ".*; run `impute-eval`"):
+                           match=re.escape(str(tmp_path / "out" / name)) + ".*; run `ingest`"):
+            pipeline.cmd_impute_eval(load_config(path))
+        assert cli_main(["impute-eval", "--config", str(path)]) == 2
+        assert_ingest_repairs(path, kept)
+
+    @pytest.mark.parametrize("change", PAIR_CHANGES)
+    def test_missing_or_changed_pair_fails_train(self, kept_run, tmp_path, change):
+        path = copy_run(kept_run, tmp_path)
+        kept = hourly_pair(tmp_path / "out")
+        name = change_pair(path, "hourly_series", change)
+        with pytest.raises(pipeline.PipelineError,
+                           match=re.escape(str(tmp_path / "out" / name)) + ".*; run `ingest`"):
             pipeline.cmd_train(load_config(path))
         assert cli_main(["train", "--config", str(path)]) == 2
+        assert_ingest_repairs(path, kept)
+
+    def test_second_ingest_parses_no_text(self, kept_run, tmp_path, monkeypatch, caplog):
+        """A cache hit reads the pair: neither the cache CSV nor the meter
+        file is parsed, and no file of the cache is rewritten."""
+        path = copy_run(kept_run, tmp_path)
+        out = tmp_path / "out"
+        files = [out / name for name in ("hourly_cache.csv", "hourly_series.json",
+                                         "hourly_series.bin")]
+        before = [(p.read_bytes(), p.stat().st_mtime_ns) for p in files]
+
+        def parse(*args):
+            raise AssertionError("parsed text on a cache hit")
+
+        for name in ("series_from_csv", "ingest_csv", "series_to_csv"):
+            monkeypatch.setattr(pipeline, name, parse)
+        with caplog.at_level("INFO"):
+            hourly, _ = pipeline.cmd_ingest(load_config(path))
+        assert "cache up to date" in caplog.text
+        assert [(p.read_bytes(), p.stat().st_mtime_ns) for p in files] == before
+        assert hourly.values.tobytes() == before[2][0]
 
 
 class TestAtomicCsv:
