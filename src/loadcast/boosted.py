@@ -27,20 +27,26 @@ Prediction walks all of a model's trees at once, a block of rows at a
 time, in exactly ``depth`` gather-compare-select steps with no branch on
 the data (Asadi, Lin & de Vries 2014): each leaf is its own child, so a
 row that reaches a leaf stays there.
+
+A saved model is a ``series.write_header_blob`` pair: a ``.json`` header
+of all but the nodes, with each tree's node count, and a ``.bin`` blob of
+the int32 feature, left and right and float64 threshold and value arrays
+of every tree end to end (model after model for a quantile set).
 """
 
 from __future__ import annotations
 
-import json
 import logging
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
+from itertools import accumulate, pairwise
 
 import numpy as np
 
 from .features import FeatureMatrix
 from .metrics import QUANTILE_LEVELS, pinball_grad, pinball_loss
+from .series import read_blob, read_header, write_header_blob
 
 logger = logging.getLogger(__name__)
 
@@ -114,7 +120,6 @@ class RegressionTree:
     left: np.ndarray       # int32 child index, -1 for leaves
     right: np.ndarray
     value: np.ndarray      # float64 leaf value, 0 for internal nodes
-    max_depth: int
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Leaf value of each row of the 2-D ``X``."""
@@ -378,7 +383,6 @@ def fit_tree(
         np.asarray(left, dtype=np.int32),
         np.asarray(right, dtype=np.int32),
         np.asarray(value, dtype=float),
-        max_depth=max_depth,
     )
 
 
@@ -531,111 +535,141 @@ def gbdt_predict_quantiles(models: dict[float, GbdtModel], X) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def gbdt_to_doc(model: GbdtModel) -> dict:
-    """The model as plain JSON types; ``gbdt_from_doc`` inverts it."""
-    return {
-        "params": {
-            "n_estimators": model.params.n_estimators,
-            "learning_rate": model.params.learning_rate,
-            "max_depth": model.params.max_depth,
-            "min_samples_leaf": model.params.min_samples_leaf,
-            "early_stopping_rounds": model.params.early_stopping_rounds,
-        },
-        "loss": {"name": model.loss.name}
-        | ({"tau": model.loss.tau} if isinstance(model.loss, PinballLoss) else {}),
-        "base_score": model.base_score,
-        "best_iteration": model.best_iteration,
-        "feature_order": list(model.feature_order),
-        "val_history": list(model.val_history),
-        "trees": [
-            {
-                "feature": t.feature.tolist(),
-                "threshold": t.threshold.tolist(),
-                "left": t.left.tolist(),
-                "right": t.right.tolist(),
-                "value": t.value.tolist(),
-                "max_depth": t.max_depth,
-            }
-            for t in model.trees
-        ],
-    }
+# a model's part of the blob: these node arrays, each of every tree end to end
+_NODE_ARRAYS = (("feature", "<i4"), ("left", "<i4"), ("right", "<i4"), ("threshold", "<f8"),
+                ("value", "<f8"))
 
 
-def _check_trees(trees: Sequence[RegressionTree], n_features: int) -> None:
-    """Raise ``BoostingError`` naming the first tree and node that
-    ``fit_tree`` could not have written: node arrays of unequal length,
-    children out of range or not after their parent (which would let a
-    walk cycle), a leaf with children, a feature outside ``[0, n_features)``
-    or a path longer than the tree's ``max_depth``."""
-    for i, t in enumerate(trees):
-        if not len(t.feature) or any(
-            len(a) != len(t.feature) for a in (t.threshold, t.left, t.right, t.value)
-        ):
-            raise BoostingError(f"tree {i}: node arrays empty or of unequal length")
-    sizes = np.array([len(t.feature) for t in trees], dtype=np.intp)
+def _header(model: GbdtModel) -> dict:
+    """All of ``model`` but its node arrays; ``trees`` holds each tree's node count."""
+    return {"params": asdict(model.params), "loss": asdict(model.loss),
+            "base_score": model.base_score, "best_iteration": model.best_iteration,
+            "feature_order": list(model.feature_order), "val_history": list(model.val_history),
+            "trees": [len(t.feature) for t in model.trees]}
+
+
+def _node_arrays(*models: GbdtModel) -> list[np.ndarray]:
+    return [_joined(m.trees, name, dtype) for m in models for name, dtype in _NODE_ARRAYS]
+
+
+def save_gbdt(path_prefix, model: GbdtModel) -> dict[str, str]:
+    """Write ``model`` as the ``<prefix>.json`` header and ``<prefix>.bin``
+    node blob; returns both file names with their sha256."""
+    return write_header_blob(path_prefix, _header(model), *_node_arrays(model))
+
+
+def save_gbdt_quantiles(path_prefix, models: dict[float, GbdtModel]) -> dict[str, str]:
+    """One pair for a model per quantile: the header maps ``repr(tau)`` to
+    each model's header, the blob holds their node arrays in
+    ``QUANTILE_LEVELS`` order."""
+    ordered = [models[tau] for tau in QUANTILE_LEVELS]
+    header = {repr(tau): _header(model) for tau, model in zip(QUANTILE_LEVELS, ordered)}
+    return write_header_blob(path_prefix, header, *_node_arrays(*ordered))
+
+
+def _check_header(head) -> int:
+    """Raise ``BoostingError`` on a model header ``gbdt_fit`` could not
+    have written; return the model's node count."""
+    trees = head.get("trees") if isinstance(head, dict) else None
+    if (not isinstance(trees, list) or any(type(n) is not int for n in trees)
+            or sorted(head) != sorted(f.name for f in fields(GbdtModel))):
+        raise BoostingError("not a GBDT header with node counts (a model saved before node "
+                            "blobs?); run `train`")
+    n, best, history, loss = len(trees), head["best_iteration"], head["val_history"], head["loss"]
+    if min(trees, default=1) < 1:
+        raise BoostingError(f"a tree of {min(trees)} nodes")
+    if type(best) is not int or not 0 <= best <= n:
+        raise BoostingError(f"best_iteration {best!r} outside [0, {n}]")
+    if len(history) != n + 1:
+        raise BoostingError(f"{len(history)} val_history entries for {n} trees, need {n + 1}")
+    tau = loss.get("tau") if isinstance(loss, dict) else None
+    if loss != {"name": "squared"} and not (
+        loss == {"name": "pinball", "tau": tau} and isinstance(tau, float) and 0 < tau < 1
+    ):
+        raise BoostingError(f"unknown loss {loss!r}")
+    if not isinstance(head["params"], dict) or sorted(head["params"]) != sorted(
+            asdict(GbdtParams())):
+        raise BoostingError(f"params {head['params']!r}, need the fields of GbdtParams")
+    return sum(trees)
+
+
+def _check_trees(sizes: list[int], feature: np.ndarray, left: np.ndarray, right: np.ndarray,
+                 finite: np.ndarray, max_depth: int, n_features: int) -> None:
+    """Raise ``BoostingError`` naming the first tree (of ``sizes`` nodes, end
+    to end) and node that ``fit_tree`` could not have written: children out
+    of range or not after their parent (which would let a walk cycle), a
+    leaf with children, a feature outside ``[0, n_features)``, a threshold
+    or value not ``finite``, or a path longer than ``max_depth``."""
+    sizes = np.array(sizes, dtype=np.intp)
     roots = np.cumsum(sizes) - sizes
-    tree_of = np.repeat(np.arange(len(trees)), sizes)
+    tree_of = np.repeat(np.arange(len(sizes)), sizes)
     node = np.arange(len(tree_of)) - roots.take(tree_of)
     size = sizes.take(tree_of)
-    feature = _joined(trees, "feature", np.intp)
-    left = _joined(trees, "left", np.intp)
-    right = _joined(trees, "right", np.intp)
+    feature, left, right = (a.astype(np.intp) for a in (feature, left, right))
     inner = feature >= 0
     bad = np.where(inner,
                    (left <= node) | (left >= size) | (right <= node) | (right >= size),
                    (left != -1) | (right != -1))
-    bad |= (feature < -1) | (feature >= n_features)
+    bad |= (feature < -1) | (feature >= n_features) | ~finite
     if bad.any():
         k = int(bad.argmax())
         raise BoostingError(
             f"tree {tree_of[k]}, node {node[k]}: feature {feature[k]}, children "
             f"{left[k]}, {right[k]}; an internal node needs a feature in [0, {n_features}) "
-            "and children after it, a leaf feature and children -1"
+            "and children after it, a leaf feature and children -1, every node a finite "
+            "threshold and value"
         )
-    limit = np.array([t.max_depth for t in trees], dtype=np.intp).take(tree_of)
     shift = roots.take(tree_of)
     for depth, level in enumerate(_inner_levels(inner, left + shift, right + shift, roots)):
-        deep = level[limit.take(level) <= depth]
-        if deep.size:
-            k = int(deep.min())
+        if depth >= max_depth:
+            k = int(level.min())
             raise BoostingError(f"tree {tree_of[k]}, node {node[k]}: internal at depth "
-                                f"{depth}, max_depth {limit[k]}")
+                                f"{depth}, max_depth {max_depth}")
 
 
-def gbdt_from_doc(doc: dict) -> GbdtModel:
-    """The model ``gbdt_to_doc`` wrote; raises ``BoostingError`` on a tree
-    that ``fit_tree`` could not have grown."""
-    loss: Loss
-    if doc["loss"]["name"] == "squared":
-        loss = SquaredLoss()
-    else:
-        loss = PinballLoss(tau=float(doc["loss"]["tau"]))
-    trees = tuple(
-        RegressionTree(
-            np.asarray(t["feature"], dtype=np.int32),
-            np.asarray(t["threshold"], dtype=float),
-            np.asarray(t["left"], dtype=np.int32),
-            np.asarray(t["right"], dtype=np.int32),
-            np.asarray(t["value"], dtype=float),
-            max_depth=int(t["max_depth"]),
-        )
-        for t in doc["trees"]
-    )
-    _check_trees(trees, len(doc["feature_order"]))
-    return GbdtModel(
-        trees=trees,
-        params=GbdtParams(**doc["params"]),
-        base_score=float(doc["base_score"]),
-        loss=loss,
-        best_iteration=int(doc["best_iteration"]),
-        feature_order=tuple(doc["feature_order"]),
-        val_history=tuple(doc["val_history"]),
-    )
+def _model(head: dict, feature, left, right, threshold, value) -> GbdtModel:
+    """The model of a checked header and its node arrays."""
+    params = GbdtParams(**head["params"])
+    _check_trees(head["trees"], feature, left, right, np.isfinite(threshold) & np.isfinite(value),
+                 params.max_depth, len(head["feature_order"]))
+    nodes = (feature, threshold, left, right, value)  # in RegressionTree's field order
+    trees = tuple(RegressionTree(*(a[lo:hi] for a in nodes))
+                  for lo, hi in pairwise(accumulate(head["trees"], initial=0)))
+    loss = PinballLoss(**head["loss"]) if "tau" in head["loss"] else SquaredLoss()
+    return GbdtModel(trees=trees, params=params, base_score=float(head["base_score"]), loss=loss,
+                     best_iteration=head["best_iteration"],
+                     feature_order=tuple(head["feature_order"]),
+                     val_history=tuple(head["val_history"]))
 
 
-def gbdt_to_json(model: GbdtModel) -> str:
-    return json.dumps(gbdt_to_doc(model), sort_keys=True, indent=1)
+def _load(path_prefix, heads: dict[str, dict]) -> list[GbdtModel]:
+    """The models of ``heads``, each model's header by a label for errors,
+    with their node arrays read from ``<prefix>.bin`` in turn."""
+
+    def checked(label, check, *args):
+        try:
+            return check(*args)
+        except BoostingError as exc:
+            raise BoostingError(f"{path_prefix}.json: {label}{exc}") from None
+
+    counts = [checked(label, _check_header, head) for label, head in heads.items()]
+    arrays = read_blob(path_prefix, [(dtype, (n,)) for n in counts for _, dtype in _NODE_ARRAYS],
+                       f"the node arrays of {sum(counts)} nodes", BoostingError)
+    k = len(_NODE_ARRAYS)
+    return [checked(label, _model, head, *arrays[k * i : k * i + k])
+            for i, (label, head) in enumerate(heads.items())]
 
 
-def gbdt_from_json(text: str) -> GbdtModel:
-    return gbdt_from_doc(json.loads(text))
+def load_gbdt(path_prefix) -> GbdtModel:
+    """The model ``save_gbdt`` wrote; a header or node it could not have
+    written raises ``BoostingError`` naming the file."""
+    return _load(path_prefix, {"": read_header(path_prefix)})[0]
+
+
+def load_gbdt_quantiles(path_prefix) -> dict[float, GbdtModel]:
+    """The models ``save_gbdt_quantiles`` wrote, by quantile."""
+    heads, keys = read_header(path_prefix), [repr(tau) for tau in QUANTILE_LEVELS]
+    if not isinstance(heads, dict) or sorted(heads) != sorted(keys):
+        raise BoostingError(f"{path_prefix}.json: need one model per quantile, {keys}; "
+                            "run `train`")
+    return dict(zip(QUANTILE_LEVELS, _load(path_prefix, {f"tau {k}: ": heads[k] for k in keys})))

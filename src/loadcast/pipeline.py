@@ -521,33 +521,23 @@ def _fit_boosted(cfg: PipelineConfig, data: PreparedData, name: str, loss) -> bo
 
 def _fit_gbdt(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> list[str]:
     model = _fit_boosted(cfg, data, "gbdt", boosted.SquaredLoss())
-    _write_text(models_dir / "gbdt.json", boosted.gbdt_to_json(model))
-    return ["gbdt.json"]
+    return list(boosted.save_gbdt(models_dir / "gbdt", model))
 
 
 def _predict_gbdt(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> Forecast:
-    model = boosted.gbdt_from_json((models_dir / "gbdt.json").read_text(encoding="utf-8"))
+    model = boosted.load_gbdt(models_dir / "gbdt")
     _, _, test = _tabular_split(cfg, data)
     return Forecast(boosted.gbdt_predict(model, test))
 
 
 def _fit_gbdt_quantile(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> list[str]:
-    docs = {
-        repr(tau): boosted.gbdt_to_doc(
-            _fit_boosted(cfg, data, "gbdt_quantile", boosted.PinballLoss(tau=tau))
-        )
-        for tau in metrics.QUANTILE_LEVELS
-    }
-    # written as it is encoded: json.dumps holds every chunk of the text at
-    # once, which for three 50-round models raised the peak RSS by ~3.4 MB
-    with replace_on_success(models_dir / "gbdt_quantile.json") as fh:
-        json.dump(docs, fh, sort_keys=True, indent=1)
-    return ["gbdt_quantile.json"]
+    models = {tau: _fit_boosted(cfg, data, "gbdt_quantile", boosted.PinballLoss(tau=tau))
+              for tau in metrics.QUANTILE_LEVELS}
+    return list(boosted.save_gbdt_quantiles(models_dir / "gbdt_quantile", models))
 
 
 def _predict_gbdt_quantile(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> Forecast:
-    docs = json.loads((models_dir / "gbdt_quantile.json").read_text(encoding="utf-8"))
-    models = {float(tau): boosted.gbdt_from_doc(doc) for tau, doc in docs.items()}
+    models = boosted.load_gbdt_quantiles(models_dir / "gbdt_quantile")
     _, _, test = _tabular_split(cfg, data)
     q = boosted.gbdt_predict_quantiles(models, test)
     return Forecast(q[:, 1], q)

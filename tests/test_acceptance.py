@@ -1,6 +1,7 @@
 """Acceptance criteria, one test per criterion, each printing a pass line
 with its runtime. Run with `pytest tests/test_acceptance.py -v -s`."""
 
+import ctypes
 import hashlib
 import json
 import os
@@ -275,7 +276,7 @@ def test_c9_pipeline_determinism_and_leakage(tmp_path):
 
         artifact_names = [
             "models/seasonal_naive.json", "models/sarimax.json", "models/gbdt.json",
-            "models/lstm.json", "models/lstm.bin", "models/lstm_history.csv",
+            "models/gbdt.bin", "models/lstm.json", "models/lstm.bin", "models/lstm_history.csv",
         ]
         for name in artifact_names:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
@@ -302,8 +303,25 @@ HOST_DEPENDENT = (
 )
 
 
+def openblas_core() -> str | None:
+    """The kernel OpenBLAS picked at load time (``SkylakeX``, ``Haswell``,
+    ...), read from the library bundled with numpy; None where there is no
+    such library or it does not export ``scipy_openblas_get_corename64_``."""
+    pkg = Path(np.__file__).parent
+    libs = [*pkg.parent.glob("numpy.libs/*openblas*"), *pkg.glob(".dylibs/*openblas*")]
+    for path in sorted(libs):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
 def numeric_host() -> dict:
-    """numpy version, BLAS build and the CPU features numpy dispatches to."""
+    """numpy version, BLAS build and the kernel it runs, and the CPU
+    features numpy dispatches to."""
     try:
         from numpy._core import _multiarray_umath as umath
     except ImportError:  # numpy < 2
@@ -314,6 +332,7 @@ def numeric_host() -> dict:
     return {
         "numpy": np.__version__,
         "blas": " ".join(str(blas.get(key, "")) for key in build),
+        "blas_core": openblas_core(),
         "cpu_dispatch": [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)],
     }
 

@@ -10,6 +10,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import tracing  # noqa: E402
+from run import _count_trees  # noqa: E402
 
 
 def test_tracer_wraps_and_restores_every_hook():
@@ -201,3 +202,35 @@ def test_traced_prepare_data_counts_knn_cells_and_structural_fill():
     names = {span[0] for span in tracer.spans}
     assert set(tracing._STRUCTURAL) <= names and "imputation.trial" not in names
     assert metrics["imputation.structural.s"] > 0
+
+
+def test_count_trees_reads_the_gbdt_pairs_train_writes(tmp_path, monkeypatch):
+    """The benchmark's ``work:trees`` check counts the trees of ``gbdt`` and
+    ``gbdt_quantile`` from their ``models/`` headers with
+    ``perfbench/run.py``'s ``_count_trees``: after a `train` of both it
+    must give the trees grown, one ``fit_tree`` call each."""
+    from loadcast import boosted, pipeline
+    from loadcast.config import config_from_dict
+    from test_impute_split import toy_household
+
+    grown = []
+    fit_tree = boosted.fit_tree
+
+    def counted(*args, **kwargs):
+        grown.append(1)
+        return fit_tree(*args, **kwargs)
+
+    monkeypatch.setattr(boosted, "fit_tree", counted)
+    params = {"n_estimators": 7, "max_depth": 3, "early_stopping_rounds": 50}
+    cfg = config_from_dict({"input_path": "meter.csv", "output_dir": str(tmp_path),
+                            "roster": ["gbdt", "gbdt_quantile"],
+                            "model_params": {"gbdt": params, "gbdt_quantile": params}})
+    data = pipeline.prepare_data(cfg, toy_household(), "linear")
+    models_dir = tmp_path / "models"
+    models_dir.mkdir()
+    for name in cfg.roster:
+        pipeline.MODELS[name].fit(cfg, data, models_dir)
+    assert len(grown) == 4 * 7
+    assert _count_trees(models_dir) == len(grown)
+    (models_dir / "gbdt_quantile.json").unlink()
+    assert _count_trees(models_dir) == 7

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import re
 import tracemalloc
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,13 +19,20 @@ from loadcast.boosted import (
     TreeWorkspace,
     fit_tree,
     gbdt_fit,
-    gbdt_from_json,
     gbdt_predict,
     gbdt_predict_quantiles,
-    gbdt_to_json,
+    load_gbdt,
+    load_gbdt_quantiles,
+    save_gbdt,
+    save_gbdt_quantiles,
 )
 from loadcast.config import config_from_dict
 from loadcast.features import FeatureMatrix
+from loadcast.series import read_blob, write_header_blob
+
+# the blob's node arrays, in order, each of every tree end to end
+NODE_ARRAYS = (("feature", "<i4"), ("left", "<i4"), ("right", "<i4"), ("threshold", "<f8"),
+               ("value", "<f8"))
 
 
 def n_leaves(tree: RegressionTree) -> int:
@@ -119,6 +128,20 @@ def reference_tree(X, grad, max_depth, min_samples_leaf):
     return (np.asarray(feature, dtype=np.int32), np.asarray(threshold, dtype=float),
             np.asarray(left, dtype=np.int32), np.asarray(right, dtype=np.int32),
             np.asarray(value, dtype=float))
+
+
+def round_trip(model, tmp_path):
+    save_gbdt(tmp_path / "gbdt", model)
+    return load_gbdt(tmp_path / "gbdt")
+
+
+def read_pair(prefix):
+    """The header of a ``save_gbdt`` pair and its node arrays by name, read
+    as the format is documented, not through ``load_gbdt``."""
+    head = json.loads(Path(f"{prefix}.json").read_text(encoding="utf-8"))
+    n = sum(head["trees"])
+    arrays = read_blob(prefix, [(dtype, (n,)) for _, dtype in NODE_ARRAYS], f"{n} nodes")
+    return head, {name: arr.copy() for (name, _), arr in zip(NODE_ARRAYS, arrays)}
 
 
 def tree_bytes(tree):
@@ -278,7 +301,7 @@ class TestPresortedGrowth:
 def leaf_sizes(tree, X):
     """Rows reaching each leaf."""
     node = np.zeros(len(X), dtype=np.int32)
-    for _ in range(tree.max_depth):
+    for _ in range(len(tree.feature)):  # more steps than any path is long
         inner = tree.feature[node] >= 0
         f = tree.feature[node[inner]]
         go_left = X[np.flatnonzero(inner), f] <= tree.threshold[node[inner]]
@@ -334,16 +357,18 @@ class TestWholeNodeSearch:
         assert (leaf_sizes(tree, X) == 1).any()  # single-row nodes were reached
         assert tree_bytes(tree) == tuple(a.tobytes() for a in reference_tree(X, grad, 10, 0))
 
-    def test_min_samples_leaf_zero_model_pinned(self):
-        # sha256 of gbdt_to_json computed with the per-feature search: 57
-        # leaves per tree on 60 rows, most of them single rows
+    def test_min_samples_leaf_zero_model_pinned(self, tmp_path):
+        # sha256 of the save_gbdt pair, whose node arrays are bit for bit those
+        # of the per-node JSON pinned with the per-feature search: 57 leaves
+        # per tree on 60 rows, most of them single rows
         X, y = tie_heavy_dataset(n=80)
         model = gbdt_fit(X[:60], y[:60], X[60:], y[60:],
                          params=GbdtParams(n_estimators=6, max_depth=10, min_samples_leaf=0,
                                            early_stopping_rounds=6))
         assert [n_leaves(t) for t in model.trees] == [57] * 6
-        digest = hashlib.sha256(gbdt_to_json(model).encode("utf-8")).hexdigest()
-        assert digest == "9d05a80a945cec0354068110ab5652c22cda63a815c30cd3c99209a39ac401f2"
+        assert save_gbdt(tmp_path / "gbdt", model) == {
+            "gbdt.json": "53dc5a42c666a06ca54906a52c8ccc0e1a258da28e3a3fac965c018be22de9a2",
+            "gbdt.bin": "27fd57ca6b1a67cd56869379f148e077d2de780a353484e6c377e95ecb9735b5"}
 
 
 def deterministic_dataset(n=512, seed=0):
@@ -445,18 +470,21 @@ class TestGbdtFit:
         assert len(model.trees) == 7
         assert calls == [400] * 7
 
-    # sha256 of gbdt_to_json, computed with a per-node argsort before column
-    # blocks were presorted: any change to a split or a training prediction shows
-    @pytest.mark.parametrize("loss,digest", [
-        (SquaredLoss(), "5aec35605198a77ad366fe8db78087e665711081d31066e77695f3e8b32510b5"),
-        (PinballLoss(0.05), "88d147a5c1a56bee87ea676dc2a487d4a8bfd1377de7d66cf3e174828d7cdab0"),
+    # sha256 of the save_gbdt pair, whose node arrays are bit for bit those of
+    # the per-node JSON pinned with a per-node argsort before column blocks
+    # were presorted: any change to a split or a training prediction shows
+    @pytest.mark.parametrize("loss, head, blob", [
+        (SquaredLoss(), "1493101ab9f842288bb24e1f9634d7b7b9b50495e23156ef239d2e3cbe6d0672",
+         "68a4132118c2947b29aaad647acc184cabd2771ab7d2c5ef3e94e17a0163f700"),
+        (PinballLoss(0.05), "e60b366891b7d1b01cc0224bc82e0e8ebdb47c0f7f94ac94b2334a4d8fc05609",
+         "48b3b04fc7a47cefd3c5f356a5ca200983fd1506de23dab32559b686369e6bd2"),
     ], ids=["squared", "pinball05"])
-    def test_golden_model_json(self, loss, digest):
+    def test_golden_model_json(self, loss, head, blob, tmp_path):
         X, y = tie_heavy_dataset()
         model = gbdt_fit(X[:400], y[:400], X[400:], y[400:], loss=loss,
                          params=GbdtParams(n_estimators=12, max_depth=4, early_stopping_rounds=12))
         assert len(model.trees) == 12
-        assert hashlib.sha256(gbdt_to_json(model).encode("utf-8")).hexdigest() == digest
+        assert save_gbdt(tmp_path / "gbdt", model) == {"gbdt.json": head, "gbdt.bin": blob}
 
 
 class TestPredict:
@@ -508,39 +536,80 @@ class TestPredict:
 
 
 class TestSerialization:
-    def test_round_trip_identical_json(self):
+    def test_round_trip_identical_json(self, tmp_path):
+        """Saving a loaded model writes the same header and blob bytes."""
         X, y = deterministic_dataset(seed=8)
         model = gbdt_fit(
             X[:400], y[:400], X[400:], y[400:],
             params=GbdtParams(n_estimators=20, early_stopping_rounds=20, max_depth=3),
         )
-        text = gbdt_to_json(model)
-        clone = gbdt_from_json(text)
-        assert gbdt_to_json(clone) == text
-        np.testing.assert_array_equal(gbdt_predict(clone, X), gbdt_predict(model, X))
+        digests = save_gbdt(tmp_path / "gbdt", model)
+        clone = load_gbdt(tmp_path / "gbdt")
+        assert save_gbdt(tmp_path / "again", clone) == {
+            name.replace("gbdt", "again"): digest for name, digest in digests.items()}
+        assert gbdt_predict(clone, X).tobytes() == gbdt_predict(model, X).tobytes()
 
-    def test_pinball_loss_survives_round_trip(self):
+    def test_pair_layout(self, tmp_path):
+        """The header holds everything but the node arrays, and each tree's
+        node count; the blob holds the arrays of every tree end to end."""
+        X, y = tie_heavy_dataset()
+        model = gbdt_fit(X[:400], y[:400], X[400:], y[400:], loss=PinballLoss(0.95),
+                         params=GbdtParams(n_estimators=5, max_depth=3))
+        save_gbdt(tmp_path / "gbdt", model)
+        head, arrays = read_pair(tmp_path / "gbdt")
+        assert head == {
+            "params": {"n_estimators": 5, "learning_rate": 0.05, "max_depth": 3,
+                       "min_samples_leaf": 1, "early_stopping_rounds": 10},
+            "loss": {"name": "pinball", "tau": 0.95}, "base_score": model.base_score,
+            "best_iteration": model.best_iteration, "feature_order": list(model.feature_order),
+            "val_history": list(model.val_history),
+            "trees": [len(t.feature) for t in model.trees]}
+        for name, arr in arrays.items():
+            assert arr.tobytes() == b"".join(getattr(t, name).tobytes() for t in model.trees)
+        clone = load_gbdt(tmp_path / "gbdt")
+        assert all(tree_bytes(a) == tree_bytes(b)
+                   for a, b in zip(clone.trees, model.trees, strict=True))
+
+    def test_pinball_loss_survives_round_trip(self, tmp_path):
         X = np.ones((40, 1))
         y = np.arange(40.0)
         model = gbdt_fit(X, y, X, y, params=GbdtParams(n_estimators=3),
                          loss=PinballLoss(0.95))
-        clone = gbdt_from_json(gbdt_to_json(model))
+        clone = round_trip(model, tmp_path)
         assert isinstance(clone.loss, PinballLoss)
         assert clone.loss.tau == 0.95
-        doc = json.loads(gbdt_to_json(model))
-        assert doc["loss"] == {"name": "pinball", "tau": 0.95}
+        assert read_pair(tmp_path / "gbdt")[0]["loss"] == {"name": "pinball", "tau": 0.95}
 
-    def test_doc_round_trip(self):
+    def test_zero_trees_round_trip(self, tmp_path):
+        X, y = np.ones((4, 1)), np.arange(4.0)
+        model = gbdt_fit(X, y, X, y, params=GbdtParams(n_estimators=0))
+        clone = round_trip(model, tmp_path)
+        assert clone.trees == () and clone.val_history == model.val_history
+        assert (tmp_path / "gbdt.bin").read_bytes() == b""
+        assert gbdt_predict(clone, X).tolist() == [1.5] * 4
+
+    def test_quantile_pair_round_trip(self, tmp_path):
         X, y = tie_heavy_dataset()
-        model = gbdt_fit(X[:400], y[:400], X[400:], y[400:], loss=PinballLoss(0.05),
-                         params=GbdtParams(n_estimators=5, max_depth=3))
-        doc = boosted.gbdt_to_doc(model)
-        assert json.loads(gbdt_to_json(model)) == doc
-        assert gbdt_to_json(boosted.gbdt_from_doc(doc)) == gbdt_to_json(model)
+        models = {tau: gbdt_fit(X[:400], y[:400], X[400:], y[400:], loss=PinballLoss(tau),
+                                params=GbdtParams(n_estimators=4, max_depth=3))
+                  for tau in (0.05, 0.5, 0.95)}
+        save_gbdt_quantiles(tmp_path / "q", models)
+        heads = json.loads((tmp_path / "q.json").read_text())
+        assert list(heads) == ["0.05", "0.5", "0.95"]
+        sizes = [sum(heads[key]["trees"]) for key in heads]
+        blob = (tmp_path / "q.bin").read_bytes()
+        assert len(blob) == 28 * sum(sizes)
+        # the 0.05 model's arrays come first, then the 0.5 model's
+        assert blob[:4 * sizes[0]] == b"".join(t.feature.tobytes() for t in models[0.05].trees)
+        clones = load_gbdt_quantiles(tmp_path / "q")
+        assert list(clones) == [0.05, 0.5, 0.95]
+        assert (gbdt_predict_quantiles(clones, X).tobytes()
+                == gbdt_predict_quantiles(models, X).tobytes())
 
     def test_quantile_artifact_bytes_pinned(self, tmp_path, monkeypatch):
-        """``gbdt_quantile.json`` of a 3-tau fit; the digest was computed when
-        the artifact was still built by a JSON text round trip per tau."""
+        """The ``gbdt_quantile`` pair of a 3-tau fit; its node arrays are bit
+        for bit those of the per-node JSON artifact pinned when it was still
+        built by a JSON text round trip per tau."""
         X, y = tie_heavy_dataset()
         start = datetime(2014, 1, 1)
         stamps = tuple(start + timedelta(hours=i) for i in range(len(y)))
@@ -556,10 +625,11 @@ class TestSerialization:
             "model_params": {"gbdt_quantile": {"n_estimators": 8, "max_depth": 3,
                                                "early_stopping_rounds": 8}},
         })
-        assert pipeline._fit_gbdt_quantile(cfg, None, tmp_path) == ["gbdt_quantile.json"]
-        data = (tmp_path / "gbdt_quantile.json").read_bytes()
-        digest = hashlib.sha256(data).hexdigest()
-        assert digest == "5ceca941f050fcb7702efbe82cbd3af281f919f00a6f5682492f698449e44fe1"
+        names = ["gbdt_quantile.json", "gbdt_quantile.bin"]
+        assert pipeline._fit_gbdt_quantile(cfg, None, tmp_path) == names
+        assert [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in names] == [
+            "ba41cfec91f8d4a33c166a4df26da8dd0ad8e5552c75c75c38a77dc32f22fc2a",
+            "3cfe56c23a487e121ed0e835ce7afb671fd96ed904d3908ec1a36e8173eb161e"]
         forecast = pipeline._predict_gbdt_quantile(cfg, None, tmp_path)
         models = {tau: gbdt_fit(parts[0].features, parts[0].target, parts[1].features,
                                 parts[1].target, loss=PinballLoss(tau),
@@ -673,12 +743,12 @@ class TestFixedDepthWalk:
             Q = np.vstack([probe_rows(t, X, seed=i) for i, t in enumerate(model.trees[:3])])
             assert gbdt_predict(model, Q).tobytes() == masked_gbdt_predict(model, Q).tobytes()
 
-    def test_round_trip_trees_match_masked_walk(self):
+    def test_round_trip_trees_match_masked_walk(self, tmp_path):
         X, y = tie_heavy_dataset()
         model = gbdt_fit(X[:400], y[:400], X[400:], y[400:], loss=PinballLoss(0.5),
                          params=GbdtParams(n_estimators=10, max_depth=6,
                                            early_stopping_rounds=10))
-        clone = gbdt_from_json(gbdt_to_json(model))
+        clone = round_trip(model, tmp_path)
         Q = probe_rows(clone.trees[-1], X)
         for tree in clone.trees:
             assert tree.predict(Q).tobytes() == masked_walk(tree, Q).tobytes()
@@ -687,7 +757,7 @@ class TestFixedDepthWalk:
     def test_cyclic_tree_raises_instead_of_hanging(self):
         tree = RegressionTree(np.array([0, -1], dtype=np.int32), np.zeros(2),
                               np.array([0, -1], dtype=np.int32),
-                              np.array([1, -1], dtype=np.int32), np.zeros(2), max_depth=1)
+                              np.array([1, -1], dtype=np.int32), np.zeros(2))
         with pytest.raises(BoostingError, match="cycle"):
             tree.predict(np.zeros((3, 1)))
 
@@ -711,73 +781,218 @@ class TestColumnCount:
 
 
 class TestMalformedDoc:
-    """``gbdt_from_doc`` rejects a tree ``fit_tree`` could not have grown:
-    the fixed-depth walk would return wrong numbers on it, and the masked
-    walk looped forever on a child that points back."""
+    """``load_gbdt`` rejects a header ``gbdt_fit`` could not have written
+    and a tree ``fit_tree`` could not have grown, naming the file: the
+    fixed-depth walk would return wrong numbers on such a tree, the masked
+    walk looped forever on a child that points back, and a bad header
+    predicted with the wrong trees or failed with a bare KeyError."""
 
     @pytest.fixture(scope="class")
-    def doc(self):
+    def model(self):
         X, y = tie_heavy_dataset()
         model = gbdt_fit(X[:400], y[:400], X[400:], y[400:],
                          params=GbdtParams(n_estimators=3, max_depth=3,
                                            early_stopping_rounds=3))
-        doc = boosted.gbdt_to_doc(model)
-        assert all(t["feature"][0] >= 0 and t["feature"][-1] == -1 for t in doc["trees"])
-        return doc
+        assert all(t.feature[0] >= 0 and t.feature[-1] == -1 for t in model.trees)
+        return model
 
-    def load_with(self, doc, edit):
-        bad = json.loads(json.dumps(doc))
-        edit(bad["trees"][1])
-        return boosted.gbdt_from_doc(bad)
+    @pytest.fixture
+    def pair(self, model, tmp_path):
+        """The model's header and node arrays as the format documents them."""
+        save_gbdt(tmp_path / "gbdt", model)
+        return read_pair(tmp_path / "gbdt")
 
-    def test_well_formed_doc_loads(self, doc):
-        assert len(boosted.gbdt_from_doc(doc).trees) == 3
+    @staticmethod
+    def tree(head, arrays, i=1):
+        """Views of tree ``i``'s node arrays, by name."""
+        lo = sum(head["trees"][:i])
+        return {name: arr[lo : lo + head["trees"][i]] for name, arr in arrays.items()}
 
-    def test_unequal_node_arrays(self, doc):
-        with pytest.raises(BoostingError, match="tree 1: node arrays"):
-            self.load_with(doc, lambda t: t["threshold"].pop())
+    def load_with(self, pair, tmp_path, edit=None, edit_header=None):
+        head, arrays = json.loads(json.dumps(pair[0])), {k: v.copy() for k, v in pair[1].items()}
+        if edit is not None:
+            edit(self.tree(head, arrays))
+        if edit_header is not None:
+            edit_header(head)
+        write_header_blob(tmp_path / "gbdt", head, *arrays.values())
+        return load_gbdt(tmp_path / "gbdt")
+
+    def raises(self, tmp_path, what, suffix=".json"):
+        return pytest.raises(
+            BoostingError, match=re.escape(str(tmp_path / f"gbdt{suffix}")) + ": " + what)
+
+    def test_well_formed_doc_loads(self, pair, tmp_path):
+        assert len(self.load_with(pair, tmp_path).trees) == 3
+
+    def test_unequal_node_arrays(self, pair, tmp_path):
+        """One node array shorter than the header's node counts: the blob
+        has 8 bytes too few."""
+        head, arrays = pair
+        n = sum(head["trees"])
+        arrays = dict(arrays, threshold=np.delete(arrays["threshold"], head["trees"][0]))
+        with self.raises(tmp_path, rf"expected the node arrays of {n} nodes \({28 * n} bytes\), "
+                         rf"found {28 * n - 8} bytes", ".bin"):
+            self.load_with((head, arrays), tmp_path)
+
+    def test_truncated_blob(self, model, tmp_path):
+        save_gbdt(tmp_path / "gbdt", model)
+        blob = tmp_path / "gbdt.bin"
+        blob.write_bytes(blob.read_bytes()[:-1])
+        with self.raises(tmp_path, "expected .*, found .* bytes", ".bin"):
+            load_gbdt(tmp_path / "gbdt")
 
     @pytest.mark.parametrize("key, child", [("left", 0), ("right", 0), ("left", -1),
                                             ("right", 10_000)])
-    def test_child_not_after_node_or_out_of_range(self, doc, key, child):
+    def test_child_not_after_node_or_out_of_range(self, pair, tmp_path, key, child):
         def edit(t):
             t[key][0] = child
-        with pytest.raises(BoostingError, match="tree 1, node 0:"):
-            self.load_with(doc, edit)
+        with self.raises(tmp_path, "tree 1, node 0:"):
+            self.load_with(pair, tmp_path, edit)
 
     @pytest.mark.parametrize("key", ["left", "right"])
-    def test_child_before_node_without_a_cycle(self, doc, key):
+    def test_child_before_node_without_a_cycle(self, pair, tmp_path, key):
         # the last internal node points at the internal node before it, whose
         # children lie after both: no cycle, and max_depth leaves room
-        k = max(i for i, f in enumerate(doc["trees"][1]["feature"]) if f >= 0)
+        k = int(np.flatnonzero(self.tree(*pair)["feature"] >= 0).max())
 
         def edit(t):
             t[key][k] = k - 1
-            t["max_depth"] = 10
-        assert doc["trees"][1]["feature"][k - 1] >= 0
-        with pytest.raises(BoostingError, match=f"tree 1, node {k}:"):
-            self.load_with(doc, edit)
 
-    def test_leaf_with_children(self, doc):
+        def deeper(head):
+            head["params"]["max_depth"] = 10
+        assert self.tree(*pair)["feature"][k - 1] >= 0
+        with self.raises(tmp_path, f"tree 1, node {k}:"):
+            self.load_with(pair, tmp_path, edit, deeper)
+
+    def test_leaf_with_children(self, pair, tmp_path):
         def edit(t):
-            leaf = t["feature"].index(-1)
+            leaf = int(np.flatnonzero(t["feature"] == -1)[0])
             t["left"][leaf] = len(t["feature"]) - 1
-        with pytest.raises(BoostingError, match="tree 1, node .*children"):
-            self.load_with(doc, edit)
+        with self.raises(tmp_path, "tree 1, node .*children"):
+            self.load_with(pair, tmp_path, edit)
 
     @pytest.mark.parametrize("node, feature", [(0, 7), (-1, -2)], ids=["inner", "leaf"])
-    def test_feature_out_of_range(self, doc, node, feature):
-        n = len(doc["trees"][1]["feature"])
+    def test_feature_out_of_range(self, pair, tmp_path, node, feature):
+        n = pair[0]["trees"][1]
 
         def edit(t):
             t["feature"][node] = feature
-        assert len(doc["feature_order"]) == 6
-        with pytest.raises(BoostingError,
-                           match=rf"tree 1, node {node % n}: feature {feature}, .*\[0, 6\)"):
-            self.load_with(doc, edit)
+        assert len(pair[0]["feature_order"]) == 6
+        with self.raises(tmp_path, rf"tree 1, node {node % n}: feature {feature}, .*\[0, 6\)"):
+            self.load_with(pair, tmp_path, edit)
 
-    def test_path_longer_than_max_depth(self, doc):
+    @pytest.mark.parametrize("name", ["threshold", "value"])
+    @pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf])
+    def test_non_finite_threshold_or_value(self, pair, tmp_path, name, cell):
+        node = 0 if name == "threshold" else -1  # the root splits, the last node is a leaf
+
         def edit(t):
-            t["max_depth"] = 1
-        with pytest.raises(BoostingError, match="tree 1, node 1: internal at depth 1, max_depth 1"):
-            self.load_with(doc, edit)
+            t[name][node] = cell
+        with self.raises(tmp_path, f"tree 1, node {node % pair[0]['trees'][1]}: .*finite"):
+            self.load_with(pair, tmp_path, edit)
+
+    def test_path_longer_than_max_depth(self, pair, tmp_path):
+        # every tree shares the model's max_depth: tree 0 is the first with
+        # an internal node at depth 2
+        def shallower(head):
+            head["params"]["max_depth"] = 2
+        t = self.tree(*pair, i=0)
+        level = [0]
+        for _ in range(2):
+            level = [child for i in level if t["feature"][i] >= 0
+                     for child in (t["left"][i], t["right"][i])]
+        k = min(i for i in level if t["feature"][i] >= 0)
+        with self.raises(tmp_path, f"tree 0, node {k}: internal at depth 2, max_depth 2"):
+            self.load_with(pair, tmp_path, edit_header=shallower)
+
+    @pytest.mark.parametrize("best", [-1, 4, 10**6, 2.0, "2"])
+    def test_best_iteration_out_of_range(self, pair, tmp_path, best):
+        with self.raises(tmp_path, re.escape(f"best_iteration {best!r} outside [0, 3]")):
+            self.load_with(pair, tmp_path, edit_header=lambda h: h.update(best_iteration=best))
+
+    @pytest.mark.parametrize("length", [1, 3, 5])
+    def test_val_history_not_one_per_round(self, pair, tmp_path, length):
+        def edit_header(head):
+            head["val_history"] = head["val_history"][:1] * length
+        with self.raises(tmp_path, f"{length} val_history entries for 3 trees, need 4"):
+            self.load_with(pair, tmp_path, edit_header=edit_header)
+
+    @pytest.mark.parametrize("loss", [{"name": "huber"}, {"name": "pinball"},
+                                      {"name": "pinball", "tau": 1.5},
+                                      {"name": "squared", "tau": 0.5}, "squared"])
+    def test_unknown_loss(self, pair, tmp_path, loss):
+        with self.raises(tmp_path, "unknown loss"):
+            self.load_with(pair, tmp_path, edit_header=lambda h: h.update(loss=loss))
+
+    def test_tree_without_nodes(self, pair, tmp_path):
+        def edit_header(head):
+            head["trees"] = [head["trees"][0] + head["trees"][1], 0, head["trees"][2]]
+        with self.raises(tmp_path, "a tree of 0 nodes"):
+            self.load_with(pair, tmp_path, edit_header=edit_header)
+
+    @pytest.mark.parametrize("change", ["drop max_depth", "add depth"])
+    def test_params_not_those_of_gbdt_params(self, pair, tmp_path, change):
+        def edit_header(head):
+            if change == "drop max_depth":
+                del head["params"]["max_depth"]
+            else:
+                head["params"]["depth"] = 3
+        with self.raises(tmp_path, "params {.*need the fields of GbdtParams"):
+            self.load_with(pair, tmp_path, edit_header=edit_header)
+
+    def test_header_from_before_the_blob(self, pair, tmp_path):
+        """A ``gbdt.json`` of per-node lists, as models were written before
+        the node blob, asks for `train` and reads no blob."""
+        head, arrays = json.loads(json.dumps(pair[0])), pair[1]
+        trees = [self.tree(head, arrays, i) for i in range(3)]
+        head["trees"] = [{name: t[name].tolist() for name in t} | {"max_depth": 3} for t in trees]
+        (tmp_path / "gbdt.json").write_text(json.dumps(head, sort_keys=True, indent=1))
+        (tmp_path / "gbdt.bin").unlink()
+        with self.raises(tmp_path, "not a GBDT header .*; run `train`$"):
+            load_gbdt(tmp_path / "gbdt")
+
+    @pytest.mark.parametrize("change", ["drop trees", "add tree_count"])
+    def test_header_without_the_format_keys(self, pair, tmp_path, change):
+        def edit_header(head):
+            if change == "drop trees":
+                del head["trees"]
+            else:
+                head["tree_count"] = 3
+        with self.raises(tmp_path, "not a GBDT header .*; run `train`$"):
+            self.load_with(pair, tmp_path, edit_header=edit_header)
+
+
+class TestMalformedQuantilePair:
+    @pytest.fixture(scope="class")
+    def models(self):
+        X, y = tie_heavy_dataset()
+        return {tau: gbdt_fit(X[:400], y[:400], X[400:], y[400:], loss=PinballLoss(tau),
+                              params=GbdtParams(n_estimators=2, max_depth=3))
+                for tau in (0.05, 0.5, 0.95)}
+
+    def test_edited_model_header_names_its_quantile(self, models, tmp_path):
+        save_gbdt_quantiles(tmp_path / "q", models)
+        heads = json.loads((tmp_path / "q.json").read_text())
+        heads["0.5"]["best_iteration"] = -1
+        (tmp_path / "q.json").write_text(json.dumps(heads))
+        with pytest.raises(BoostingError, match=re.escape(f"{tmp_path / 'q.json'}: tau 0.5: "
+                                                          "best_iteration -1 outside")):
+            load_gbdt_quantiles(tmp_path / "q")
+
+    @pytest.mark.parametrize("keys", [["0.05", "0.5"], ["0.05", "0.5", "0.95", "0.99"],
+                                      ["0.05", "0.50", "0.95"]])
+    def test_keys_other_than_the_quantile_levels(self, models, tmp_path, keys):
+        save_gbdt_quantiles(tmp_path / "q", models)
+        heads = json.loads((tmp_path / "q.json").read_text())
+        head = heads["0.5"]
+        (tmp_path / "q.json").write_text(json.dumps({key: head for key in keys}))
+        with pytest.raises(BoostingError, match=re.escape(str(tmp_path / "q.json"))
+                           + ": need one model per quantile.*; run `train`$"):
+            load_gbdt_quantiles(tmp_path / "q")
+
+    def test_truncated_blob(self, models, tmp_path):
+        save_gbdt_quantiles(tmp_path / "q", models)
+        blob = tmp_path / "q.bin"
+        blob.write_bytes(blob.read_bytes()[:-8])
+        with pytest.raises(BoostingError, match=re.escape(str(blob)) + ": expected"):
+            load_gbdt_quantiles(tmp_path / "q")

@@ -801,13 +801,17 @@ class TestMovedOutput:
         assert (moved / "out" / "report.csv").exists()
 
 
+KEPT_ROSTER = ("seasonal_naive", "gbdt", "gbdt_quantile", "lstm")
+
+
 @pytest.fixture(scope="module")
 def kept_run(tmp_path_factory):
-    """A trained and evaluated run of seasonal_naive, gbdt and lstm; tests
-    change only a copy of it, made with ``copy_run``."""
+    """A trained and evaluated run of seasonal_naive, gbdt, gbdt_quantile
+    and lstm; tests change only a copy of it, made with ``copy_run``."""
     root = tmp_path_factory.mktemp("kept")
     build_input_csv(root / "meter.csv", seed=6)
-    doc = base_config(root, roster=["seasonal_naive", "gbdt", "lstm"])
+    doc = base_config(root, roster=list(KEPT_ROSTER))
+    doc["model_params"]["gbdt_quantile"] = {"n_estimators": 20, "max_depth": 3}
     cfg = load_config(write_config(root, doc))
     pipeline.cmd_ingest(cfg)
     pipeline.cmd_impute_eval(cfg)
@@ -863,7 +867,7 @@ class TestImputedSeries:
         path = copy_run(kept_run, tmp_path)
         out = tmp_path / "out"
         before = evaluate_outputs(out)
-        assert len(before) == 5
+        assert len(before) == 6
         (out / "hourly_cache.csv").unlink()
         assert cli_main(["evaluate", "--config", str(path)]) == 0
         assert evaluate_outputs(out) == before
@@ -880,15 +884,23 @@ class TestImputedSeries:
         assert cli_main(["evaluate", "--config", str(path)]) == 2
 
     @pytest.mark.parametrize("name, artifact, change", [
-        ("gbdt", "gbdt.json", "append a newline"), ("lstm", "lstm.bin", "delete")])
+        ("gbdt", "gbdt.json", "append a newline"), ("lstm", "lstm.bin", "delete"),
+        ("gbdt", "gbdt.bin", "truncate"), ("gbdt_quantile", "gbdt_quantile.json", "edit")])
     def test_changed_artifact_fails_its_model_only(self, kept_run, tmp_path, name, artifact,
                                                    change):
         path = copy_run(kept_run, tmp_path)
         out = tmp_path / "out"
+        target = out / "models" / artifact
         if change == "delete":
-            (out / "models" / artifact).unlink()
+            target.unlink()
+        elif change == "truncate":
+            target.write_bytes(target.read_bytes()[:-8])
+        elif change == "edit":  # a model's header no longer says what its blob holds
+            heads = json.loads(target.read_text())
+            heads["0.5"]["best_iteration"] = -1
+            target.write_text(json.dumps(heads, sort_keys=True, indent=1))
         else:
-            with open(out / "models" / artifact, "a") as fh:
+            with open(target, "a") as fh:
                 fh.write("\n")
         cfg = load_config(path)
         with pytest.raises(pipeline.PipelineError,
@@ -896,7 +908,7 @@ class TestImputedSeries:
                            + ".*; run `train`$"):
             pipeline.cmd_evaluate(cfg)
         assert cli_main(["evaluate", "--config", str(path)]) == 2
-        kept = {"seasonal_naive", "gbdt", "lstm"} - {name}
+        kept = set(KEPT_ROSTER) - {name}
         with open(out / "report.csv", newline="") as fh:
             assert {row["Model"] for row in csv.DictReader(fh)} == kept
         assert sorted(p.stem for p in (out / "plots").glob("*.csv")) == sorted(kept)
@@ -904,6 +916,19 @@ class TestImputedSeries:
         assert set(manifest["metrics"]) == kept
         assert manifest["models"][name]["evaluate"]["status"] == "failed"
         assert artifact in manifest["models"][name]["evaluate"]["error"]
+
+
+def test_gbdt_models_are_header_blob_pairs(kept_run):
+    """Each GBDT model is kept as a ``.json`` header and a ``.bin`` node
+    blob, and `train` records both files' sha256 for `evaluate`."""
+    cfg, _ = kept_run
+    out = cfg.resolved_output_dir()
+    entries = pipeline.load_manifest(cfg)["models"]
+    for name in ("gbdt", "gbdt_quantile"):
+        files = [f"{name}.json", f"{name}.bin"]
+        assert entries[name]["artifacts"] == [f"models/{f}" for f in files]
+        assert entries[name]["artifact_sha256"] == {
+            f: hashlib.sha256((out / "models" / f).read_bytes()).hexdigest() for f in files}
 
 
 def change_pair(path: Path, prefix: str, change: str) -> str:
@@ -978,7 +1003,7 @@ class TestHourlySeries:
         path = copy_run(kept_run, tmp_path)
         out = tmp_path / "out"
         before = trial_outputs(out), train_outputs(out)
-        assert [len(part) for part in before] == [4, 7]
+        assert [len(part) for part in before] == [4, 10]
         (out / "hourly_cache.csv").unlink()
         for command in ("impute-eval", "train"):
             assert cli_main([command, "--config", str(path)]) == 0, command
