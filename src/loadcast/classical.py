@@ -14,7 +14,7 @@ import json
 import logging
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -43,23 +43,20 @@ class DifferenceState:
 
 
 def difference(series, d: int, D: int, s: int) -> tuple[np.ndarray, DifferenceState]:
-    """Apply (1-B)^d then (1-B^s)^D; the returned state makes integrate exact."""
+    """Apply (1-B)^d then (1-B^s)^D along the first axis, so a matrix's
+    columns are differenced at once; for a 1-D series the returned state
+    makes integrate exact."""
     x = np.asarray(series, dtype=float)
     if len(x) <= d + D * s:
         raise ClassicalModelError(
             f"series of length {len(x)} too short for d={d}, D={D}, s={s}"
         )
-    lags: list[int] = []
-    prefixes: list[tuple[float, ...]] = []
-    for _ in range(d):
-        lags.append(1)
-        prefixes.append(tuple(x[:1]))
-        x = x[1:] - x[:-1]
-    for _ in range(D):
-        lags.append(s)
-        prefixes.append(tuple(x[:s]))
-        x = x[s:] - x[:-s]
-    return x, DifferenceState(tuple(lags), tuple(prefixes))
+    lags = (1,) * d + (s,) * D
+    prefixes = []
+    for lag in lags:
+        prefixes.append(tuple(x[:lag]))
+        x = x[lag:] - x[:-lag]
+    return x, DifferenceState(lags, tuple(prefixes))
 
 
 def integrate(differenced, state: DifferenceState) -> np.ndarray:
@@ -149,6 +146,12 @@ def _expand_poly(coefs: np.ndarray, seasonal: np.ndarray, s: int, sign: float) -
         for i, c in enumerate(coefs, start=1):
             table[j * s + i] = table.get(j * s + i, 0.0) + c * Cj
     return table
+
+
+def _lag_tables(ar, ma, sar, sma, s: int) -> tuple[dict[int, float], dict[int, float]]:
+    """The AR and MA lag->coefficient tables of the multiplicative seasonal
+    polynomials, which the fit's and the forecast's recursions run on."""
+    return _expand_poly(ar, sar, s, sign=-1.0), _expand_poly(ma, sma, s, sign=1.0)
 
 
 def _css_residuals(w: np.ndarray, ar_table: dict[int, float], ma_table: dict[int, float],
@@ -241,9 +244,7 @@ def sarimax_fit(
     exog_names = tuple(exog_names) if exog_names else tuple(f"x{j}" for j in range(n_exog))
 
     z, _ = difference(endog, order.d, order.D, order.s)
-    zx = np.column_stack(
-        [difference(exog[:, j], order.d, order.D, order.s)[0] for j in range(n_exog)]
-    ) if n_exog else np.empty((len(z), 0))
+    zx, _ = difference(exog, order.d, order.D, order.s)
     free = np.any(zx != 0.0, axis=0)
     if not free.all():
         held = [name for name, keep in zip(exog_names, free) if not keep]
@@ -261,17 +262,17 @@ def sarimax_fit(
             f"{len(z)} differenced observations <= 10 x {n_params} free parameters"
         )
 
-    def objective(params: np.ndarray) -> float:
+    def residuals(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The regression-adjusted differenced series w and its CSS residuals."""
         ar, ma, sar, sma, beta, intercept = _unpack(params, order, n_free)
-        w = z - intercept
-        if n_free:
-            w = w - zx @ beta
-        ar_table = _expand_poly(ar, sar, order.s, sign=-1.0)
-        ma_table = _expand_poly(ma, sma, order.s, sign=1.0)
+        w = z - intercept - zx @ beta
+        return w, _css_residuals(w, *_lag_tables(ar, ma, sar, sma, order.s), t0)
+
+    def objective(params: np.ndarray) -> float:
         # non-invertible MA regions blow the recursion up; an inf objective
         # simply steers the simplex away
         with np.errstate(over="ignore", invalid="ignore"):
-            eps = _css_residuals(w, ar_table, ma_table, t0)
+            eps = residuals(params)[1]
             sse = float(eps @ eps)
         return sse if np.isfinite(sse) else np.inf
 
@@ -285,10 +286,7 @@ def sarimax_fit(
         logger.warning("sarimax_fit: simplex search did not converge in %d iterations", n_iter)
 
     ar, ma, sar, sma, beta_free, intercept = _unpack(best, order, n_free)
-    ar_table = _expand_poly(ar, sar, order.s, sign=-1.0)
-    ma_table = _expand_poly(ma, sma, order.s, sign=1.0)
-    w = z - intercept - (zx @ beta_free if n_free else 0.0)
-    eps = _css_residuals(w, ar_table, ma_table, t0)
+    w, eps = residuals(best)
     sigma2 = max(float(eps @ eps) / max(n_effective, 1) * (scale * scale),
                  np.finfo(float).tiny)
     beta = np.zeros(n_exog)
@@ -382,10 +380,9 @@ def sarimax_forecast(model: SarimaxModel, steps: int, exog_future: np.ndarray | 
     else:
         exog_terms = [0.0] * steps
 
-    ar_items = [(lag, float(coef))
-                for lag, coef in _expand_poly(model.ar, model.sar, order.s, sign=-1.0).items()]
-    ma_items = [(lag, float(coef))
-                for lag, coef in _expand_poly(model.ma, model.sma, order.s, sign=1.0).items()]
+    ar_table, ma_table = _lag_tables(model.ar, model.ma, model.sar, model.sma, order.s)
+    ar_items = [(lag, float(coef)) for lag, coef in ar_table.items()]
+    ma_items = [(lag, float(coef)) for lag, coef in ma_table.items()]
 
     w_hist = model.w_tail.tolist()
     eps_hist = model.eps_tail.tolist()
@@ -486,43 +483,24 @@ def nelder_mead(
 # ---------------------------------------------------------------------------
 
 
+# SarimaxModel's array fields, each stored as a JSON list
+_ARRAY_FIELDS = ("ar", "ma", "sar", "sma", "beta", "w_tail", "eps_tail", "endog_tail", "exog_tail")
+
+
 def sarimax_to_json(model: SarimaxModel) -> str:
-    doc = {
-        "order": [model.order.p, model.order.d, model.order.q,
-                  model.order.P, model.order.D, model.order.Q, model.order.s],
-        "ar": model.ar.tolist(), "ma": model.ma.tolist(),
-        "sar": model.sar.tolist(), "sma": model.sma.tolist(),
-        "beta": model.beta.tolist(), "intercept": model.intercept,
-        "sigma2": model.sigma2,
-        "exog_names": list(model.exog_names),
-        "w_tail": model.w_tail.tolist(),
-        "eps_tail": model.eps_tail.tolist(),
-        "endog_tail": model.endog_tail.tolist(),
-        "exog_tail": model.exog_tail.tolist(),
-        "converged": model.converged,
-        "n_iterations": model.n_iterations,
-    }
+    doc = {name: getattr(model, name).tolist() for name in _ARRAY_FIELDS}
+    doc.update(order=astuple(model.order), intercept=model.intercept, sigma2=model.sigma2,
+               exog_names=model.exog_names, converged=model.converged,
+               n_iterations=model.n_iterations)
     return json.dumps(doc, sort_keys=True, indent=1)
 
 
 def sarimax_from_json(text: str) -> SarimaxModel:
     doc = json.loads(text)
-    p, d, q, P, D, Q, s = doc["order"]
+    arrays = {name: np.asarray(doc[name], dtype=float) for name in _ARRAY_FIELDS}
+    arrays["exog_tail"] = arrays["exog_tail"].reshape(len(doc["exog_tail"]), len(doc["beta"]))
     return SarimaxModel(
-        order=SarimaxOrder(p, d, q, P, D, Q, s),
-        ar=np.asarray(doc["ar"], dtype=float),
-        ma=np.asarray(doc["ma"], dtype=float),
-        sar=np.asarray(doc["sar"], dtype=float),
-        sma=np.asarray(doc["sma"], dtype=float),
-        beta=np.asarray(doc["beta"], dtype=float),
-        intercept=float(doc["intercept"]),
-        sigma2=float(doc["sigma2"]),
-        exog_names=tuple(doc["exog_names"]),
-        w_tail=np.asarray(doc["w_tail"], dtype=float),
-        eps_tail=np.asarray(doc["eps_tail"], dtype=float),
-        endog_tail=np.asarray(doc["endog_tail"], dtype=float),
-        exog_tail=np.asarray(doc["exog_tail"], dtype=float).reshape(
-            len(doc["exog_tail"]), len(doc["beta"])),
-        converged=bool(doc["converged"]),
-        n_iterations=int(doc["n_iterations"]),
+        order=SarimaxOrder(*doc["order"]), intercept=float(doc["intercept"]),
+        sigma2=float(doc["sigma2"]), exog_names=tuple(doc["exog_names"]),
+        converged=bool(doc["converged"]), n_iterations=int(doc["n_iterations"]), **arrays,
     )

@@ -87,21 +87,19 @@ class PipelineConfig:
 
     def params_for(self, model: str) -> dict[str, Any]:
         """The model's default hyperparameters overridden by ``model_params``,
-        each value cast to the type of its default."""
+        each value checked against and cast to its default's type
+        (``_as_type_of``)."""
         params = dict(_registry().MODELS[model].defaults)
         given = self.model_params.get(model, {})
         unknown = set(given) - set(params)
         if unknown:
             raise ConfigError(f"unknown hyperparameters for {model}: {sorted(unknown)}")
         for key, value in given.items():
-            kind = type(params[key])
             try:
-                if kind is tuple and not isinstance(value, (list, tuple)):
-                    raise TypeError
-                params[key] = kind(value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{model}.{key} = {value!r} does not fit the type "
-                                  f"of its default {params[key]!r}") from exc
+                params[key] = _as_type_of(params[key], value)
+            except (ValueError, OverflowError) as exc:  # overflow: an int past float's range
+                raise ConfigError(f"{model}.{key} = {value!r} {exc} "
+                                  f"(its default is {params[key]!r})") from None
         return params
 
     def column_schema(self) -> ColumnSchema:
@@ -139,6 +137,34 @@ class PipelineConfig:
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.to_canonical_json().encode("utf-8")).hexdigest()
+
+
+def _as_type_of(default: Any, value: Any) -> Any:
+    """``value`` cast to the type of ``default``, or ValueError saying why it
+    does not fit: an int takes a whole number (60.0 gives 60), a float any
+    number but a bool, a str a string, and a tuple a list of its own length,
+    each element checked against the default's element. A tuple of names
+    (``sarimax.exog``) takes a list of strings of any length."""
+    if isinstance(default, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise ValueError("is not a list")
+        if all(isinstance(d, str) for d in default):
+            default = ("",) * len(value)
+        if len(value) != len(default):
+            raise ValueError(f"is not a list of {len(default)}")
+        return tuple(_as_type_of(d, v) for d, v in zip(default, value))
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(default, int):
+        if not (number and (isinstance(value, int) or value.is_integer())):
+            raise ValueError("is not a whole number")
+        return int(value)
+    if isinstance(default, float):
+        if not number:
+            raise ValueError("is not a number")
+        return float(value)
+    if not isinstance(value, str):
+        raise ValueError("is not a string")
+    return value
 
 
 def _check_whole(key: str, value: Any, floor: int) -> None:

@@ -484,7 +484,8 @@ def _predict_seasonal_naive(cfg: PipelineConfig, data: PreparedData, models_dir:
 
 def _calendar_exog(series: HourlySeries, lo: int, hi: int, names: tuple[str, ...]) -> np.ndarray:
     cal = calendar_features(series.start, np.arange(lo, hi))
-    return np.column_stack([cal[name] for name in names])
+    # the (hours, 0) block keeps the shape when no names are given (plain SARIMA)
+    return np.column_stack([np.empty((hi - lo, 0))] + [cal[name] for name in names])
 
 
 def _fit_sarimax(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> list[str]:

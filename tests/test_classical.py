@@ -172,6 +172,18 @@ class TestSarimaxFit:
         fc_b = sarimax_forecast(clone, 12)
         np.testing.assert_array_equal(fc_a, fc_b)
 
+    @pytest.mark.parametrize("n_exog", [2, 0])
+    def test_artifact_bytes_survive_a_round_trip(self, n_exog):
+        # two regressors, and none: beta == [] and an exog_tail of shape (0, 0)
+        rng = np.random.default_rng(3)
+        x = simulate_ar1(0.5, 600, seed=3) + np.tile(np.arange(24.0), 25)
+        exog = rng.normal(size=(600, n_exog))
+        model = sarimax_fit(x, exog, SarimaxOrder(1, 1, 1, 1, 1, 0, 24), max_iter=60)
+        assert model.beta.shape == (n_exog,)
+        assert model.exog_tail.shape == ((25, 2) if n_exog else (0, 0))
+        text = sarimax_to_json(model)
+        assert sarimax_to_json(sarimax_from_json(text)) == text
+
 
 def css_residuals_numpy_scalars(w, ar_table, ma_table, t0):
     """The MA recursion as it ran on numpy float64 scalars, lag-checked at

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loadcast import pipeline
+from loadcast.classical import sarimax_from_json
 from loadcast.cli import main as cli_main
 from loadcast.config import ConfigError, config_from_dict, load_config
 from loadcast.features import CALENDAR_COLUMNS
@@ -244,11 +245,25 @@ class TestConfig:
 
     @pytest.mark.parametrize("params", [{"gbdt": {"n_estimators": "many"}},
                                         {"lstm": {"hidden": "8,4"}},
-                                        {"sarimax": {"max_iter": None}}])
+                                        {"sarimax": {"max_iter": None}},
+                                        # values the old cast let through
+                                        {"gbdt": {"n_estimators": 50.7}},
+                                        {"gbdt": {"n_estimators": "50"}},
+                                        {"gbdt": {"n_estimators": True}},
+                                        {"gbdt": {"learning_rate": "0.1"}},
+                                        {"gbdt": {"learning_rate": 10**400}},
+                                        {"seasonal_naive": {"period": 24.9}},
+                                        {"lstm": {"dropout": True}},
+                                        {"lstm": {"hidden": [100.5, 50]}},
+                                        {"sarimax": {"order": [1, 1]}},
+                                        {"sarimax": {"seasonal_order": [1, 1, 0, 24, 1]}},
+                                        {"sarimax": {"exog": ["hour", 1]}}])
     def test_uncastable_hyperparameter_fails_at_load(self, tmp_path, params):
         path = write_config(tmp_path, {"input_path": "a", "output_dir": "b",
                                        "model_params": params})
-        with pytest.raises(ConfigError, match=next(iter(params))):
+        (model, given), = params.items()
+        (key, value), = given.items()
+        with pytest.raises(ConfigError, match=re.escape(f"{model}.{key} = {value!r} ")):
             load_config(path)
         assert cli_main(["train", "--config", str(path)]) == 1
 
@@ -560,6 +575,21 @@ def count_calls(monkeypatch, module, name: str) -> list:
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def test_plain_sarima_trains_and_scores(tmp_path):
+    """``sarimax.exog: []`` is SARIMA with no calendar regressors."""
+    build_input_csv(tmp_path / "meter.csv", seed=5)
+    cfg = config_from_dict(base_config(tmp_path, roster=["sarimax"], model_params={
+        "sarimax": {"exog": [], "train_tail_days": 15, "max_iter": 120}}))
+    pipeline.cmd_ingest(cfg)
+    pipeline.cmd_impute_eval(cfg)
+    assert pipeline.cmd_train(cfg)["models"]["sarimax"]["status"] == "ok"
+    text = (cfg.resolved_output_dir() / "models" / "sarimax.json").read_text(encoding="utf-8")
+    model = sarimax_from_json(text)
+    assert (model.exog_names, model.beta.shape, model.exog_tail.shape) == ((), (0,), (0, 0))
+    [row] = pipeline.cmd_evaluate(cfg)
+    assert row.model == "sarimax" and np.isfinite(row.rmse)
 
 
 class TestInputsOnFirstUse:
