@@ -53,12 +53,6 @@ class FeatureMatrix:
     def __len__(self) -> int:
         return len(self.target)
 
-    def column(self, name: str) -> np.ndarray:
-        try:
-            return self.features[:, self.feature_order.index(name)]
-        except ValueError:
-            raise FeatureError(f"unknown feature {name!r}") from None
-
     def rows(self, start: int, stop: int) -> "FeatureMatrix":
         return FeatureMatrix(
             self.hours[start:stop],

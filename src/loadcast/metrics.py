@@ -123,11 +123,16 @@ def picp(y, q) -> float:
     return float(100.0 * np.count_nonzero(covered) / len(y))
 
 
-def score(model: str, y, point, quantiles=None) -> ReportRow:
-    """One model's report row; a forecast without quantiles gets no interval scores."""
-    return ReportRow(model, rmse(y, point), mae(y, point),
-                     picp=None if quantiles is None else picp(y, quantiles),
-                     aqs=None if quantiles is None else average_quantile_score(y, quantiles))
+def score(model: str, y, forecast) -> ReportRow:
+    """One model's report row. A point track of shape (n,) gets RMSE and MAE
+    only; (n, 3) quantiles in ``QUANTILE_LEVELS`` order also get the
+    interval scores, and their middle column is the point."""
+    forecast = np.asarray(forecast, dtype=float)
+    if forecast.ndim == 1:
+        return ReportRow(model, rmse(y, forecast), mae(y, forecast))
+    y, q = _check_quantiles(y, forecast)
+    return ReportRow(model, rmse(y, q[:, 1]), mae(y, q[:, 1]),
+                     picp=picp(y, q), aqs=average_quantile_score(y, q))
 
 
 def assemble_report(entries: list[ReportRow] | tuple[ReportRow, ...]) -> tuple[ReportRow, ...]:

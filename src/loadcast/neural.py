@@ -754,12 +754,12 @@ def predict_quantiles(
 
 def save_checkpoint(
     model: QuantileLstmModel, path_prefix: str, scaler: ScalerParams | None = None
-) -> None:
+) -> dict[str, str]:
     """JSON header with shapes/metadata (the model dtype and the scaler used
     in training) plus a flat float64 little-endian binary of all parameters
     in sorted name order; a float32 model widens to float64 exactly. Both
     go through ``write_header_blob``: neither is replaced unless both are
-    written."""
+    written. Returns both file names with their sha256."""
     params = model.parameters()
     names = sorted(params)
     header = {
@@ -781,7 +781,7 @@ def save_checkpoint(
         "param_order": [{"name": n, "shape": list(params[n].shape)} for n in names],
     }
     flat = np.concatenate([params[n].ravel() for n in names])
-    write_header_blob(path_prefix, header, flat.astype(np.float64, copy=False))
+    return write_header_blob(path_prefix, header, flat.astype(np.float64, copy=False))
 
 
 def load_checkpoint(path_prefix: str) -> tuple[QuantileLstmModel, ScalerParams | None]:

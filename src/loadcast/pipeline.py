@@ -3,8 +3,11 @@ series, run the imputer-selection trial, train the model roster on the
 chronological split and emit the evaluation report plus plot-data CSVs.
 
 Every model is one entry of ``MODELS``: a ``fit`` that writes artifacts
-under ``models/``, a ``predict`` that reads them back into a ``Forecast``
-of the test hours, and its default hyperparameters.
+under ``models/``, a ``predict`` that reads them back into one array
+forecasting the test hours, ``(n,)`` for a point model or ``(n, 3)``
+quantiles whose middle column is the point, and its default
+hyperparameters. Both take the ``PreparedData``, which carries the config
+and cuts each model input into (fit, validation, test) parts once.
 
 Each command hands the next what it read, as files whose sha256 the
 manifest records and the next command checks: ``ingest`` keeps the hourly
@@ -42,6 +45,7 @@ from . import boosted, classical, imputation, metrics, neural
 from .config import PipelineConfig
 from .features import (
     FeatureMatrix,
+    WindowTensor,
     assemble_matrix,
     calendar_features,
     windowize,
@@ -314,16 +318,15 @@ def cmd_impute_eval(cfg: PipelineConfig) -> tuple[imputation.ImputationTrial, st
 
 @dataclass(frozen=True)
 class PreparedData:
-    """What the models see of an imputed series. The scaler and the tabular
-    matrix are computed on first use, once, so a command builds only what
-    its roster reads, and a matrix that cannot be built fails only the
-    models that read it."""
+    """What the models see of an imputed series. The scaler and each model
+    input, already cut into (fit, validation, test) parts, are computed on
+    first use, once, so a command builds only what its roster reads, and an
+    input that cannot be built fails only the models that read it."""
 
     full: HourlySeries            # imputed, watts
     source: np.ndarray            # read-only int8 (hours, channels): imputation.OBSERVED ...
     split_idx: int
-    calendar: tuple[str, ...]     # the tabular matrix's calendar columns
-    lags: tuple[int, ...]         # and its target lags
+    cfg: PipelineConfig
 
     @cached_property
     def scaler(self) -> ScalerParams:
@@ -331,9 +334,42 @@ class PreparedData:
         return minmax_fit(self.full, (0, self.split_idx))
 
     @cached_property
-    def tabular(self) -> FeatureMatrix:
-        """Watts, calendar + lags."""
-        return assemble_matrix(self.full, calendar=self.calendar, lags=self.lags)
+    def tabular(self) -> tuple[FeatureMatrix, FeatureMatrix, FeatureMatrix]:
+        """Rows of watts, calendar + lags."""
+        matrix = assemble_matrix(self.full, calendar=self.cfg.calendar_features,
+                                 lags=self.cfg.lags)
+        return self._split(matrix.hours, matrix.rows)
+
+    @cached_property
+    def windows(self) -> tuple[WindowTensor, WindowTensor, WindowTensor]:
+        """Windows over the train-scaled channels, the normalised calendar
+        columns and the lags, in the LSTM's dtype; targets stay float64."""
+        cfg = self.cfg
+        scaled = minmax_transform(self.full, self.scaler)
+        window_channels = (
+            cfg.window_channels if cfg.window_channels is not None else self.full.channel_names
+        )
+        matrix = assemble_matrix(scaled, calendar=cfg.calendar_features, lags=cfg.lags,
+                                 channels=tuple(window_channels))
+        feats = matrix.features.copy()
+        for j, name in enumerate(matrix.feature_order):
+            if name in _CALENDAR_RANGES:
+                lo, hi = _CALENDAR_RANGES[name]
+                feats[:, j] = (feats[:, j] - lo) / (hi - lo)
+        matrix = FeatureMatrix(matrix.hours, feats.astype(_LSTM_DTYPE), matrix.feature_order,
+                               matrix.target)
+        windows = windowize(matrix, window=cfg.params_for("lstm")["window"])
+        return self._split(windows.hours, windows.samples)
+
+    def _split(self, hours: np.ndarray, take):
+        """(fit, validation, test) parts of rows keyed by ascending hours:
+        rows before the split hour are the train part, its chronological
+        tail the validation set. ``take(start, stop)`` cuts one part."""
+        n_train = int(np.searchsorted(hours, self.split_idx))
+        n_fit = int(np.floor(n_train * (1.0 - self.cfg.validation_fraction)))
+        if n_fit == 0 or n_fit == n_train:
+            raise PipelineError("validation_fraction leaves an empty fit or validation set")
+        return take(0, n_fit), take(n_fit, n_train), take(n_train, len(hours))
 
 
 def _fill(source: np.ndarray, code: int, impute, series: HourlySeries, *args) -> HourlySeries:
@@ -405,7 +441,7 @@ def prepare_data(cfg: PipelineConfig, hourly: HourlySeries, chosen: str) -> Prep
     train, test = chronological_split(hourly, cfg.split_fraction)
     _check_train_readings(train)
     full, source = _impute_split(cfg, train, test, chosen)
-    return PreparedData(full, source, len(train), cfg.calendar_features, cfg.lags)
+    return PreparedData(full, source, len(train), cfg)
 
 
 def _save_imputed(out_dir: Path, data: PreparedData, chosen: str) -> dict[str, str]:
@@ -421,22 +457,7 @@ def _load_imputed(cfg: PipelineConfig, manifest: dict) -> PreparedData:
     header, full, (source,) = _load_series(cfg, manifest, IMPUTED_PREFIX, "train",
                                            "values and fill codes", "i1")
     source.flags.writeable = False
-    return PreparedData(full, source, header["split_idx"], cfg.calendar_features, cfg.lags)
-
-
-def _split_rows(cfg: PipelineConfig, data: PreparedData, hours: np.ndarray, take):
-    """(fit, validation, test) parts of rows keyed by ascending hours: rows
-    before the split hour are the train part, its chronological tail the
-    validation set. ``take(start, stop)`` cuts one part."""
-    n_train = int(np.searchsorted(hours, data.split_idx))
-    n_fit = int(np.floor(n_train * (1.0 - cfg.validation_fraction)))
-    if n_fit == 0 or n_fit == n_train:
-        raise PipelineError("validation_fraction leaves an empty fit or validation set")
-    return take(0, n_fit), take(n_fit, n_train), take(n_train, len(hours))
-
-
-def _tabular_split(cfg: PipelineConfig, data: PreparedData):
-    return _split_rows(cfg, data, data.tabular.hours, data.tabular.rows)
+    return PreparedData(full, source, header["split_idx"], cfg)
 
 
 def _chosen_imputer(manifest: dict) -> str:
@@ -451,18 +472,8 @@ def _chosen_imputer(manifest: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Forecast:
-    """One model's forecast of every test hour in order: the point track in
-    watts and, for a probabilistic model, its quantiles as one
-    (n, len(QUANTILE_LEVELS)) array in ``metrics.QUANTILE_LEVELS`` order."""
-
-    point: np.ndarray
-    quantiles: np.ndarray | None = None
-
-
-def _fit_seasonal_naive(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> list[str]:
-    period = cfg.params_for("seasonal_naive")["period"]
+def _fit_seasonal_naive(data: PreparedData, models_dir: Path) -> list[str]:
+    period = data.cfg.params_for("seasonal_naive")["period"]
     if period < 1:  # period 0 would forecast each hour by itself
         raise PipelineError(f"period must be >= 1, got {period}")
     if data.split_idx < period:
@@ -473,13 +484,13 @@ def _fit_seasonal_naive(cfg: PipelineConfig, data: PreparedData, models_dir: Pat
     return ["seasonal_naive.json"]
 
 
-def _predict_seasonal_naive(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> Forecast:
+def _predict_seasonal_naive(data: PreparedData, models_dir: Path) -> np.ndarray:
     doc = json.loads((models_dir / "seasonal_naive.json").read_text(encoding="utf-8"))
     period = int(doc["period"])
     history = np.asarray(doc["history_tail"], dtype=float)
     # rolling one-step forecast: the value one period earlier, test hours included
     combined = np.concatenate([history, data.full.channel(0)[data.split_idx :]])
-    return Forecast(combined[len(history) - period : len(combined) - period])
+    return combined[len(history) - period : len(combined) - period]
 
 
 def _calendar_exog(series: HourlySeries, lo: int, hi: int, names: tuple[str, ...]) -> np.ndarray:
@@ -488,8 +499,8 @@ def _calendar_exog(series: HourlySeries, lo: int, hi: int, names: tuple[str, ...
     return np.column_stack([np.empty((hi - lo, 0))] + [cal[name] for name in names])
 
 
-def _fit_sarimax(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> list[str]:
-    params = cfg.params_for("sarimax")
+def _fit_sarimax(data: PreparedData, models_dir: Path) -> list[str]:
+    params = data.cfg.params_for("sarimax")
     p, d, q = params["order"]
     P, D, Q, s = params["seasonal_order"]
     order = classical.SarimaxOrder(p, d, q, P, D, Q, s)
@@ -504,75 +515,50 @@ def _fit_sarimax(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> l
     return ["sarimax.json"]
 
 
-def _predict_sarimax(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> Forecast:
+def _predict_sarimax(data: PreparedData, models_dir: Path) -> np.ndarray:
     model = classical.sarimax_from_json((models_dir / "sarimax.json").read_text(encoding="utf-8"))
     steps = len(data.full) - data.split_idx
     exog = _calendar_exog(data.full, data.split_idx, len(data.full), model.exog_names)
-    return Forecast(classical.sarimax_forecast(model, steps, exog if len(model.beta) else None))
+    return classical.sarimax_forecast(model, steps, exog)
 
 
-def _fit_boosted(cfg: PipelineConfig, data: PreparedData, name: str, loss) -> boosted.GbdtModel:
-    fit, val, _ = _tabular_split(cfg, data)
+def _fit_boosted(data: PreparedData, name: str, loss) -> boosted.GbdtModel:
+    fit, val, _ = data.tabular
     return boosted.gbdt_fit(
         fit.features, fit.target, val.features, val.target,
-        params=boosted.GbdtParams(**cfg.params_for(name)), loss=loss,
+        params=boosted.GbdtParams(**data.cfg.params_for(name)), loss=loss,
         feature_order=fit.feature_order,
     )
 
 
-def _fit_gbdt(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> list[str]:
-    model = _fit_boosted(cfg, data, "gbdt", boosted.SquaredLoss())
+def _fit_gbdt(data: PreparedData, models_dir: Path) -> list[str]:
+    model = _fit_boosted(data, "gbdt", boosted.SquaredLoss())
     return list(boosted.save_gbdt(models_dir / "gbdt", model))
 
 
-def _predict_gbdt(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> Forecast:
-    model = boosted.load_gbdt(models_dir / "gbdt")
-    _, _, test = _tabular_split(cfg, data)
-    return Forecast(boosted.gbdt_predict(model, test))
+def _predict_gbdt(data: PreparedData, models_dir: Path) -> np.ndarray:
+    return boosted.gbdt_predict(boosted.load_gbdt(models_dir / "gbdt"), data.tabular[2])
 
 
-def _fit_gbdt_quantile(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> list[str]:
-    models = {tau: _fit_boosted(cfg, data, "gbdt_quantile", boosted.PinballLoss(tau=tau))
+def _fit_gbdt_quantile(data: PreparedData, models_dir: Path) -> list[str]:
+    models = {tau: _fit_boosted(data, "gbdt_quantile", boosted.PinballLoss(tau=tau))
               for tau in metrics.QUANTILE_LEVELS}
     return list(boosted.save_gbdt_quantiles(models_dir / "gbdt_quantile", models))
 
 
-def _predict_gbdt_quantile(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> Forecast:
+def _predict_gbdt_quantile(data: PreparedData, models_dir: Path) -> np.ndarray:
     models = boosted.load_gbdt_quantiles(models_dir / "gbdt_quantile")
-    _, _, test = _tabular_split(cfg, data)
-    q = boosted.gbdt_predict_quantiles(models, test)
-    return Forecast(q[:, 1], q)
+    return boosted.gbdt_predict_quantiles(models, data.tabular[2])
 
 
-def _window_split(cfg: PipelineConfig, data: PreparedData):
-    """Fit / validation / test windows over the train-scaled channels, the
-    normalised calendar columns and the lags, in the LSTM's dtype; targets
-    stay float64."""
-    scaled = minmax_transform(data.full, data.scaler)
-    window_channels = (
-        cfg.window_channels if cfg.window_channels is not None else data.full.channel_names
-    )
-    matrix = assemble_matrix(scaled, calendar=cfg.calendar_features, lags=cfg.lags,
-                             channels=tuple(window_channels))
-    feats = matrix.features.copy()
-    for j, name in enumerate(matrix.feature_order):
-        if name in _CALENDAR_RANGES:
-            lo, hi = _CALENDAR_RANGES[name]
-            feats[:, j] = (feats[:, j] - lo) / (hi - lo)
-    matrix = FeatureMatrix(matrix.hours, feats.astype(_LSTM_DTYPE), matrix.feature_order,
-                           matrix.target)
-    windows = windowize(matrix, window=cfg.params_for("lstm")["window"])
-    return _split_rows(cfg, data, windows.hours, windows.samples)
-
-
-def _fit_lstm(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> list[str]:
-    params = cfg.params_for("lstm")
-    fit, val, _ = _window_split(cfg, data)
+def _fit_lstm(data: PreparedData, models_dir: Path) -> list[str]:
+    params = data.cfg.params_for("lstm")
+    fit, val, _ = data.windows
     model = neural.init_model(
         n_features=fit.data.shape[2],
         hidden=params["hidden"],
         dropout_rate=params["dropout"],
-        seed=cfg.model_seed("lstm"),
+        seed=data.cfg.model_seed("lstm"),
         dtype=_LSTM_DTYPE,
     )
     model, history = neural.train(
@@ -582,25 +568,26 @@ def _fit_lstm(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> list
             patience=params["patience"],
             batch_size=params["batch_size"],
             learning_rate=params["learning_rate"],
-            seed=cfg.model_seed("lstm"),
+            seed=data.cfg.model_seed("lstm"),
         ),
     )
-    neural.save_checkpoint(model, str(models_dir / "lstm"), scaler=data.scaler)
+    saved = neural.save_checkpoint(model, str(models_dir / "lstm"), scaler=data.scaler)
     neural.history_to_csv(history, models_dir / "lstm_history.csv")
-    return ["lstm.json", "lstm.bin", "lstm_history.csv"]
+    return [*saved, "lstm_history.csv"]
 
 
-def _predict_lstm(cfg: PipelineConfig, data: PreparedData, models_dir: Path) -> Forecast:
+def _predict_lstm(data: PreparedData, models_dir: Path) -> np.ndarray:
     model, scaler = neural.load_checkpoint(str(models_dir / "lstm"))
-    _, _, test = _window_split(cfg, data)
-    q = neural.predict_quantiles(model, test, scaler=scaler)
-    return Forecast(q[:, 1], q)
+    return neural.predict_quantiles(model, data.windows[2], scaler=scaler)
 
 
 class ModelSpec(NamedTuple):
-    # fit writes the artifacts under models_dir and returns their file names
-    fit: Callable[[PipelineConfig, PreparedData, Path], list[str]]
-    predict: Callable[[PipelineConfig, PreparedData, Path], Forecast]
+    # fit writes the artifacts under models_dir and returns their file names;
+    # predict returns the test hours' forecast in watts: (n,) for a point
+    # model, or (n, 3) quantiles in metrics.QUANTILE_LEVELS order, whose
+    # middle column is the point
+    fit: Callable[[PreparedData, Path], list[str]]
+    predict: Callable[[PreparedData, Path], np.ndarray]
     defaults: dict[str, Any]  # every hyperparameter, typed by its default
 
 
@@ -645,7 +632,7 @@ def cmd_train(cfg: PipelineConfig, models: tuple[str, ...] | None = None) -> dic
     entries = manifest.setdefault("models", {})
     for name in roster:
         try:
-            artifacts = MODELS[name].fit(cfg, data, models_dir)
+            artifacts = MODELS[name].fit(data, models_dir)
             hashes = {a: _file_sha256(models_dir / a) for a in artifacts}
             entries[name] = {
                 "status": "ok",
@@ -675,19 +662,17 @@ def _plot_axis(hours: tuple[datetime, ...], actual: np.ndarray) -> list[str]:
     return [f"{ts.isoformat()},{a!r}," for ts, a in zip(hours, actual.tolist())]
 
 
-def _write_plot_csv(path: Path, axis: list[str], forecast: Forecast) -> None:
+def _write_plot_csv(path: Path, axis: list[str], forecast: np.ndarray) -> None:
     """Write one model's plot CSV: the ``_plot_axis`` text of each test
     hour, formatted once by ``cmd_evaluate``, then the point track and the
     outer quantiles (blank for a point forecast). The bytes are those
     csv.writer gives for these rows, built 512 rows at a time."""
-    point = np.asarray(forecast.point, dtype=float).tolist()
-    q = forecast.quantiles
-    if q is None:
-        rows = (f"{pre}{p!r},,\r\n" for pre, p in zip(axis, point))
+    forecast = np.asarray(forecast, dtype=float)
+    if forecast.ndim == 1:
+        rows = (f"{pre}{p!r},,\r\n" for pre, p in zip(axis, forecast.tolist()))
     else:
-        q = np.asarray(q, dtype=float)
         rows = (f"{pre}{p!r},{lo!r},{hi!r}\r\n"
-                for pre, p, lo, hi in zip(axis, point, q[:, 0].tolist(), q[:, -1].tolist()))
+                for pre, lo, p, hi in zip(axis, *forecast.T.tolist()))
     with replace_on_success(path) as fh:
         fh.write("timestamp,actual,point_or_q50,q05,q95\r\n")
         for _ in range(0, len(axis), 512):
@@ -708,14 +693,16 @@ def _external_cell(path: str, row: dict, key: str, parse=float):
     return value
 
 
-def _external_forecast(hours: tuple[datetime, ...], path: str) -> Forecast:
+def _external_forecast(hours: tuple[datetime, ...], path: str) -> np.ndarray:
     """Read an externally produced plot-format CSV of the test hours.
 
     Every timestamp must carry a UTC offset. Rows off the test split are
     ignored. Every test hour must appear exactly once with a finite
     point_or_q50, and the q05/q95 cells must hold finite numbers on every
     row or be blank on all; anything else raises MetricError naming the
-    file and the row's timestamp, as does a file that cannot be opened."""
+    file and the row's timestamp, as does a file that cannot be opened.
+    A band that crosses its point is clamped to it: q05 110, point 100 and
+    q95 120 are scored as (100, 100, 120)."""
     index = {ts: i for i, ts in enumerate(hours)}
     seen = np.zeros(len(hours), dtype=int)
     point, q05, q95 = (np.full(len(hours), np.nan) for _ in range(3))
@@ -754,8 +741,8 @@ def _external_forecast(hours: tuple[datetime, ...], path: str) -> Forecast:
             f"repeated, first at {hours[bad[0]].isoformat()}; give every test hour once"
         )
     if not banded:
-        return Forecast(point)
-    return Forecast(point, np.column_stack([np.minimum(q05, point), point, np.maximum(q95, point)]))
+        return point
+    return np.column_stack([np.minimum(q05, point), point, np.maximum(q95, point)])
 
 
 def _write_report(out_dir: Path, rows: tuple[metrics.ReportRow, ...]) -> str:
@@ -806,16 +793,13 @@ def cmd_evaluate(cfg: PipelineConfig) -> tuple[metrics.ReportRow, ...]:
         try:
             for artifact in entry["artifacts"]:
                 _check_sha256(out_dir / artifact, hashes.get(Path(artifact).name), "train")
-            forecast = MODELS[name].predict(cfg, data, out_dir / "models")
-            q = forecast.quantiles
+            forecast = MODELS[name].predict(data, out_dir / "models")
             n = len(hours)
-            if np.shape(forecast.point) != (n,) or (
-                q is not None and np.shape(q) != (n, len(metrics.QUANTILE_LEVELS))
-            ):
+            if np.shape(forecast) not in ((n,), (n, len(metrics.QUANTILE_LEVELS))):
                 raise PipelineError(f"forecast does not cover exactly the {n} "
                                     f"test hours from {hours[0]} to {hours[-1]}")
             # crossed quantiles fail the model here
-            row = metrics.score(name, actual, forecast.point, forecast.quantiles)
+            row = metrics.score(name, actual, forecast)
         except Exception as exc:  # noqa: BLE001 - isolated per model, as in train
             entry["evaluate"] = {"status": "failed", "error": str(exc)}
             failures.append(f"{name}: {exc}")
@@ -825,8 +809,8 @@ def cmd_evaluate(cfg: PipelineConfig) -> tuple[metrics.ReportRow, ...]:
         _write_plot_csv(plots_dir / f"{name}.csv", axis, forecast)
         rows.append(row)
     for name in sorted(cfg.external_predictions):
-        forecast = _external_forecast(hours, cfg.external_predictions[name])
-        rows.append(metrics.score(name, actual, forecast.point, forecast.quantiles))
+        rows.append(metrics.score(name, actual,
+                                  _external_forecast(hours, cfg.external_predictions[name])))
     # no row is a MetricError, unless every model failed: then there is no report
     if rows or not failures:
         _write_report(out_dir, metrics.assemble_report(rows))

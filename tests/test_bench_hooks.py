@@ -133,7 +133,7 @@ def test_traced_prepare_and_window_split_record_window_bytes_and_calendar():
     tracer.install()
     try:
         data = pipeline.prepare_data(cfg, hourly, "linear")
-        parts = pipeline._window_split(cfg, data)
+        parts = data.windows
         exog = pipeline._calendar_exog(data.full, 0, data.split_idx, ("hour", "dayofweek"))
     finally:
         tracer.uninstall()
@@ -141,7 +141,7 @@ def test_traced_prepare_and_window_split_record_window_bytes_and_calendar():
     assert names.count("pipeline.prepare_data") == 1
     windows = [span for span in tracer.spans if span[0] == "features.windowize"]
     nbytes = sum(part.data.nbytes for part in parts)
-    assert nbytes == (len(data.tabular) - 24) * 24 * parts[0].data.shape[2] * 4
+    assert nbytes == (sum(map(len, data.tabular)) - 24) * 24 * parts[0].data.shape[2] * 4
     assert [span[4] for span in windows] == [{"bytes": nbytes}]
     metrics = tracing.layer_metrics(dict(tracer.dump(), wrapper_cost_s=0.0), simplex_iters=0)
     assert metrics["features.window_mb"] == nbytes / 1e6
@@ -229,7 +229,7 @@ def test_count_trees_reads_the_gbdt_pairs_train_writes(tmp_path, monkeypatch):
     models_dir = tmp_path / "models"
     models_dir.mkdir()
     for name in cfg.roster:
-        pipeline.MODELS[name].fit(cfg, data, models_dir)
+        pipeline.MODELS[name].fit(data, models_dir)
     assert len(grown) == 4 * 7
     assert _count_trees(models_dir) == len(grown)
     (models_dir / "gbdt_quantile.json").unlink()

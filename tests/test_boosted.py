@@ -4,6 +4,7 @@ import re
 import tracemalloc
 from datetime import datetime, timedelta
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -606,7 +607,7 @@ class TestSerialization:
         assert (gbdt_predict_quantiles(clones, X).tobytes()
                 == gbdt_predict_quantiles(models, X).tobytes())
 
-    def test_quantile_artifact_bytes_pinned(self, tmp_path, monkeypatch):
+    def test_quantile_artifact_bytes_pinned(self, tmp_path):
         """The ``gbdt_quantile`` pair of a 3-tau fit; its node arrays are bit
         for bit those of the per-node JSON artifact pinned when it was still
         built by a JSON text round trip per tau."""
@@ -619,26 +620,25 @@ class TestSerialization:
             return FeatureMatrix(stamps[lo:hi], X[lo:hi], order, y[lo:hi])
 
         parts = part(0, 320), part(320, 400), part(400, len(y))
-        monkeypatch.setattr(pipeline, "_tabular_split", lambda cfg, data: parts)
         cfg = config_from_dict({
             "input_path": "meter.csv", "output_dir": "out",
             "model_params": {"gbdt_quantile": {"n_estimators": 8, "max_depth": 3,
                                                "early_stopping_rounds": 8}},
         })
+        data = SimpleNamespace(cfg=cfg, tabular=parts)  # the split PreparedData gives
         names = ["gbdt_quantile.json", "gbdt_quantile.bin"]
-        assert pipeline._fit_gbdt_quantile(cfg, None, tmp_path) == names
+        assert pipeline._fit_gbdt_quantile(data, tmp_path) == names
         assert [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in names] == [
             "ba41cfec91f8d4a33c166a4df26da8dd0ad8e5552c75c75c38a77dc32f22fc2a",
             "3cfe56c23a487e121ed0e835ce7afb671fd96ed904d3908ec1a36e8173eb161e"]
-        forecast = pipeline._predict_gbdt_quantile(cfg, None, tmp_path)
+        forecast = pipeline._predict_gbdt_quantile(data, tmp_path)
         models = {tau: gbdt_fit(parts[0].features, parts[0].target, parts[1].features,
                                 parts[1].target, loss=PinballLoss(tau),
                                 params=GbdtParams(**cfg.params_for("gbdt_quantile")),
                                 feature_order=order)
                   for tau in (0.05, 0.5, 0.95)}
         want = gbdt_predict_quantiles(models, parts[2])
-        assert forecast.quantiles.tobytes() == want.tobytes()
-        assert forecast.point.tobytes() == want[:, 1].tobytes()
+        assert forecast.tobytes() == want.tobytes()
 
 
 def masked_walk(tree, X):

@@ -117,21 +117,24 @@ class TestAssemble:
         matrix = assemble_matrix(make_series(target), lags=(1,))
         # row at timestamp t has target(t), and lag_1hr = target(t-1)
         assert matrix.target[0] == 1.0
-        assert matrix.column("lag_1hr")[0] == 0.0
+        assert matrix.features[0, matrix.feature_order.index("lag_1hr")] == 0.0
 
     def test_channels_included_for_window_path(self):
         values = np.column_stack([np.arange(200.0), np.arange(200.0) * 2])
         series = make_series(values, channel_names=("Aggregate", "Appliance1"))
         matrix = assemble_matrix(series, lags=(1,), channels=("Aggregate", "Appliance1"))
         assert "Aggregate" in matrix.feature_order
-        np.testing.assert_array_equal(matrix.column("Appliance1"), matrix.column("Aggregate") * 2)
+        column = matrix.feature_order.index
+        np.testing.assert_array_equal(matrix.features[:, column("Appliance1")],
+                                      matrix.features[:, column("Aggregate")] * 2)
 
     def test_anti_leakage_lag_shift(self):
         rng = np.random.default_rng(3)
         target = rng.uniform(0, 100, 250)
         matrix = assemble_matrix(make_series(target), lags=(1, 24))
         for k in (1, 24):
-            np.testing.assert_array_equal(matrix.column(f"lag_{k}hr"), target[24 - k : -k])
+            np.testing.assert_array_equal(
+                matrix.features[:, matrix.feature_order.index(f"lag_{k}hr")], target[24 - k : -k])
 
     def test_no_column_names_the_empty_inputs(self):
         with pytest.raises(FeatureError, match="calendar, lags and channels"):

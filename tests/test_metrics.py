@@ -210,7 +210,7 @@ class TestReport:
     def test_score_leaves_interval_columns_empty_without_quantiles(self):
         y = np.array([1.0, 2.0, 4.0])
         assert metrics.score("naive", y, y + 1.0) == ReportRow("naive", 1.0, 1.0)
-        row = metrics.score("band", y, y, make_dist(y - 1.0, y, y + 1.0))
+        row = metrics.score("band", y, make_dist(y - 1.0, y, y + 1.0))
         assert row == ReportRow("band", 0.0, 0.0, picp=100.0, aqs=pytest.approx(0.1 / 3))
 
     def test_rows_keep_pipeline_order(self):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loadcast import pipeline
+from loadcast import metrics, pipeline
 from loadcast.classical import sarimax_from_json
 from loadcast.cli import main as cli_main
 from loadcast.config import ConfigError, config_from_dict, load_config
@@ -467,7 +467,7 @@ class TestTrainEvaluate:
         assert header["dtype"] == "float32"
         manifest = pipeline.load_manifest(cfg)
         data = pipeline.prepare_data(cfg, load_hourly(cfg), manifest["chosen_imputer"])
-        for part in pipeline._window_split(cfg, data):
+        for part in data.windows:
             assert part.data.dtype == np.float32 and part.target.dtype == np.float64
 
     def test_quantile_gbdt_scored_as_distribution(self, full_run):
@@ -593,8 +593,8 @@ def test_plain_sarima_trains_and_scores(tmp_path):
 
 
 class TestInputsOnFirstUse:
-    """The scaler and the tabular matrix are built when a model first reads
-    them, so a roster builds only what it reads."""
+    """The scaler, the tabular matrix and the windows are built when a model
+    first reads them, so a roster builds only what it reads."""
 
     def imputed(self, tmp_path, roster, **overrides):
         build_input_csv(tmp_path / "meter.csv", seed=5)
@@ -627,6 +627,26 @@ class TestInputsOnFirstUse:
         assert all(np.shares_memory(args[0], fits[0][0]) for args in fits)
         pipeline.cmd_evaluate(cfg)
         assert len(matrices) == 2 and scalers == []
+
+    def test_lstm_windows_are_built_once_per_command(self, tmp_path, monkeypatch):
+        cfg = self.imputed(tmp_path, ["lstm"])
+        windows = count_calls(monkeypatch, pipeline, "windowize")
+        assert pipeline.cmd_train(cfg)["models"]["lstm"]["status"] == "ok"
+        assert len(windows) == 1
+        pipeline.cmd_evaluate(cfg)
+        assert len(windows) == 2
+
+    def test_empty_fit_set_fails_only_the_models_that_split(self, tmp_path):
+        """``validation_fraction`` 0.9999 leaves no fit row: every model that
+        reads the tabular matrix or the windows fails with that reason."""
+        roster = ["seasonal_naive", "gbdt", "gbdt_quantile", "lstm"]
+        cfg = self.imputed(tmp_path, roster, validation_fraction=0.9999)
+        entries = pipeline.cmd_train(cfg)["models"]
+        assert entries.pop("seasonal_naive")["status"] == "ok"
+        assert entries == dict.fromkeys(roster[1:], {
+            "status": "failed", "artifacts": [],
+            "error": "validation_fraction leaves an empty fit or validation set"})
+        assert [row.model for row in pipeline.cmd_evaluate(cfg)] == ["seasonal_naive"]
 
     def test_unbuildable_matrix_fails_only_its_models(self, tmp_path):
         lag = 10 * N_HOURS
@@ -755,15 +775,15 @@ class TestForecastCoverage:
         write_rows(ext_path, rows)
         spec = pipeline.MODELS["seasonal_naive"]
 
-        def predict(cfg, data, models_dir):
-            point = spec.predict(cfg, data, models_dir).point
+        def predict(data, models_dir):
+            point = spec.predict(data, models_dir)
             if fault == "one hour short":
-                return pipeline.Forecast(point[:-1])
+                return point[:-1]
             if fault == "predict raises":
                 raise RuntimeError("artifact unreadable")
             if fault == "crossed quantiles":
-                return pipeline.Forecast(point, np.column_stack([point + 1.0, point, point]))
-            return pipeline.Forecast(point, np.column_stack([point, point]))
+                return np.column_stack([point + 1.0, point, point])
+            return np.column_stack([point, point])
 
         monkeypatch.setitem(pipeline.MODELS, "seasonal_naive", spec._replace(predict=predict))
         cfg = load_config(cfg_path)
@@ -878,11 +898,11 @@ class TestImputedSeries:
         assert kept.split_idx == again.split_idx
         assert kept.full.start == again.full.start
         assert kept.full.channel_names == again.full.channel_names
-        for a, b in [(kept.full.values, again.full.values), (kept.source, again.source),
-                     (kept.scaler.mins, again.scaler.mins), (kept.scaler.maxs, again.scaler.maxs),
-                     (kept.tabular.features, again.tabular.features),
-                     (kept.tabular.target, again.tabular.target),
-                     (kept.tabular.hours, again.tabular.hours)]:
+        pairs = [(kept.full.values, again.full.values), (kept.source, again.source),
+                 (kept.scaler.mins, again.scaler.mins), (kept.scaler.maxs, again.scaler.maxs)]
+        for k, a in zip(kept.tabular, again.tabular, strict=True):
+            pairs += [(k.features, a.features), (k.target, a.target), (k.hours, a.hours)]
+        for a, b in pairs:
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         assert not kept.source.flags.writeable
         out = cfg.resolved_output_dir()
@@ -1100,16 +1120,16 @@ class TestAtomicCsv:
 
 def csv_writer_plot(path, hours, actual, forecast):
     """The plot CSV as csv.writer writes it, one cell list per test hour."""
-    q = forecast.quantiles
+    banded = forecast.ndim == 2
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["timestamp", "actual", "point_or_q50", "q05", "q95"])
         writer.writerows([
             ts.isoformat(),
             repr(float(actual[i])),
-            repr(float(forecast.point[i])),
-            "" if q is None else repr(float(q[i, 0])),
-            "" if q is None else repr(float(q[i, -1])),
+            repr(float(forecast[i, 1] if banded else forecast[i])),
+            repr(float(forecast[i, 0])) if banded else "",
+            repr(float(forecast[i, -1])) if banded else "",
         ] for i, ts in enumerate(hours))
 
 
@@ -1130,8 +1150,7 @@ class TestPlotCsvBytes:
         tracks = [np.resize(np.roll(cells, data.draw(st.integers(0, len(cells) - 1))), n)
                   for _ in range(4)]
         actual, point, q05, q95 = tracks
-        quantiles = np.column_stack([q05, point, q95]) if banded else None
-        forecast = pipeline.Forecast(point, quantiles)
+        forecast = np.column_stack([q05, point, q95]) if banded else point
         start = datetime(1970, 1, 1, tzinfo=timezone.utc) + first_hour * HOUR
         hours = tuple(start + i * HOUR for i in range(n))
         with tempfile.TemporaryDirectory() as tmp:
@@ -1197,6 +1216,20 @@ class TestExternalQuantileCells:
         report = pipeline.cmd_evaluate(load_config(cfg_path))
         tft = {r.model: r for r in report}["TFT"]
         assert tft.picp is None and tft.aqs is None and tft.rmse > 0
+
+    def test_band_crossing_its_point_is_clamped_to_it(self, trained):
+        """q05 110, point 100 and q95 120 are scored as the band [100, 120];
+        a q95 below its point is raised to the point the same way."""
+        cfg_path, ext_path, rows = trained
+        rows = [dict(r) for r in rows]
+        rows[0].update(point_or_q50="100.0", q05="110.0", q95="120.0")
+        rows[1].update(point_or_q50="100.0", q05="80.0", q95="90.0")
+        write_rows(ext_path, rows)
+        tft = {r.model: r for r in pipeline.cmd_evaluate(load_config(cfg_path))}["TFT"]
+        band = np.array([[float(r[k]) for k in ("q05", "point_or_q50", "q95")] for r in rows])
+        band[:2] = [[100.0, 100.0, 120.0], [80.0, 100.0, 100.0]]
+        actual = [float(r["actual"]) for r in rows]
+        assert tft == metrics.score("TFT", actual, band)
 
 
 class TestAtomicManifest:
