@@ -210,7 +210,6 @@ def sarimax_fit(
     order: SarimaxOrder = SarimaxOrder(),
     exog_names: tuple[str, ...] = (),
     max_iter: int = 500,
-    tol: float = 1e-8,
 ) -> SarimaxModel:
     """Estimate coefficients by conditional sum of squares.
 
@@ -223,12 +222,12 @@ def sarimax_fit(
     An exogenous column that is all zero after differencing (``hour`` at
     s = 24) is held at coefficient 0, outside the search, and logged.
 
-    The simplex search starts from all-zero coefficients and stops when the
-    objective spread falls below ``tol``, relative to the data's spread
-    (the objective is in units of S^2), or after ``max_iter`` iterations;
-    non-convergence keeps the best coefficients found and flips the
-    ``converged`` flag. Warns when an AR root is within 1e-3 of the unit
-    circle.
+    The simplex search (``nelder_mead``) starts from all-zero coefficients
+    with an initial step of 0.1 and stops when the objective spread falls
+    below the fixed tolerance 1e-8, in units of S^2 and so relative to the
+    data's spread, or after ``max_iter`` iterations; non-convergence keeps
+    the best coefficients found and flips the ``converged`` flag. Warns
+    when an AR root is within 1e-3 of the unit circle.
     """
     endog = np.asarray(endog, dtype=float)
     if exog is None:
@@ -280,7 +279,7 @@ def sarimax_fit(
         best, converged, n_iter = np.empty(0), True, 0
     else:
         best, _, n_iter, converged = nelder_mead(
-            objective, np.zeros(n_params), max_iter=max_iter, tol=tol
+            objective, np.zeros(n_params), max_iter=max_iter
         )
     if not converged:
         logger.warning("sarimax_fit: simplex search did not converge in %d iterations", n_iter)
@@ -421,17 +420,16 @@ def nelder_mead(
     func,
     x0: np.ndarray,
     max_iter: int = 500,
-    tol: float = 1e-8,
-    step: float = 0.1,
 ) -> tuple[np.ndarray, float, int, bool]:
     """Minimise func by Nelder-Mead reflection/expansion/contraction/shrink.
 
-    Deterministic: the initial simplex is x0 plus ``step`` along each axis
-    and ties resolve by index order. Converged when the objective spread
-    across the simplex drops below ``tol``; returns
-    (best_x, best_f, iterations, converged).
+    Deterministic: the initial simplex is x0 plus a step of 0.1 along each
+    axis and ties resolve by index order. Converged when the objective
+    spread across the simplex drops below the fixed tolerance 1e-8;
+    returns (best_x, best_f, iterations, converged).
     """
     alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
+    step, tol = 0.1, 1e-8
     x0 = np.asarray(x0, dtype=float)
     dim = len(x0)
     simplex = [x0.copy()]

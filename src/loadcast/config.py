@@ -64,6 +64,9 @@ class PipelineConfig:
         for name in (*self.roster, *self.model_params):
             if name not in known:
                 raise ConfigError(f"unknown model {name!r}; known: {known}")
+        for i, name in enumerate(self.roster):
+            if name in self.roster[:i]:
+                raise ConfigError(f"roster: model {name!r} is named more than once")
         for name in self.model_params:
             self.params_for(name)
         for name in self.external_predictions:

@@ -38,7 +38,6 @@ class SeasonalProfile:
     """
 
     means: np.ndarray
-    channel_names: tuple[str, ...]
 
     def cell_means(self, series: HourlySeries) -> np.ndarray:
         """(hours, channels) mean of each slot's weekly cell, NaN where empty."""
@@ -183,7 +182,7 @@ def build_seasonal_profile(
         means[has, c] = tot2[has] / cnt2[has]
     if np.isnan(means).all():
         raise ImputationError("no present values outside the excluded range")
-    return SeasonalProfile(means, series.channel_names)
+    return SeasonalProfile(means)
 
 
 def seasonal_impute(

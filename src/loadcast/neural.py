@@ -90,11 +90,33 @@ EVAL_BLOCK = 128
 
 
 class NeuralModelError(ValueError):
-    """Raised on shape mismatches and invalid training configs."""
+    """Raised on shape mismatches and out-of-range hyperparameters."""
 
 
 class TrainingDiverged(RuntimeError):
     """Training produced a non-finite loss."""
+
+
+@dataclass(frozen=True)
+class LstmParams:
+    """The LSTM's hyperparameters, named as its ``model_params`` keys, at
+    the paper's values. ``init_model`` checks ``hidden`` and ``dropout``,
+    and ``windowize`` checks ``window``."""
+
+    hidden: tuple[int, int] = (100, 50)
+    dropout: float = 0.2
+    window: int = 48
+    batch_size: int = 64
+    learning_rate: float = 1e-3
+    max_epochs: int = 50
+    patience: int = 5
+
+    def __post_init__(self) -> None:
+        for name in ("max_epochs", "patience", "batch_size"):
+            if getattr(self, name) < 1:
+                raise NeuralModelError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.learning_rate > 0:
+            raise NeuralModelError(f"learning_rate must be > 0, got {self.learning_rate}")
 
 
 def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -151,8 +173,8 @@ class QuantileLstmModel:
     layer2: LstmLayerParams
     head_W: np.ndarray  # (hidden2, len(QUANTILE_LEVELS))
     head_b: np.ndarray
-    dropout_rate: float = 0.2
-    seed: int = 0
+    dropout_rate: float
+    seed: int
 
     def parameters(self) -> dict[str, np.ndarray]:
         """Flat name -> array view of every trainable tensor."""
@@ -182,8 +204,8 @@ def _init_layer(n_in: int, n_hidden: int, rng: np.random.Generator, dtype) -> Ls
 
 def init_model(
     n_features: int,
-    hidden: tuple[int, int] = (100, 50),
-    dropout_rate: float = 0.2,
+    hidden: tuple[int, int] = LstmParams.hidden,
+    dropout_rate: float = LstmParams.dropout,
     seed: int = 0,
     dtype=np.float64,
 ) -> QuantileLstmModel:
@@ -367,8 +389,6 @@ def forward(
     step of either layer, and None is returned in the caches' place; q is
     unchanged.
     """
-    if windows.ndim == 2:
-        windows = windows[None, :, :]
     if windows.shape[2] != model.n_features:
         raise NeuralModelError(
             f"window has {windows.shape[2]} features, model expects {model.n_features}"
@@ -574,9 +594,6 @@ def quantile_loss_and_grad(q: np.ndarray, y: np.ndarray) -> tuple[float, np.ndar
 @dataclass
 class AdamState:
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -585,9 +602,11 @@ class AdamState:
 def adam_step(
     params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state: AdamState
 ) -> AdamState:
-    """One bias-corrected Adam update, in place on the parameter arrays."""
+    """One bias-corrected Adam update, in place on the parameter arrays,
+    with the decay rates and denominator offset that Kingma & Ba (2015)
+    recommend."""
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2, eps = 0.9, 0.999, 1e-8
     bc1 = 1.0 - b1**state.step
     bc2 = 1.0 - b2**state.step
     for name, theta in params.items():
@@ -600,29 +619,13 @@ def adam_step(
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g**2
-        theta -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        theta -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + eps)
     return state
 
 
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    max_epochs: int = 50
-    patience: int = 5
-    batch_size: int = 64
-    learning_rate: float = 1e-3
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        for name in ("max_epochs", "patience", "batch_size"):
-            if getattr(self, name) < 1:
-                raise NeuralModelError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not self.learning_rate > 0:
-            raise NeuralModelError(f"learning_rate must be > 0, got {self.learning_rate}")
 
 
 @dataclass(frozen=True)
@@ -663,19 +666,21 @@ def train(
     model: QuantileLstmModel,
     tensors: WindowTensor,
     val_tensors: WindowTensor,
-    config: TrainConfig = TrainConfig(),
+    params: LstmParams,
+    seed: int,
 ) -> tuple[QuantileLstmModel, TrainHistory]:
     """Minimise the averaged pinball loss with Adam and early stopping.
 
-    Tracks validation loss per epoch, stops after ``patience`` epochs
-    without improvement and restores the best epoch's parameters. A
-    non-finite loss aborts with TrainingDiverged.
+    ``seed`` drives the batch order and the dropout draws. Tracks
+    validation loss per epoch, stops after ``patience`` epochs without
+    improvement and restores the best epoch's parameters. A non-finite loss
+    aborts with TrainingDiverged.
     """
     if tensors.n_samples == 0 or val_tensors.n_samples == 0:
         raise NeuralModelError("train and validation tensors must be non-empty")
-    rng = np.random.default_rng(config.seed)
-    state = AdamState(learning_rate=config.learning_rate)
-    params = model.parameters()
+    rng = np.random.default_rng(seed)
+    state = AdamState(learning_rate=params.learning_rate)
+    weights = model.parameters()
     # every epoch's first batch is the largest, so each buffer is allocated
     # once; the validation forwards reuse them, growing only the one-step
     # buffers that an eval block wider than a batch outgrows
@@ -683,24 +688,24 @@ def train(
 
     best_val = np.inf
     best_epoch = 0
-    best_params: dict[str, np.ndarray] | None = None
+    best_weights: dict[str, np.ndarray] | None = None
     train_hist: list[float] = []
     val_hist: list[float] = []
 
-    for epoch in range(1, config.max_epochs + 1):
+    for epoch in range(1, params.max_epochs + 1):
         order = rng.permutation(tensors.n_samples)
         epoch_total = 0.0
-        for start in range(0, len(order), config.batch_size):
-            idx = order[start : start + config.batch_size]
-            seed = int(rng.integers(0, 2**31 - 1))
-            q, caches = forward(model, tensors.data[idx], train_mode=True, dropout_seed=seed,
-                                workspace=workspace)
+        for start in range(0, len(order), params.batch_size):
+            idx = order[start : start + params.batch_size]
+            dropout_seed = int(rng.integers(0, 2**31 - 1))
+            q, caches = forward(model, tensors.data[idx], train_mode=True,
+                                dropout_seed=dropout_seed, workspace=workspace)
             loss, dq = quantile_loss_and_grad(q, tensors.target[idx])
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"non-finite training loss at epoch {epoch}")
             epoch_total += loss * len(idx)
             grads = backward(model, caches, dq)
-            adam_step(params, grads, state)
+            adam_step(weights, grads, state)
 
         train_loss = epoch_total / tensors.n_samples
         val_loss = _epoch_loss(model, val_tensors, workspace)
@@ -713,14 +718,14 @@ def train(
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
-            best_params = {k: v.copy() for k, v in params.items()}
-        elif epoch - best_epoch >= config.patience:
+            best_weights = {k: v.copy() for k, v in weights.items()}
+        elif epoch - best_epoch >= params.patience:
             logger.info("early stop at epoch %d (best %d)", epoch, best_epoch)
             break
 
-    if best_params is not None:
-        for name, arr in params.items():
-            arr[...] = best_params[name]
+    if best_weights is not None:
+        for name, arr in weights.items():
+            arr[...] = best_weights[name]
     return model, TrainHistory(tuple(train_hist), tuple(val_hist), best_epoch)
 
 

@@ -552,25 +552,17 @@ def _predict_gbdt_quantile(data: PreparedData, models_dir: Path) -> np.ndarray:
 
 
 def _fit_lstm(data: PreparedData, models_dir: Path) -> list[str]:
-    params = data.cfg.params_for("lstm")
+    params = neural.LstmParams(**data.cfg.params_for("lstm"))
+    seed = data.cfg.model_seed("lstm")
     fit, val, _ = data.windows
     model = neural.init_model(
         n_features=fit.data.shape[2],
-        hidden=params["hidden"],
-        dropout_rate=params["dropout"],
-        seed=data.cfg.model_seed("lstm"),
+        hidden=params.hidden,
+        dropout_rate=params.dropout,
+        seed=seed,
         dtype=_LSTM_DTYPE,
     )
-    model, history = neural.train(
-        model, fit, val,
-        neural.TrainConfig(
-            max_epochs=params["max_epochs"],
-            patience=params["patience"],
-            batch_size=params["batch_size"],
-            learning_rate=params["learning_rate"],
-            seed=data.cfg.model_seed("lstm"),
-        ),
-    )
+    model, history = neural.train(model, fit, val, params, seed)
     saved = neural.save_checkpoint(model, str(models_dir / "lstm"), scaler=data.scaler)
     neural.history_to_csv(history, models_dir / "lstm_history.csv")
     return [*saved, "lstm_history.csv"]
@@ -599,9 +591,7 @@ MODELS: dict[str, ModelSpec] = {
     "gbdt": ModelSpec(_fit_gbdt, _predict_gbdt, asdict(boosted.GbdtParams())),
     "gbdt_quantile": ModelSpec(_fit_gbdt_quantile, _predict_gbdt_quantile,
                                asdict(boosted.GbdtParams())),
-    "lstm": ModelSpec(_fit_lstm, _predict_lstm, {
-        "hidden": (100, 50), "dropout": 0.2, "window": 48, "batch_size": 64,
-        "learning_rate": 1e-3, "max_epochs": 50, "patience": 5}),
+    "lstm": ModelSpec(_fit_lstm, _predict_lstm, asdict(neural.LstmParams())),
 }
 
 DEFAULT_ROSTER = ("seasonal_naive", "sarimax", "gbdt", "lstm")
@@ -617,9 +607,11 @@ def cmd_train(cfg: PipelineConfig, models: tuple[str, ...] | None = None) -> dic
     imputed; the imputed series is kept for `evaluate`. A failing model is
     recorded, not fatal."""
     roster = models if models is not None else cfg.roster
-    for name in roster:
+    for i, name in enumerate(roster):
         if name not in cfg.roster:
             raise PipelineError(f"model {name!r} is not in the configured roster {cfg.roster}")
+        if name in roster[:i]:
+            raise PipelineError(f"model {name!r} is named more than once in {roster}")
     out_dir = cfg.resolved_output_dir()
     manifest = load_manifest(cfg)
     chosen = _chosen_imputer(manifest)

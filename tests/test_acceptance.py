@@ -169,8 +169,8 @@ def test_c7_quantile_lstm_calibration():
         model = neural.init_model(2, hidden=(16, 8), dropout_rate=0.2, seed=707)
         model, _ = neural.train(
             model, tensors, val,
-            neural.TrainConfig(max_epochs=50, patience=10, batch_size=64,
-                               learning_rate=0.01, seed=707),
+            neural.LstmParams(max_epochs=50, patience=10, batch_size=64, learning_rate=0.01),
+            707,
         )
         q = neural.predict_quantiles(model, val)
         means = q.mean(axis=0)

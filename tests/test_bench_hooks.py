@@ -45,7 +45,7 @@ def test_traced_lstm_run_keeps_eval_forwards_inside_the_wrapped_forward():
         try:
             model = neural.init_model(3, hidden=(4, 3), seed=0, dtype=dtype)
             model, _ = neural.train(model, tensors, tensors,
-                                    neural.TrainConfig(max_epochs=1, batch_size=4))
+                                    neural.LstmParams(max_epochs=1, batch_size=4), 0)
             q = neural.predict_quantiles(model, tensors)
         finally:
             tracer.uninstall()

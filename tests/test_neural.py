@@ -11,8 +11,8 @@ from loadcast.metrics import pinball_loss
 from loadcast.neural import (
     GATES,
     AdamState,
+    LstmParams,
     NeuralModelError,
-    TrainConfig,
     TrainHistory,
     TrainingDiverged,
     adam_step,
@@ -577,7 +577,7 @@ class TestWorkspace:
         model = init_model(**PAPER, seed=56)
         tracemalloc.start()
         try:
-            train(model, tensors, tensors, TrainConfig(max_epochs=1, batch_size=64, seed=56))
+            train(model, tensors, tensors, LstmParams(max_epochs=1, batch_size=64), 56)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -636,7 +636,7 @@ class TestWorkspace:
         real = neural_module.forward
         monkeypatch.setattr(neural_module, "forward", spy)
         train(init_model(**PAPER, seed=57), self.four_batches(57), self.four_batches(58),
-              TrainConfig(max_epochs=2, patience=5, batch_size=64, seed=57))
+              LstmParams(max_epochs=2, patience=5, batch_size=64), 57)
         assert [c["layer1"]["act"].shape[-1] for c in seen] == [64, 64, 64, 20] * 2
         for n, caches in enumerate(seen):
             assert caches["consumed"]
@@ -821,13 +821,13 @@ class TestCheckpointedBptt:
         rng = np.random.default_rng(63)
         tensors = make_tensor(rng.uniform(size=(150, 48, 17)), rng.uniform(size=150))
         val = make_tensor(rng.uniform(size=(389, 48, 17)), rng.uniform(size=389))
-        config = TrainConfig(max_epochs=1, batch_size=64, seed=63)
+        params = LstmParams(max_epochs=1, batch_size=64)
         runs = []
         for kernel in ((forward, backward), (full_cache_forward, full_cache_backward)):
             monkeypatch.setattr(neural_module, "forward", kernel[0])
             monkeypatch.setattr(neural_module, "backward", kernel[1])
             model = init_model(17, (100, 50), dropout_rate=rate, seed=63, dtype=dtype)
-            runs.append(train(model, tensors, val, config))
+            runs.append(train(model, tensors, val, params, 63))
         (model, history), (want_model, want_history) = runs
         assert history == want_history
         for name, arr in want_model.parameters().items():
@@ -893,7 +893,7 @@ class TestFloat32:
         tensors = dataclasses.replace(tensors, data=tensors.data.astype(np.float32))
         model = init_model(3, hidden=(5, 4), seed=50, dtype=np.float32)
         model, history = train(model, tensors, tensors,
-                               TrainConfig(max_epochs=2, batch_size=8, seed=50))
+                               LstmParams(max_epochs=2, batch_size=8), 50)
         assert model.dtype == np.float32
         assert all(isinstance(v, float) for v in history.train_loss + history.val_loss)
         scaler = ScalerParams(np.array([0.0]), np.array([1000.0]), ("Aggregate",))
@@ -913,7 +913,7 @@ class TestHyperparameterRanges:
     ])
     def test_train_config_rejects(self, field, value):
         with pytest.raises(NeuralModelError, match=field):
-            TrainConfig(**{field: value})
+            LstmParams(**{field: value})
 
     @pytest.mark.parametrize("kwargs", [
         {"dropout_rate": 1.0}, {"dropout_rate": 1.5}, {"dropout_rate": -0.1},
@@ -929,7 +929,7 @@ class TestHyperparameterRanges:
         tensors = make_tensor(rng.uniform(size=(4, 3, 3)), rng.uniform(size=4))
         model = init_model(3, hidden=(1, 1), dropout_rate=0.0, seed=55)
         _, history = train(model, tensors, tensors,
-                           TrainConfig(max_epochs=1, patience=1, batch_size=1))
+                           LstmParams(max_epochs=1, patience=1, batch_size=1), 0)
         assert len(history.train_loss) == 1
 
 
@@ -972,7 +972,7 @@ class TestTrain:
         model = init_model(3, hidden=(6, 4), dropout_rate=0.0, seed=20)
         model, _ = train(
             model, tensors, tensors,
-            TrainConfig(max_epochs=40, patience=40, batch_size=16, learning_rate=0.02, seed=20),
+            LstmParams(max_epochs=40, patience=40, batch_size=16, learning_rate=0.02), 20,
         )
         q, _ = forward(model, data[:1])
         np.testing.assert_allclose(q[0], [0.7, 0.7, 0.7], atol=0.05)
@@ -985,7 +985,7 @@ class TestTrain:
         model = tiny_model(seed=21)
         _, history = train(
             model, tensors, tensors,
-            TrainConfig(max_epochs=50, patience=3, batch_size=8, seed=21),
+            LstmParams(max_epochs=50, patience=3, batch_size=8), 21,
         )
         assert history.best_epoch == 1
         assert len(history.val_loss) == 1 + 3  # stopped after patience epochs
@@ -995,7 +995,7 @@ class TestTrain:
         tensors = make_tensor(rng.uniform(size=(8, 4, 3)), np.full(8, np.nan))
         model = tiny_model(seed=22)
         with pytest.raises(TrainingDiverged):
-            train(model, tensors, tensors, TrainConfig(max_epochs=2, batch_size=8))
+            train(model, tensors, tensors, LstmParams(max_epochs=2, batch_size=8), 0)
 
     def test_full_batch_loss_non_increasing_first_epochs(self):
         rng = np.random.default_rng(23)
@@ -1005,7 +1005,7 @@ class TestTrain:
         model = init_model(3, hidden=(6, 4), dropout_rate=0.0, seed=23)
         _, history = train(
             model, tensors, tensors,
-            TrainConfig(max_epochs=5, patience=10, batch_size=32, learning_rate=1e-3, seed=23),
+            LstmParams(max_epochs=5, patience=10, batch_size=32, learning_rate=1e-3), 23,
         )
         assert (np.diff(history.train_loss) <= 1e-12).all()
 
@@ -1015,7 +1015,7 @@ class TestTrain:
         model = tiny_model(seed=24)
         model, history = train(
             model, tensors, tensors,
-            TrainConfig(max_epochs=6, patience=10, batch_size=8, seed=24),
+            LstmParams(max_epochs=6, patience=10, batch_size=8), 24,
         )
         val = neural_module._epoch_loss(model, tensors)
         assert val == pytest.approx(history.val_loss[history.best_epoch - 1], rel=1e-12)

@@ -124,6 +124,20 @@ class TestConfig:
             config_from_dict({"input_path": "a", "output_dir": "b",
                               "quantiles": [0.05, 0.5, 0.95]})
 
+    def test_repeated_roster_model_rejected(self):
+        with pytest.raises(ConfigError,
+                           match="^roster: model 'seasonal_naive' is named more than once$"):
+            config_from_dict({"input_path": "a", "output_dir": "b",
+                              "roster": ["seasonal_naive", "gbdt", "seasonal_naive"]})
+
+    def test_defaults_hash_pinned(self):
+        """Every default of the five models, the LSTM's seven included,
+        enters the hash; a moved default moves it."""
+        cfg = config_from_dict({"input_path": "a", "output_dir": "b", "roster": [
+            "seasonal_naive", "sarimax", "gbdt", "gbdt_quantile", "lstm"]})
+        assert cfg.config_hash() == (
+            "93ef8c98494c262dc05883c4bbc0926cb3a1eaa24cb19c89dab04c2ee1bf736b")
+
     @pytest.mark.parametrize("key", ["calendar_features", "lags", "roster"])
     def test_null_list_rejected(self, key):
         with pytest.raises(ConfigError, match=key):
@@ -1300,6 +1314,14 @@ class TestCli:
         assert cli_main(["train", "--config", str(cfg_path), "--models", "bogus"]) == 2
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
         assert errors == ["model 'bogus' is not in the configured roster ('seasonal_naive',)"]
+        assert not (tmp_path / "out").exists()
+
+    def test_train_refuses_a_model_named_twice(self, tmp_path, caplog):
+        doc = base_config(tmp_path, roster=["seasonal_naive", "gbdt"])
+        cfg_path = write_config(tmp_path, doc)
+        assert cli_main(["train", "--config", str(cfg_path), "--models", "gbdt,gbdt"]) == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == ["model 'gbdt' is named more than once in ('gbdt', 'gbdt')"]
         assert not (tmp_path / "out").exists()
 
     def test_train_with_no_model_trained_exits_2(self, tmp_path):
