@@ -12,7 +12,6 @@ import argparse
 import logging
 import sys
 
-from .classical import ClassicalModelError
 from .config import ConfigError, load_config
 from .features import FeatureError
 from .imputation import ImputationError
@@ -23,8 +22,7 @@ from . import pipeline
 logger = logging.getLogger(__name__)
 
 _VALIDATION_ERRORS = (
-    ConfigError, IngestError, SeriesError, ImputationError, FeatureError,
-    MetricError, ClassicalModelError,
+    ConfigError, IngestError, SeriesError, ImputationError, FeatureError, MetricError,
 )
 
 

@@ -60,6 +60,12 @@ class PipelineConfig:
             raise ConfigError("split_fraction must be in (0, 1)")
         if not 0 < self.validation_fraction < 1:
             raise ConfigError("validation_fraction must be in (0, 1)")
+        if not isinstance(self.model_params, dict):
+            raise ConfigError(f"model_params must be an object, got {self.model_params!r}")
+        for name, given in self.model_params.items():
+            if not isinstance(given, dict):
+                raise ConfigError(f"model_params.{name} must be an object of "
+                                  f"hyperparameters, got {given!r}")
         known = tuple(_registry().MODELS)
         for name in (*self.roster, *self.model_params):
             if name not in known:
@@ -92,7 +98,7 @@ class PipelineConfig:
         """The model's default hyperparameters overridden by ``model_params``,
         each value checked against and cast to its default's type
         (``_as_type_of``)."""
-        params = dict(_registry().MODELS[model].defaults)
+        params = _registry().MODELS[model].defaults()
         given = self.model_params.get(model, {})
         unknown = set(given) - set(params)
         if unknown:

@@ -5,9 +5,11 @@ chronological split and emit the evaluation report plus plot-data CSVs.
 Every model is one entry of ``MODELS``: a ``fit`` that writes artifacts
 under ``models/``, a ``predict`` that reads them back into one array
 forecasting the test hours, ``(n,)`` for a point model or ``(n, 3)``
-quantiles whose middle column is the point, and its default
-hyperparameters. Both take the ``PreparedData``, which carries the config
-and cuts each model input into (fit, validation, test) parts once.
+quantiles whose middle column is the point, and a function giving its
+default hyperparameters. Both take the ``PreparedData``, which carries the
+config and cuts each model input into (fit, validation, test) parts once.
+The kernel modules (``boosted``, ``neural``, ``classical``) are imported
+by these functions, so a command loads only the kernels its models use.
 
 Each command hands the next what it read, as files whose sha256 the
 manifest records and the next command checks: ``ingest`` keeps the hourly
@@ -37,11 +39,11 @@ from datetime import datetime, timezone
 from functools import cached_property
 from itertools import islice
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 import numpy as np
 
-from . import boosted, classical, imputation, metrics, neural
+from . import imputation, metrics
 from .config import PipelineConfig
 from .features import (
     FeatureMatrix,
@@ -69,6 +71,9 @@ from .series import (
     series_to_csv,
     write_header_blob,
 )
+
+if TYPE_CHECKING:
+    from . import boosted
 
 logger = logging.getLogger(__name__)
 
@@ -500,6 +505,7 @@ def _calendar_exog(series: HourlySeries, lo: int, hi: int, names: tuple[str, ...
 
 
 def _fit_sarimax(data: PreparedData, models_dir: Path) -> list[str]:
+    from . import classical
     params = data.cfg.params_for("sarimax")
     p, d, q = params["order"]
     P, D, Q, s = params["seasonal_order"]
@@ -516,6 +522,7 @@ def _fit_sarimax(data: PreparedData, models_dir: Path) -> list[str]:
 
 
 def _predict_sarimax(data: PreparedData, models_dir: Path) -> np.ndarray:
+    from . import classical
     model = classical.sarimax_from_json((models_dir / "sarimax.json").read_text(encoding="utf-8"))
     steps = len(data.full) - data.split_idx
     exog = _calendar_exog(data.full, data.split_idx, len(data.full), model.exog_names)
@@ -523,6 +530,7 @@ def _predict_sarimax(data: PreparedData, models_dir: Path) -> np.ndarray:
 
 
 def _fit_boosted(data: PreparedData, name: str, loss) -> boosted.GbdtModel:
+    from . import boosted
     fit, val, _ = data.tabular
     return boosted.gbdt_fit(
         fit.features, fit.target, val.features, val.target,
@@ -532,26 +540,31 @@ def _fit_boosted(data: PreparedData, name: str, loss) -> boosted.GbdtModel:
 
 
 def _fit_gbdt(data: PreparedData, models_dir: Path) -> list[str]:
+    from . import boosted
     model = _fit_boosted(data, "gbdt", boosted.SquaredLoss())
     return list(boosted.save_gbdt(models_dir / "gbdt", model))
 
 
 def _predict_gbdt(data: PreparedData, models_dir: Path) -> np.ndarray:
+    from . import boosted
     return boosted.gbdt_predict(boosted.load_gbdt(models_dir / "gbdt"), data.tabular[2])
 
 
 def _fit_gbdt_quantile(data: PreparedData, models_dir: Path) -> list[str]:
+    from . import boosted
     models = {tau: _fit_boosted(data, "gbdt_quantile", boosted.PinballLoss(tau=tau))
               for tau in metrics.QUANTILE_LEVELS}
     return list(boosted.save_gbdt_quantiles(models_dir / "gbdt_quantile", models))
 
 
 def _predict_gbdt_quantile(data: PreparedData, models_dir: Path) -> np.ndarray:
+    from . import boosted
     models = boosted.load_gbdt_quantiles(models_dir / "gbdt_quantile")
     return boosted.gbdt_predict_quantiles(models, data.tabular[2])
 
 
 def _fit_lstm(data: PreparedData, models_dir: Path) -> list[str]:
+    from . import neural
     params = neural.LstmParams(**data.cfg.params_for("lstm"))
     seed = data.cfg.model_seed("lstm")
     fit, val, _ = data.windows
@@ -569,6 +582,7 @@ def _fit_lstm(data: PreparedData, models_dir: Path) -> list[str]:
 
 
 def _predict_lstm(data: PreparedData, models_dir: Path) -> np.ndarray:
+    from . import neural
     model, scaler = neural.load_checkpoint(str(models_dir / "lstm"))
     return neural.predict_quantiles(model, data.windows[2], scaler=scaler)
 
@@ -580,18 +594,30 @@ class ModelSpec(NamedTuple):
     # middle column is the point
     fit: Callable[[PreparedData, Path], list[str]]
     predict: Callable[[PreparedData, Path], np.ndarray]
-    defaults: dict[str, Any]  # every hyperparameter, typed by its default
+    # every hyperparameter, typed by its default; a function, so that only
+    # a model the config names has its kernel module imported
+    defaults: Callable[[], dict[str, Any]]
+
+
+def _gbdt_defaults() -> dict[str, Any]:
+    from . import boosted
+    return asdict(boosted.GbdtParams())
+
+
+def _lstm_defaults() -> dict[str, Any]:
+    from . import neural
+    return asdict(neural.LstmParams())
 
 
 MODELS: dict[str, ModelSpec] = {
-    "seasonal_naive": ModelSpec(_fit_seasonal_naive, _predict_seasonal_naive, {"period": 24}),
-    "sarimax": ModelSpec(_fit_sarimax, _predict_sarimax, {
+    "seasonal_naive": ModelSpec(_fit_seasonal_naive, _predict_seasonal_naive,
+                                lambda: {"period": 24}),
+    "sarimax": ModelSpec(_fit_sarimax, _predict_sarimax, lambda: {
         "order": (1, 1, 1), "seasonal_order": (1, 1, 0, 24), "exog": ("hour", "dayofweek"),
         "train_tail_days": 30, "max_iter": 500}),
-    "gbdt": ModelSpec(_fit_gbdt, _predict_gbdt, asdict(boosted.GbdtParams())),
-    "gbdt_quantile": ModelSpec(_fit_gbdt_quantile, _predict_gbdt_quantile,
-                               asdict(boosted.GbdtParams())),
-    "lstm": ModelSpec(_fit_lstm, _predict_lstm, asdict(neural.LstmParams())),
+    "gbdt": ModelSpec(_fit_gbdt, _predict_gbdt, _gbdt_defaults),
+    "gbdt_quantile": ModelSpec(_fit_gbdt_quantile, _predict_gbdt_quantile, _gbdt_defaults),
+    "lstm": ModelSpec(_fit_lstm, _predict_lstm, _lstm_defaults),
 }
 
 DEFAULT_ROSTER = ("seasonal_naive", "sarimax", "gbdt", "lstm")

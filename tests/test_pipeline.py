@@ -1,8 +1,11 @@
 import csv
 import hashlib
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
@@ -12,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loadcast import metrics, pipeline
+from loadcast import boosted, metrics, pipeline
 from loadcast.classical import sarimax_from_json
 from loadcast.cli import main as cli_main
 from loadcast.config import ConfigError, config_from_dict, load_config
@@ -252,8 +255,8 @@ class TestConfig:
     def test_config_hash_follows_a_changed_default(self, monkeypatch):
         before = config_from_dict({"input_path": "a", "output_dir": "b"}).config_hash()
         spec = pipeline.MODELS["gbdt"]
-        monkeypatch.setitem(pipeline.MODELS, "gbdt",
-                            spec._replace(defaults=dict(spec.defaults, learning_rate=0.1)))
+        moved = spec._replace(defaults=lambda: dict(spec.defaults(), learning_rate=0.1))
+        monkeypatch.setitem(pipeline.MODELS, "gbdt", moved)
         after = config_from_dict({"input_path": "a", "output_dir": "b"}).config_hash()
         assert after != before
 
@@ -280,6 +283,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match=re.escape(f"{model}.{key} = {value!r} ")):
             load_config(path)
         assert cli_main(["train", "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize("params, message", [
+        (["gbdt"], "model_params must be an object, got ['gbdt']"),
+        ({"gbdt": 5}, "model_params.gbdt must be an object of hyperparameters, got 5"),
+        ({"gbdt": None}, "model_params.gbdt must be an object of hyperparameters, got None"),
+        ({"lstm": "x"}, "model_params.lstm must be an object of hyperparameters, got 'x'"),
+    ])
+    def test_misshapen_model_params_fail_at_load(self, tmp_path, caplog, params, message):
+        path = write_config(tmp_path, {"input_path": "a", "output_dir": "b",
+                                       "model_params": params})
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_config(path)
+        assert cli_main(["train", "--config", str(path)]) == 1
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [message]
 
 
 class TestIngest:
@@ -578,6 +595,21 @@ class TestCrashIsolation:
         for name, error in zip(("seasonal_naive", gbdt, "lstm"), errors):
             assert entries[name] == {"status": "failed", "artifacts": [], "error": error}
 
+    def test_sarimax_error_fails_only_sarimax(self, tmp_path, capsys):
+        """A ``classical`` error is one model's failure, never the command's."""
+        build_input_csv(tmp_path / "meter.csv", seed=3)
+        doc = base_config(tmp_path, roster=["seasonal_naive", "sarimax"])
+        doc["model_params"]["sarimax"]["order"] = [-1, 1, 1]
+        path = write_config(tmp_path, doc)
+        for command in ("ingest", "impute-eval", "train"):
+            assert cli_main([command, "--config", str(path)]) == 0
+        entries = pipeline.load_manifest(load_config(path))["models"]
+        assert entries["sarimax"] == {"status": "failed", "artifacts": [],
+                                      "error": "order terms must be non-negative"}
+        assert entries["seasonal_naive"]["status"] == "ok"
+        assert "sarimax          failed (order terms must be non-negative)" in \
+            capsys.readouterr().out
+
 
 def count_calls(monkeypatch, module, name: str) -> list:
     """Patch ``module.name`` to record the arguments of each call."""
@@ -633,7 +665,7 @@ class TestInputsOnFirstUse:
     def test_boosted_roster_builds_the_matrix_once_per_command(self, tmp_path, monkeypatch):
         cfg = self.imputed(tmp_path, ["gbdt", "gbdt_quantile"])
         matrices, scalers, fits = (count_calls(monkeypatch, module, name) for module, name in (
-            (pipeline, "assemble_matrix"), (pipeline, "minmax_fit"), (pipeline.boosted, "gbdt_fit")))
+            (pipeline, "assemble_matrix"), (pipeline, "minmax_fit"), (boosted, "gbdt_fit")))
         entries = pipeline.cmd_train(cfg)["models"]
         assert [e["status"] for e in entries.values()] == ["ok", "ok"]
         assert (len(matrices), len(fits)) == (1, 4)
@@ -1334,3 +1366,90 @@ class TestCli:
         assert cli_main(["train", "--config", str(cfg_path)]) == 2
         manifest = pipeline.load_manifest(load_config(cfg_path))
         assert manifest["models"]["seasonal_naive"]["status"] == "failed"
+
+
+# Runs in a fresh interpreter: ``from loadcast import cli``, then either
+# ``load_config`` alone or one command through ``cli.main``; prints the exit
+# code (0 for a load) and the kernel modules then loaded.
+KERNEL_PROBE = """
+import json, sys
+from loadcast import cli
+from loadcast.config import load_config
+path, command = sys.argv[1:]
+if command:
+    code = cli.main([command, "--config", path])
+else:
+    load_config(path)
+    code = 0
+kernels = {"loadcast.boosted", "loadcast.classical", "loadcast.neural"}
+print(json.dumps([code, sorted(m.split(".")[1] for m in kernels & set(sys.modules))]))
+"""
+
+
+def kernels_loaded(path: Path, command: str = "") -> list:
+    """[exit code, kernel modules loaded] of ``KERNEL_PROBE`` on a config."""
+    env = dict(os.environ)
+    env.pop("LOADCAST_OUTPUT_DIR", None)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", KERNEL_PROBE, str(path), command],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def roster_config(root: Path, roster: list[str], input_path: Path) -> Path:
+    """``base_config`` with hyperparameters for the roster's models only."""
+    params = dict(base_config(root)["model_params"],
+                  gbdt_quantile={"n_estimators": 10, "max_depth": 3})
+    return write_config(root, base_config(
+        root, roster=roster, input_path=str(input_path),
+        model_params={name: params[name] for name in roster if name in params}))
+
+
+class TestKernelImports:
+    """Set-up imports no kernel module (``boosted``, ``classical``,
+    ``neural``): a config loads the kernels of the models its
+    ``model_params`` name, a command those of the models it runs."""
+
+    @pytest.fixture(scope="class")
+    def imputed(self, tmp_path_factory):
+        """A household through ``ingest`` and ``impute-eval``, which load no kernel."""
+        root = tmp_path_factory.mktemp("kernels")
+        build_input_csv(root / "meter.csv", seed=6)
+        path = roster_config(root, ["seasonal_naive"], root / "meter.csv")
+        assert [kernels_loaded(path, command) for command in ("ingest", "impute-eval")] == [
+            [0, []], [0, []]]
+        return root
+
+    @pytest.mark.parametrize("roster, model_params, loaded", [
+        (["seasonal_naive", "sarimax"], {"seasonal_naive": {}, "sarimax": {"max_iter": 5}}, []),
+        (["lstm"], {}, []),
+        (["seasonal_naive"], {"gbdt": {"max_depth": 3}}, ["boosted"]),
+        (["seasonal_naive"], {"gbdt_quantile": {}, "lstm": {}}, ["boosted", "neural"]),
+    ])
+    def test_load_imports_the_kernels_model_params_name(self, tmp_path, roster, model_params,
+                                                        loaded):
+        path = write_config(tmp_path, {"input_path": "a", "output_dir": "b", "roster": roster,
+                                       "model_params": model_params})
+        assert kernels_loaded(path) == [0, loaded]
+
+    def test_misshapen_model_params_fail_before_any_kernel_loads(self, tmp_path):
+        path = write_config(tmp_path, {"input_path": "a", "output_dir": "b",
+                                       "model_params": {"gbdt": {}, "lstm": 5}})
+        assert kernels_loaded(path, "train") == [1, []]
+
+    @pytest.mark.parametrize("roster, loaded", [
+        (["seasonal_naive", "sarimax"], ["classical"]),
+        (["seasonal_naive", "gbdt", "gbdt_quantile"], ["boosted"]),
+        (["lstm"], ["neural"]),
+    ])
+    def test_commands_import_the_roster_kernels(self, imputed, tmp_path, roster, loaded):
+        """``train`` and ``evaluate`` load the roster's kernels; ``report``
+        loads none, given a config whose ``model_params`` name none."""
+        shutil.copytree(imputed / "out", tmp_path / "out")
+        path = roster_config(tmp_path, roster, imputed / "meter.csv")
+        assert [kernels_loaded(path, command) for command in ("train", "evaluate")] == [
+            [0, loaded], [0, loaded]]
+        untuned = dict(json.loads(path.read_text(encoding="utf-8")), model_params={})
+        assert kernels_loaded(write_config(tmp_path, untuned, "report.json"), "report") == [0, []]
